@@ -149,13 +149,15 @@ class OperatorPolynomial:
 
     def __mul__(self, other) -> "OperatorPolynomial":
         if isinstance(other, OperatorPolynomial):
-            out = OperatorPolynomial.zero()
+            terms: dict[ExponentKey, RationalComplex] = {}
             for lk, lc in self._terms.items():
                 for rk, rc in other._terms.items():
-                    out = out + monomial_product(
+                    product = monomial_product(
                         BosonMonomial(lc, *lk), BosonMonomial(rc, *rk)
                     )
-            return out
+                    for key, coeff in product.items():
+                        terms[key] = terms.get(key, ZERO) + coeff
+            return OperatorPolynomial(terms)
         scale = RationalComplex.coerce(other)
         return OperatorPolynomial({k: c * scale for k, c in self._terms.items()})
 
@@ -335,6 +337,21 @@ class FockAmplitude:
         return complex(self.coeff) * float(self.radicand) ** 0.5
 
 
+def ladder_radicand(state: FockState, target: FockState) -> Fraction:
+    """t1! t2! / (n1! n2!) for |n1, n2> -> |t1, t2>, from short ladder ratios.
+
+    Per mode, t!/n! is the product of the |t - n| factors between the two
+    occupations, so the full factorials are never formed.
+    """
+    num = den = 1
+    for n, t in ((state.n1, target.n1), (state.n2, target.n2)):
+        if t >= n:
+            num *= falling_factorial(t, t - n)
+        else:
+            den *= falling_factorial(n, n - t)
+    return Fraction(num, den)
+
+
 def apply_to_fock(
     h: OperatorPolynomial, state: FockState
 ) -> dict[FockState, FockAmplitude]:
@@ -344,7 +361,6 @@ def apply_to_fock(
     nothing.  Amplitudes carry the exact ladder factors
     sqrt(n!/(n-m)!) * sqrt((n-m+r)!/(n-m)!) per mode.
     """
-    src_fact = factorial(state.n1) * factorial(state.n2)
     out: dict[FockState, FockAmplitude] = {}
     for (m1, m2, m3, m4), coeff in h.items():
         if state.n1 < m2 or state.n2 < m4:
@@ -354,10 +370,7 @@ def apply_to_fock(
         # monomial-basis weight: falling factorials from the annihilations
         weight = falling_factorial(state.n1, m2) * falling_factorial(state.n2, m4)
         target = FockState(t1, t2)
-        amp = FockAmplitude(
-            coeff * weight,
-            Fraction(factorial(t1) * factorial(t2), src_fact),
-        )
+        amp = FockAmplitude(coeff * weight, ladder_radicand(state, target))
         prev = out.get(target)
         out[target] = amp if prev is None else prev + amp
     return {st: amp for st, amp in out.items() if not amp.is_zero}

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Union
 
 Rationalish = Union["RationalComplex", Fraction, int, float, complex]
@@ -49,7 +50,11 @@ class RationalComplex:
         return RationalComplex(self.re, -self.im)
 
     def __add__(self, other: Rationalish) -> "RationalComplex":
-        o = RationalComplex._try_coerce(other)
+        # exact fast paths for the int and RationalComplex operands of block
+        # assembly; other operands go through coerce
+        if isinstance(other, int):
+            return RationalComplex(self.re + other, self.im)
+        o = other if isinstance(other, RationalComplex) else RationalComplex._try_coerce(other)
         if o is None:
             return NotImplemented
         return RationalComplex(self.re + o.re, self.im + o.im)
@@ -72,9 +77,13 @@ class RationalComplex:
         return RationalComplex(-self.re, -self.im)
 
     def __mul__(self, other: Rationalish) -> "RationalComplex":
-        o = RationalComplex._try_coerce(other)
+        if isinstance(other, int):
+            return RationalComplex(self.re * other, self.im * other)
+        o = other if isinstance(other, RationalComplex) else RationalComplex._try_coerce(other)
         if o is None:
             return NotImplemented
+        if not self.im and not o.im:
+            return RationalComplex(self.re * o.re, self.im)
         return RationalComplex(
             self.re * o.re - self.im * o.im,
             self.re * o.im + self.im * o.re,
@@ -186,17 +195,28 @@ class Polynomial:
 
     def __call__(self, value: Rationalish) -> RationalComplex:
         """Exact Horner evaluation."""
+        if isinstance(value, int):
+            # a real integer point: Horner on the real and imaginary parts
+            re = im = Fraction(0)
+            for c in reversed(self.coeffs):
+                re = re * value + c.re
+                im = im * value + c.im
+            return RationalComplex(re, im)
         v = RationalComplex.coerce(value)
         acc = ZERO
         for c in reversed(self.coeffs):
             acc = acc * v + c
         return acc
 
+    @cached_property
+    def _complex_coeffs(self) -> tuple[complex, ...]:
+        return tuple(complex(c) for c in self.coeffs)
+
     def eval_complex(self, z: complex) -> complex:
         """Floating-point Horner evaluation."""
         acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + complex(c)
+        for c in reversed(self._complex_coeffs):
+            acc = acc * z + c
         return acc
 
     def derivative(self) -> "Polynomial":
@@ -205,7 +225,7 @@ class Polynomial:
         )
 
     def complex_coeffs(self) -> list[complex]:
-        return [complex(c) for c in self.coeffs]
+        return list(self._complex_coeffs)
 
     def render(self, variable: str = "E") -> str:
         """Human-readable form, lowest power first."""

@@ -6,8 +6,10 @@ restricts to an exactly finite matrix on each block.  There is no
 truncation error anywhere: this is the central testing asset of the
 package, and every reduced-route result is validated against it.
 
-Matrix elements are assembled from exact integer factorials and converted
-to floating point once, at matrix-assembly time.
+Matrix elements are assembled in exact arithmetic, each as a rational
+coefficient times the square root of a ladder ratio t1! t2! / (n1! n2!)
+built from the few integer factors between source and target occupations,
+and converted to floating point once, at matrix-assembly time.
 """
 
 from __future__ import annotations

@@ -56,6 +56,7 @@ from .exact import (
     Polynomial,
     Rationalish,
     RationalComplex,
+    falling_factorial,
     falling_factorial_poly,
     power_poly,
     rising_factorial_poly,
@@ -176,7 +177,7 @@ class ReducedOperator:
             for term in self.terms:
                 if n < term.m2:
                     continue
-                amp = term.diag(n2) * falling_factorial_poly(term.m2)(n)
+                amp = term.diag(n2) * falling_factorial(n, term.m2)
                 if amp.is_zero:
                     continue
                 target = n - term.m2 + term.m1

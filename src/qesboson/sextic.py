@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -58,6 +59,7 @@ class Superpotential:
     linear_coeff: RationalComplex
     cubic_coeff: RationalComplex
 
+    @cached_property
     def _real_parts(self) -> tuple[float, float, float]:
         for name, c in (
             ("inverse", self.inverse_coeff),
@@ -73,12 +75,12 @@ class Superpotential:
         )
 
     def __call__(self, y: float) -> float:
-        a, b, c = self._real_parts()
+        a, b, c = self._real_parts
         return a / y + b * y + c * y**3
 
     def integral(self, y: float) -> float:
         """int W dy = inverse*log(y) + linear*y^2/2 + cubic*y^4/4 (y > 0)."""
-        a, b, c = self._real_parts()
+        a, b, c = self._real_parts
         return a * math.log(y) + b * y**2 / 2 + c * y**4 / 4
 
 
