@@ -16,7 +16,8 @@ class BlockClosureViolation(QesBosonError):
 
 
 class NumericalFailure(QesBosonError):
-    """An eigensolve residual exceeded the configured tolerance."""
+    """An eigensolve residual exceeded the configured tolerance, or its
+    eigenvectors cannot be represented in double precision (residual inf)."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)

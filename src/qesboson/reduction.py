@@ -18,6 +18,15 @@ produces directly.  The banded matrix drives a scalar recurrence whose
 polynomial solutions in the energy terminate at the block dimension; the
 roots of the terminating member are the block spectrum.
 
+R is far from normal (D spans hundreds of decades on large blocks), so a
+small residual of R does not bound its eigenvalue error.  Three-term
+blocks whose paired off-diagonals b_i = R[i, i+1], c_i = R[i+1, i] have
+b_i c_i > 0 and whose diagonal is real are therefore solved as the
+symmetric Jacobi matrix with off-diagonals sqrt(b_i c_i), a diagonal
+similarity of R built from the recurrence coefficients alone (Golub &
+Welsch 1969); the block and its energy polynomials take that route, and
+every other block keeps a dense general eigensolve.
+
 Two diagonal conventions are supported for the recurrence and the reduced
 matrix.  The default, "corrected", matches the exact block restriction.
 The "paper-literal" convention keeps the extra mode-2 frequency offset
@@ -28,9 +37,10 @@ reproducible diagnostic of this package.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, sqrt
 from typing import Mapping
 
 import numpy as np
@@ -300,11 +310,13 @@ def matrix_element_reduction(
 
 @dataclass(frozen=True, eq=False)
 class ReducedBlock:
-    """Finite single-variable block: admissible degrees and their matrix."""
+    """Finite single-variable block: admissible degrees, the exact nonzero
+    entries (row, col) -> value, and their dense float matrix."""
 
     kappa: int
     degrees: tuple[int, ...]
     matrix: np.ndarray
+    entries: Mapping[tuple[int, int], RationalComplex]
 
     @property
     def dimension(self) -> int:
@@ -356,7 +368,96 @@ def reduced_block_matrix(
     matrix = np.zeros((dim, dim), dtype=complex)
     for (i, j), value in entries.items():
         matrix[i, j] = complex(value)
-    return ReducedBlock(kappa=kappa, degrees=degrees, matrix=matrix)
+    return ReducedBlock(kappa=kappa, degrees=degrees, matrix=matrix, entries=entries)
+
+
+# scipy.linalg.eigh_tridiagonal is imported where it is called: sextic
+# already imports scipy.linalg with the package, and importing it from this
+# module instead added about 35 ms of CPU to `import qesboson` (median of
+# 30 starts, Python 3.11.7, scipy 1.17.1, 2-core x86-64 host)
+
+_LOG_TINY = math.log(sys.float_info.min)  # smallest normal double
+_EPS = sys.float_info.epsilon
+
+
+def _log(value: Fraction) -> float:
+    """Natural log of a positive Fraction of any size."""
+    return math.log(value.numerator) - math.log(value.denominator)
+
+
+@dataclass(frozen=True, eq=False)
+class _JacobiForm:
+    """Symmetric tridiagonal J = S^-1 R S of a three-term block R.
+
+    diagonal and off hold J.  S = diag(phase * exp(log_scale)) with
+    s_0 = 1 and s_{i+1} = s_i sqrt(b_i c_i) / b_i; it is kept in log space
+    because its range exceeds double precision on large blocks.
+    """
+
+    diagonal: np.ndarray
+    off: np.ndarray
+    log_scale: np.ndarray
+    phase: np.ndarray
+
+    def residuals(self, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+        """||J u - lambda u|| / ||u|| per column, without forming J."""
+        r = self.diagonal[:, None] * vectors - vectors * values
+        r[:-1] += self.off[:, None] * vectors[1:]
+        r[1:] += self.off[:, None] * vectors[:-1]
+        return np.linalg.norm(r, axis=0) / np.linalg.norm(vectors, axis=0)
+
+    def monomial_vectors(self, vectors: np.ndarray, kappa: int) -> np.ndarray:
+        """Eigenvectors S u of R with unit columns.
+
+        Each column is scaled in log space so that its largest entry has
+        modulus 1.  Raises NumericalFailure when an entry of u above
+        rounding level would fall below the smallest normal double there.
+        """
+        magnitude = np.abs(vectors)
+        with np.errstate(divide="ignore"):
+            log_v = self.log_scale[:, None] + np.log(magnitude)
+        log_v -= log_v.max(axis=0)
+        if np.any((log_v < _LOG_TINY) & (magnitude > _EPS)):
+            decades = np.ptp(self.log_scale) / math.log(10)
+            raise NumericalFailure(
+                f"reduced block kappa={kappa} eigenvectors do not fit in double"
+                f" precision: the monomial scaling spans {decades:.0f} decades",
+                math.inf,
+            )
+        out = self.phase[:, None] * (np.sign(vectors) * np.exp(log_v))
+        return out / np.linalg.norm(out, axis=0)
+
+
+def _jacobi_form(
+    entries: Mapping[tuple[int, int], RationalComplex], dim: int
+) -> _JacobiForm | None:
+    """Jacobi form of a block given by its exact nonzero entries, or None.
+
+    Applies when the block is tridiagonal, its diagonal is real and every
+    product b_i c_i of paired off-diagonals is real and positive, all
+    decided exactly; J is converted to floating point once.
+    """
+    if any(abs(i - j) > 1 for i, j in entries):
+        return None
+    diag = [entries.get((i, i), ZERO) for i in range(dim)]
+    if not all(a.is_real for a in diag):
+        return None
+    off, log_steps, phase_steps = [], [], []
+    for i in range(dim - 1):
+        b = entries.get((i, i + 1), ZERO)
+        product = b * entries.get((i + 1, i), ZERO)
+        if not product.is_real or product.re <= 0:
+            return None
+        off.append(math.sqrt(product.re))
+        log_steps.append(0.5 * (_log(product.re) - _log(b.re * b.re + b.im * b.im)))
+        bf = complex(b)
+        phase_steps.append(bf.conjugate() / abs(bf))
+    return _JacobiForm(
+        diagonal=np.array([float(a.re) for a in diag]),
+        off=np.array(off),
+        log_scale=np.concatenate(([0.0], np.cumsum(log_steps))),
+        phase=np.cumprod(np.array([1.0 + 0.0j] + phase_steps)),
+    )
 
 
 def termination_degree(
@@ -401,19 +502,37 @@ class EnergyPolynomialTable:
         return matrix
 
     def spectrum(self) -> np.ndarray:
-        """Recurrence eigenvalues, sorted ascending by (real, imag)."""
+        """Recurrence eigenvalues, sorted ascending by (real, imag).
+
+        A three-term recurrence with positive off-diagonal products is
+        solved as its Jacobi matrix, any other by a dense eigvals.
+        """
         if self.dimension == 0:
             return np.zeros(0, dtype=complex)
+        entries = {
+            (i, j): value
+            for i, row in enumerate(self.recurrence)
+            for j, value in enumerate(row)
+            if not value.is_zero
+        }
+        jacobi = _jacobi_form(entries, self.dimension)
+        if jacobi is not None:
+            from scipy.linalg import eigh_tridiagonal
+
+            return eigh_tridiagonal(jacobi.diagonal, jacobi.off, eigvals_only=True).astype(
+                complex
+            )
         values, _ = sort_eigenpairs(np.linalg.eigvals(self.recurrence_matrix()))
         return values
 
     def termination_roots(self) -> np.ndarray:
-        """Roots of the terminating polynomial (sorted); equals spectrum()."""
-        if self.termination.degree < 1:
-            return np.zeros(0, dtype=complex)
-        coeffs = self.termination.complex_coeffs()[::-1]
-        values, _ = sort_eigenpairs(np.roots(coeffs))
-        return values
+        """Roots of the terminating polynomial (sorted); equals spectrum().
+
+        P_d(E) vanishes exactly at the eigenvalues of the recurrence
+        matrix, which are far better conditioned than the roots of P_d's
+        monomial coefficients, so the roots are computed as that spectrum.
+        """
+        return self.spectrum()
 
 
 def energy_polynomial_table(
@@ -479,23 +598,56 @@ def reduced_eigensystem(
     mode: str = "corrected",
     residual_tol: float = 1e-8,
 ) -> tuple[ReducedBlock, np.ndarray, np.ndarray, float]:
-    """Eigenvalues and right eigenvectors of the reduced block matrix."""
+    """Eigenvalues and right eigenvectors of the reduced block matrix.
+
+    Jacobi-form blocks (see the module docstring) are solved by
+    eigh_tridiagonal, with the residual taken on the Jacobi matrix, and
+    their eigenvectors mapped back through the diagonal similarity; other
+    blocks by a dense eig.  Raises NumericalFailure if the residual exceeds
+    residual_tol or if the eigenvectors do not fit in double precision.
+    """
+    block, values, vectors, worst, jacobi = _reduced_solve(
+        h, charge, kappa, mode, residual_tol
+    )
+    if jacobi is not None:
+        vectors = jacobi.monomial_vectors(vectors, kappa)
+    return block, values, vectors, worst
+
+
+def _reduced_solve(
+    h: OperatorPolynomial,
+    charge: ConservedCharge,
+    kappa: int,
+    mode: str,
+    residual_tol: float,
+) -> tuple[ReducedBlock, np.ndarray, np.ndarray, float, _JacobiForm | None]:
+    """Eigenvalues, eigenvectors and worst residual of the block.
+
+    The eigenvectors are those of the Jacobi form J when the block has one
+    (returned last, else None), otherwise those of R itself.
+    """
     block = reduced_block_matrix(h, charge, kappa, mode=mode)
     if block.dimension == 0:
-        return block, np.zeros(0, dtype=complex), np.zeros((0, 0), dtype=complex), 0.0
-    values, vectors = np.linalg.eig(block.matrix)
-    values, vectors = sort_eigenpairs(values, vectors)
-    worst = max(
-        eigen_residual(block.matrix, values[i], vectors[:, i])
-        for i in range(block.dimension)
-    )
+        empty = np.zeros(0, dtype=complex)
+        return block, empty, np.zeros((0, 0), dtype=complex), 0.0, None
+    jacobi = _jacobi_form(block.entries, block.dimension)
+    if jacobi is None:
+        values, vectors = sort_eigenpairs(*np.linalg.eig(block.matrix))
+        residuals = eigen_residual(block.matrix, values, vectors)
+    else:
+        from scipy.linalg import eigh_tridiagonal
+
+        values, vectors = eigh_tridiagonal(jacobi.diagonal, jacobi.off)
+        residuals = jacobi.residuals(values, vectors)
+        values = values.astype(complex)
+    worst = float(residuals.max())
     if worst > residual_tol:
         raise NumericalFailure(
             f"reduced block kappa={kappa} eigensolve residual {worst:.3e}"
             f" exceeds {residual_tol:.3e}",
             worst,
         )
-    return block, values, vectors, worst
+    return block, values, vectors, worst, jacobi
 
 
 def qes_spectrum(
@@ -508,13 +660,15 @@ def qes_spectrum(
 ) -> SpectrumReport:
     """Block spectrum from the reduced single-variable matrix.
 
-    A dense eigensolve of the banded matrix is numerically preferable to
-    isolating roots of the terminating energy polynomial; the polynomials
-    remain available for inspection via energy_polynomial_table.
+    Three-term blocks with positive off-diagonal products and a real
+    diagonal are solved as their symmetric Jacobi matrix by
+    eigh_tridiagonal; every other block by a dense eig of the reduced
+    matrix.  Either is numerically preferable to isolating roots of the
+    terminating energy polynomial, which remain available for inspection
+    via energy_polynomial_table.  Eigenvectors are not formed, so this
+    never fails for want of double range in them.
     """
-    block, values, _, worst = reduced_eigensystem(
-        h, charge, kappa, mode=mode, residual_tol=residual_tol
-    )
+    block, values, _, worst, _ = _reduced_solve(h, charge, kappa, mode, residual_tol)
     return SpectrumReport(
         kappa=kappa,
         dimension=block.dimension,
@@ -534,7 +688,8 @@ def eigenvector_to_fock(
     The coefficient of x^n1 is rescaled by sqrt(n1! n2!) with n2 the
     slaved occupation, then the amplitude vector over the block basis
     (ordered by increasing n2) is l2-normalized.  Up to a global phase the
-    result matches the corresponding exact block eigenvector.
+    result matches the corresponding exact block eigenvector.  The rescaling
+    runs in log space (lgamma), so it never overflows.
     """
     degrees = set(physical_degrees(charge, kappa))
     for degree in coeffs:
@@ -543,14 +698,17 @@ def eigenvector_to_fock(
                 f"degree {degree} outside block kappa={kappa}"
             )
     basis = enumerate_block(charge, kappa)
-    amplitudes = np.zeros(len(basis), dtype=complex)
-    for i, state in enumerate(basis):
-        c = complex(coeffs.get(state.n1, 0.0))
-        amplitudes[i] = c * sqrt(factorial(state.n1) * factorial(state.n2))
-    norm = np.linalg.norm(amplitudes)
-    if norm == 0.0:
+    c = np.array([complex(coeffs.get(state.n1, 0.0)) for state in basis])
+    nonzero = c != 0.0
+    if not nonzero.any():
         raise ZeroVector("eigenvector coefficients are all zero")
-    return basis, amplitudes / norm
+    log_weight = np.array(
+        [0.5 * (math.lgamma(st.n1 + 1) + math.lgamma(st.n2 + 1)) for st in basis]
+    )
+    log_amp = np.log(np.abs(c[nonzero])) + log_weight[nonzero]
+    amplitudes = np.zeros(len(basis), dtype=complex)
+    amplitudes[nonzero] = c[nonzero] / np.abs(c[nonzero]) * np.exp(log_amp - log_amp.max())
+    return basis, amplitudes / np.linalg.norm(amplitudes)
 
 
 @dataclass(frozen=True)
@@ -567,15 +725,21 @@ class OdeCoefficients:
     k: int
     mode: str
 
-    def apply(self, poly: Polynomial, z: complex) -> complex:
-        """Evaluate the operator action on a polynomial test function."""
+    def action(self, poly: Polynomial):
+        """The operator applied to a polynomial test function, as a
+        function of z; the derivatives of poly are built once."""
         d1 = poly.derivative()
         d2 = d1.derivative()
-        return (
-            complex(self.c3) * z**3 * d2.eval_complex(z)
-            + self.c1.eval_complex(z) * d1.eval_complex(z)
-            + self.c0.eval_complex(z) * poly.eval_complex(z)
-        )
+        c3 = complex(self.c3)
+
+        def at(z: complex) -> complex:
+            return (
+                c3 * z**3 * d2.eval_complex(z)
+                + self.c1.eval_complex(z) * d1.eval_complex(z)
+                + self.c0.eval_complex(z) * poly.eval_complex(z)
+            )
+
+        return at
 
     def recurrence_exact(self, dim: int) -> tuple[tuple[RationalComplex, ...], ...]:
         """Exact matrix B of the coefficient recurrence on z^0 .. z^(dim-1).

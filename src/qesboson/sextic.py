@@ -267,36 +267,44 @@ def check_gauge_identity(
     def z_of(y: float) -> float:
         return -1.0 / (kbf * y * y)
 
+    # only the sign of the exponent and the kinetic factor depend on the
+    # convention, so the operator action and the potential are sampled once,
+    # psi and its second derivative once per sign, and conventions sharing
+    # (sign, kinetic) share one fit
+    actions = [[ode.action(poly)(z_of(y)).real for y in ys] for poly in polys]
+    potential = [c0 + c2 * y**2 + c4 * y**4 + c6 * y**6 for y in ys]
+    samples = range(len(ys))
+    fits: dict[tuple[int, float], tuple[float, float]] = {}
+    for sign in (1, -1):
+        gauges = [math.exp(sign * w.integral(y)) for y in ys]
+        psis, d2s = [], []
+        for poly in polys:
+            def psi(y: float) -> float:
+                return math.exp(sign * w.integral(y)) * poly.eval_complex(
+                    z_of(y)
+                ).real
+
+            psis.append([psi(y) for y in ys])
+            d2s.append([second_derivative(psi, y, 1e-3 * abs(y)) for y in ys])
+        lhs_arr = np.array([gauges[i] * action[i] for action in actions for i in samples])
+        psi_arr = np.array([p[i] for p in psis for i in samples])
+        for kinetic in (1.0, 0.5):
+            rhs_arr = np.array(
+                [-kinetic * d2[i] + potential[i] * p[i] for p, d2 in zip(psis, d2s) for i in samples]
+            )
+            shift = float(np.dot(psi_arr, rhs_arr - lhs_arr) / np.dot(psi_arr, psi_arr))
+            scale = float(np.max(np.abs(lhs_arr) + np.abs(rhs_arr)))
+            residual = float(
+                np.max(np.abs(rhs_arr - lhs_arr - shift * psi_arr)) / scale
+            )
+            fits[(sign, kinetic)] = (residual, shift)
+
     tried: dict[tuple[int, int, float], float] = {}
     best: tuple[float, GaugeConvention] | None = None
     for w_sign in (1, -1):
         for exp_sign in (1, -1):
-            sign = w_sign * exp_sign
             for kinetic in (1.0, 0.5):
-                lhs_all, rhs_all, psi_all = [], [], []
-                for poly in polys:
-                    def psi(y: float) -> float:
-                        return math.exp(sign * w.integral(y)) * poly.eval_complex(
-                            z_of(y)
-                        ).real
-
-                    for y in ys:
-                        gauge = math.exp(sign * w.integral(y))
-                        lhs_all.append(gauge * ode.apply(poly, z_of(y)).real)
-                        v = c0 + c2 * y**2 + c4 * y**4 + c6 * y**6
-                        rhs_all.append(
-                            -kinetic * second_derivative(psi, y, 1e-3 * abs(y))
-                            + v * psi(y)
-                        )
-                        psi_all.append(psi(y))
-                lhs_arr = np.array(lhs_all)
-                rhs_arr = np.array(rhs_all)
-                psi_arr = np.array(psi_all)
-                shift = float(np.dot(psi_arr, rhs_arr - lhs_arr) / np.dot(psi_arr, psi_arr))
-                scale = float(np.max(np.abs(lhs_arr) + np.abs(rhs_arr)))
-                residual = float(
-                    np.max(np.abs(rhs_arr - lhs_arr - shift * psi_arr)) / scale
-                )
+                residual, shift = fits[(w_sign * exp_sign, kinetic)]
                 tried[(w_sign, exp_sign, kinetic)] = residual
                 convention = GaugeConvention(w_sign, exp_sign, kinetic, shift)
                 if best is None or residual < best[0]:

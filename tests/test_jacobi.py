@@ -1,0 +1,178 @@
+"""The reduced route's Jacobi path, its dense fallback and large blocks.
+
+Large-kappa bounds are scaled by the block's spectral norm ||H||, which
+for the Hermitian sample models is the largest oracle eigenvalue modulus.
+"""
+
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy.linalg import eigh_tridiagonal
+
+from conftest import random_coeff, spectral_deviation
+from qesboson import (
+    BosonMonomial,
+    ConservedCharge,
+    NumericalFailure,
+    OperatorPolynomial,
+    RationalComplex,
+    block_spectrum,
+    build_shg,
+    diagonalize_block,
+    eigen_residual,
+    eigenvector_to_fock,
+    energy_polynomial_table,
+    parse_model_file,
+    qes_spectrum,
+    reduced_block_matrix,
+    reduced_eigensystem,
+    shg_charge,
+)
+from qesboson.reduction import _jacobi_form
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
+REL_TOL = 1e-12  # times ||H||; measured worst 7e-16 up to kappa=600
+
+
+def load(name: str):
+    model = parse_model_file((MODELS / f"{name}.qesb").read_text(encoding="utf-8"))
+    return model.hamiltonian(), model.charge
+
+
+def assert_roundtrip(h, charge, kappa):
+    """Eigenvalues within REL_TOL*||H|| and every reduced eigenvector,
+    mapped to Fock space, with overlap >= 1 - 1e-8 against the oracle."""
+    _, o_vals, o_vecs, _, _ = diagonalize_block(h, charge, kappa)
+    block, r_vals, r_vecs, _ = reduced_eigensystem(h, charge, kappa)
+    assert np.max(np.abs(o_vals - r_vals)) <= REL_TOL * np.max(np.abs(o_vals))
+    for i in range(len(r_vals)):
+        coeffs = {n: r_vecs[j, i] for j, n in enumerate(block.degrees)}
+        _, mapped = eigenvector_to_fock(coeffs, charge, kappa)
+        overlap = abs(np.vdot(mapped, o_vecs[:, i]))
+        assert overlap >= 1 - 1e-8, f"kappa={kappa} i={i} overlap={overlap}"
+
+
+@pytest.mark.parametrize(
+    "name,kappa",
+    [("shg", 160), ("shg", 400), ("trilinear3", 450), ("trilinear3", 600)],
+)
+def test_large_blocks_match_oracle(name, kappa):
+    # dense eig of the reduced matrix was off by up to 9e3 here, silently
+    h, charge = load(name)
+    oracle = np.array(block_spectrum(h, charge, kappa).eigenvalues)
+    reduced = np.array(qes_spectrum(h, charge, kappa).eigenvalues)
+    assert np.all(reduced.imag == 0.0)
+    assert spectral_deviation(oracle, reduced) <= REL_TOL * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize(
+    "name,kappa",
+    [("shg", 98), ("shg", 154), ("shg", 214), ("shg", 298), ("trilinear3", 321)],
+)
+def test_large_block_eigenvector_roundtrip(name, kappa):
+    # sqrt(n1! n2!) leaves double range from kappa=171 on
+    h, charge = load(name)
+    assert_roundtrip(h, charge, kappa)
+
+
+def test_complex_couplings_roundtrip():
+    # complex b_i with b_i c_i > 0: the similarity carries a phase
+    h = build_shg(1, 2, Fraction(1, 3) + Fraction(1, 2) * 1j, Fraction(1, 3) - Fraction(1, 2) * 1j)
+    charge = shg_charge()
+    block = reduced_block_matrix(h, charge, 60)
+    jacobi = _jacobi_form(block.entries, block.dimension)
+    assert jacobi is not None and np.any(jacobi.phase.imag != 0.0)
+    assert_roundtrip(h, charge, 60)
+
+
+def test_unrepresentable_eigenvectors_raise_typed_error():
+    # the monomial scaling spans about 514 decades at trilinear3 kappa=597
+    h, charge = load("trilinear3")
+    with pytest.raises(NumericalFailure):
+        reduced_eigensystem(h, charge, 597)
+    report = qes_spectrum(h, charge, 597)
+    assert report.dimension == 200 and report.max_residual <= 1e-8
+
+
+def test_eigenvector_to_fock_far_beyond_factorial_range():
+    charge = shg_charge()
+    degrees = range(0, 801, 2)
+    basis, amps = eigenvector_to_fock({n: 1.0 for n in degrees}, charge, 800)
+    assert np.all(np.isfinite(amps)) and np.linalg.norm(amps) == pytest.approx(1.0)
+    # the largest weight sqrt(800!) sits on the state (800, 0)
+    assert basis[int(np.argmax(np.abs(amps)))].n1 == 800
+
+
+def test_termination_roots_match_oracle_at_kappa_100():
+    # np.roots on the monomial coefficients was off by 74 here
+    h, charge = load("shg")
+    table = energy_polynomial_table(h, charge, 100)
+    oracle = np.array(block_spectrum(h, charge, 100).eigenvalues)
+    scale = np.max(np.abs(oracle))
+    assert spectral_deviation(table.termination_roots(), oracle) <= REL_TOL * scale
+    assert spectral_deviation(table.spectrum(), oracle) <= REL_TOL * scale
+
+
+@pytest.mark.parametrize("kappa", [4, 21, 40])
+def test_non_hermitian_shg_keeps_dense_eig(kappa):
+    # kc * kb < 0 makes every off-diagonal product negative
+    h = build_shg(1, 2, Fraction(1, 2), Fraction(-1, 2))
+    charge = shg_charge()
+    block = reduced_block_matrix(h, charge, kappa)
+    assert _jacobi_form(block.entries, block.dimension) is None
+    oracle = np.array(block_spectrum(h, charge, kappa).eigenvalues)
+    reduced = np.array(qes_spectrum(h, charge, kappa).eigenvalues)
+    assert spectral_deviation(oracle, reduced) <= 1e-9 * max(1.0, np.max(np.abs(oracle)))
+    table = energy_polynomial_table(h, charge, kappa)
+    assert spectral_deviation(table.termination_roots(), oracle) <= 1e-9 * max(
+        1.0, np.max(np.abs(oracle))
+    )
+
+
+# exponents (m1, m2, m3, m4) conserving N1 + N2; the last two move n1 by 2
+PENTADIAGONAL_TERMS = (
+    (1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 0, 1), (0, 1, 1, 0),
+    (1, 1, 1, 1), (2, 0, 0, 2), (0, 2, 2, 0),
+)
+
+
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_random_pentadiagonal_models_keep_dense_eig(hermitian):
+    rng = random.Random(31 + hermitian)
+    charge = ConservedCharge(1, 1)
+    for _ in range(4):
+        h = OperatorPolynomial.from_monomials(
+            BosonMonomial(random_coeff(rng), *exps) for exps in PENTADIAGONAL_TERMS
+        )
+        if hermitian:
+            h = h + h.adjoint()
+        for kappa in (3, 8, 14):
+            block = reduced_block_matrix(h, charge, kappa)
+            assert _jacobi_form(block.entries, block.dimension) is None
+            oracle = np.array(block_spectrum(h, charge, kappa).eigenvalues)
+            reduced = np.array(qes_spectrum(h, charge, kappa).eigenvalues)
+            scale = max(1.0, float(np.max(np.abs(oracle))))
+            assert spectral_deviation(oracle, reduced) <= 1e-9 * scale
+
+
+def test_jacobi_residuals_match_dense_residuals():
+    rng = np.random.default_rng(7)
+    diagonal, off = rng.normal(size=9), rng.uniform(0.5, 2.0, size=8)
+    entries = {(i, i): RationalComplex(Fraction(a)) for i, a in enumerate(diagonal)}
+    for i, e in enumerate(off):
+        # split e^2 unevenly between the paired off-diagonals
+        entries[(i, i + 1)] = RationalComplex(Fraction(e) * 3)
+        entries[(i + 1, i)] = RationalComplex(Fraction(e) / 3)
+    jacobi = _jacobi_form(entries, len(diagonal))
+    assert np.allclose(jacobi.off, off, rtol=1e-15, atol=0)
+    values, vectors = eigh_tridiagonal(jacobi.diagonal, jacobi.off)
+    dense = np.diag(jacobi.diagonal) + np.diag(jacobi.off, 1) + np.diag(jacobi.off, -1)
+    assert np.allclose(
+        jacobi.residuals(values, vectors),
+        eigen_residual(dense, values, vectors),
+        rtol=0,
+        atol=1e-15,
+    )

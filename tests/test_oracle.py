@@ -195,6 +195,16 @@ class TestEigenResidual:
         with pytest.raises(ZeroVector):
             eigen_residual(np.eye(2), 1.0, np.zeros(2))
 
+    def test_columns_match_single_pairs(self):
+        rng = np.random.default_rng(3)
+        m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        values, vectors = rng.normal(size=6), rng.normal(size=(6, 6))
+        columns = eigen_residual(m, values, vectors)
+        singles = [eigen_residual(m, values[i], vectors[:, i]) for i in range(6)]
+        assert np.allclose(columns, singles, rtol=1e-14, atol=0)
+        with pytest.raises(ZeroVector):
+            eigen_residual(m, values, np.zeros((6, 6)))
+
 
 def test_diagonalize_block_orthonormal_vectors(shg):
     h, charge = shg
