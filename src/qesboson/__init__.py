@@ -79,14 +79,12 @@ from .reduction import (
     matrix_element_reduction,
     physical_degrees,
     qes_spectrum,
-    reduce_via_s,
     reduce_via_t,
     reduced_block_matrix,
     reduced_eigensystem,
     shg_ode,
     slaved_occupation,
     termination_degree,
-    transformed_charge,
 )
 from .sextic import (
     GaugeConvention,
@@ -96,7 +94,6 @@ from .sextic import (
     check_gauge_identity,
     constant_shift_match,
     fd_spectrum,
-    gauge_identity_residual,
     gauge_superpotential,
     sextic_potential,
 )

@@ -268,8 +268,3 @@ def rising_factorial_poly(m: int) -> Polynomial:
     for i in range(1, m + 1):
         out = out * Polynomial.from_coeffs([i, 1])
     return out
-
-
-def power_poly(m: int) -> Polynomial:
-    """X^m as a polynomial in X."""
-    return Polynomial.from_coeffs([0] * m + [1])

@@ -1,22 +1,23 @@
 """Reduction of conserving two-mode Hamiltonians to single-variable form.
 
 Within one charge block the second mode is slaved to the first: fixing
-s*n1 + p*n2 = kappa makes n2 a function of n1.  Two non-unitary similarity
-transformations (one built from powers of a2+, one from powers of a2)
-decouple the slaved mode, turning each conserving term into a mode-1
-ladder pair (m1, m2) dressed with a diagonal factor that is a polynomial
-in the slaved occupation.  Realizing the remaining mode on monomials
-(a1 = d/dx, a1+ = x) gives a finite banded matrix per block, isospectral
-to the exact Fock-space block.
+s*n1 + p*n2 = kappa makes n2 a function of n1.  A non-unitary similarity
+transformation decouples the slaved mode, turning each conserving term
+into a mode-1 ladder pair (m1, m2) dressed with a diagonal factor that is
+a polynomial in the slaved occupation.  Realizing the remaining mode on
+monomials (a1 = d/dx, a1+ = x) gives a finite banded matrix per block,
+isospectral to the exact Fock-space block.
 
-The defining contract of the reduced matrix is the diagonal conjugation
-
-    R = D^-1 M D,   D = diag(sqrt(n1! n2!)),
-
-of the exact block matrix M, which is what the monomial realization
-produces directly.  The banded matrix drives a scalar recurrence whose
-polynomial solutions in the energy terminate at the block dimension; the
-roots of the terminating member are the block spectrum.
+Two transformations do this.  The a2+ route (built from powers of a2+)
+gives the falling factorial of the slaved occupation for every term; it
+is exactly the monomial realization, R = D^-1 M D with
+D = diag(sqrt(n1! n2!)) and M the exact block matrix, and is the
+production reduction (matrix_element_reduction).  The a2 route (built
+from powers of a2, reduce_via_t) differs from it by a diagonal
+similarity and is kept as the paper's second elimination.  The banded
+matrix drives a scalar recurrence whose polynomial solutions in the
+energy terminate at the block dimension; the roots of the terminating
+member are the block spectrum.
 
 R is far from normal (D spans hundreds of decades on large blocks), so a
 small residual of R does not bound its eigenvalue error.  Three-term
@@ -41,6 +42,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -68,16 +70,11 @@ from .exact import (
     RationalComplex,
     falling_factorial,
     falling_factorial_poly,
-    power_poly,
     rising_factorial_poly,
 )
 from .oracle import SpectrumReport, eigen_residual, enumerate_block, sort_eigenpairs
 
 MODES = ("corrected", "paper-literal")
-
-VARIANT_S = "similarity-s"
-VARIANT_T = "similarity-t"
-VARIANT_MATRIX_ELEMENT = "matrix-element"
 
 
 def _check_mode(mode: str) -> None:
@@ -120,25 +117,6 @@ def mode2_frequency(h: OperatorPolynomial) -> RationalComplex:
     return h.coefficient(0, 0, 1, 1)
 
 
-def transformed_charge(
-    charge: ConservedCharge, eta: Fraction | int, variant: str
-) -> tuple[Fraction, Fraction]:
-    """(N1, N2) coefficients of the charge after the similarity transform.
-
-    The a2+-built transform sends the charge to (s - p*eta) N1 + p N2 and
-    the a2-built one to (s + p*eta) N1 + p N2; choosing eta = s/p
-    (respectively -s/p) removes the N1 part, leaving the slaved mode to
-    label the representation on its own.
-    """
-    eta = Fraction(eta)
-    key = variant.strip().upper()
-    if key == "S":
-        return (Fraction(charge.s) - charge.p * eta, Fraction(charge.p))
-    if key == "T":
-        return (Fraction(charge.s) + charge.p * eta, Fraction(charge.p))
-    raise ValueError(f"variant must be 'S' or 'T', got {variant!r}")
-
-
 @dataclass(frozen=True)
 class ReducedTerm:
     """Mode-1 ladder pair with a diagonal polynomial in the slaved occupation."""
@@ -162,8 +140,6 @@ class ReducedOperator:
 
     terms: tuple[ReducedTerm, ...]
     charge: ConservedCharge
-    variant: str
-    transform_exponent: Fraction | None = None
     clip_edges: bool = False
 
     def block_entries(
@@ -171,13 +147,11 @@ class ReducedOperator:
     ) -> tuple[tuple[int, ...], dict[tuple[int, int], RationalComplex]]:
         """Exact matrix entries over the physical degrees (ascending).
 
-        Operators flagged clip_edges (the a2-built similarity, which is
-        singular at the block edge, and the literal-power diagonal
-        convention, which does not vanish there) have their formal
-        amplitudes into nonexistent states dropped; for the a2 route this
-        reproduces the exact conjugated matrix.  All other routes must
-        close on their own, and a nonzero amplitude leaving the degree
-        set is reported as a closure violation.
+        Operators flagged clip_edges (the a2 route, whose similarity is
+        singular at the block edge) have their formal amplitudes into
+        nonexistent states dropped, which reproduces the exact conjugated
+        matrix.  The a2+ route must close on its own, and a nonzero
+        amplitude leaving the degree set is reported as a closure violation.
         """
         degrees = physical_degrees(self.charge, kappa)
         pos = {n: i for i, n in enumerate(degrees)}
@@ -202,142 +176,85 @@ class ReducedOperator:
                 entries[(i, j)] = entries.get((i, j), ZERO) + amp
         return degrees, {k: v for k, v in entries.items() if not v.is_zero}
 
-    def block_matrix(self, kappa: int) -> tuple[tuple[int, ...], np.ndarray]:
-        """Dense complex matrix over the physical degrees."""
-        degrees, entries = self.block_entries(kappa)
-        dim = len(degrees)
-        matrix = np.zeros((dim, dim), dtype=complex)
-        for (i, j), value in entries.items():
-            matrix[i, j] = complex(value)
-        return degrees, matrix
-
-
-def _term_shape_supported(m3: int, m4: int) -> bool:
-    # pure raising, pure lowering, or mode-2-diagonal; anything else needs
-    # the matrix-element route
-    return m3 == 0 or m4 == 0 or m3 == m4
-
-
-def reduce_via_s(
-    h: OperatorPolynomial,
-    charge: ConservedCharge,
-    *,
-    literal_power: bool = False,
-) -> ReducedOperator:
-    """Decouple the slaved mode with the similarity built from a2+ powers.
-
-    Every conserving term alpha (a1+)^m1 (a1)^m2 (a2+)^m3 (a2)^m4 becomes
-    the ladder pair (m1, m2) with diagonal factor equal to the falling
-    factorial n2 (n2-1) ... (n2-m4+1) of the slaved occupation.  With
-    literal_power=True the plain power n2^m4 is used instead; the two
-    agree exactly for m4 <= 1, which covers every catalog model, but only
-    the falling factorial is isospectral to the block in general.
-    """
-    _check_conserves(h, charge)
-    terms = []
-    for (m1, m2, m3, m4), coeff in h.items():
-        if not _term_shape_supported(m3, m4):
-            raise UnsupportedTermShape(
-                f"term ({m1},{m2},{m3},{m4}) mixes raising and lowering in"
-                " mode 2; use the matrix-element route"
-            )
-        diag = power_poly(m4) if literal_power else falling_factorial_poly(m4)
-        terms.append(ReducedTerm(m1, m2, diag * coeff))
-    return ReducedOperator(
-        terms=tuple(terms),
-        charge=charge,
-        variant=VARIANT_S,
-        transform_exponent=Fraction(charge.s, charge.p),
-        clip_edges=literal_power,
-    )
-
-
-def reduce_via_t(h: OperatorPolynomial, charge: ConservedCharge) -> ReducedOperator:
-    """Decouple the slaved mode with the similarity built from a2 powers.
-
-    Pure mode-2-raising terms pick up the rising factorial
-    (n2+1) (n2+2) ... (n2+m3), pure lowering terms lose their diagonal
-    factor entirely, and mode-2-diagonal terms match the other route.
-    The resulting block matrices differ from the a2+-route by a diagonal
-    similarity and are isospectral to it and to the exact block.
-    """
-    _check_conserves(h, charge)
-    terms = []
-    for (m1, m2, m3, m4), coeff in h.items():
-        if not _term_shape_supported(m3, m4):
-            raise UnsupportedTermShape(
-                f"term ({m1},{m2},{m3},{m4}) mixes raising and lowering in"
-                " mode 2; use the matrix-element route"
-            )
-        if m3 == m4:
-            diag = falling_factorial_poly(m4)
-        elif m4 == 0:
-            diag = rising_factorial_poly(m3)
-        else:
-            diag = Polynomial.one()
-        terms.append(ReducedTerm(m1, m2, diag * coeff))
-    return ReducedOperator(
-        terms=tuple(terms),
-        charge=charge,
-        variant=VARIANT_T,
-        transform_exponent=Fraction(-charge.s, charge.p),
-        clip_edges=True,
-    )
-
 
 def matrix_element_reduction(
     h: OperatorPolynomial, charge: ConservedCharge
 ) -> ReducedOperator:
-    """Reduced operator with the defining (monomial-basis) semantics.
+    """The a2+ route: the defining (monomial-basis) reduced operator.
 
-    Acting on x^n1 y^n2 with a_i = d, a_i+ = multiplication, every term
-    contributes the product of per-mode falling factorials, so the block
-    matrix equals D^-1 M D with M the exact Fock block and
-    D = diag(sqrt(n1! n2!)).  No term shape restrictions.
+    The similarity built from powers of a2+ turns every conserving term
+    alpha (a1+)^m1 (a1)^m2 (a2+)^m3 (a2)^m4 into the ladder pair (m1, m2)
+    with diagonal factor the falling factorial n2 (n2-1) ... (n2-m4+1) of
+    the slaved occupation.  That is the monomial realization: acting on
+    x^n1 y^n2 with a_i = d, a_i+ = multiplication, every term contributes
+    the product of per-mode falling factorials, so the block matrix equals
+    D^-1 M D with M the exact Fock block and D = diag(sqrt(n1! n2!)).  No
+    term shape restrictions.
     """
     _check_conserves(h, charge)
     terms = tuple(
         ReducedTerm(m1, m2, falling_factorial_poly(m4) * coeff)
         for (m1, m2, m3, m4), coeff in h.items()
     )
-    return ReducedOperator(
-        terms=terms,
-        charge=charge,
-        variant=VARIANT_MATRIX_ELEMENT,
-        transform_exponent=None,
-    )
+    return ReducedOperator(terms=terms, charge=charge)
+
+
+def reduce_via_t(h: OperatorPolynomial, charge: ConservedCharge) -> ReducedOperator:
+    """The a2 route: decouple the slaved mode with the similarity built
+    from a2 powers.
+
+    Pure mode-2-raising terms pick up the rising factorial
+    (n2+1) (n2+2) ... (n2+m3), pure lowering terms lose their diagonal
+    factor entirely, and mode-2-diagonal terms match the a2+ route.
+    The resulting block matrices differ from the a2+ route by a diagonal
+    similarity and are isospectral to it and to the exact block.  Terms
+    that mix raising and lowering in mode 2 are rejected.
+    """
+    _check_conserves(h, charge)
+    terms = []
+    for (m1, m2, m3, m4), coeff in h.items():
+        if m3 == m4:
+            diag = falling_factorial_poly(m4)
+        elif m4 == 0:
+            diag = rising_factorial_poly(m3)
+        elif m3 == 0:
+            diag = Polynomial.one()
+        else:
+            raise UnsupportedTermShape(
+                f"term ({m1},{m2},{m3},{m4}) mixes raising and lowering in"
+                " mode 2; use the a2+ route (matrix_element_reduction)"
+            )
+        terms.append(ReducedTerm(m1, m2, diag * coeff))
+    return ReducedOperator(terms=tuple(terms), charge=charge, clip_edges=True)
+
+
+def _dense(
+    entries: Mapping[tuple[int, int], RationalComplex], dim: int
+) -> np.ndarray:
+    """Complex dim x dim matrix of sparse exact entries."""
+    matrix = np.zeros((dim, dim), dtype=complex)
+    for (i, j), value in entries.items():
+        matrix[i, j] = complex(value)
+    return matrix
 
 
 @dataclass(frozen=True, eq=False)
 class ReducedBlock:
-    """Finite single-variable block: admissible degrees, the exact nonzero
-    entries (row, col) -> value, and their dense float matrix."""
+    """Finite single-variable block: admissible degrees and the exact
+    nonzero entries (row, col) -> value; matrix is their dense float form,
+    built on first use."""
 
     kappa: int
     degrees: tuple[int, ...]
-    matrix: np.ndarray
     entries: Mapping[tuple[int, int], RationalComplex]
 
     @property
     def dimension(self) -> int:
         return len(self.degrees)
 
-
-def _exact_reduced_entries(
-    h: OperatorPolynomial,
-    charge: ConservedCharge,
-    kappa: int,
-    mode: str,
-) -> tuple[tuple[int, ...], dict[tuple[int, int], RationalComplex]]:
-    _check_mode(mode)
-    op = matrix_element_reduction(h, charge)
-    degrees, entries = op.block_entries(kappa)
-    if mode == "paper-literal":
-        w2 = mode2_frequency(h)
-        if not w2.is_zero:
-            for i in range(len(degrees)):
-                entries[(i, i)] = entries.get((i, i), ZERO) + w2
-    return degrees, entries
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return _dense(self.entries, self.dimension)
 
 
 def reduced_block_matrix(
@@ -363,12 +280,14 @@ def reduced_block_matrix(
     ReducedBlock
         Isospectral to the Fock block in corrected mode.
     """
-    degrees, entries = _exact_reduced_entries(h, charge, kappa, mode)
-    dim = len(degrees)
-    matrix = np.zeros((dim, dim), dtype=complex)
-    for (i, j), value in entries.items():
-        matrix[i, j] = complex(value)
-    return ReducedBlock(kappa=kappa, degrees=degrees, matrix=matrix, entries=entries)
+    _check_mode(mode)
+    degrees, entries = matrix_element_reduction(h, charge).block_entries(kappa)
+    if mode == "paper-literal":
+        w2 = mode2_frequency(h)
+        if not w2.is_zero:
+            for i in range(len(degrees)):
+                entries[(i, i)] = entries.get((i, i), ZERO) + w2
+    return ReducedBlock(kappa=kappa, degrees=degrees, entries=entries)
 
 
 # scipy.linalg.eigh_tridiagonal is imported where it is called: sextic
@@ -460,6 +379,29 @@ def _jacobi_form(
     )
 
 
+def _solve(
+    entries: Mapping[tuple[int, int], RationalComplex], dim: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, _JacobiForm | None]:
+    """Eigenvalues, eigenvectors, residuals and Jacobi form of a nonempty
+    block given by its exact entries.
+
+    A block with a Jacobi form (see the module docstring) is solved by
+    eigh_tridiagonal, its residuals are taken on J, and the eigenvectors
+    returned are those of J; any other block (Jacobi form None) by a dense
+    eig, with eigenpairs sorted ascending by (real, imag).
+    """
+    jacobi = _jacobi_form(entries, dim)
+    if jacobi is None:
+        matrix = _dense(entries, dim)
+        values, vectors = sort_eigenpairs(*np.linalg.eig(matrix))
+        return values, vectors, eigen_residual(matrix, values, vectors), None
+    from scipy.linalg import eigh_tridiagonal
+
+    values, vectors = eigh_tridiagonal(jacobi.diagonal, jacobi.off)
+    residuals = jacobi.residuals(values, vectors)
+    return values.astype(complex), vectors, residuals, jacobi
+
+
 def termination_degree(
     h: OperatorPolynomial, charge: ConservedCharge, kappa: int
 ) -> int:
@@ -493,19 +435,11 @@ class EnergyPolynomialTable:
     def termination_degree(self) -> int:
         return self.dimension
 
-    def recurrence_matrix(self) -> np.ndarray:
-        dim = self.dimension
-        matrix = np.zeros((dim, dim), dtype=complex)
-        for i in range(dim):
-            for j in range(dim):
-                matrix[i, j] = complex(self.recurrence[i][j])
-        return matrix
-
     def spectrum(self) -> np.ndarray:
         """Recurrence eigenvalues, sorted ascending by (real, imag).
 
         A three-term recurrence with positive off-diagonal products is
-        solved as its Jacobi matrix, any other by a dense eigvals.
+        solved as its Jacobi matrix, any other by a dense eig.
         """
         if self.dimension == 0:
             return np.zeros(0, dtype=complex)
@@ -515,15 +449,7 @@ class EnergyPolynomialTable:
             for j, value in enumerate(row)
             if not value.is_zero
         }
-        jacobi = _jacobi_form(entries, self.dimension)
-        if jacobi is not None:
-            from scipy.linalg import eigh_tridiagonal
-
-            return eigh_tridiagonal(jacobi.diagonal, jacobi.off, eigvals_only=True).astype(
-                complex
-            )
-        values, _ = sort_eigenpairs(np.linalg.eigvals(self.recurrence_matrix()))
-        return values
+        return _solve(entries, self.dimension)[0]
 
     def termination_roots(self) -> np.ndarray:
         """Roots of the terminating polynomial (sorted); equals spectrum().
@@ -551,13 +477,12 @@ def energy_polynomial_table(
     BandStructureUnsupported otherwise, in which case the characteristic
     polynomial of the reduced block is the fallback.
     """
-    _check_conserves(h, charge)
-    degrees, entries = _exact_reduced_entries(h, charge, kappa, mode)
-    d = len(degrees)
+    block = reduced_block_matrix(h, charge, kappa, mode=mode)
+    d = block.dimension
     # recurrence matrix: reverse the degree order (slaved occupation
     # ascending) and transpose
     a = [[ZERO] * d for _ in range(d)]
-    for (i, j), value in entries.items():
+    for (i, j), value in block.entries.items():
         a[d - 1 - j][d - 1 - i] = value
     for m in range(d):
         for mp in range(m + 2, d):
@@ -621,25 +546,14 @@ def _reduced_solve(
     mode: str,
     residual_tol: float,
 ) -> tuple[ReducedBlock, np.ndarray, np.ndarray, float, _JacobiForm | None]:
-    """Eigenvalues, eigenvectors and worst residual of the block.
-
-    The eigenvectors are those of the Jacobi form J when the block has one
-    (returned last, else None), otherwise those of R itself.
-    """
+    """The block, its eigenvalues and eigenvectors (as _solve returns
+    them), the worst residual and the Jacobi form; raises NumericalFailure
+    when the worst residual exceeds residual_tol."""
     block = reduced_block_matrix(h, charge, kappa, mode=mode)
     if block.dimension == 0:
         empty = np.zeros(0, dtype=complex)
         return block, empty, np.zeros((0, 0), dtype=complex), 0.0, None
-    jacobi = _jacobi_form(block.entries, block.dimension)
-    if jacobi is None:
-        values, vectors = sort_eigenpairs(*np.linalg.eig(block.matrix))
-        residuals = eigen_residual(block.matrix, values, vectors)
-    else:
-        from scipy.linalg import eigh_tridiagonal
-
-        values, vectors = eigh_tridiagonal(jacobi.diagonal, jacobi.off)
-        residuals = jacobi.residuals(values, vectors)
-        values = values.astype(complex)
+    values, vectors, residuals, jacobi = _solve(block.entries, block.dimension)
     worst = float(residuals.max())
     if worst > residual_tol:
         raise NumericalFailure(
@@ -761,14 +675,6 @@ class OdeCoefficients:
                 if 0 <= j < dim:
                     b[m][j] = b[m][j] + g
         return tuple(tuple(row) for row in b)
-
-    def recurrence_matrix(self, dim: int) -> np.ndarray:
-        exact = self.recurrence_exact(dim)
-        matrix = np.zeros((dim, dim), dtype=complex)
-        for i in range(dim):
-            for j in range(dim):
-                matrix[i, j] = complex(exact[i][j])
-        return matrix
 
 
 def shg_ode(

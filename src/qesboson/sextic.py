@@ -320,30 +320,6 @@ def check_gauge_identity(
     return GaugeIdentityResult(residual=residual, convention=convention, tried=tried)
 
 
-def gauge_identity_residual(
-    omega1: Rationalish,
-    omega2: Rationalish,
-    kappa_c: Rationalish,
-    kappa_bar: Rationalish,
-    k: int,
-    *,
-    test_poly_degree: int = 3,
-    sample_count: int = 25,
-    **kwargs,
-) -> float:
-    """Best residual of the conjugation identity (see check_gauge_identity)."""
-    return check_gauge_identity(
-        omega1,
-        omega2,
-        kappa_c,
-        kappa_bar,
-        k,
-        test_poly_degree=test_poly_degree,
-        sample_count=sample_count,
-        **kwargs,
-    ).residual
-
-
 def fd_spectrum(
     potential,
     halfwidth: float,

@@ -5,7 +5,6 @@ import pytest
 from qesboson import Polynomial, RationalComplex, falling_factorial
 from qesboson.exact import (
     falling_factorial_poly,
-    power_poly,
     rising_factorial_poly,
 )
 
@@ -51,7 +50,6 @@ def test_factorial_polynomials():
     assert ff2(1) == RationalComplex.coerce(0)
     rf2 = rising_factorial_poly(2)
     assert rf2(3) == RationalComplex.coerce(20)
-    assert power_poly(3)(2) == RationalComplex.coerce(8)
     assert falling_factorial_poly(0).degree == 0
 
 

@@ -29,7 +29,6 @@ from qesboson.exact import ZERO, falling_factorial_poly
 from qesboson.reduction import (
     matrix_element_reduction,
     physical_degrees,
-    reduce_via_s,
     reduce_via_t,
     slaved_occupation,
 )
@@ -178,8 +177,6 @@ def _supported_shapes(h: OperatorPolynomial) -> OperatorPolynomial:
 
 ROUTES = {
     "matrix-element": matrix_element_reduction,
-    "s": lambda h, c: reduce_via_s(_supported_shapes(h), c),
-    "s-literal": lambda h, c: reduce_via_s(_supported_shapes(h), c, literal_power=True),
     "t": lambda h, c: reduce_via_t(_supported_shapes(h), c),
 }
 

@@ -66,6 +66,12 @@ def test_large_blocks_match_oracle(name, kappa):
     reduced = np.array(qes_spectrum(h, charge, kappa).eigenvalues)
     assert np.all(reduced.imag == 0.0)
     assert spectral_deviation(oracle, reduced) <= REL_TOL * np.max(np.abs(oracle))
+    if name == "shg":
+        # the as-published diagonal keeps the block on the Jacobi route and
+        # shifts every level by w2 = 2
+        literal = np.array(qes_spectrum(h, charge, kappa, mode="paper-literal").eigenvalues)
+        assert np.all(literal.imag == 0.0)
+        assert spectral_deviation(literal, reduced + 2.0) <= REL_TOL * np.max(np.abs(oracle))
 
 
 @pytest.mark.parametrize(

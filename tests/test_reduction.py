@@ -14,7 +14,9 @@ from qesboson import (
     NonConservingHamiltonian,
     Polynomial,
     RationalComplex,
+    ReducedBlock,
     UnsupportedTermShape,
+    block_amplitudes,
     build_nth_harmonic,
     build_shg,
     diagonalize_block,
@@ -26,7 +28,6 @@ from qesboson import (
     number,
     physical_degrees,
     qes_spectrum,
-    reduce_via_s,
     reduce_via_t,
     reduced_block_matrix,
     reduced_eigensystem,
@@ -34,33 +35,13 @@ from qesboson import (
     shg_ode,
     slaved_occupation,
     termination_degree,
-    transformed_charge,
 )
 from qesboson.oracle import block_spectrum
-from qesboson.reduction import VARIANT_S, VARIANT_T
 
 
 def sorted_reals(values) -> np.ndarray:
     arr = np.asarray(values, dtype=complex)
     return arr[np.lexsort((arr.imag, arr.real))]
-
-
-class TestTransformedCharge:
-    def test_s_variant_kills_n1(self):
-        assert transformed_charge(ConservedCharge(1, 2), Fraction(1, 2), "S") == (
-            Fraction(0),
-            Fraction(2),
-        )
-
-    def test_t_variant_kills_n1(self):
-        assert transformed_charge(ConservedCharge(1, 2), Fraction(-1, 2), "T") == (
-            Fraction(0),
-            Fraction(2),
-        )
-
-    def test_identity_transform(self):
-        charge = ConservedCharge(2, 5)
-        assert transformed_charge(charge, 0, "S") == (Fraction(2), Fraction(5))
 
 
 class TestPhysicalSector:
@@ -81,11 +62,12 @@ class TestPhysicalSector:
 
 
 class TestReduceViaS:
+    """The a2+ route (similarity built from a2+ powers), which is
+    matrix_element_reduction."""
+
     def test_shg_term_structure(self, shg):
         h, charge = shg
-        op = reduce_via_s(h, charge)
-        assert op.variant == VARIANT_S
-        assert op.transform_exponent == Fraction(1, 2)
+        op = matrix_element_reduction(h, charge)
         by_ladder = {(t.m1, t.m2): t.diag for t in op.terms}
         assert set(by_ladder) == {(1, 1), (0, 0), (2, 0), (0, 2)}
         # w1 N1: bare ladder; w2 N2 and kc raising: slaved occupation; kb: bare
@@ -96,66 +78,53 @@ class TestReduceViaS:
 
     def test_mode2_free_term_unchanged(self):
         h = 3 * number(1)
-        op = reduce_via_s(h, ConservedCharge(1, 2))
+        op = matrix_element_reduction(h, ConservedCharge(1, 2))
         assert len(op.terms) == 1
         assert (op.terms[0].m1, op.terms[0].m2) == (1, 1)
         assert op.terms[0].diag == Polynomial.constant(3)
 
     def test_mode2_number_gets_slaved_occupation(self):
-        op = reduce_via_s(5 * number(2), ConservedCharge(1, 2))
+        op = matrix_element_reduction(5 * number(2), ConservedCharge(1, 2))
         assert op.terms[0].diag == Polynomial.from_coeffs([0, 5])
 
     def test_matches_defining_matrix_exactly(self, shg):
+        # R = D^-1 M D entry by entry: the Fock amplitude coeff*sqrt(t!/n!)
+        # times d_source/d_target, d = sqrt(n1! n2!), leaves exactly coeff
         h, charge = shg
-        op = reduce_via_s(h, charge)
-        defining = matrix_element_reduction(h, charge)
+        op = matrix_element_reduction(h, charge)
         for kappa in range(12):
-            assert op.block_entries(kappa) == defining.block_entries(kappa)
+            degrees, entries = op.block_entries(kappa)
+            pos = {n: i for i, n in enumerate(degrees)}
+            basis = enumerate_block(charge, kappa)
+            defining = {
+                (pos[basis[row].n1], pos[basis[col].n1]): amp.coeff
+                for (row, col), amp in block_amplitudes(h, basis).items()
+                if not amp.is_zero
+            }
+            assert entries == defining
 
     def test_mixed_mode2_term_rejected(self):
-        # (a2+)^2 a2 paired with mode-1 lowering conserves (1,1) but mixes
+        # (a2+)^2 a2 paired with mode-1 lowering conserves (1,1) but mixes;
+        # the a2+ route takes any shape, the a2 route rejects this one
         h = monomial(1, 0, 1, 2, 1) + monomial(1, 1, 0, 1, 2)
+        matrix_element_reduction(h, ConservedCharge(1, 1))
         with pytest.raises(UnsupportedTermShape):
-            reduce_via_s(h, ConservedCharge(1, 1))
-
-    def test_literal_power_matches_for_m4_le_1(self, shg):
-        h, charge = shg
-        literal = reduce_via_s(h, charge, literal_power=True)
-        exact = reduce_via_s(h, charge)
-        for kappa in range(10):
-            assert literal.block_entries(kappa) == exact.block_entries(kappa)
-
-    def test_literal_power_differs_for_m4_ge_2(self):
-        # (a1+)^4 (a2)^2 + h.c. conserves (1,2); falling factorial matters
-        h = monomial(1, 4, 0, 0, 2) + monomial(1, 0, 4, 2, 0) + number(1)
-        charge = ConservedCharge(1, 2)
-        literal = reduce_via_s(h, charge, literal_power=True)
-        exact = reduce_via_s(h, charge)
-        _, m_lit = literal.block_matrix(8)
-        _, m_ex = exact.block_matrix(8)
-        assert not np.allclose(m_lit, m_ex)
-        # only the exact form is isospectral to the oracle
-        oracle = np.array(block_spectrum(h, charge, 8).eigenvalues)
-        assert np.allclose(
-            sorted_reals(np.linalg.eigvals(m_ex)), sorted_reals(oracle), atol=1e-9
-        )
+            reduce_via_t(h, ConservedCharge(1, 1))
 
     def test_non_conserving_rejected(self, shg):
         h, _ = shg
         with pytest.raises(NonConservingHamiltonian):
-            reduce_via_s(h, ConservedCharge(1, 1))
+            matrix_element_reduction(h, ConservedCharge(1, 1))
 
 
 class TestReduceViaT:
     def test_shg_isospectral_to_s_route(self, shg):
         h, charge = shg
-        s_op = reduce_via_s(h, charge)
+        s_op = matrix_element_reduction(h, charge)
         t_op = reduce_via_t(h, charge)
-        assert t_op.variant == VARIANT_T
-        assert t_op.transform_exponent == Fraction(-1, 2)
         for kappa in range(16):
-            _, ms = s_op.block_matrix(kappa)
-            _, mt = t_op.block_matrix(kappa)
+            ms = ReducedBlock(kappa, *s_op.block_entries(kappa)).matrix
+            mt = ReducedBlock(kappa, *t_op.block_entries(kappa)).matrix
             assert np.allclose(
                 sorted_reals(np.linalg.eigvals(ms)),
                 sorted_reals(np.linalg.eigvals(mt)),
@@ -164,7 +133,7 @@ class TestReduceViaT:
 
     def test_diagonal_term_agrees_with_s_route(self):
         charge = ConservedCharge(1, 2)
-        s_op = reduce_via_s(5 * number(2), charge)
+        s_op = matrix_element_reduction(5 * number(2), charge)
         t_op = reduce_via_t(5 * number(2), charge)
         for kappa in range(8):
             assert s_op.block_entries(kappa) == t_op.block_entries(kappa)
@@ -173,11 +142,11 @@ class TestReduceViaT:
         h = build_nth_harmonic(1, 2, Fraction(1, 2), Fraction(1, 2), 3)
         charge = ConservedCharge(1, 3)
         t_op = reduce_via_t(h, charge)
-        degrees, matrix = t_op.block_matrix(3)
-        assert degrees == (0, 3)
+        block = ReducedBlock(3, *t_op.block_entries(3))
+        assert block.degrees == (0, 3)
         oracle = np.array(block_spectrum(h, charge, 3).eigenvalues)
         assert np.allclose(
-            sorted_reals(np.linalg.eigvals(matrix)), sorted_reals(oracle), atol=1e-10
+            sorted_reals(np.linalg.eigvals(block.matrix)), sorted_reals(oracle), atol=1e-10
         )
 
     def test_band_products_match_s_route_exactly(self, shg):
@@ -186,7 +155,7 @@ class TestReduceViaT:
         from qesboson.exact import ZERO
 
         h, charge = shg
-        s_op = reduce_via_s(h, charge)
+        s_op = matrix_element_reduction(h, charge)
         t_op = reduce_via_t(h, charge)
         for kappa in range(12):
             degrees, es = s_op.block_entries(kappa)
@@ -206,14 +175,14 @@ class TestReduceViaT:
         while found < 10:
             h = random_conserving_hamiltonian(rng, charge, n_terms=3, max_exp=3)
             try:
-                s_op = reduce_via_s(h, charge)
                 t_op = reduce_via_t(h, charge)
             except UnsupportedTermShape:
                 continue
+            s_op = matrix_element_reduction(h, charge)
             found += 1
             for kappa in range(8):
-                _, ms = s_op.block_matrix(kappa)
-                _, mt = t_op.block_matrix(kappa)
+                ms = ReducedBlock(kappa, *s_op.block_entries(kappa)).matrix
+                mt = ReducedBlock(kappa, *t_op.block_entries(kappa)).matrix
                 assert (
                     spectral_deviation(np.linalg.eigvals(ms), np.linalg.eigvals(mt))
                     <= 1e-8
@@ -329,17 +298,15 @@ class TestEnergyPolynomialTable:
     def test_transpose_duality_exact(self, shg):
         # recurrence matrix is the order-reversed transpose of the block
         h, charge = shg
-        from qesboson.reduction import _exact_reduced_entries
-
         for kappa in range(12):
-            degrees, entries = _exact_reduced_entries(h, charge, kappa, "corrected")
-            d = len(degrees)
+            block = reduced_block_matrix(h, charge, kappa)
+            d = block.dimension
             table = energy_polynomial_table(h, charge, kappa)
-            for (i, j), value in entries.items():
+            for (i, j), value in block.entries.items():
                 assert table.recurrence[d - 1 - j][d - 1 - i] == value
             assert np.allclose(
                 sorted_reals(table.spectrum()),
-                sorted_reals(np.linalg.eigvals(reduced_block_matrix(h, charge, kappa).matrix)),
+                sorted_reals(np.linalg.eigvals(block.matrix)),
                 atol=1e-9,
             )
 
@@ -520,7 +487,7 @@ class TestShgOde:
         for kappa in (2, 5, 9):
             dim = termination_degree(h, charge, kappa)
             ode = shg_ode(1, 2, Fraction(1, 2), Fraction(1, 2), kappa)
-            vals = np.linalg.eigvals(ode.recurrence_matrix(dim))
+            vals = np.linalg.eigvals(np.array(ode.recurrence_exact(dim), dtype=complex))
             oracle = np.array(block_spectrum(h, charge, kappa).eigenvalues)
             assert np.allclose(sorted_reals(vals), sorted_reals(oracle), atol=1e-9)
 
@@ -533,7 +500,6 @@ def test_reduced_operator_closure_violation_detected():
     op = ReducedOperator(
         terms=(ReducedTerm(2, 0, Polynomial.one()),),
         charge=ConservedCharge(1, 2),
-        variant="matrix-element",
     )
     from qesboson import BlockClosureViolation
 

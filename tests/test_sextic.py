@@ -14,7 +14,6 @@ from qesboson import (
     check_gauge_identity,
     constant_shift_match,
     fd_spectrum,
-    gauge_identity_residual,
     gauge_superpotential,
     qes_spectrum,
     sextic_potential,
@@ -116,7 +115,7 @@ class TestGaugeIdentity:
         assert len(err.value.residuals) == 8
 
     def test_residual_wrapper(self):
-        assert gauge_identity_residual(1, 2, 0.5, 0.5, 0) <= 1e-6
+        assert check_gauge_identity(1, 2, 0.5, 0.5, 0).residual <= 1e-6
 
     def test_zero_coupling_rejected(self):
         with pytest.raises(ValueError):
