@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Iterable, Mapping
 
 from .exact import ZERO, Rationalish, RationalComplex, falling_factorial
@@ -360,20 +360,35 @@ def apply_to_fock(
     Terms requiring more annihilations than the occupation contribute
     nothing.  Amplitudes carry the exact ladder factors
     sqrt(n!/(n-m)!) * sqrt((n-m+r)!/(n-m)!) per mode.
+
+    All contributions to one target share its radicand, so the rational
+    coefficients are accumulated as integer numerators over one common
+    denominator of h's coefficients and become one Fraction per target.
     """
-    out: dict[FockState, FockAmplitude] = {}
+    n1, n2 = state.n1, state.n2
+    denom = lcm(
+        *(part.denominator for _, coeff in h.items() for part in (coeff.re, coeff.im))
+    )
+    sums: dict[tuple[int, int], tuple[int, int]] = {}
     for (m1, m2, m3, m4), coeff in h.items():
-        if state.n1 < m2 or state.n2 < m4:
+        if n1 < m2 or n2 < m4:
             continue
-        t1 = state.n1 - m2 + m1
-        t2 = state.n2 - m4 + m3
         # monomial-basis weight: falling factorials from the annihilations
-        weight = falling_factorial(state.n1, m2) * falling_factorial(state.n2, m4)
-        target = FockState(t1, t2)
-        amp = FockAmplitude(coeff * weight, ladder_radicand(state, target))
-        prev = out.get(target)
-        out[target] = amp if prev is None else prev + amp
-    return {st: amp for st, amp in out.items() if not amp.is_zero}
+        weight = falling_factorial(n1, m2) * falling_factorial(n2, m4)
+        re = coeff.re.numerator * (denom // coeff.re.denominator) * weight
+        im = coeff.im.numerator * (denom // coeff.im.denominator) * weight
+        target = (n1 - m2 + m1, n2 - m4 + m3)
+        prev = sums.get(target)
+        sums[target] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
+    out: dict[FockState, FockAmplitude] = {}
+    for (t1, t2), (re, im) in sums.items():
+        if re or im:
+            target = FockState(t1, t2)
+            out[target] = FockAmplitude(
+                RationalComplex(Fraction(re, denom), Fraction(im, denom)),
+                ladder_radicand(state, target),
+            )
+    return out
 
 
 def apply_to_amplitudes(

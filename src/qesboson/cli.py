@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _tolerance(text: str) -> float:
+    """--tol value: a non-negative float; NaN would switch the gate off."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative number, got {text!r}")
+    return value
+
+
+@cache  # parsing leaves the parser unchanged, so one per process serves every call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qesboson", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -54,13 +67,13 @@ def _build_parser() -> _Parser:
     spectrum.add_argument("model")
     spectrum.add_argument("--kappa", type=int, required=True)
     spectrum.add_argument("--method", choices=("oracle", "reduced", "both"), default="both")
-    spectrum.add_argument("--tol", type=float, default=1e-9)
+    spectrum.add_argument("--tol", type=_tolerance, default=1e-9)
     spectrum.add_argument("--mode", choices=("corrected", "paper-literal"), default="corrected")
 
     scan = sub.add_parser("scan", help="CSV scan comparing both methods per block")
     scan.add_argument("model")
     scan.add_argument("--kappa-max", type=int, required=True)
-    scan.add_argument("--tol", type=float, default=1e-9)
+    scan.add_argument("--tol", type=_tolerance, default=1e-9)
     scan.add_argument("--mode", choices=("corrected", "paper-literal"), default="corrected")
 
     polys = sub.add_parser("polys", help="energy polynomials of one block")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Union
 
 Rationalish = Union["RationalComplex", Fraction, int, float, complex]
@@ -195,13 +195,6 @@ class Polynomial:
 
     def __call__(self, value: Rationalish) -> RationalComplex:
         """Exact Horner evaluation."""
-        if isinstance(value, int):
-            # a real integer point: Horner on the real and imaginary parts
-            re = im = Fraction(0)
-            for c in reversed(self.coeffs):
-                re = re * value + c.re
-                im = im * value + c.im
-            return RationalComplex(re, im)
         v = RationalComplex.coerce(value)
         acc = ZERO
         for c in reversed(self.coeffs):
@@ -254,16 +247,18 @@ class Polynomial:
         return text
 
 
+@cache
 def falling_factorial_poly(m: int) -> Polynomial:
-    """X (X-1) ... (X-m+1) as a polynomial in X."""
+    """X (X-1) ... (X-m+1) as a polynomial in X (built once per m)."""
     out = Polynomial.one()
     for i in range(m):
         out = out * Polynomial.from_coeffs([-i, 1])
     return out
 
 
+@cache
 def rising_factorial_poly(m: int) -> Polynomial:
-    """(X+1) (X+2) ... (X+m) as a polynomial in X."""
+    """(X+1) (X+2) ... (X+m) as a polynomial in X (built once per m)."""
     out = Polynomial.one()
     for i in range(1, m + 1):
         out = out * Polynomial.from_coeffs([i, 1])

@@ -9,7 +9,10 @@ package, and every reduced-route result is validated against it.
 Matrix elements are assembled in exact arithmetic, each as a rational
 coefficient times the square root of a ladder ratio t1! t2! / (n1! n2!)
 built from the few integer factors between source and target occupations,
-and converted to floating point once, at matrix-assembly time.
+and converted to floating point once, at matrix-assembly time.  The
+coefficients are accumulated as integers over one common denominator of
+the Hamiltonian's coefficients, so each stored entry is built as one exact
+rational.
 """
 
 from __future__ import annotations

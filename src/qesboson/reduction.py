@@ -42,7 +42,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -94,7 +94,11 @@ def physical_degrees(charge: ConservedCharge, kappa: int) -> tuple[int, ...]:
 
     These are exactly the mode-1 occupations occurring in the block, so
     the degree list is in bijection with the Fock block basis via n = n1.
+    Raises ValueError for a negative kappa, as the oracle's enumerate_block
+    does.
     """
+    if kappa < 0:
+        raise ValueError("kappa must be non-negative")
     return tuple(
         n
         for n in range(kappa // charge.s + 1)
@@ -152,29 +156,58 @@ class ReducedOperator:
         nonexistent states dropped, which reproduces the exact conjugated
         matrix.  The a2+ route must close on its own, and a nonzero
         amplitude leaving the degree set is reported as a closure violation.
+
+        Every diagonal coefficient is put over one common denominator D, so
+        each entry is accumulated as integer numerators (Horner at the
+        integer n2 times the falling factorial of n) and becomes a Fraction
+        once, at the end.
         """
         degrees = physical_degrees(self.charge, kappa)
         pos = {n: i for i, n in enumerate(degrees)}
-        entries: dict[tuple[int, int], RationalComplex] = {}
+        denom = math.lcm(
+            *(part.denominator for t in self.terms for c in t.diag.coeffs for part in (c.re, c.im))
+        )
+        # (m1, m2, real numerators, imaginary numerators) per term
+        int_terms = []
+        for term in self.terms:
+            coeffs = term.diag.coeffs[::-1]  # highest power first, for Horner
+            int_terms.append((
+                term.m1,
+                term.m2,
+                tuple(c.re.numerator * (denom // c.re.denominator) for c in coeffs),
+                tuple(c.im.numerator * (denom // c.im.denominator) for c in coeffs),
+            ))
+        sums: dict[tuple[int, int], tuple[int, int]] = {}
         for j, n in enumerate(degrees):
             n2 = slaved_occupation(self.charge, kappa, n)
-            for term in self.terms:
-                if n < term.m2:
+            for m1, m2, re_coeffs, im_coeffs in int_terms:
+                if n < m2:
                     continue
-                amp = term.diag(n2) * falling_factorial(n, term.m2)
-                if amp.is_zero:
+                re = im = 0
+                for a, b in zip(re_coeffs, im_coeffs):
+                    re = re * n2 + a
+                    im = im * n2 + b
+                # the falling factorial of n >= m2 is positive, so the
+                # amplitude vanishes exactly when the diagonal factor does
+                if not re and not im:
                     continue
-                target = n - term.m2 + term.m1
-                i = pos.get(target)
+                i = pos.get(n - m2 + m1)
                 if i is None:
                     if self.clip_edges:
                         continue
                     raise BlockClosureViolation(
-                        f"reduced term ({term.m1},{term.m2}) maps degree {n}"
+                        f"reduced term ({m1},{m2}) maps degree {n}"
                         f" outside the block kappa={kappa}"
                     )
-                entries[(i, j)] = entries.get((i, j), ZERO) + amp
-        return degrees, {k: v for k, v in entries.items() if not v.is_zero}
+                ladder = falling_factorial(n, m2)
+                re, im = re * ladder, im * ladder
+                prev = sums.get((i, j))
+                sums[(i, j)] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
+        return degrees, {
+            k: RationalComplex(Fraction(re, denom), Fraction(im, denom))
+            for k, (re, im) in sums.items()
+            if re or im
+        }
 
 
 def matrix_element_reduction(
@@ -592,6 +625,21 @@ def qes_spectrum(
     )
 
 
+@lru_cache(maxsize=4)
+def _fock_frame(
+    charge: ConservedCharge, kappa: int
+) -> tuple[tuple[FockState, ...], frozenset[int], np.ndarray]:
+    """Block basis, its set of n1 values and the read-only log-weights
+    0.5 * log(n1! n2!) per basis state; eigenvector_to_fock maps every
+    column of one block through the same frame."""
+    basis = enumerate_block(charge, kappa)
+    log_weight = np.array(
+        [0.5 * (math.lgamma(st.n1 + 1) + math.lgamma(st.n2 + 1)) for st in basis]
+    )
+    log_weight.flags.writeable = False
+    return basis, frozenset(st.n1 for st in basis), log_weight
+
+
 def eigenvector_to_fock(
     coeffs: Mapping[int, complex],
     charge: ConservedCharge,
@@ -605,20 +653,16 @@ def eigenvector_to_fock(
     result matches the corresponding exact block eigenvector.  The rescaling
     runs in log space (lgamma), so it never overflows.
     """
-    degrees = set(physical_degrees(charge, kappa))
+    basis, degrees, log_weight = _fock_frame(charge, kappa)
     for degree in coeffs:
         if degree not in degrees:
             raise DegreeOutsidePhysicalSector(
                 f"degree {degree} outside block kappa={kappa}"
             )
-    basis = enumerate_block(charge, kappa)
     c = np.array([complex(coeffs.get(state.n1, 0.0)) for state in basis])
     nonzero = c != 0.0
     if not nonzero.any():
         raise ZeroVector("eigenvector coefficients are all zero")
-    log_weight = np.array(
-        [0.5 * (math.lgamma(st.n1 + 1) + math.lgamma(st.n2 + 1)) for st in basis]
-    )
     log_amp = np.log(np.abs(c[nonzero])) + log_weight[nonzero]
     amplitudes = np.zeros(len(basis), dtype=complex)
     amplitudes[nonzero] = c[nonzero] / np.abs(c[nonzero]) * np.exp(log_amp - log_amp.max())

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -227,3 +230,40 @@ class TestExitCodes:
     def test_negative_kappa_is_usage_error(self, capsys):
         code, _, err = run(capsys, "spectrum", SHG, "--kappa", "-1")
         assert code == 1
+
+    def test_negative_kappa_polys_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "polys", SHG, "--kappa", "-2")
+        assert code == 1
+        assert out == ""
+        assert "usage error: kappa must be non-negative" in err
+
+    @pytest.mark.parametrize("command,kappa_flag", [("spectrum", "--kappa"), ("scan", "--kappa-max")])
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_tol_must_be_non_negative_number(self, capsys, command, kappa_flag, tol):
+        # NaN would make every `deviation > tol` False and switch the gate off
+        code, out, err = run(capsys, command, SHG, kappa_flag, "2", "--tol", tol)
+        assert code == 1
+        assert out == ""
+        assert f"usage error: argument --tol: must be a non-negative number, got '{tol}'" in err
+
+    def test_non_numeric_tol_message_unchanged(self, capsys):
+        code, _, err = run(capsys, "spectrum", SHG, "--kappa", "2", "--tol", "abc")
+        assert code == 1
+        assert "usage error: argument --tol: invalid float value: 'abc'" in err
+
+
+def test_parser_reused_across_calls(capsys):
+    """A usage error followed by a valid call in one process prints what
+    two fresh processes print."""
+    calls = (["spectrum", SHG, "--kappa", "2", "--tol", "nan"], ["spectrum", SHG, "--kappa", "2"])
+    in_process = [run(capsys, *argv) for argv in calls]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qesboson.cli", *argv], capture_output=True, text=True, env=env
+        )
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert in_process == fresh
+    assert [code for code, _, _ in fresh] == [1, 0]

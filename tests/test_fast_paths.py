@@ -2,8 +2,9 @@
 
 Every fast path is compared for exact equality against the general formula
 it short-cuts: RationalComplex arithmetic, Horner evaluation at an integer,
-the oracle's ladder-ratio radicand, operator products and the reduced
-route's integer falling factorials.
+the oracle's ladder-ratio radicand and its integer accumulation over one
+common denominator, operator products and the reduced route's integer
+entries.
 """
 
 from __future__ import annotations
@@ -19,12 +20,13 @@ from qesboson import (
     BlockClosureViolation,
     BosonMonomial,
     ConservedCharge,
+    FockAmplitude,
     FockState,
     OperatorPolynomial,
     Polynomial,
     RationalComplex,
 )
-from qesboson.algebra import ladder_radicand, monomial_product
+from qesboson.algebra import apply_to_fock, ladder_radicand, monomial_product
 from qesboson.exact import ZERO, falling_factorial_poly
 from qesboson.reduction import (
     matrix_element_reduction,
@@ -108,6 +110,70 @@ def test_ladder_radicand_matches_full_factorials(n1, n2, t1, t2):
     assert ladder_radicand(FockState(n1, n2), FockState(t1, t2)) == expected
 
 
+def reference_apply_to_fock(h, state):
+    """h|n1, n2> term by term: RationalComplex sums of coeff times the
+    falling factorials, radicands from full factorials, zero sums dropped."""
+    n1, n2 = state.n1, state.n2
+    sums = {}
+    for (m1, m2, m3, m4), coeff in h.items():
+        if n1 < m2 or n2 < m4:
+            continue
+        weight = factorial(n1) // factorial(n1 - m2) * factorial(n2) // factorial(n2 - m4)
+        target = (n1 - m2 + m1, n2 - m4 + m3)
+        sums[target] = general_add(sums.get(target, ZERO), general_mul(coeff, weight))
+    return {
+        FockState(t1, t2): FockAmplitude(
+            coeff, Fraction(factorial(t1) * factorial(t2), factorial(n1) * factorial(n2))
+        )
+        for (t1, t2), coeff in sums.items()
+        if not coeff.is_zero
+    }
+
+
+exponent = st.integers(min_value=0, max_value=3)
+
+
+@st.composite
+def fock_cases(draw):
+    """A random operator with complex coefficients whose real and imaginary
+    parts have independent denominators, and a state with 0..6 quanta per
+    mode, so terms often annihilate more quanta than the state holds.  Some
+    operators get a term with one more a1+ a1 than another, scaled so that
+    the two cancel exactly on their common target."""
+    state = FockState(draw(st.integers(0, 6)), draw(st.integers(0, 6)))
+    keys = draw(st.lists(st.tuples(exponent, exponent, exponent, exponent), max_size=5, unique=True))
+    terms = {key: draw(complex_rcs) for key in keys}
+    if keys and draw(st.booleans()):
+        m1, m2, m3, m4 = key = draw(st.sampled_from(keys))
+        if state.n1 > m2:
+            terms[(m1 + 1, m2 + 1, m3, m4)] = terms[key] * Fraction(-1, state.n1 - m2)
+    return OperatorPolynomial(terms), state
+
+
+@settings(max_examples=150, deadline=None)
+@given(fock_cases())
+def test_apply_to_fock_matches_termwise_reference(case):
+    h, state = case
+    image = apply_to_fock(h, state)
+    expected = reference_apply_to_fock(h, state)
+    assert image == expected
+    assert list(image) == list(expected)
+    for amp in image.values():
+        assert not amp.is_zero
+        assert type(amp.radicand) is Fraction
+        assert type(amp.coeff.re) is Fraction and type(amp.coeff.im) is Fraction
+
+
+def test_cancelling_terms_leave_no_target():
+    # (3 + i/6) a1+ a1 - (9 + i/2) vanishes on |3, 1> and not on |2, 1>
+    h = OperatorPolynomial({
+        (1, 1, 0, 0): RationalComplex(Fraction(3), Fraction(1, 6)),
+        (0, 0, 0, 0): RationalComplex(Fraction(-9), Fraction(-1, 2)),
+    })
+    assert apply_to_fock(h, FockState(3, 1)) == {}
+    assert FockState(2, 1) in apply_to_fock(h, FockState(2, 1))
+
+
 monomials = st.builds(
     BosonMonomial,
     rcs,
@@ -128,7 +194,12 @@ def test_operator_product_matches_termwise_sum(a, b):
 
 @st.composite
 def conserving_models(draw):
-    """Random conserving operator with exponents <= 3, its charge and a kappa."""
+    """Random conserving operator with exponents <= 3, its charge and a kappa.
+
+    Coefficients have independent real and imaginary denominators.  Some
+    operators get a second term on the same ladder pair (one more a2+ a2),
+    scaled to cancel the first exactly on one source degree of the block.
+    """
     charge = ConservedCharge(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
     r = range(4)
     keys = [
@@ -140,10 +211,24 @@ def conserving_models(draw):
         if charge.s * (m1 - m2) + charge.p * (m3 - m4) == 0
     ]
     chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=5, unique=True))
+    terms = {key: draw(rcs) for key in chosen}
+    kappa = draw(st.integers(min_value=0, max_value=24))
+    if draw(st.booleans()):
+        m1, m2, m3, m4 = key = draw(st.sampled_from(chosen))
+        slaved = [
+            slaved_occupation(charge, kappa, n)
+            for n in physical_degrees(charge, kappa)
+            if n >= m2
+        ]
+        slaved = [n2 for n2 in slaved if n2 > m4]
+        if slaved:
+            # c ff(n2, m4) + c' ff(n2, m4 + 1) = 0 at the drawn n2
+            n2 = draw(st.sampled_from(slaved))
+            terms[(m1, m2, m3 + 1, m4 + 1)] = terms[key] * Fraction(-1, n2 - m4)
     h = OperatorPolynomial.from_monomials(
-        BosonMonomial(draw(rcs), *key) for key in chosen
+        BosonMonomial(coeff, *key) for key, coeff in terms.items()
     )
-    return h, charge, draw(st.integers(min_value=0, max_value=24))
+    return h, charge, kappa
 
 
 def reference_block_entries(op, kappa):

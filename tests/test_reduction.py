@@ -16,6 +16,7 @@ from qesboson import (
     RationalComplex,
     ReducedBlock,
     UnsupportedTermShape,
+    ZeroVector,
     block_amplitudes,
     build_nth_harmonic,
     build_shg,
@@ -412,6 +413,29 @@ class TestQesSpectrum:
             assert spectral_deviation(oracle, reduced) <= 1e-9
 
 
+class TestNegativeKappa:
+    """The reduced route refuses kappa < 0 as the oracle does."""
+
+    def test_physical_degrees(self, shg):
+        _, charge = shg
+        with pytest.raises(ValueError, match="kappa must be non-negative"):
+            physical_degrees(charge, -1)
+
+    def test_qes_spectrum(self, shg):
+        h, charge = shg
+        with pytest.raises(ValueError, match="kappa must be non-negative"):
+            qes_spectrum(h, charge, -1)
+        with pytest.raises(ValueError, match="kappa must be non-negative"):
+            block_spectrum(h, charge, -1)
+
+    def test_reduced_block_and_polynomials(self, shg):
+        h, charge = shg
+        with pytest.raises(ValueError, match="kappa must be non-negative"):
+            reduced_block_matrix(h, charge, -2)
+        with pytest.raises(ValueError, match="kappa must be non-negative"):
+            energy_polynomial_table(h, charge, -2)
+
+
 class TestEigenvectorToFock:
     def test_kappa_two_closed_form(self, shg):
         h, charge = shg
@@ -438,6 +462,32 @@ class TestEigenvectorToFock:
         h, charge = shg
         with pytest.raises(DegreeOutsidePhysicalSector):
             eigenvector_to_fock({1: 1.0}, charge, 2)
+
+    def test_repeated_and_interleaved_calls_identical(self, shg):
+        _, charge = shg
+        calls = [
+            ({0: 1.0, 2: 2.0, 4: 0.5}, 4),
+            ({1: 0.3 - 0.2j, 3: 1.5}, 3),
+            ({0: -1.0, 4: 1e-3j}, 4),
+            ({n: 1.0 / (n + 1) for n in range(0, 41, 2)}, 40),
+        ]
+        fresh = [eigenvector_to_fock(c, charge, k) for c, k in calls]
+        # the same calls again, interleaved across blocks and reversed
+        for (coeffs, kappa), (basis, amps) in reversed(list(zip(calls, fresh))):
+            again_basis, again = eigenvector_to_fock(coeffs, charge, kappa)
+            assert again_basis == basis
+            assert again.tobytes() == amps.tobytes()
+            assert again is not amps
+
+    def test_errors_raised_after_block_is_cached(self, shg):
+        _, charge = shg
+        eigenvector_to_fock({0: 1.0}, charge, 6)
+        with pytest.raises(DegreeOutsidePhysicalSector):
+            eigenvector_to_fock({1: 1.0}, charge, 6)
+        with pytest.raises(ZeroVector):
+            eigenvector_to_fock({0: 0.0, 2: 0.0}, charge, 6)
+        with pytest.raises(ZeroVector):
+            eigenvector_to_fock({}, charge, 6)
 
     def test_roundtrip_against_oracle(self, shg):
         h, charge = shg
