@@ -279,8 +279,17 @@ def conserving_pairs(h: OperatorPolynomial, limit: int = 12) -> list[tuple[int, 
 
 
 def is_hermitian(h: OperatorPolynomial) -> bool:
-    """Exact check that the adjoint equals h."""
-    return h.adjoint() == h
+    """Exact check that the adjoint equals h.
+
+    The adjoint maps the term (m1, m2, m3, m4) to (m2, m1, m4, m3) with the
+    conjugate coefficient, an involution on the support, so h is Hermitian
+    iff every term's partner has the conjugate coefficient.
+    """
+    for (m1, m2, m3, m4), coeff in h.items():
+        partner = h.coefficient(m2, m1, m4, m3)
+        if partner.re != coeff.re or partner.im != -coeff.im:
+            return False
+    return True
 
 
 def charge_of_state(charge: ConservedCharge, state: FockState) -> int:
@@ -337,11 +346,12 @@ class FockAmplitude:
         return complex(self.coeff) * float(self.radicand) ** 0.5
 
 
-def ladder_radicand(state: FockState, target: FockState) -> Fraction:
-    """t1! t2! / (n1! n2!) for |n1, n2> -> |t1, t2>, from short ladder ratios.
+def _ladder_ratio(state: FockState, target: FockState) -> tuple[int, int]:
+    """t1! t2! / (n1! n2!) for |n1, n2> -> |t1, t2> as (numerator, denominator).
 
     Per mode, t!/n! is the product of the |t - n| factors between the two
-    occupations, so the full factorials are never formed.
+    occupations, so the full factorials are never formed.  The pair is not
+    reduced.
     """
     num = den = 1
     for n, t in ((state.n1, target.n1), (state.n2, target.n2)):
@@ -349,7 +359,55 @@ def ladder_radicand(state: FockState, target: FockState) -> Fraction:
             num *= falling_factorial(t, t - n)
         else:
             den *= falling_factorial(n, n - t)
-    return Fraction(num, den)
+    return num, den
+
+
+def ladder_radicand(state: FockState, target: FockState) -> Fraction:
+    """t1! t2! / (n1! n2!) for |n1, n2> -> |t1, t2>, in lowest terms."""
+    return Fraction(*_ladder_ratio(state, target))
+
+
+_IntegerTerms = tuple[tuple[ExponentKey, int, int], ...]
+
+
+def _integer_terms(h: OperatorPolynomial) -> tuple[_IntegerTerms, int]:
+    """h's terms as (exponents, real numerator, imaginary numerator) over
+    one common denominator D of all its coefficients, and D."""
+    denom = lcm(
+        *(part.denominator for _, coeff in h.items() for part in (coeff.re, coeff.im))
+    )
+    terms = tuple(
+        (
+            key,
+            coeff.re.numerator * (denom // coeff.re.denominator),
+            coeff.im.numerator * (denom // coeff.im.denominator),
+        )
+        for key, coeff in h.items()
+    )
+    return terms, denom
+
+
+def _integer_image(
+    terms: _IntegerTerms, n1: int, n2: int
+) -> dict[tuple[int, int], tuple[int, int]]:
+    """Image of |n1, n2> under h given by _integer_terms, as (t1, t2) ->
+    (real, imaginary) numerators over D of the coefficient of the ladder
+    amplitude, nonzero targets only.
+
+    Terms requiring more annihilations than the occupation contribute
+    nothing; each other term contributes its numerators times the falling
+    factorials of its annihilations.
+    """
+    sums: dict[tuple[int, int], tuple[int, int]] = {}
+    for (m1, m2, m3, m4), re, im in terms:
+        if n1 < m2 or n2 < m4:
+            continue
+        weight = falling_factorial(n1, m2) * falling_factorial(n2, m4)
+        re, im = re * weight, im * weight
+        target = (n1 - m2 + m1, n2 - m4 + m3)
+        prev = sums.get(target)
+        sums[target] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
+    return {target: value for target, value in sums.items() if value[0] or value[1]}
 
 
 def apply_to_fock(
@@ -363,31 +421,16 @@ def apply_to_fock(
 
     All contributions to one target share its radicand, so the rational
     coefficients are accumulated as integer numerators over one common
-    denominator of h's coefficients and become one Fraction per target.
+    denominator of h's coefficients and become one Fraction pair per target.
     """
-    n1, n2 = state.n1, state.n2
-    denom = lcm(
-        *(part.denominator for _, coeff in h.items() for part in (coeff.re, coeff.im))
-    )
-    sums: dict[tuple[int, int], tuple[int, int]] = {}
-    for (m1, m2, m3, m4), coeff in h.items():
-        if n1 < m2 or n2 < m4:
-            continue
-        # monomial-basis weight: falling factorials from the annihilations
-        weight = falling_factorial(n1, m2) * falling_factorial(n2, m4)
-        re = coeff.re.numerator * (denom // coeff.re.denominator) * weight
-        im = coeff.im.numerator * (denom // coeff.im.denominator) * weight
-        target = (n1 - m2 + m1, n2 - m4 + m3)
-        prev = sums.get(target)
-        sums[target] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
+    terms, denom = _integer_terms(h)
     out: dict[FockState, FockAmplitude] = {}
-    for (t1, t2), (re, im) in sums.items():
-        if re or im:
-            target = FockState(t1, t2)
-            out[target] = FockAmplitude(
-                RationalComplex(Fraction(re, denom), Fraction(im, denom)),
-                ladder_radicand(state, target),
-            )
+    for (t1, t2), (re, im) in _integer_image(terms, state.n1, state.n2).items():
+        target = FockState(t1, t2)
+        out[target] = FockAmplitude(
+            RationalComplex(Fraction(re, denom), Fraction(im, denom)),
+            ladder_radicand(state, target),
+        )
     return out
 
 

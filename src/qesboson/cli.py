@@ -16,7 +16,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import charge_operator, commutator, conserves, conserving_pairs, is_hermitian
+from .algebra import (
+    OperatorPolynomial,
+    charge_operator,
+    commutator,
+    conserves,
+    conserving_pairs,
+    is_hermitian,
+)
 from .errors import (
     NonConservingHamiltonian,
     ParseError,
@@ -104,12 +111,15 @@ def _load_model(path: str) -> ModelFile:
     return ModelFile(charge=model.charge, terms=model.terms, name=Path(path).name)
 
 
-def _require_conserving(model: ModelFile) -> None:
+def _require_conserving(model: ModelFile) -> OperatorPolynomial:
+    """The model's Hamiltonian; raises NonConservingHamiltonian unless it
+    conserves the declared charge."""
     h = model.hamiltonian()
     if not conserves(h, model.charge):
         raise NonConservingHamiltonian(
             f"declared charge ({model.charge.s}, {model.charge.p}) is not conserved"
         )
+    return h
 
 
 def _dump_json(payload) -> None:
@@ -154,8 +164,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     model = _load_model(args.model)
-    _require_conserving(model)
-    h = model.hamiltonian()
+    h = _require_conserving(model)
     basis = enumerate_block(model.charge, args.kappa)
     payload = {
         "kappa": args.kappa,
@@ -193,8 +202,9 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_scan(args) -> int:
     model = _load_model(args.model)
-    _require_conserving(model)
-    h = model.hamiltonian()
+    h = _require_conserving(model)
+    if args.kappa_max < 0:
+        raise ValueError("kappa must be non-negative")
     lines = ["kappa,dim,index,eig_re,eig_im,deviation"]
     code = 0
     for kappa in range(args.kappa_max + 1):
@@ -218,8 +228,7 @@ def _render_rational(value) -> list[str]:
 
 def _cmd_polys(args) -> int:
     model = _load_model(args.model)
-    _require_conserving(model)
-    h = model.hamiltonian()
+    h = _require_conserving(model)
     table = energy_polynomial_table(h, model.charge, args.kappa, mode=args.mode)
     if args.output == "json":
         _dump_json(

@@ -8,11 +8,12 @@ package, and every reduced-route result is validated against it.
 
 Matrix elements are assembled in exact arithmetic, each as a rational
 coefficient times the square root of a ladder ratio t1! t2! / (n1! n2!)
-built from the few integer factors between source and target occupations,
-and converted to floating point once, at matrix-assembly time.  The
-coefficients are accumulated as integers over one common denominator of
-the Hamiltonian's coefficients, so each stored entry is built as one exact
-rational.
+built from the few integer factors between source and target occupations.
+The coefficients are accumulated as integer numerators over one common
+denominator of the Hamiltonian's coefficients, computed once per block,
+and block_matrix forms each float entry directly from those integers and
+the integer ladder ratio, with no exact rational object in between; the
+exact amplitudes themselves come from block_amplitudes.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ from .algebra import (
     FockAmplitude,
     FockState,
     OperatorPolynomial,
+    _integer_image,
+    _integer_terms,
+    _ladder_ratio,
     apply_to_fock,
     conserves,
     is_hermitian,
@@ -78,11 +82,28 @@ def block_amplitudes(
 
 
 def block_matrix(h: OperatorPolynomial, basis: tuple[FockState, ...]) -> np.ndarray:
-    """Dense complex matrix of h restricted to the block basis."""
+    """Dense complex matrix of h restricted to the block basis.
+
+    Each entry is formed straight from its integer numerators re, im over
+    h's common denominator D and its unreduced ladder ratio num/den as
+    complex(re / D, im / D) * (num / den) ** 0.5.  Integer true division is
+    correctly rounded, so this is bit for bit complex(amp) of the exact
+    amplitude that block_amplitudes returns.  Raises BlockClosureViolation
+    as block_amplitudes does.
+    """
     dim = len(basis)
     matrix = np.zeros((dim, dim), dtype=complex)
-    for (row, col), amp in block_amplitudes(h, basis).items():
-        matrix[row, col] = complex(amp)
+    index = {(state.n1, state.n2): i for i, state in enumerate(basis)}
+    terms, denom = _integer_terms(h)
+    for col, state in enumerate(basis):
+        for target, (re, im) in _integer_image(terms, state.n1, state.n2).items():
+            row = index.get(target)
+            if row is None:
+                raise BlockClosureViolation(
+                    f"h maps {state} to {FockState(*target)}, outside the block basis"
+                )
+            num, den = _ladder_ratio(state, basis[row])
+            matrix[row, col] = complex(re / denom, im / denom) * (num / den) ** 0.5
     return matrix
 
 

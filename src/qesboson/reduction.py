@@ -28,6 +28,12 @@ similarity of R built from the recurrence coefficients alone (Golub &
 Welsch 1969); the block and its energy polynomials take that route, and
 every other block keeps a dense general eigensolve.
 
+A block is assembled as integer numerators over one common denominator.
+The dense float matrix and the Jacobi data are formed straight from those
+integers, each float by one correctly rounded integer division, and the
+exact RationalComplex entries are built only when asked for
+(ReducedBlock.entries, the energy polynomials).
+
 Two diagonal conventions are supported for the recurrence and the reduced
 matrix.  The default, "corrected", matches the exact block restriction.
 The "paper-literal" convention keeps the extra mode-2 frequency offset
@@ -148,8 +154,10 @@ class ReducedOperator:
 
     def block_entries(
         self, kappa: int
-    ) -> tuple[tuple[int, ...], dict[tuple[int, int], RationalComplex]]:
-        """Exact matrix entries over the physical degrees (ascending).
+    ) -> tuple[tuple[int, ...], dict[tuple[int, int], tuple[int, int]], int]:
+        """Exact matrix entries over the physical degrees (ascending), as
+        (degrees, numerators, D): numerators[(i, j)] = (re, im) holds the
+        nonzero entry (re + i*im) / D as integers.
 
         Operators flagged clip_edges (the a2 route, whose similarity is
         singular at the block edge) have their formal amplitudes into
@@ -159,8 +167,8 @@ class ReducedOperator:
 
         Every diagonal coefficient is put over one common denominator D, so
         each entry is accumulated as integer numerators (Horner at the
-        integer n2 times the falling factorial of n) and becomes a Fraction
-        once, at the end.
+        integer n2 times the falling factorial of n); entries that sum to
+        zero are dropped.
         """
         degrees = physical_degrees(self.charge, kappa)
         pos = {n: i for i, n in enumerate(degrees)}
@@ -203,11 +211,7 @@ class ReducedOperator:
                 re, im = re * ladder, im * ladder
                 prev = sums.get((i, j))
                 sums[(i, j)] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
-        return degrees, {
-            k: RationalComplex(Fraction(re, denom), Fraction(im, denom))
-            for k, (re, im) in sums.items()
-            if re or im
-        }
+        return degrees, {k: v for k, v in sums.items() if v[0] or v[1]}, denom
 
 
 def matrix_element_reduction(
@@ -261,33 +265,65 @@ def reduce_via_t(h: OperatorPolynomial, charge: ConservedCharge) -> ReducedOpera
     return ReducedOperator(terms=tuple(terms), charge=charge, clip_edges=True)
 
 
-def _dense(
-    entries: Mapping[tuple[int, int], RationalComplex], dim: int
-) -> np.ndarray:
-    """Complex dim x dim matrix of sparse exact entries."""
+_Numerators = Mapping[tuple[int, int], tuple[int, int]]
+
+
+def _integer_form(
+    entries: Mapping[tuple[int, int], RationalComplex]
+) -> tuple[dict[tuple[int, int], tuple[int, int]], int]:
+    """Exact entries as integer numerators (re, im) over their least common
+    denominator D, and D."""
+    denom = math.lcm(
+        *(part.denominator for value in entries.values() for part in (value.re, value.im))
+    )
+    return {
+        k: (
+            v.re.numerator * (denom // v.re.denominator),
+            v.im.numerator * (denom // v.im.denominator),
+        )
+        for k, v in entries.items()
+    }, denom
+
+
+def _dense(numerators: _Numerators, denom: int, dim: int) -> np.ndarray:
+    """Complex dim x dim matrix of sparse entries (re + i*im) / denom.
+
+    Integer true division is correctly rounded, so each float equals the
+    conversion of the exact rational entry.
+    """
     matrix = np.zeros((dim, dim), dtype=complex)
-    for (i, j), value in entries.items():
-        matrix[i, j] = complex(value)
+    for (i, j), (re, im) in numerators.items():
+        matrix[i, j] = complex(re / denom, im / denom)
     return matrix
 
 
 @dataclass(frozen=True, eq=False)
 class ReducedBlock:
-    """Finite single-variable block: admissible degrees and the exact
-    nonzero entries (row, col) -> value; matrix is their dense float form,
-    built on first use."""
+    """Finite single-variable block: admissible degrees and the nonzero
+    entries (row, col) -> (re, im) as integer numerators over one common
+    denominator.  entries (exact RationalComplex values) and matrix (dense
+    float form, straight from the integers) are built on first use."""
 
     kappa: int
     degrees: tuple[int, ...]
-    entries: Mapping[tuple[int, int], RationalComplex]
+    numerators: _Numerators
+    denominator: int
 
     @property
     def dimension(self) -> int:
         return len(self.degrees)
 
     @cached_property
+    def entries(self) -> dict[tuple[int, int], RationalComplex]:
+        d = self.denominator
+        return {
+            k: RationalComplex(Fraction(re, d), Fraction(im, d))
+            for k, (re, im) in self.numerators.items()
+        }
+
+    @cached_property
     def matrix(self) -> np.ndarray:
-        return _dense(self.entries, self.dimension)
+        return _dense(self.numerators, self.denominator, self.dimension)
 
 
 def reduced_block_matrix(
@@ -314,13 +350,21 @@ def reduced_block_matrix(
         Isospectral to the Fock block in corrected mode.
     """
     _check_mode(mode)
-    degrees, entries = matrix_element_reduction(h, charge).block_entries(kappa)
+    degrees, numerators, denom = matrix_element_reduction(h, charge).block_entries(kappa)
     if mode == "paper-literal":
         w2 = mode2_frequency(h)
         if not w2.is_zero:
+            # w2 joins the diagonal in integers over the common denominator
+            common = math.lcm(denom, w2.re.denominator, w2.im.denominator)
+            scale = common // denom
+            numerators = {k: (re * scale, im * scale) for k, (re, im) in numerators.items()}
+            wr = w2.re.numerator * (common // w2.re.denominator)
+            wi = w2.im.numerator * (common // w2.im.denominator)
             for i in range(len(degrees)):
-                entries[(i, i)] = entries.get((i, i), ZERO) + w2
-    return ReducedBlock(kappa=kappa, degrees=degrees, entries=entries)
+                re, im = numerators.get((i, i), (0, 0))
+                numerators[(i, i)] = (re + wr, im + wi)
+            denom = common
+    return ReducedBlock(kappa, degrees, numerators, denom)
 
 
 # scipy.linalg.eigh_tridiagonal is imported where it is called: sextic
@@ -332,9 +376,11 @@ _LOG_TINY = math.log(sys.float_info.min)  # smallest normal double
 _EPS = sys.float_info.epsilon
 
 
-def _log(value: Fraction) -> float:
-    """Natural log of a positive Fraction of any size."""
-    return math.log(value.numerator) - math.log(value.denominator)
+def _log_ratio(num: int, den: int) -> float:
+    """Natural log of the positive rational num/den of any size, taken on
+    its lowest terms as log(num) - log(den)."""
+    g = math.gcd(num, den)
+    return math.log(num // g) - math.log(den // g)
 
 
 @dataclass(frozen=True, eq=False)
@@ -380,32 +426,36 @@ class _JacobiForm:
         return out / np.linalg.norm(out, axis=0)
 
 
-def _jacobi_form(
-    entries: Mapping[tuple[int, int], RationalComplex], dim: int
-) -> _JacobiForm | None:
-    """Jacobi form of a block given by its exact nonzero entries, or None.
+def _jacobi_form(numerators: _Numerators, denom: int, dim: int) -> _JacobiForm | None:
+    """Jacobi form of a block given by the integer numerators of its
+    nonzero entries over denom, or None.
 
     Applies when the block is tridiagonal, its diagonal is real and every
     product b_i c_i of paired off-diagonals is real and positive, all
-    decided exactly; J is converted to floating point once.
+    decided exactly on the integers; each float of J comes from one
+    correctly rounded integer division.
     """
-    if any(abs(i - j) > 1 for i, j in entries):
+    if any(abs(i - j) > 1 for i, j in numerators):
         return None
-    diag = [entries.get((i, i), ZERO) for i in range(dim)]
-    if not all(a.is_real for a in diag):
+    diag = [numerators.get((i, i), (0, 0)) for i in range(dim)]
+    if any(im for _, im in diag):
         return None
+    denom2 = denom * denom
     off, log_steps, phase_steps = [], [], []
     for i in range(dim - 1):
-        b = entries.get((i, i + 1), ZERO)
-        product = b * entries.get((i + 1, i), ZERO)
-        if not product.is_real or product.re <= 0:
+        br, bi = numerators.get((i, i + 1), (0, 0))
+        cr, ci = numerators.get((i + 1, i), (0, 0))
+        product = br * cr - bi * ci  # b_i c_i = (product + 0i) / denom^2
+        if br * ci + bi * cr or product <= 0:
             return None
-        off.append(math.sqrt(product.re))
-        log_steps.append(0.5 * (_log(product.re) - _log(b.re * b.re + b.im * b.im)))
-        bf = complex(b)
-        phase_steps.append(bf.conjugate() / abs(bf))
+        off.append(math.sqrt(product / denom2))
+        log_steps.append(
+            0.5 * (_log_ratio(product, denom2) - _log_ratio(br * br + bi * bi, denom2))
+        )
+        b = complex(br / denom, bi / denom)
+        phase_steps.append(b.conjugate() / abs(b))
     return _JacobiForm(
-        diagonal=np.array([float(a.re) for a in diag]),
+        diagonal=np.array([re / denom for re, _ in diag]),
         off=np.array(off),
         log_scale=np.concatenate(([0.0], np.cumsum(log_steps))),
         phase=np.cumprod(np.array([1.0 + 0.0j] + phase_steps)),
@@ -413,19 +463,19 @@ def _jacobi_form(
 
 
 def _solve(
-    entries: Mapping[tuple[int, int], RationalComplex], dim: int
+    numerators: _Numerators, denom: int, dim: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, _JacobiForm | None]:
     """Eigenvalues, eigenvectors, residuals and Jacobi form of a nonempty
-    block given by its exact entries.
+    block given by the integer numerators of its entries over denom.
 
     A block with a Jacobi form (see the module docstring) is solved by
     eigh_tridiagonal, its residuals are taken on J, and the eigenvectors
     returned are those of J; any other block (Jacobi form None) by a dense
     eig, with eigenpairs sorted ascending by (real, imag).
     """
-    jacobi = _jacobi_form(entries, dim)
+    jacobi = _jacobi_form(numerators, denom, dim)
     if jacobi is None:
-        matrix = _dense(entries, dim)
+        matrix = _dense(numerators, denom, dim)
         values, vectors = sort_eigenpairs(*np.linalg.eig(matrix))
         return values, vectors, eigen_residual(matrix, values, vectors), None
     from scipy.linalg import eigh_tridiagonal
@@ -482,7 +532,7 @@ class EnergyPolynomialTable:
             for j, value in enumerate(row)
             if not value.is_zero
         }
-        return _solve(entries, self.dimension)[0]
+        return _solve(*_integer_form(entries), self.dimension)[0]
 
     def termination_roots(self) -> np.ndarray:
         """Roots of the terminating polynomial (sorted); equals spectrum().
@@ -586,7 +636,9 @@ def _reduced_solve(
     if block.dimension == 0:
         empty = np.zeros(0, dtype=complex)
         return block, empty, np.zeros((0, 0), dtype=complex), 0.0, None
-    values, vectors, residuals, jacobi = _solve(block.entries, block.dimension)
+    values, vectors, residuals, jacobi = _solve(
+        block.numerators, block.denominator, block.dimension
+    )
     worst = float(residuals.max())
     if worst > residual_tol:
         raise NumericalFailure(

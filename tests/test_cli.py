@@ -237,6 +237,13 @@ class TestExitCodes:
         assert out == ""
         assert "usage error: kappa must be non-negative" in err
 
+    def test_negative_kappa_max_scan_is_usage_error(self, capsys):
+        # an empty range used to print only the CSV header and exit 0
+        code, out, err = run(capsys, "scan", SHG, "--kappa-max", "-3")
+        assert code == 1
+        assert out == ""
+        assert "usage error: kappa must be non-negative" in err
+
     @pytest.mark.parametrize("command,kappa_flag", [("spectrum", "--kappa"), ("scan", "--kappa-max")])
     @pytest.mark.parametrize("tol", ["nan", "-1"])
     def test_tol_must_be_non_negative_number(self, capsys, command, kappa_flag, tol):

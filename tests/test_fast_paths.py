@@ -3,16 +3,21 @@
 Every fast path is compared for exact equality against the general formula
 it short-cuts: RationalComplex arithmetic, Horner evaluation at an integer,
 the oracle's ladder-ratio radicand and its integer accumulation over one
-common denominator, operator products and the reduced route's integer
-entries.
+common denominator, operator products, the term-by-term hermiticity check
+and the reduced route's integer entries.  The float blocks and Jacobi data
+formed straight from integer numerators are compared byte for byte against
+the conversion of the exact entries.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,12 +31,25 @@ from qesboson import (
     Polynomial,
     RationalComplex,
 )
-from qesboson.algebra import apply_to_fock, ladder_radicand, monomial_product
+from qesboson.algebra import (
+    apply_to_fock,
+    is_hermitian,
+    ladder_radicand,
+    monomial,
+    monomial_product,
+)
 from qesboson.exact import ZERO, falling_factorial_poly
+from qesboson.models import build_nth_harmonic, nth_harmonic_charge
+from qesboson.oracle import block_amplitudes, block_matrix, enumerate_block
 from qesboson.reduction import (
+    ReducedBlock,
+    _jacobi_form,
+    energy_polynomial_table,
     matrix_element_reduction,
+    mode2_frequency,
     physical_degrees,
     reduce_via_t,
+    reduced_block_matrix,
     slaved_occupation,
 )
 
@@ -278,7 +296,147 @@ def test_block_entries_match_polynomial_evaluation(route, model):
         with pytest.raises(BlockClosureViolation):
             op.block_entries(kappa)
         return
-    degrees, entries = op.block_entries(kappa)
+    block = ReducedBlock(kappa, *op.block_entries(kappa))
+    degrees, entries = block.degrees, block.entries
     assert (degrees, entries) == expected
     for value in entries.values():
         assert type(value.re) is Fraction and type(value.im) is Fraction
+
+
+@st.composite
+def near_hermitian_operators(draw):
+    """a + a^dagger, sometimes with one term dropped (its partner is left
+    without one) or shifted by a random coefficient (its partner's is then
+    usually not the conjugate)."""
+    a = draw(operators)
+    terms = dict((a + a.adjoint()).items())
+    if terms and draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(terms)))
+        if draw(st.booleans()):
+            del terms[key]
+        else:
+            terms[key] = terms[key] + draw(rcs)
+    return OperatorPolynomial(terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(operators, near_hermitian_operators()))
+def test_is_hermitian_matches_adjoint(h):
+    assert is_hermitian(h) == (h.adjoint() == h)
+
+
+def test_is_hermitian_needs_partner_with_conjugate_coefficient():
+    c = RationalComplex(Fraction(1, 2), Fraction(-1, 3))
+    hop = monomial(c, 2, 0, 0, 1)
+    assert is_hermitian(hop + hop.adjoint())
+    assert not is_hermitian(hop)  # partner term missing
+    assert not is_hermitian(hop + monomial(c, 0, 2, 1, 0))  # partner not conjugated
+    assert not is_hermitian(monomial(c, 1, 1, 0, 0))  # self-partner, complex
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=conserving_models())
+def test_block_matrix_bits_match_exact_amplitudes(model):
+    h, charge, kappa = model
+    basis = enumerate_block(charge, kappa)
+    reference = np.zeros((len(basis), len(basis)), dtype=complex)
+    for (row, col), amp in block_amplitudes(h, basis).items():
+        reference[row, col] = complex(amp)
+    assert block_matrix(h, basis).tobytes() == reference.tobytes()
+
+
+def test_block_matrix_reports_closure_violation():
+    # a2+ alone leaves every block; the float path raises as the exact one
+    h = monomial(1, 0, 0, 1, 0)
+    basis = enumerate_block(ConservedCharge(1, 2), 4)
+    with pytest.raises(BlockClosureViolation):
+        block_amplitudes(h, basis)
+    with pytest.raises(BlockClosureViolation):
+        block_matrix(h, basis)
+
+
+def _log(value: Fraction) -> float:
+    return math.log(value.numerator) - math.log(value.denominator)
+
+
+def reference_jacobi_form(entries, dim):
+    """Jacobi data formed from exact RationalComplex entries: exact products
+    b_i c_i, logs of their lowest-terms Fractions and complex() of each
+    entry; None where the block is not of Jacobi form."""
+    if any(abs(i - j) > 1 for i, j in entries):
+        return None
+    diag = [entries.get((i, i), ZERO) for i in range(dim)]
+    if not all(a.is_real for a in diag):
+        return None
+    off, log_steps, phase_steps = [], [], []
+    for i in range(dim - 1):
+        b = entries.get((i, i + 1), ZERO)
+        product = b * entries.get((i + 1, i), ZERO)
+        if not product.is_real or product.re <= 0:
+            return None
+        off.append(math.sqrt(product.re))
+        log_steps.append(0.5 * (_log(product.re) - _log(b.re * b.re + b.im * b.im)))
+        bf = complex(b)
+        phase_steps.append(bf.conjugate() / abs(bf))
+    return {
+        "diagonal": np.array([float(a.re) for a in diag]),
+        "off": np.array(off),
+        "log_scale": np.concatenate(([0.0], np.cumsum(log_steps))),
+        "phase": np.cumprod(np.array([1.0 + 0.0j] + phase_steps)),
+    }
+
+
+nonzero_fractions = fractions.filter(bool)
+
+
+@st.composite
+def three_term_models(draw):
+    """An n-th harmonic model (n = 2 or 3) with rational frequencies and a
+    complex coupling kc with both parts nonzero; kb is conj(kc) (Hermitian)
+    or another nonzero complex value (usually not of Jacobi form), so the
+    energy polynomials always exist."""
+    order = draw(st.sampled_from((2, 3)))
+    kc = complex(draw(nonzero_fractions), draw(nonzero_fractions))
+    kb = kc.conjugate() if draw(st.booleans()) else complex(draw(nonzero_fractions), draw(fractions))
+    h = build_nth_harmonic(draw(fractions), draw(fractions), kc, kb, order)
+    return h, nth_harmonic_charge(order), draw(st.integers(0, 40))
+
+
+@pytest.mark.parametrize("mode", ["corrected", "paper-literal"])
+@settings(max_examples=40, deadline=None)
+@given(model=three_term_models())
+def test_reduced_float_data_bits_match_exact_entries(mode, model):
+    h, charge, kappa = model
+    degrees, entries = reference_block_entries(matrix_element_reduction(h, charge), kappa)
+    if mode == "paper-literal":
+        w2 = mode2_frequency(h)
+        if not w2.is_zero:
+            for i in range(len(degrees)):
+                entries[(i, i)] = entries.get((i, i), ZERO) + w2
+    block = reduced_block_matrix(h, charge, kappa, mode=mode)
+    assert block.degrees == degrees and block.entries == entries
+    dense = np.zeros((len(degrees), len(degrees)), dtype=complex)
+    for (i, j), value in entries.items():
+        dense[i, j] = complex(value)
+    assert block.matrix.tobytes() == dense.tobytes()
+
+    jacobi = _jacobi_form(block.numerators, block.denominator, block.dimension)
+    expected = reference_jacobi_form(entries, len(degrees))
+    assert (jacobi is None) == (expected is None)
+    if expected is not None:
+        for name, value in expected.items():
+            got = getattr(jacobi, name)
+            assert got.dtype == value.dtype and got.tobytes() == value.tobytes(), name
+
+    # the energy polynomials' recurrence goes through the same solver
+    table = energy_polynomial_table(h, charge, kappa, mode=mode)
+    recurrence = {
+        (i, j): value
+        for i, row in enumerate(table.recurrence)
+        for j, value in enumerate(row)
+        if not value.is_zero
+    }
+    expected = reference_jacobi_form(recurrence, table.dimension)
+    if expected is not None and table.dimension:
+        values, _ = eigh_tridiagonal(expected["diagonal"], expected["off"])
+        assert table.spectrum().tobytes() == values.astype(complex).tobytes()

@@ -94,7 +94,8 @@ class TestReduceViaS:
         h, charge = shg
         op = matrix_element_reduction(h, charge)
         for kappa in range(12):
-            degrees, entries = op.block_entries(kappa)
+            block = ReducedBlock(kappa, *op.block_entries(kappa))
+            degrees, entries = block.degrees, block.entries
             pos = {n: i for i, n in enumerate(degrees)}
             basis = enumerate_block(charge, kappa)
             defining = {
@@ -159,8 +160,9 @@ class TestReduceViaT:
         s_op = matrix_element_reduction(h, charge)
         t_op = reduce_via_t(h, charge)
         for kappa in range(12):
-            degrees, es = s_op.block_entries(kappa)
-            _, et = t_op.block_entries(kappa)
+            s_block = ReducedBlock(kappa, *s_op.block_entries(kappa))
+            degrees, es = s_block.degrees, s_block.entries
+            et = ReducedBlock(kappa, *t_op.block_entries(kappa)).entries
             d = len(degrees)
             for i in range(d):
                 assert es.get((i, i), ZERO) == et.get((i, i), ZERO)
