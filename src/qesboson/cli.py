@@ -122,8 +122,52 @@ def _require_conserving(model: ModelFile) -> OperatorPolynomial:
     return h
 
 
+def _pair_list_json(value) -> str | None:
+    """json.dumps(value, indent=2) at depth 1 of an object when value is a
+    list of two-element lists of numbers (or None), else None.
+
+    The numbers go through one C-encoded dump of the flat list and are
+    laid out in the fixed indent-2 form; a string, list or object among
+    them shows as a quote or bracket in that dump.
+    """
+    if not isinstance(value, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 for pair in value
+    ):
+        return None
+    if not value:
+        return "[]"
+    flat = json.dumps([x for pair in value for x in pair])[1:-1]
+    if "[" in flat or "{" in flat or '"' in flat:
+        return None
+    numbers = iter(flat.split(", "))
+    rows = ",\n    ".join(
+        f"[\n      {a},\n      {b}\n    ]" for a, b in zip(numbers, numbers)
+    )
+    return f"[\n    {rows}\n  ]"
+
+
+def _json_text(payload) -> str:
+    """Exactly json.dumps(payload, indent=2).
+
+    The encoder behind indent is pure Python; the long lists of number
+    pairs (basis states, eigenvalues, charges) at the top level of an
+    object are written through the C encoder instead.
+    """
+    if not isinstance(payload, dict) or not payload or not all(
+        isinstance(key, str) for key in payload
+    ):
+        return json.dumps(payload, indent=2)
+    items = []
+    for key, value in payload.items():
+        text = _pair_list_json(value)
+        if text is None:
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        items.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}"
+
+
 def _dump_json(payload) -> None:
-    print(json.dumps(payload, indent=2))
+    print(_json_text(payload))
 
 
 def _eig_pairs(values) -> list[list[float]]:
@@ -194,7 +238,7 @@ def _cmd_spectrum(args) -> int:
             else 0.0
         )
         payload["max_deviation"] = deviation
-        if deviation > args.tol:
+        if not deviation <= args.tol:  # NaN exceeds every tolerance
             code = 4
     _dump_json(payload)
     return code
@@ -213,7 +257,7 @@ def _cmd_scan(args) -> int:
         for index in range(oracle.dimension):
             ev = oracle.eigenvalues[index]
             deviation = abs(ev - reduced.eigenvalues[index])
-            if deviation > args.tol:
+            if not deviation <= args.tol:  # NaN exceeds every tolerance
                 code = 4
             lines.append(
                 f"{kappa},{oracle.dimension},{index},{ev.real!r},{ev.imag!r},{deviation!r}"

@@ -14,10 +14,17 @@ denominator of the Hamiltonian's coefficients, computed once per block,
 and block_matrix forms each float entry directly from those integers and
 the integer ladder ratio, with no exact rational object in between; the
 exact amplitudes themselves come from block_amplitudes.
+
+A Hamiltonian whose coefficients are all real has real blocks: block_matrix
+returns them as float64, and they are diagonalized and checked in real
+arithmetic (real symmetric eigh, or real eig for non-Hermitian h).  Complex
+coefficients give complex blocks and a complex solve.  The eigensolvers
+stay dense LAPACK drivers, independent of the reduced route's solvers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,34 +89,55 @@ def block_amplitudes(
 
 
 def block_matrix(h: OperatorPolynomial, basis: tuple[FockState, ...]) -> np.ndarray:
-    """Dense complex matrix of h restricted to the block basis.
+    """Dense matrix of h restricted to the block basis: float64 when every
+    coefficient of h is real, complex otherwise.
 
     Each entry is formed straight from its integer numerators re, im over
     h's common denominator D and its unreduced ladder ratio num/den as
-    complex(re / D, im / D) * (num / den) ** 0.5.  Integer true division is
-    correctly rounded, so this is bit for bit complex(amp) of the exact
-    amplitude that block_amplitudes returns.  Raises BlockClosureViolation
-    as block_amplitudes does.
+    complex(re / D, im / D) * (num / den) ** 0.5, or for real h as
+    re / D * (num / den) ** 0.5, the real part of that product bit for
+    bit.  Integer true division is correctly rounded, so this is bit for bit
+    complex(amp) (its real part for real h) of the exact amplitude that
+    block_amplitudes returns.  Raises BlockClosureViolation as
+    block_amplitudes does, and NumericalFailure when an entry does not fit
+    in a double.
     """
     dim = len(basis)
-    matrix = np.zeros((dim, dim), dtype=complex)
-    index = {(state.n1, state.n2): i for i, state in enumerate(basis)}
     terms, denom = _integer_terms(h)
-    for col, state in enumerate(basis):
-        for target, (re, im) in _integer_image(terms, state.n1, state.n2).items():
-            row = index.get(target)
-            if row is None:
-                raise BlockClosureViolation(
-                    f"h maps {state} to {FockState(*target)}, outside the block basis"
-                )
-            num, den = _ladder_ratio(state, basis[row])
-            matrix[row, col] = complex(re / denom, im / denom) * (num / den) ** 0.5
+    real = not any(im for _, _, im in terms)
+    matrix = np.zeros((dim, dim), dtype=float if real else complex)
+    index = {(state.n1, state.n2): i for i, state in enumerate(basis)}
+    try:
+        for col, state in enumerate(basis):
+            for target, (re, im) in _integer_image(terms, state.n1, state.n2).items():
+                row = index.get(target)
+                if row is None:
+                    raise BlockClosureViolation(
+                        f"h maps {state} to {FockState(*target)}, outside the block basis"
+                    )
+                num, den = _ladder_ratio(state, basis[row])
+                value = re / denom if real else complex(re / denom, im / denom)
+                matrix[row, col] = value * (num / den) ** 0.5
+    except OverflowError:
+        raise _unrepresentable(state, FockState(*target)) from None
+    if not np.isfinite(matrix).all():
+        row, col = np.argwhere(~np.isfinite(matrix))[0]
+        raise _unrepresentable(basis[col], basis[row])
     return matrix
+
+
+def _unrepresentable(state: FockState, target: FockState) -> NumericalFailure:
+    return NumericalFailure(
+        f"h maps {state} to {target} with an amplitude that does not fit in"
+        " double precision",
+        math.inf,
+    )
 
 
 @dataclass(frozen=True, eq=False)
 class FockBlock:
-    """A charge block: its kappa, ordered basis and exact restriction of h."""
+    """A charge block: its kappa, ordered basis and exact restriction of h,
+    a float64 matrix when h has real coefficients and complex otherwise."""
 
     charge: ConservedCharge
     kappa: int
@@ -149,10 +177,14 @@ def eigen_residual(matrix, values, vectors):
 
     Given one eigenvalue and a 1-D vector, returns that float; given an
     array of eigenvalues and a matrix whose columns are the eigenvectors,
-    returns the array of column residuals, computed in one product.
+    returns the array of column residuals, computed in one product.  The
+    arithmetic is real when all three inputs are real (ints included) and
+    complex otherwise.
     """
-    matrix = np.asarray(matrix, dtype=complex)
-    vectors = np.asarray(vectors, dtype=complex)
+    matrix, values, vectors = np.asarray(matrix), np.asarray(values), np.asarray(vectors)
+    dtype = np.result_type(matrix, values, vectors, float)
+    matrix = matrix.astype(dtype, copy=False)
+    vectors = vectors.astype(dtype, copy=False)
     norms = np.linalg.norm(vectors, axis=0)
     if np.any(norms == 0.0):
         raise ZeroVector("eigenvector must be nonzero")
@@ -160,6 +192,20 @@ def eigen_residual(matrix, values, vectors):
     diff -= vectors * values
     residuals = np.linalg.norm(diff, axis=0) / norms
     return residuals if vectors.ndim == 2 else float(residuals)
+
+
+def checked_residual(worst: float, tol: float, block: str) -> float:
+    """worst, the largest eigenpair residual of a block solve, if it is at
+    most tol; otherwise raises NumericalFailure.  A NaN residual is refused.
+
+    This is the residual policy of both routes; block names the block in
+    the message.
+    """
+    if not worst <= tol:
+        raise NumericalFailure(
+            f"{block} eigensolve residual {worst:.3e} exceeds {tol:.3e}", worst
+        )
+    return worst
 
 
 def sort_eigenpairs(
@@ -182,28 +228,26 @@ def diagonalize_block(
 
     Uses the Hermitian eigensolver when h is exactly Hermitian (real
     eigenvalues, orthonormal eigenvectors) and the general dense solver
-    otherwise.  Returns (block, values, vectors, method, max_residual)
-    with the eigenpairs sorted ascending by (real, imag).
+    otherwise, in real arithmetic when the block is real.  Returns (block,
+    values, vectors, method, max_residual) with the eigenpairs sorted
+    ascending by (real, imag); values are complex, vectors have the dtype
+    the solver returns (float64 for a real Hermitian block).  Raises
+    NumericalFailure unless max_residual <= residual_tol.
     """
     block = build_block(h, charge, kappa)
     hermitian = is_hermitian(h)
     method = "hermitian" if hermitian else "general"
     if block.dimension == 0:
-        return block, np.zeros(0, dtype=complex), np.zeros((0, 0), dtype=complex), method, 0.0
-    if hermitian:
-        values, vectors = np.linalg.eigh(block.matrix)
-        values = values.astype(complex)
-    else:
-        values, vectors = np.linalg.eig(block.matrix)
-    values, vectors = sort_eigenpairs(values, vectors)
-    max_residual = float(eigen_residual(block.matrix, values, vectors).max())
-    if max_residual > residual_tol:
-        raise NumericalFailure(
-            f"block kappa={kappa} eigensolve residual {max_residual:.3e}"
-            f" exceeds {residual_tol:.3e}",
-            max_residual,
-        )
-    return block, values, vectors, method, max_residual
+        empty = np.zeros((0, 0), dtype=block.matrix.dtype)
+        return block, np.zeros(0, dtype=complex), empty, method, 0.0
+    solve = np.linalg.eigh if hermitian else np.linalg.eig
+    values, vectors = sort_eigenpairs(*solve(block.matrix))
+    max_residual = checked_residual(
+        float(eigen_residual(block.matrix, values, vectors).max()),
+        residual_tol,
+        f"block kappa={kappa}",
+    )
+    return block, values.astype(complex), vectors, method, max_residual
 
 
 def block_spectrum(

@@ -78,7 +78,13 @@ from .exact import (
     falling_factorial_poly,
     rising_factorial_poly,
 )
-from .oracle import SpectrumReport, eigen_residual, enumerate_block, sort_eigenpairs
+from .oracle import (
+    SpectrumReport,
+    checked_residual,
+    eigen_residual,
+    enumerate_block,
+    sort_eigenpairs,
+)
 
 MODES = ("corrected", "paper-literal")
 
@@ -285,15 +291,25 @@ def _integer_form(
     }, denom
 
 
+def _unrepresentable() -> NumericalFailure:
+    return NumericalFailure(
+        "a reduced block entry does not fit in double precision", math.inf
+    )
+
+
 def _dense(numerators: _Numerators, denom: int, dim: int) -> np.ndarray:
     """Complex dim x dim matrix of sparse entries (re + i*im) / denom.
 
     Integer true division is correctly rounded, so each float equals the
-    conversion of the exact rational entry.
+    conversion of the exact rational entry.  Raises NumericalFailure when
+    an entry does not fit in a double.
     """
     matrix = np.zeros((dim, dim), dtype=complex)
-    for (i, j), (re, im) in numerators.items():
-        matrix[i, j] = complex(re / denom, im / denom)
+    try:
+        for (i, j), (re, im) in numerators.items():
+            matrix[i, j] = complex(re / denom, im / denom)
+    except OverflowError:
+        raise _unrepresentable() from None
     return matrix
 
 
@@ -433,7 +449,8 @@ def _jacobi_form(numerators: _Numerators, denom: int, dim: int) -> _JacobiForm |
     Applies when the block is tridiagonal, its diagonal is real and every
     product b_i c_i of paired off-diagonals is real and positive, all
     decided exactly on the integers; each float of J comes from one
-    correctly rounded integer division.
+    correctly rounded integer division.  Raises NumericalFailure when a
+    float of J or of the phase does not fit in a double.
     """
     if any(abs(i - j) > 1 for i, j in numerators):
         return None
@@ -442,20 +459,24 @@ def _jacobi_form(numerators: _Numerators, denom: int, dim: int) -> _JacobiForm |
         return None
     denom2 = denom * denom
     off, log_steps, phase_steps = [], [], []
-    for i in range(dim - 1):
-        br, bi = numerators.get((i, i + 1), (0, 0))
-        cr, ci = numerators.get((i + 1, i), (0, 0))
-        product = br * cr - bi * ci  # b_i c_i = (product + 0i) / denom^2
-        if br * ci + bi * cr or product <= 0:
-            return None
-        off.append(math.sqrt(product / denom2))
-        log_steps.append(
-            0.5 * (_log_ratio(product, denom2) - _log_ratio(br * br + bi * bi, denom2))
-        )
-        b = complex(br / denom, bi / denom)
-        phase_steps.append(b.conjugate() / abs(b))
+    try:
+        for i in range(dim - 1):
+            br, bi = numerators.get((i, i + 1), (0, 0))
+            cr, ci = numerators.get((i + 1, i), (0, 0))
+            product = br * cr - bi * ci  # b_i c_i = (product + 0i) / denom^2
+            if br * ci + bi * cr or product <= 0:
+                return None
+            off.append(math.sqrt(product / denom2))
+            log_steps.append(
+                0.5 * (_log_ratio(product, denom2) - _log_ratio(br * br + bi * bi, denom2))
+            )
+            b = complex(br / denom, bi / denom)
+            phase_steps.append(b.conjugate() / abs(b))
+        diagonal = np.array([re / denom for re, _ in diag])
+    except OverflowError:
+        raise _unrepresentable() from None
     return _JacobiForm(
-        diagonal=np.array([re / denom for re, _ in diag]),
+        diagonal=diagonal,
         off=np.array(off),
         log_scale=np.concatenate(([0.0], np.cumsum(log_steps))),
         phase=np.cumprod(np.array([1.0 + 0.0j] + phase_steps)),
@@ -631,7 +652,7 @@ def _reduced_solve(
 ) -> tuple[ReducedBlock, np.ndarray, np.ndarray, float, _JacobiForm | None]:
     """The block, its eigenvalues and eigenvectors (as _solve returns
     them), the worst residual and the Jacobi form; raises NumericalFailure
-    when the worst residual exceeds residual_tol."""
+    unless the worst residual is at most residual_tol."""
     block = reduced_block_matrix(h, charge, kappa, mode=mode)
     if block.dimension == 0:
         empty = np.zeros(0, dtype=complex)
@@ -639,13 +660,9 @@ def _reduced_solve(
     values, vectors, residuals, jacobi = _solve(
         block.numerators, block.denominator, block.dimension
     )
-    worst = float(residuals.max())
-    if worst > residual_tol:
-        raise NumericalFailure(
-            f"reduced block kappa={kappa} eigensolve residual {worst:.3e}"
-            f" exceeds {residual_tol:.3e}",
-            worst,
-        )
+    worst = checked_residual(
+        float(residuals.max()), residual_tol, f"reduced block kappa={kappa}"
+    )
     return block, values, vectors, worst, jacobi
 
 

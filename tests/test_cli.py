@@ -5,7 +5,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qesboson import SpectrumReport, cli
 from qesboson.cli import main
 
 SAMPLE_DIR = Path(__file__).resolve().parent.parent / "models"
@@ -274,3 +277,87 @@ def test_parser_reused_across_calls(capsys):
         fresh.append((proc.returncode, proc.stdout, proc.stderr))
     assert in_process == fresh
     assert [code for code, _, _ in fresh] == [1, 0]
+
+
+# a coupling at 1.5e308: single, or with its adjoint (a Hermitian pair);
+# some block entry of each case overflows a double on both routes
+HUGE_MODELS = {
+    "single": "charge 1 2\nterm 1.5e308 0 2 0 0 1\n",
+    "pair": "charge 1 2\nterm 1.5e308 0 2 0 0 1\nterm 1.5e308 0 0 2 1 0\n",
+}
+
+
+class TestUnrepresentableBlocks:
+    """Entries beyond double range are a numerical failure (exit 4), not a
+    traceback or a usage error."""
+
+    @pytest.mark.parametrize("model,kappa", [("single", "4"), ("pair", "2")])
+    @pytest.mark.parametrize("method", ["oracle", "reduced", "both"])
+    def test_spectrum_exits_4(self, capsys, tmp_path, model, kappa, method):
+        path = tmp_path / "huge.qesb"
+        path.write_text(HUGE_MODELS[model])
+        code, out, err = run(capsys, "spectrum", str(path), "--kappa", kappa, "--method", method)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("numerical failure: ")
+        assert "does not fit in double precision" in err
+
+    @pytest.mark.parametrize("model", sorted(HUGE_MODELS))
+    def test_scan_exits_4(self, capsys, tmp_path, model):
+        path = tmp_path / "huge.qesb"
+        path.write_text(HUGE_MODELS[model])
+        code, out, err = run(capsys, "scan", str(path), "--kappa-max", "4")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("numerical failure: ")
+        assert "does not fit in double precision" in err
+
+
+def _nan_first_eigenvalue(qes_spectrum):
+    def patched(*args, **kwargs):
+        report = qes_spectrum(*args, **kwargs)
+        values = (complex("nan"),) + report.eigenvalues[1:]
+        return SpectrumReport(report.kappa, report.dimension, values, report.method, 0.0)
+
+    return patched
+
+
+class TestNanDeviation:
+    """A NaN eigenvalue makes the deviation NaN, which exceeds every --tol."""
+
+    def test_spectrum_exits_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "qes_spectrum", _nan_first_eigenvalue(cli.qes_spectrum))
+        code, out, _ = run(capsys, "spectrum", SHG, "--kappa", "2")
+        assert code == 4
+        assert json.loads(out)["max_deviation"] != json.loads(out)["max_deviation"]
+
+    def test_scan_exits_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "qes_spectrum", _nan_first_eigenvalue(cli.qes_spectrum))
+        code, out, _ = run(capsys, "scan", SHG, "--kappa-max", "2")
+        assert code == 4
+        assert out.strip().split("\n")[1].endswith(",nan")
+
+
+numbers = st.one_of(st.floats(), st.integers(-(10**30), 10**30), st.booleans(), st.none())
+json_values = st.recursive(
+    st.one_of(numbers, st.text(max_size=6)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=6), inner, max_size=4)
+    ),
+    max_leaves=16,
+)
+pair_lists = st.lists(
+    st.lists(st.one_of(numbers, numbers, json_values), min_size=2, max_size=2), max_size=6
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.dictionaries(st.text(max_size=8), st.one_of(pair_lists, json_values), max_size=6),
+    json_values,
+))
+def test_json_writer_matches_indent_2_dumps(payload):
+    """Byte for byte json.dumps(payload, indent=2): NaN, +-inf, ints, bools,
+    None, empty and ragged lists, pairs holding strings, lists or objects,
+    and nested objects included."""
+    assert cli._json_text(payload) == json.dumps(payload, indent=2)

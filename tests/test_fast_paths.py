@@ -6,7 +6,9 @@ the oracle's ladder-ratio radicand and its integer accumulation over one
 common denominator, operator products, the term-by-term hermiticity check
 and the reduced route's integer entries.  The float blocks and Jacobi data
 formed straight from integer numerators are compared byte for byte against
-the conversion of the exact entries.
+the conversion of the exact entries (its real part, for the float64 blocks
+of real-coefficient operators), and the oracle's real solve of those blocks
+against the complex solve of the same matrix.
 """
 
 from __future__ import annotations
@@ -17,9 +19,13 @@ from math import factorial
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import eigh_tridiagonal
-from hypothesis import given, settings
+from scipy.optimize import linear_sum_assignment
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+from conftest import spectral_deviation
 
 from qesboson import (
     BlockClosureViolation,
@@ -40,7 +46,13 @@ from qesboson.algebra import (
 )
 from qesboson.exact import ZERO, falling_factorial_poly
 from qesboson.models import build_nth_harmonic, nth_harmonic_charge
-from qesboson.oracle import block_amplitudes, block_matrix, enumerate_block
+from qesboson.oracle import (
+    block_amplitudes,
+    block_matrix,
+    diagonalize_block,
+    eigen_residual,
+    enumerate_block,
+)
 from qesboson.reduction import (
     ReducedBlock,
     _jacobi_form,
@@ -211,10 +223,11 @@ def test_operator_product_matches_termwise_sum(a, b):
 
 
 @st.composite
-def conserving_models(draw):
+def conserving_models(draw, coefficients=rcs):
     """Random conserving operator with exponents <= 3, its charge and a kappa.
 
-    Coefficients have independent real and imaginary denominators.  Some
+    Coefficients are drawn from coefficients; by default they are real or
+    complex with independent real and imaginary denominators.  Some
     operators get a second term on the same ladder pair (one more a2+ a2),
     scaled to cancel the first exactly on one source degree of the block.
     """
@@ -229,7 +242,7 @@ def conserving_models(draw):
         if charge.s * (m1 - m2) + charge.p * (m3 - m4) == 0
     ]
     chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=5, unique=True))
-    terms = {key: draw(rcs) for key in chosen}
+    terms = {key: draw(coefficients) for key in chosen}
     kappa = draw(st.integers(min_value=0, max_value=24))
     if draw(st.booleans()):
         m1, m2, m3, m4 = key = draw(st.sampled_from(chosen))
@@ -334,15 +347,96 @@ def test_is_hermitian_needs_partner_with_conjugate_coefficient():
     assert not is_hermitian(monomial(c, 1, 1, 0, 0))  # self-partner, complex
 
 
-@settings(max_examples=60, deadline=None)
-@given(model=conserving_models())
-def test_block_matrix_bits_match_exact_amplitudes(model):
-    h, charge, kappa = model
-    basis = enumerate_block(charge, kappa)
+def complex_reference(h, basis):
+    """complex(amp) of every exact block amplitude, in a complex matrix."""
     reference = np.zeros((len(basis), len(basis)), dtype=complex)
     for (row, col), amp in block_amplitudes(h, basis).items():
         reference[row, col] = complex(amp)
-    assert block_matrix(h, basis).tobytes() == reference.tobytes()
+    return reference
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=conserving_models(complex_rcs))
+def test_block_matrix_bits_match_exact_amplitudes(model):
+    h, charge, kappa = model
+    assume(any(coeff.im for _, coeff in h.items()))
+    basis = enumerate_block(charge, kappa)
+    matrix = block_matrix(h, basis)
+    assert matrix.dtype == np.complex128
+    assert matrix.tobytes() == complex_reference(h, basis).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=conserving_models(real_rcs))
+def test_real_block_matrix_bits_match_real_parts_of_exact_amplitudes(model):
+    h, charge, kappa = model
+    basis = enumerate_block(charge, kappa)
+    matrix = block_matrix(h, basis)
+    reference = complex_reference(h, basis)
+    assert matrix.dtype == np.float64
+    assert matrix.tobytes() == reference.real.copy().tobytes()
+    assert not reference.imag.any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    model=conserving_models(real_rcs),
+    hermitian=st.booleans(),
+)
+def test_real_oracle_solve_matches_complex_solve(model, hermitian):
+    """Real blocks are solved in real arithmetic; the spectrum is that of
+    the same matrix solved as a complex one, within 1e-12 max(1, ||H||)
+    times each eigenvalue's condition number 1/|y^H x| (1 for Hermitian h:
+    non-Hermitian blocks can be ill-conditioned, where any two backward
+    stable solvers differ by that much)."""
+    h, charge, kappa = model
+    if hermitian:
+        h = h + h.adjoint()
+    # the absolute residual gate is not under test: ||H|| reaches 1e6 here
+    block, values, vectors, method, _ = diagonalize_block(h, charge, kappa, math.inf)
+    assert block.matrix.dtype == np.float64 and values.dtype == np.complex128
+    assert method == ("hermitian" if is_hermitian(h) else "general")
+    if block.dimension == 0:
+        return
+    as_complex = block.matrix.astype(complex)
+    tol = 1e-12 * max(1.0, float(np.linalg.norm(as_complex, 2)))
+    if method == "hermitian":
+        assert vectors.dtype == np.float64
+        gram = vectors.T @ vectors
+        assert np.abs(gram - np.eye(block.dimension)).max() <= 1e-12
+        assert spectral_deviation(values, np.linalg.eigh(as_complex)[0]) <= tol
+        return
+    expected, left, right = scipy.linalg.eig(as_complex, left=True)
+    with np.errstate(divide="ignore", over="ignore"):
+        cond = 1.0 / np.abs(np.sum(left.conj() * right, axis=0))
+    cost = np.abs(values[:, None] - expected[None, :]) / (tol * cond[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    assert cost[rows, cols].max() <= 1.0
+
+
+small_ints = st.integers(-9, 9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(small_ints, min_size=n, max_size=n), min_size=n, max_size=n),
+        st.lists(small_ints, min_size=n, max_size=n),
+        small_ints,
+    )
+))
+def test_eigen_residual_int_and_list_inputs_keep_values(case):
+    """Integer inputs, as lists or arrays, give the residual of the same
+    entries as complex arrays; exact here, since every sum is an integer."""
+    matrix, vector, value = case
+    assume(any(vector))
+    expected = eigen_residual(
+        np.array(matrix, dtype=complex), complex(value), np.array(vector, dtype=complex)
+    )
+    assert eigen_residual(matrix, value, vector) == expected
+    assert eigen_residual(np.array(matrix), value, np.array(vector)) == expected
+    columns = np.array([vector, vector]).T
+    assert eigen_residual(matrix, [value, value], columns).tolist() == [expected] * 2
 
 
 def test_block_matrix_reports_closure_violation():

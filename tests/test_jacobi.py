@@ -4,12 +4,14 @@ Large-kappa bounds are scaled by the block's spectral norm ||H||, which
 for the Hermitian sample models is the largest oracle eigenvalue modulus.
 """
 
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import eigh_tridiagonal
 
 from conftest import random_coeff, spectral_deviation
@@ -182,3 +184,17 @@ def test_jacobi_residuals_match_dense_residuals():
         rtol=0,
         atol=1e-15,
     )
+
+
+def test_nan_eigenvalue_fails_residual_gate(monkeypatch):
+    # a NaN residual compares False with any tolerance; it must still refuse
+    def nan_values(*args, **kwargs):
+        values, vectors = eigh_tridiagonal(*args, **kwargs)
+        values[0] = np.nan
+        return values, vectors
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", nan_values)
+    h, charge = load("shg")
+    with pytest.raises(NumericalFailure) as info:
+        qes_spectrum(h, charge, 10)
+    assert math.isnan(info.value.residual)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from math import sqrt
@@ -14,6 +15,7 @@ from qesboson import (
     ConservedCharge,
     FockState,
     NonConservingHamiltonian,
+    NumericalFailure,
     ZeroVector,
     apply_to_fock,
     block_amplitudes,
@@ -212,3 +214,19 @@ def test_diagonalize_block_orthonormal_vectors(shg):
     assert method == "hermitian"
     assert np.allclose(vectors.conj().T @ vectors, np.eye(block.dimension), atol=1e-12)
     assert np.allclose(block.matrix @ vectors, vectors @ np.diag(values), atol=1e-12)
+
+
+def test_nan_eigenvalue_fails_residual_gate(shg, monkeypatch):
+    # a NaN residual compares False with any tolerance; it must still refuse
+    eigh = np.linalg.eigh
+
+    def nan_eigh(matrix):
+        values, vectors = eigh(matrix)
+        values[0] = np.nan
+        return values, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", nan_eigh)
+    h, charge = shg
+    with pytest.raises(NumericalFailure) as info:
+        diagonalize_block(h, charge, 4)
+    assert math.isnan(info.value.residual)
