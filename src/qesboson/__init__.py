@@ -18,7 +18,6 @@ from .algebra import (
     annihilate,
     apply_to_fock,
     apply_to_amplitudes,
-    charge_of_state,
     charge_operator,
     charge_weight,
     commutator,

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial
 from typing import Iterable, Mapping
 
-from .exact import ZERO, Rationalish, RationalComplex, falling_factorial
+from .exact import ZERO, Rationalish, RationalComplex, falling_factorial, integer_numerators
 
 ExponentKey = tuple[int, int, int, int]
 
@@ -292,11 +292,6 @@ def is_hermitian(h: OperatorPolynomial) -> bool:
     return True
 
 
-def charge_of_state(charge: ConservedCharge, state: FockState) -> int:
-    """Eigenvalue s*n1 + p*n2 of the charge on |n1, n2>."""
-    return charge.s * state.n1 + charge.p * state.n2
-
-
 @dataclass(frozen=True)
 class FockAmplitude:
     """Exact amplitude coeff * sqrt(radicand).
@@ -373,18 +368,9 @@ _IntegerTerms = tuple[tuple[ExponentKey, int, int], ...]
 def _integer_terms(h: OperatorPolynomial) -> tuple[_IntegerTerms, int]:
     """h's terms as (exponents, real numerator, imaginary numerator) over
     one common denominator D of all its coefficients, and D."""
-    denom = lcm(
-        *(part.denominator for _, coeff in h.items() for part in (coeff.re, coeff.im))
-    )
-    terms = tuple(
-        (
-            key,
-            coeff.re.numerator * (denom // coeff.re.denominator),
-            coeff.im.numerator * (denom // coeff.im.denominator),
-        )
-        for key, coeff in h.items()
-    )
-    return terms, denom
+    items = tuple(h.items())
+    pairs, denom = integer_numerators(coeff for _, coeff in items)
+    return tuple((key, *pair) for (key, _), pair in zip(items, pairs)), denom
 
 
 def _integer_image(

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from math import lcm
 from typing import Iterable, Union
 
 Rationalish = Union["RationalComplex", Fraction, int, float, complex]
@@ -125,6 +126,26 @@ def falling_factorial(x: Union[int, Fraction], m: int) -> Union[int, Fraction]:
     return out
 
 
+def integer_numerators(
+    values: Iterable[RationalComplex],
+) -> tuple[list[tuple[int, int]], int]:
+    """The values as integer pairs (re, im) over their least common
+    denominator D, in input order, and D (1 for no values).
+
+    Both block routes hand their exact coefficients to the eigensolver
+    through this one conversion: value = (re + i*im) / D exactly.
+    """
+    values = tuple(values)
+    denom = lcm(*(part.denominator for v in values for part in (v.re, v.im)))
+    return [
+        (
+            v.re.numerator * (denom // v.re.denominator),
+            v.im.numerator * (denom // v.im.denominator),
+        )
+        for v in values
+    ], denom
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """Univariate polynomial with RationalComplex coefficients (ascending)."""
@@ -145,10 +166,6 @@ class Polynomial:
     @staticmethod
     def one() -> "Polynomial":
         return Polynomial.from_coeffs([1])
-
-    @staticmethod
-    def x() -> "Polynomial":
-        return Polynomial.from_coeffs([0, 1])
 
     @property
     def degree(self) -> int:

@@ -28,18 +28,19 @@ similarity of R built from the recurrence coefficients alone (Golub &
 Welsch 1969); the block and its energy polynomials take that route, and
 every other block keeps a dense general eigensolve.
 
-A block is assembled as integer numerators over one common denominator.
-The dense float matrix and the Jacobi data are formed straight from those
-integers, each float by one correctly rounded integer division, and the
-exact RationalComplex entries are built only when asked for
-(ReducedBlock.entries, the energy polynomials).
+A block is assembled as integer numerators over one common denominator,
+which exact.integer_numerators, the package's one conversion from exact
+values to integers, supplies.  The dense float matrix and the Jacobi data
+are formed straight from those integers, each float by one correctly
+rounded integer division, and the exact RationalComplex entries are built
+only when asked for (ReducedBlock.entries, the energy polynomials).
 
 Two diagonal conventions are supported for the recurrence and the reduced
 matrix.  The default, "corrected", matches the exact block restriction.
-The "paper-literal" convention keeps the extra mode-2 frequency offset
-that the original published derivation carries on the diagonal; its
-spectra come out uniformly shifted by that frequency, which is itself a
-reproducible diagnostic of this package.
+The "paper-literal" convention keeps the extra mode-2 frequency w2 that
+the original published derivation carries on the diagonal: it is the
+corrected reduction of h + w2.  Its spectra come out uniformly shifted by
+w2, which is itself a reproducible diagnostic of this package.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from .algebra import (
     FockState,
     OperatorPolynomial,
     conserves,
+    identity,
 )
 from .errors import (
     BandStructureUnsupported,
@@ -76,6 +78,7 @@ from .exact import (
     RationalComplex,
     falling_factorial,
     falling_factorial_poly,
+    integer_numerators,
     rising_factorial_poly,
 )
 from .oracle import (
@@ -171,34 +174,31 @@ class ReducedOperator:
         matrix.  The a2+ route must close on its own, and a nonzero
         amplitude leaving the degree set is reported as a closure violation.
 
-        Every diagonal coefficient is put over one common denominator D, so
-        each entry is accumulated as integer numerators (Horner at the
-        integer n2 times the falling factorial of n); entries that sum to
-        zero are dropped.
+        Every diagonal coefficient is put over one common denominator D
+        (exact.integer_numerators), so each entry is accumulated as integer
+        numerators (Horner at the integer n2 times the falling factorial of
+        n); entries that sum to zero are dropped.
         """
         degrees = physical_degrees(self.charge, kappa)
         pos = {n: i for i, n in enumerate(degrees)}
-        denom = math.lcm(
-            *(part.denominator for t in self.terms for c in t.diag.coeffs for part in (c.re, c.im))
+        # diagonal coefficients highest power first, for Horner
+        pairs, denom = integer_numerators(
+            c for term in self.terms for c in term.diag.coeffs[::-1]
         )
-        # (m1, m2, real numerators, imaginary numerators) per term
-        int_terms = []
-        for term in self.terms:
-            coeffs = term.diag.coeffs[::-1]  # highest power first, for Horner
-            int_terms.append((
-                term.m1,
-                term.m2,
-                tuple(c.re.numerator * (denom // c.re.denominator) for c in coeffs),
-                tuple(c.im.numerator * (denom // c.im.denominator) for c in coeffs),
-            ))
+        pairs = iter(pairs)
+        # (m1, m2, numerator pairs) per term
+        int_terms = [
+            (term.m1, term.m2, tuple(next(pairs) for _ in term.diag.coeffs))
+            for term in self.terms
+        ]
         sums: dict[tuple[int, int], tuple[int, int]] = {}
         for j, n in enumerate(degrees):
             n2 = slaved_occupation(self.charge, kappa, n)
-            for m1, m2, re_coeffs, im_coeffs in int_terms:
+            for m1, m2, coeffs in int_terms:
                 if n < m2:
                     continue
                 re = im = 0
-                for a, b in zip(re_coeffs, im_coeffs):
+                for a, b in coeffs:
                     re = re * n2 + a
                     im = im * n2 + b
                 # the falling factorial of n >= m2 is positive, so the
@@ -274,23 +274,6 @@ def reduce_via_t(h: OperatorPolynomial, charge: ConservedCharge) -> ReducedOpera
 _Numerators = Mapping[tuple[int, int], tuple[int, int]]
 
 
-def _integer_form(
-    entries: Mapping[tuple[int, int], RationalComplex]
-) -> tuple[dict[tuple[int, int], tuple[int, int]], int]:
-    """Exact entries as integer numerators (re, im) over their least common
-    denominator D, and D."""
-    denom = math.lcm(
-        *(part.denominator for value in entries.values() for part in (value.re, value.im))
-    )
-    return {
-        k: (
-            v.re.numerator * (denom // v.re.denominator),
-            v.im.numerator * (denom // v.im.denominator),
-        )
-        for k, v in entries.items()
-    }, denom
-
-
 def _unrepresentable() -> NumericalFailure:
     return NumericalFailure(
         "a reduced block entry does not fit in double precision", math.inf
@@ -357,30 +340,21 @@ def reduced_block_matrix(
         Conserving Hamiltonian, its charge, and the block label.
     mode
         "corrected" (default) gives the exact conjugated block;
-        "paper-literal" adds the mode-2 frequency to every diagonal
-        entry, reproducing the as-published recurrence convention.
+        "paper-literal" is the corrected block of h + w2, with w2 the
+        mode-2 frequency: w2 on every diagonal entry, the as-published
+        recurrence convention.
 
     Returns
     -------
     ReducedBlock
-        Isospectral to the Fock block in corrected mode.
+        Isospectral to the Fock block in corrected mode.  Its integer
+        numerators come from exact.integer_numerators through
+        ReducedOperator.block_entries.
     """
     _check_mode(mode)
-    degrees, numerators, denom = matrix_element_reduction(h, charge).block_entries(kappa)
     if mode == "paper-literal":
-        w2 = mode2_frequency(h)
-        if not w2.is_zero:
-            # w2 joins the diagonal in integers over the common denominator
-            common = math.lcm(denom, w2.re.denominator, w2.im.denominator)
-            scale = common // denom
-            numerators = {k: (re * scale, im * scale) for k, (re, im) in numerators.items()}
-            wr = w2.re.numerator * (common // w2.re.denominator)
-            wi = w2.im.numerator * (common // w2.im.denominator)
-            for i in range(len(degrees)):
-                re, im = numerators.get((i, i), (0, 0))
-                numerators[(i, i)] = (re + wr, im + wi)
-            denom = common
-    return ReducedBlock(kappa, degrees, numerators, denom)
+        h = h + identity(mode2_frequency(h))
+    return ReducedBlock(kappa, *matrix_element_reduction(h, charge).block_entries(kappa))
 
 
 # scipy.linalg.eigh_tridiagonal is imported where it is called: sextic
@@ -553,7 +527,8 @@ class EnergyPolynomialTable:
             for j, value in enumerate(row)
             if not value.is_zero
         }
-        return _solve(*_integer_form(entries), self.dimension)[0]
+        pairs, denom = integer_numerators(entries.values())
+        return _solve(dict(zip(entries, pairs)), denom, self.dimension)[0]
 
     def termination_roots(self) -> np.ndarray:
         """Roots of the terminating polynomial (sorted); equals spectrum().

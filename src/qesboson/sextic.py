@@ -43,6 +43,14 @@ STENCIL_D2 = (
     1.0 / 90.0,
 )
 
+# the gauge check's random polynomial test functions (degree, count and
+# generator seed) and its sample points y in GAUGE_Y_RANGE
+GAUGE_POLY_DEGREE = 3
+GAUGE_POLY_COUNT = 5
+GAUGE_SEED = 20260810
+GAUGE_SAMPLES = 25
+GAUGE_Y_RANGE = (0.5, 2.0)
+
 
 def _as_real(value: Rationalish, what: str) -> RationalComplex:
     rc = RationalComplex.coerce(value)
@@ -218,12 +226,7 @@ def check_gauge_identity(
     kappa_bar: Rationalish,
     k: int,
     *,
-    test_poly_degree: int = 3,
-    sample_count: int = 25,
-    y_range: tuple[float, float] = (0.5, 2.0),
-    n_test_polys: int = 5,
     tolerance: float = 1e-6,
-    seed: int = 20260810,
 ) -> GaugeIdentityResult:
     """Numerically verify the conjugation identity between the two pictures.
 
@@ -255,14 +258,14 @@ def check_gauge_identity(
     c0, c2, c4, c6 = pot.real_coeffs()
     kbf = float(kb.re)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(GAUGE_SEED)
     polys = [
         Polynomial.from_coeffs(
-            [float(c) for c in rng.uniform(-1.0, 1.0, size=test_poly_degree + 1)]
+            [float(c) for c in rng.uniform(-1.0, 1.0, size=GAUGE_POLY_DEGREE + 1)]
         )
-        for _ in range(n_test_polys)
+        for _ in range(GAUGE_POLY_COUNT)
     ]
-    ys = np.linspace(y_range[0], y_range[1], sample_count)
+    ys = np.linspace(*GAUGE_Y_RANGE, GAUGE_SAMPLES)
 
     def z_of(y: float) -> float:
         return -1.0 / (kbf * y * y)

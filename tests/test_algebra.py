@@ -20,7 +20,6 @@ from qesboson import (
     apply_to_amplitudes,
     apply_to_fock,
     build_shg,
-    charge_of_state,
     charge_operator,
     charge_weight,
     commutator,
@@ -206,11 +205,6 @@ class TestFockAction:
         out = apply_to_fock(charge_operator(charge), FockState(1, 1))
         assert set(out) == {FockState(1, 1)}
         assert complex(out[FockState(1, 1)]) == 3.0
-
-    def test_charge_of_state_values(self):
-        assert charge_of_state(ConservedCharge(1, 2), FockState(1, 1)) == 3
-        assert charge_of_state(ConservedCharge(1, 2), FockState(0, 0)) == 0
-        assert charge_of_state(ConservedCharge(1, 3), FockState(2, 1)) == 5
 
     def test_matrix_faithfulness_exact(self):
         # applying P*Q equals applying Q then P, with exact amplitudes

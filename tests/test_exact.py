@@ -1,10 +1,14 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qesboson import Polynomial, RationalComplex, falling_factorial
 from qesboson.exact import (
     falling_factorial_poly,
+    integer_numerators,
     rising_factorial_poly,
 )
 
@@ -42,6 +46,20 @@ def test_falling_factorial_values():
     assert falling_factorial(5, 2) == 20
     assert falling_factorial(3, 4) == 0
     assert falling_factorial(Fraction(5, 2), 2) == Fraction(15, 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(RationalComplex, st.fractions(), st.fractions()), max_size=8))
+def test_integer_numerators_are_exact_over_the_lcm(values):
+    pairs, denom = integer_numerators(values)
+    assert denom == lcm(*(part.denominator for v in values for part in (v.re, v.im)))
+    assert len(pairs) == len(values)
+    for (re, im), v in zip(pairs, values):
+        assert Fraction(re, denom) == v.re and Fraction(im, denom) == v.im
+
+
+def test_integer_numerators_of_nothing():
+    assert integer_numerators([]) == ([], 1)
 
 
 def test_factorial_polynomials():

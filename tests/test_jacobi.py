@@ -33,7 +33,8 @@ from qesboson import (
     reduced_eigensystem,
     shg_charge,
 )
-from qesboson.reduction import _integer_form, _jacobi_form
+from qesboson.exact import integer_numerators
+from qesboson.reduction import _jacobi_form
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 REL_TOL = 1e-12  # times ||H||; measured worst 7e-16 up to kappa=600
@@ -174,7 +175,8 @@ def test_jacobi_residuals_match_dense_residuals():
         # split e^2 unevenly between the paired off-diagonals
         entries[(i, i + 1)] = RationalComplex(Fraction(e) * 3)
         entries[(i + 1, i)] = RationalComplex(Fraction(e) / 3)
-    jacobi = _jacobi_form(*_integer_form(entries), len(diagonal))
+    pairs, denom = integer_numerators(entries.values())
+    jacobi = _jacobi_form(dict(zip(entries, pairs)), denom, len(diagonal))
     assert np.allclose(jacobi.off, off, rtol=1e-15, atol=0)
     values, vectors = eigh_tridiagonal(jacobi.diagonal, jacobi.off)
     dense = np.diag(jacobi.diagonal) + np.diag(jacobi.off, 1) + np.diag(jacobi.off, -1)

@@ -241,6 +241,15 @@ class TestReducedBlockMatrix:
         literal = reduced_block_matrix(h, charge, 6, mode="paper-literal")
         assert np.allclose(literal.matrix, base.matrix + 2.0 * np.eye(4))
 
+    def test_paper_literal_drops_cancelled_diagonal(self):
+        # at degree 2 of block 4 the diagonal w1*n1 + w2*n2 + w2 = 2 - 1 - 1
+        # vanishes, so the block stores no entry there
+        block = reduced_block_matrix(
+            build_shg(1, -1, 1, 1), shg_charge(), 4, mode="paper-literal"
+        )
+        assert (1, 1) not in block.numerators
+        assert all(re or im for re, im in block.numerators.values())
+
     def test_bad_mode_rejected(self, shg):
         h, charge = shg
         with pytest.raises(ValueError):
