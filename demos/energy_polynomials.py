@@ -33,7 +33,7 @@ print("block spectrum (dense solve): ",
 
 print()
 print("== the recurrence matrix is banded (three-term here) ==")
-print(np.round(np.array(table.recurrence, dtype=complex).real, 6))
+print(np.round(table.block.matrix[::-1, ::-1].T.real, 6))
 
 print()
 print("== as-published convention: every level shifts by w2 = 2 ==")

@@ -41,7 +41,6 @@ from .errors import (
     NumericalFailure,
     ParseError,
     QesBosonError,
-    UnsupportedTermShape,
     ZeroVector,
 )
 from .exact import Polynomial, RationalComplex, falling_factorial
@@ -78,7 +77,6 @@ from .reduction import (
     matrix_element_reduction,
     physical_degrees,
     qes_spectrum,
-    reduce_via_t,
     reduced_block_matrix,
     reduced_eigensystem,
     shg_ode,

@@ -28,11 +28,6 @@ class ZeroVector(QesBosonError):
     """A nonzero vector was required."""
 
 
-class UnsupportedTermShape(QesBosonError):
-    """A term mixes raising and lowering in the slaved mode; use the
-    matrix-element route instead."""
-
-
 class BandStructureUnsupported(QesBosonError):
     """The reduced matrix has no scalar three-term-style recurrence; fall
     back to the characteristic polynomial of the reduced block."""

@@ -271,12 +271,3 @@ def falling_factorial_poly(m: int) -> Polynomial:
     for i in range(m):
         out = out * Polynomial.from_coeffs([-i, 1])
     return out
-
-
-@cache
-def rising_factorial_poly(m: int) -> Polynomial:
-    """(X+1) (X+2) ... (X+m) as a polynomial in X (built once per m)."""
-    out = Polynomial.one()
-    for i in range(1, m + 1):
-        out = out * Polynomial.from_coeffs([i, 1])
-    return out

@@ -8,16 +8,13 @@ a polynomial in the slaved occupation.  Realizing the remaining mode on
 monomials (a1 = d/dx, a1+ = x) gives a finite banded matrix per block,
 isospectral to the exact Fock-space block.
 
-Two transformations do this.  The a2+ route (built from powers of a2+)
-gives the falling factorial of the slaved occupation for every term; it
-is exactly the monomial realization, R = D^-1 M D with
-D = diag(sqrt(n1! n2!)) and M the exact block matrix, and is the
-production reduction (matrix_element_reduction).  The a2 route (built
-from powers of a2, reduce_via_t) differs from it by a diagonal
-similarity and is kept as the paper's second elimination.  The banded
-matrix drives a scalar recurrence whose polynomial solutions in the
-energy terminate at the block dimension; the roots of the terminating
-member are the block spectrum.
+The transformation built from powers of a2+ (the a2+ route,
+matrix_element_reduction) gives the falling factorial of the slaved
+occupation for every term; it is exactly the monomial realization,
+R = D^-1 M D with D = diag(sqrt(n1! n2!)) and M the exact block matrix.
+The banded matrix drives a scalar recurrence whose polynomial solutions
+in the energy terminate at the block dimension; the roots of the
+terminating member are the block spectrum.
 
 R is far from normal (D spans hundreds of decades on large blocks), so a
 small residual of R does not bound its eigenvalue error.  Three-term
@@ -33,7 +30,8 @@ which exact.integer_numerators, the package's one conversion from exact
 values to integers, supplies.  The dense float matrix and the Jacobi data
 are formed straight from those integers, each float by one correctly
 rounded integer division, and the exact RationalComplex entries are built
-only when asked for (ReducedBlock.entries, the energy polynomials).
+only when asked for (ReducedBlock.entries, the energy polynomials, whose
+recurrence reads only the nonzero band of the block).
 
 Two diagonal conventions are supported for the recurrence and the reduced
 matrix.  The default, "corrected", matches the exact block restriction.
@@ -67,7 +65,6 @@ from .errors import (
     DegreeOutsidePhysicalSector,
     NonConservingHamiltonian,
     NumericalFailure,
-    UnsupportedTermShape,
     ZeroVector,
 )
 from .exact import (
@@ -79,7 +76,6 @@ from .exact import (
     falling_factorial,
     falling_factorial_poly,
     integer_numerators,
-    rising_factorial_poly,
 )
 from .oracle import (
     SpectrumReport,
@@ -159,20 +155,14 @@ class ReducedOperator:
 
     terms: tuple[ReducedTerm, ...]
     charge: ConservedCharge
-    clip_edges: bool = False
 
     def block_entries(
         self, kappa: int
     ) -> tuple[tuple[int, ...], dict[tuple[int, int], tuple[int, int]], int]:
         """Exact matrix entries over the physical degrees (ascending), as
         (degrees, numerators, D): numerators[(i, j)] = (re, im) holds the
-        nonzero entry (re + i*im) / D as integers.
-
-        Operators flagged clip_edges (the a2 route, whose similarity is
-        singular at the block edge) have their formal amplitudes into
-        nonexistent states dropped, which reproduces the exact conjugated
-        matrix.  The a2+ route must close on its own, and a nonzero
-        amplitude leaving the degree set is reported as a closure violation.
+        nonzero entry (re + i*im) / D as integers.  A nonzero amplitude
+        leaving the degree set is reported as a closure violation.
 
         Every diagonal coefficient is put over one common denominator D
         (exact.integer_numerators), so each entry is accumulated as integer
@@ -207,8 +197,6 @@ class ReducedOperator:
                     continue
                 i = pos.get(n - m2 + m1)
                 if i is None:
-                    if self.clip_edges:
-                        continue
                     raise BlockClosureViolation(
                         f"reduced term ({m1},{m2}) maps degree {n}"
                         f" outside the block kappa={kappa}"
@@ -240,35 +228,6 @@ def matrix_element_reduction(
         for (m1, m2, m3, m4), coeff in h.items()
     )
     return ReducedOperator(terms=terms, charge=charge)
-
-
-def reduce_via_t(h: OperatorPolynomial, charge: ConservedCharge) -> ReducedOperator:
-    """The a2 route: decouple the slaved mode with the similarity built
-    from a2 powers.
-
-    Pure mode-2-raising terms pick up the rising factorial
-    (n2+1) (n2+2) ... (n2+m3), pure lowering terms lose their diagonal
-    factor entirely, and mode-2-diagonal terms match the a2+ route.
-    The resulting block matrices differ from the a2+ route by a diagonal
-    similarity and are isospectral to it and to the exact block.  Terms
-    that mix raising and lowering in mode 2 are rejected.
-    """
-    _check_conserves(h, charge)
-    terms = []
-    for (m1, m2, m3, m4), coeff in h.items():
-        if m3 == m4:
-            diag = falling_factorial_poly(m4)
-        elif m4 == 0:
-            diag = rising_factorial_poly(m3)
-        elif m3 == 0:
-            diag = Polynomial.one()
-        else:
-            raise UnsupportedTermShape(
-                f"term ({m1},{m2},{m3},{m4}) mixes raising and lowering in"
-                " mode 2; use the a2+ route (matrix_element_reduction)"
-            )
-        terms.append(ReducedTerm(m1, m2, diag * coeff))
-    return ReducedOperator(terms=tuple(terms), charge=charge, clip_edges=True)
 
 
 _Numerators = Mapping[tuple[int, int], tuple[int, int]]
@@ -493,17 +452,20 @@ class EnergyPolynomialTable:
     """Energy polynomials of one block's scalar recurrence.
 
     polys[m] has exact coefficients and degree m; the last entry is the
-    terminating member, whose roots are the block spectrum.  recurrence
-    holds the exact matrix A of the recurrence, indexed by the slaved
-    occupation ascending; A is the (order-reversing) transpose of the
-    reduced block matrix, so both share one spectrum.
+    terminating member, whose roots are the block spectrum.  block is the
+    reduced block R the polynomials were read from.  The recurrence matrix
+    A, indexed by the slaved occupation ascending, is its order-reversing
+    transpose, A[d-1-j][d-1-i] = R[i, j], so both share one spectrum.
     """
 
     kappa: int
     mode: str
-    dimension: int
     polys: tuple[Polynomial, ...]
-    recurrence: tuple[tuple[RationalComplex, ...], ...]
+    block: ReducedBlock
+
+    @property
+    def dimension(self) -> int:
+        return self.block.dimension
 
     @property
     def termination(self) -> Polynomial:
@@ -519,16 +481,13 @@ class EnergyPolynomialTable:
         A three-term recurrence with positive off-diagonal products is
         solved as its Jacobi matrix, any other by a dense eig.
         """
-        if self.dimension == 0:
+        d = self.dimension
+        if d == 0:
             return np.zeros(0, dtype=complex)
-        entries = {
-            (i, j): value
-            for i, row in enumerate(self.recurrence)
-            for j, value in enumerate(row)
-            if not value.is_zero
+        recurrence = {
+            (d - 1 - j, d - 1 - i): pair for (i, j), pair in self.block.numerators.items()
         }
-        pairs, denom = integer_numerators(entries.values())
-        return _solve(dict(zip(entries, pairs)), denom, self.dimension)[0]
+        return _solve(recurrence, self.block.denominator, d)[0]
 
     def termination_roots(self) -> np.ndarray:
         """Roots of the terminating polynomial (sorted); equals spectrum().
@@ -554,44 +513,35 @@ def energy_polynomial_table(
     exactly one superdiagonal band with nonvanishing entries; models with
     a single interaction term are of this three-term kind.  Raises
     BandStructureUnsupported otherwise, in which case the characteristic
-    polynomial of the reduced block is the fallback.
+    polynomial of the reduced block is the fallback.  Only the nonzero
+    entries of each row enter the recurrence.
     """
     block = reduced_block_matrix(h, charge, kappa, mode=mode)
     d = block.dimension
-    # recurrence matrix: reverse the degree order (slaved occupation
-    # ascending) and transpose
-    a = [[ZERO] * d for _ in range(d)]
+    # nonzero entries of each recurrence row: reverse the degree order
+    # (slaved occupation ascending) and transpose
+    rows: list[dict[int, RationalComplex]] = [{} for _ in range(d)]
     for (i, j), value in block.entries.items():
-        a[d - 1 - j][d - 1 - i] = value
-    for m in range(d):
-        for mp in range(m + 2, d):
-            if not a[m][mp].is_zero:
-                raise BandStructureUnsupported(
-                    f"entry ({m},{mp}) above the first superdiagonal is nonzero"
-                )
+        rows[d - 1 - j][d - 1 - i] = value
+    for m, row in enumerate(rows):
+        above = [mp for mp in row if mp > m + 1]
+        if above:
+            raise BandStructureUnsupported(
+                f"entry ({m},{min(above)}) above the first superdiagonal is nonzero"
+            )
     for m in range(d - 1):
-        if a[m][m + 1].is_zero:
+        if m + 1 not in rows[m]:
             raise BandStructureUnsupported(
                 f"superdiagonal entry ({m},{m + 1}) vanishes"
             )
     polys = [Polynomial.one()]
-    for m in range(d - 1):
+    for m, row in enumerate(rows):
         acc = polys[m].shifted()  # E * P_m
-        for j in range(m + 1):
-            acc = acc - polys[j] * a[m][j]
-        polys.append(acc * (ONE / a[m][m + 1]))
-    if d > 0:
-        acc = polys[d - 1].shifted()
-        for j in range(d):
-            acc = acc - polys[j] * a[d - 1][j]
-        polys.append(acc)
-    return EnergyPolynomialTable(
-        kappa=kappa,
-        mode=mode,
-        dimension=d,
-        polys=tuple(polys),
-        recurrence=tuple(tuple(row) for row in a),
-    )
+        for j, value in sorted(row.items()):
+            if j <= m:
+                acc = acc - polys[j] * value
+        polys.append(acc if m == d - 1 else acc * (ONE / row[m + 1]))
+    return EnergyPolynomialTable(kappa=kappa, mode=mode, polys=tuple(polys), block=block)
 
 
 def reduced_eigensystem(

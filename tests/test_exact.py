@@ -6,11 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qesboson import Polynomial, RationalComplex, falling_factorial
-from qesboson.exact import (
-    falling_factorial_poly,
-    integer_numerators,
-    rising_factorial_poly,
-)
+from qesboson.exact import falling_factorial_poly, integer_numerators
 
 
 def test_rational_complex_arithmetic():
@@ -66,8 +62,6 @@ def test_factorial_polynomials():
     ff2 = falling_factorial_poly(2)
     assert ff2(5) == RationalComplex.coerce(20)
     assert ff2(1) == RationalComplex.coerce(0)
-    rf2 = rising_factorial_poly(2)
-    assert rf2(3) == RationalComplex.coerce(20)
     assert falling_factorial_poly(0).degree == 0
 
 

@@ -3,12 +3,13 @@
 Every fast path is compared for exact equality against the general formula
 it short-cuts: RationalComplex arithmetic, Horner evaluation at an integer,
 the oracle's ladder-ratio radicand and its integer accumulation over one
-common denominator, operator products, the term-by-term hermiticity check
-and the reduced route's integer entries.  The float blocks and Jacobi data
-formed straight from integer numerators are compared byte for byte against
-the conversion of the exact entries (its real part, for the float64 blocks
-of real-coefficient operators), and the oracle's real solve of those blocks
-against the complex solve of the same matrix.
+common denominator, operator products, the term-by-term hermiticity check,
+the reduced route's integer entries and the energy polynomials' sparse
+recurrence (against the dense one over every entry).  The float blocks and
+Jacobi data formed straight from integer numerators are compared byte for
+byte against the conversion of the exact entries (its real part, for the
+float64 blocks of real-coefficient operators), and the oracle's real solve
+of those blocks against the complex solve of the same matrix.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from hypothesis import strategies as st
 from conftest import spectral_deviation
 
 from qesboson import (
+    BandStructureUnsupported,
     BlockClosureViolation,
     BosonMonomial,
     ConservedCharge,
@@ -44,7 +46,7 @@ from qesboson.algebra import (
     monomial,
     monomial_product,
 )
-from qesboson.exact import ZERO, falling_factorial_poly
+from qesboson.exact import ONE, ZERO, falling_factorial_poly
 from qesboson.models import build_nth_harmonic, nth_harmonic_charge
 from qesboson.oracle import (
     block_amplitudes,
@@ -52,6 +54,7 @@ from qesboson.oracle import (
     diagonalize_block,
     eigen_residual,
     enumerate_block,
+    sort_eigenpairs,
 )
 from qesboson.reduction import (
     ReducedBlock,
@@ -60,7 +63,6 @@ from qesboson.reduction import (
     matrix_element_reduction,
     mode2_frequency,
     physical_degrees,
-    reduce_via_t,
     reduced_block_matrix,
     slaved_occupation,
 )
@@ -278,31 +280,16 @@ def reference_block_entries(op, kappa):
                 continue
             i = pos.get(n - term.m2 + term.m1)
             if i is None:
-                if op.clip_edges:
-                    continue
                 raise BlockClosureViolation("reference: leaves the block")
             entries[(i, j)] = entries.get((i, j), ZERO) + amp
     return degrees, {k: v for k, v in entries.items() if not v.is_zero}
 
 
-def _supported_shapes(h: OperatorPolynomial) -> OperatorPolynomial:
-    return OperatorPolynomial(
-        {k: c for k, c in h.items() if k[2] == 0 or k[3] == 0 or k[2] == k[3]}
-    )
-
-
-ROUTES = {
-    "matrix-element": matrix_element_reduction,
-    "t": lambda h, c: reduce_via_t(_supported_shapes(h), c),
-}
-
-
-@pytest.mark.parametrize("route", sorted(ROUTES))
 @settings(max_examples=30, deadline=None)
 @given(model=conserving_models())
-def test_block_entries_match_polynomial_evaluation(route, model):
+def test_block_entries_match_polynomial_evaluation(model):
     h, charge, kappa = model
-    op = ROUTES[route](h, charge)
+    op = matrix_element_reduction(h, charge)
     try:
         expected = reference_block_entries(op, kappa)
     except BlockClosureViolation:
@@ -523,15 +510,86 @@ def test_reduced_float_data_bits_match_exact_entries(mode, model):
             got = getattr(jacobi, name)
             assert got.dtype == value.dtype and got.tobytes() == value.tobytes(), name
 
-    # the energy polynomials' recurrence goes through the same solver
+    # the energy polynomials' recurrence, the order-reversing transpose of
+    # the block, goes through the same solver
     table = energy_polynomial_table(h, charge, kappa, mode=mode)
-    recurrence = {
-        (i, j): value
-        for i, row in enumerate(table.recurrence)
-        for j, value in enumerate(row)
-        if not value.is_zero
-    }
-    expected = reference_jacobi_form(recurrence, table.dimension)
-    if expected is not None and table.dimension:
-        values, _ = eigh_tridiagonal(expected["diagonal"], expected["off"])
-        assert table.spectrum().tobytes() == values.astype(complex).tobytes()
+    d = len(degrees)
+    if not d:
+        return
+    recurrence = {(d - 1 - j, d - 1 - i): value for (i, j), value in entries.items()}
+    expected = reference_jacobi_form(recurrence, d)
+    if expected is not None:
+        values = eigh_tridiagonal(expected["diagonal"], expected["off"])[0].astype(complex)
+    else:
+        dense = np.zeros((d, d), dtype=complex)
+        for (i, j), value in recurrence.items():
+            dense[i, j] = complex(value)
+        values = sort_eigenpairs(*np.linalg.eig(dense))[0]
+    assert table.spectrum().tobytes() == values.tobytes()
+
+
+def reference_energy_polynomials(entries, d):
+    """P_0 .. P_d by the dense recurrence: the full d x d matrix
+    A[d-1-j][d-1-i] = R[i, j] of exact entries, both band guards on every
+    entry, and polys[j] * A[m][j] subtracted for every j <= m, zeros
+    included."""
+    a = [[ZERO] * d for _ in range(d)]
+    for (i, j), value in entries.items():
+        a[d - 1 - j][d - 1 - i] = value
+    for m in range(d):
+        for mp in range(m + 2, d):
+            if not a[m][mp].is_zero:
+                raise BandStructureUnsupported(
+                    f"entry ({m},{mp}) above the first superdiagonal is nonzero"
+                )
+    for m in range(d - 1):
+        if a[m][m + 1].is_zero:
+            raise BandStructureUnsupported(f"superdiagonal entry ({m},{m + 1}) vanishes")
+    polys = [Polynomial.one()]
+    for m in range(d - 1):
+        acc = polys[m].shifted()
+        for j in range(m + 1):
+            acc = acc - polys[j] * a[m][j]
+        polys.append(acc * (ONE / a[m][m + 1]))
+    if d > 0:
+        acc = polys[d - 1].shifted()
+        for j in range(d):
+            acc = acc - polys[j] * a[d - 1][j]
+        polys.append(acc)
+    return tuple(polys)
+
+
+@st.composite
+def banded_models(draw):
+    """A three_term_models() model plus one or two terms (a1+)^(k n) (a2)^k
+    or (a1)^(k n) (a2+)^k, k = 2 or 3, with complex coefficients: extra
+    bands k below the recurrence diagonal, which still solves row by row,
+    or k above it, which the band guard refuses."""
+    h, charge, kappa = draw(three_term_models())
+    for k in draw(st.lists(st.sampled_from((2, 3)), min_size=1, max_size=2, unique=True)):
+        if draw(st.booleans()):
+            h = h + monomial(draw(complex_rcs), k * charge.p, 0, 0, k)
+        else:
+            h = h + monomial(draw(complex_rcs), 0, k * charge.p, k, 0)
+    return h, charge, kappa
+
+
+@pytest.mark.parametrize("mode", ["corrected", "paper-literal"])
+@settings(max_examples=40, deadline=None)
+@given(model=st.one_of(three_term_models(), banded_models(), conserving_models()))
+def test_energy_polynomials_match_dense_recurrence(mode, model):
+    # random conserving models mostly break the band shape: the guards must
+    # then raise with the dense reference's message
+    h, charge, kappa = model
+    block = reduced_block_matrix(h, charge, kappa, mode=mode)
+    try:
+        expected = reference_energy_polynomials(block.entries, block.dimension)
+    except BandStructureUnsupported as exc:
+        with pytest.raises(BandStructureUnsupported) as refused:
+            energy_polynomial_table(h, charge, kappa, mode=mode)
+        assert str(refused.value) == str(exc)
+        return
+    table = energy_polynomial_table(h, charge, kappa, mode=mode)
+    assert len(table.polys) == len(expected)
+    for got, want in zip(table.polys, expected):
+        assert got == want

@@ -15,7 +15,6 @@ from qesboson import (
     Polynomial,
     RationalComplex,
     ReducedBlock,
-    UnsupportedTermShape,
     ZeroVector,
     block_amplitudes,
     build_nth_harmonic,
@@ -29,7 +28,6 @@ from qesboson import (
     number,
     physical_degrees,
     qes_spectrum,
-    reduce_via_t,
     reduced_block_matrix,
     reduced_eigensystem,
     shg_charge,
@@ -37,6 +35,7 @@ from qesboson import (
     slaved_occupation,
     termination_degree,
 )
+from qesboson.exact import ZERO
 from qesboson.oracle import block_spectrum
 
 
@@ -105,91 +104,10 @@ class TestReduceViaS:
             }
             assert entries == defining
 
-    def test_mixed_mode2_term_rejected(self):
-        # (a2+)^2 a2 paired with mode-1 lowering conserves (1,1) but mixes;
-        # the a2+ route takes any shape, the a2 route rejects this one
-        h = monomial(1, 0, 1, 2, 1) + monomial(1, 1, 0, 1, 2)
-        matrix_element_reduction(h, ConservedCharge(1, 1))
-        with pytest.raises(UnsupportedTermShape):
-            reduce_via_t(h, ConservedCharge(1, 1))
-
     def test_non_conserving_rejected(self, shg):
         h, _ = shg
         with pytest.raises(NonConservingHamiltonian):
             matrix_element_reduction(h, ConservedCharge(1, 1))
-
-
-class TestReduceViaT:
-    def test_shg_isospectral_to_s_route(self, shg):
-        h, charge = shg
-        s_op = matrix_element_reduction(h, charge)
-        t_op = reduce_via_t(h, charge)
-        for kappa in range(16):
-            ms = ReducedBlock(kappa, *s_op.block_entries(kappa)).matrix
-            mt = ReducedBlock(kappa, *t_op.block_entries(kappa)).matrix
-            assert np.allclose(
-                sorted_reals(np.linalg.eigvals(ms)),
-                sorted_reals(np.linalg.eigvals(mt)),
-                atol=1e-9,
-            )
-
-    def test_diagonal_term_agrees_with_s_route(self):
-        charge = ConservedCharge(1, 2)
-        s_op = matrix_element_reduction(5 * number(2), charge)
-        t_op = reduce_via_t(5 * number(2), charge)
-        for kappa in range(8):
-            assert s_op.block_entries(kappa) == t_op.block_entries(kappa)
-
-    def test_trilinear_block_dimension(self):
-        h = build_nth_harmonic(1, 2, Fraction(1, 2), Fraction(1, 2), 3)
-        charge = ConservedCharge(1, 3)
-        t_op = reduce_via_t(h, charge)
-        block = ReducedBlock(3, *t_op.block_entries(3))
-        assert block.degrees == (0, 3)
-        oracle = np.array(block_spectrum(h, charge, 3).eigenvalues)
-        assert np.allclose(
-            sorted_reals(np.linalg.eigvals(block.matrix)), sorted_reals(oracle), atol=1e-10
-        )
-
-    def test_band_products_match_s_route_exactly(self, shg):
-        # the two routes differ by a diagonal similarity, so diagonals and
-        # symmetric off-diagonal products must agree as exact rationals
-        from qesboson.exact import ZERO
-
-        h, charge = shg
-        s_op = matrix_element_reduction(h, charge)
-        t_op = reduce_via_t(h, charge)
-        for kappa in range(12):
-            s_block = ReducedBlock(kappa, *s_op.block_entries(kappa))
-            degrees, es = s_block.degrees, s_block.entries
-            et = ReducedBlock(kappa, *t_op.block_entries(kappa)).entries
-            d = len(degrees)
-            for i in range(d):
-                assert es.get((i, i), ZERO) == et.get((i, i), ZERO)
-            for i in range(d - 1):
-                ps = es.get((i, i + 1), ZERO) * es.get((i + 1, i), ZERO)
-                pt = et.get((i, i + 1), ZERO) * et.get((i + 1, i), ZERO)
-                assert ps == pt
-
-    def test_route_agreement_random_models(self):
-        rng = random.Random(41)
-        charge = ConservedCharge(1, 2)
-        found = 0
-        while found < 10:
-            h = random_conserving_hamiltonian(rng, charge, n_terms=3, max_exp=3)
-            try:
-                t_op = reduce_via_t(h, charge)
-            except UnsupportedTermShape:
-                continue
-            s_op = matrix_element_reduction(h, charge)
-            found += 1
-            for kappa in range(8):
-                ms = ReducedBlock(kappa, *s_op.block_entries(kappa)).matrix
-                mt = ReducedBlock(kappa, *t_op.block_entries(kappa)).matrix
-                assert (
-                    spectral_deviation(np.linalg.eigvals(ms), np.linalg.eigvals(mt))
-                    <= 1e-8
-                )
 
 
 class TestReducedBlockMatrix:
@@ -312,10 +230,7 @@ class TestEnergyPolynomialTable:
         h, charge = shg
         for kappa in range(12):
             block = reduced_block_matrix(h, charge, kappa)
-            d = block.dimension
             table = energy_polynomial_table(h, charge, kappa)
-            for (i, j), value in block.entries.items():
-                assert table.recurrence[d - 1 - j][d - 1 - i] == value
             assert np.allclose(
                 sorted_reals(table.spectrum()),
                 sorted_reals(np.linalg.eigvals(block.matrix)),
@@ -346,20 +261,28 @@ class TestEnergyPolynomialTable:
             assert spectral_deviation(table.termination_roots(), oracle) <= 1e-7
 
     def test_band_structure_guard(self):
-        # two competing raising steps break the single-superdiagonal shape
+        # two competing raising steps break the single-superdiagonal shape;
+        # with a third, row 0 holds (0,2) and (0,3) and the guard names the
+        # first
         charge = ConservedCharge(1, 2)
         h = (
             build_shg(1, 2, Fraction(1, 2), Fraction(1, 2))
             + monomial(1, 4, 0, 0, 2)
             + monomial(1, 0, 4, 2, 0)
         )
-        with pytest.raises(BandStructureUnsupported):
-            energy_polynomial_table(h, charge, 8)
+        for model in (h, h + monomial(1, 0, 6, 3, 0)):
+            with pytest.raises(
+                BandStructureUnsupported,
+                match=r"^entry \(0,2\) above the first superdiagonal is nonzero$",
+            ):
+                energy_polynomial_table(model, charge, 8)
 
     def test_triangular_block_guard(self):
         # kappa_bar = 0 kills the recurrence superdiagonal entirely
         h = build_shg(1, 2, Fraction(1, 2), 0)
-        with pytest.raises(BandStructureUnsupported):
+        with pytest.raises(
+            BandStructureUnsupported, match=r"^superdiagonal entry \(0,1\) vanishes$"
+        ):
             energy_polynomial_table(h, shg_charge(), 4)
 
 
@@ -538,10 +461,12 @@ class TestShgOde:
         for kappa in range(0, 11):
             table = energy_polynomial_table(h, charge, kappa)
             ode = shg_ode(1, 2, Fraction(1, 2), Fraction(1, 2), kappa)
-            b = ode.recurrence_exact(table.dimension)
-            for i in range(table.dimension):
-                for j in range(table.dimension):
-                    assert b[i][j] == table.recurrence[j][i]
+            d = table.dimension
+            b = ode.recurrence_exact(d)
+            for i in range(d):
+                for j in range(d):
+                    expected = table.block.entries.get((d - 1 - i, d - 1 - j), ZERO)
+                    assert b[i][j] == expected
 
     def test_ode_recurrence_roots_match_oracle(self, shg):
         h, charge = shg
