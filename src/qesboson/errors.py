@@ -16,8 +16,9 @@ class BlockClosureViolation(QesBosonError):
 
 
 class NumericalFailure(QesBosonError):
-    """An eigensolve residual exceeded the configured tolerance, or its
-    eigenvectors cannot be represented in double precision (residual inf)."""
+    """An eigensolve residual exceeded the configured tolerance, its
+    eigenvectors cannot be represented in double precision (residual inf),
+    or the LAPACK solver did not converge (residual nan)."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)

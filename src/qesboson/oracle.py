@@ -18,13 +18,21 @@ exact amplitudes themselves come from block_amplitudes.
 A Hamiltonian whose coefficients are all real has real blocks: block_matrix
 returns them as float64, and they are diagonalized and checked in real
 arithmetic (real symmetric eigh, or real eig for non-Hermitian h).  Complex
-coefficients give complex blocks and a complex solve.  The eigensolvers
-stay dense LAPACK drivers, independent of the reduced route's solvers.
+coefficients give complex blocks and a complex solve.  A real Hermitian
+block that is exactly tridiagonal, as every block of a single-exchange
+model such as SHG is, goes straight to LAPACK's tridiagonal
+divide-and-conquer solver dstevd (Gu & Eisenstat 1995).  That is the
+solver dense eigh runs after its Householder reduction, which on such a
+block is the identity, so it skips two O(n^3) no-op steps.  The reduced
+route solves its Jacobi blocks by MRRR instead, so the two routes keep
+independent algorithms.  The residual is always taken on the full dense
+block.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,6 +216,20 @@ def checked_residual(worst: float, tol: float, block: str) -> float:
     return worst
 
 
+@contextmanager
+def checked_solve(block: str):
+    """Runs a block eigensolve, turning an np.linalg.LinAlgError from LAPACK
+    (a solver that did not converge) into NumericalFailure with residual
+    NaN; left alone, the CLI would report that ValueError as a usage error.
+
+    With checked_residual, this is the failure policy of both routes.
+    """
+    try:
+        yield
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"{block} eigensolve failed: {exc}", math.nan) from None
+
+
 def sort_eigenpairs(
     values: np.ndarray, vectors: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -228,11 +250,16 @@ def diagonalize_block(
 
     Uses the Hermitian eigensolver when h is exactly Hermitian (real
     eigenvalues, orthonormal eigenvectors) and the general dense solver
-    otherwise, in real arithmetic when the block is real.  Returns (block,
-    values, vectors, method, max_residual) with the eigenpairs sorted
-    ascending by (real, imag); values are complex, vectors have the dtype
-    the solver returns (float64 for a real Hermitian block).  Raises
-    NumericalFailure unless max_residual <= residual_tol.
+    otherwise, in real arithmetic when the block is real.  A real Hermitian
+    block whose lower triangle (the one eigh reads) is zero below the
+    subdiagonal is solved by dstevd on its diagonal and subdiagonal; every
+    other block by dense eigh or eig.  The residual is taken on the full
+    block either way.  Returns (block, values, vectors, method,
+    max_residual) with the eigenpairs sorted ascending by (real, imag);
+    values are complex, vectors have the dtype the solver returns (float64
+    for a real Hermitian block).  Raises NumericalFailure unless
+    max_residual <= residual_tol, and, with residual NaN, when the LAPACK
+    solver does not converge.
     """
     block = build_block(h, charge, kappa)
     hermitian = is_hermitian(h)
@@ -240,14 +267,34 @@ def diagonalize_block(
     if block.dimension == 0:
         empty = np.zeros((0, 0), dtype=block.matrix.dtype)
         return block, np.zeros(0, dtype=complex), empty, method, 0.0
-    solve = np.linalg.eigh if hermitian else np.linalg.eig
-    values, vectors = sort_eigenpairs(*solve(block.matrix))
+    name = f"block kappa={kappa}"
+    with checked_solve(name):
+        values, vectors = sort_eigenpairs(*_eigensolve(block.matrix, hermitian))
     max_residual = checked_residual(
-        float(eigen_residual(block.matrix, values, vectors).max()),
-        residual_tol,
-        f"block kappa={kappa}",
+        float(eigen_residual(block.matrix, values, vectors).max()), residual_tol, name
     )
     return block, values.astype(complex), vectors, method, max_residual
+
+
+def _eigensolve(matrix: np.ndarray, hermitian: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of a nonempty block, by dstevd when it
+    is real, Hermitian and tridiagonal, else by eigh or eig.  A nonzero
+    dstevd info raises np.linalg.LinAlgError, as eigh does."""
+    if not hermitian:
+        return np.linalg.eig(matrix)
+    if matrix.dtype != float or np.tril(matrix, -2).any():
+        return np.linalg.eigh(matrix)
+    # imported at the call, as reduction imports eigh_tridiagonal, so the
+    # package import is unchanged
+    from scipy.linalg.lapack import dstevd
+
+    # f2py wants len(e) == max(n - 1, 1), so a 1x1 block passes one unread 0
+    off = np.zeros(max(len(matrix) - 1, 1))
+    off[: len(matrix) - 1] = np.diag(matrix, -1)
+    values, vectors, info = dstevd(np.diag(matrix), off)
+    if info:
+        raise np.linalg.LinAlgError(f"dstevd returned info={info}")
+    return values, vectors
 
 
 def block_spectrum(

@@ -80,6 +80,7 @@ from .exact import (
 from .oracle import (
     SpectrumReport,
     checked_residual,
+    checked_solve,
     eigen_residual,
     enumerate_block,
     sort_eigenpairs,
@@ -577,17 +578,18 @@ def _reduced_solve(
 ) -> tuple[ReducedBlock, np.ndarray, np.ndarray, float, _JacobiForm | None]:
     """The block, its eigenvalues and eigenvectors (as _solve returns
     them), the worst residual and the Jacobi form; raises NumericalFailure
-    unless the worst residual is at most residual_tol."""
+    unless the worst residual is at most residual_tol, and, with residual
+    NaN, when the LAPACK solver does not converge."""
     block = reduced_block_matrix(h, charge, kappa, mode=mode)
     if block.dimension == 0:
         empty = np.zeros(0, dtype=complex)
         return block, empty, np.zeros((0, 0), dtype=complex), 0.0, None
-    values, vectors, residuals, jacobi = _solve(
-        block.numerators, block.denominator, block.dimension
-    )
-    worst = checked_residual(
-        float(residuals.max()), residual_tol, f"reduced block kappa={kappa}"
-    )
+    name = f"reduced block kappa={kappa}"
+    with checked_solve(name):
+        values, vectors, residuals, jacobi = _solve(
+            block.numerators, block.denominator, block.dimension
+        )
+    worst = checked_residual(float(residuals.max()), residual_tol, name)
     return block, values, vectors, worst, jacobi
 
 

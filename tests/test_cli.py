@@ -4,7 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.linalg
+import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -336,6 +339,32 @@ class TestNanDeviation:
         code, out, _ = run(capsys, "scan", SHG, "--kappa-max", "2")
         assert code == 4
         assert out.strip().split("\n")[1].endswith(",nan")
+
+
+def _fail_to_converge(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+class TestSolverFailure:
+    """LAPACK non-convergence is a numerical failure (exit 4) on either
+    route, although np.linalg.LinAlgError is a ValueError."""
+
+    def test_oracle_exits_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            scipy.linalg.lapack, "dstevd", lambda d, e: (d, np.eye(len(d)), 1)
+        )
+        code, out, err = run(capsys, "spectrum", SHG, "--kappa", "4", "--method", "oracle")
+        assert (code, out) == (4, "")
+        assert err == "numerical failure: block kappa=4 eigensolve failed: dstevd returned info=1\n"
+
+    def test_reduced_exits_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", _fail_to_converge)
+        code, out, err = run(capsys, "spectrum", SHG, "--kappa", "4", "--method", "reduced")
+        assert (code, out) == (4, "")
+        assert err == (
+            "numerical failure: reduced block kappa=4 eigensolve failed:"
+            " Eigenvalues did not converge\n"
+        )
 
 
 numbers = st.one_of(st.floats(), st.integers(-(10**30), 10**30), st.booleans(), st.none())

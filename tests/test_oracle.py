@@ -5,6 +5,7 @@ from math import sqrt
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 
 from conftest import (
     random_conserving_hamiltonian,
@@ -16,6 +17,7 @@ from qesboson import (
     FockState,
     NonConservingHamiltonian,
     NumericalFailure,
+    RationalComplex,
     ZeroVector,
     apply_to_fock,
     block_amplitudes,
@@ -28,10 +30,34 @@ from qesboson import (
     diagonalize_block,
     eigen_residual,
     enumerate_block,
+    identity,
     is_hermitian,
+    monomial,
     number,
     shg_charge,
 )
+
+# real Hermitian, charge N1 + N2, with bands +-1 and +-2: its blocks are
+# pentadiagonal, so the oracle solves them with dense eigh
+BANDED = (
+    number(1)
+    + 2 * number(2)
+    + monomial(Fraction(1, 2), 1, 0, 0, 1)
+    + monomial(Fraction(1, 2), 0, 1, 1, 0)
+    + monomial(Fraction(1, 3), 2, 0, 0, 2)
+    + monomial(Fraction(1, 3), 0, 2, 2, 0)
+)
+
+
+def _refuse(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} must not be called for this block")
+
+    return refuse
+
+
+def _fail_to_converge(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
 
 class TestEnumerateBlock:
@@ -217,7 +243,24 @@ def test_diagonalize_block_orthonormal_vectors(shg):
 
 
 def test_nan_eigenvalue_fails_residual_gate(shg, monkeypatch):
-    # a NaN residual compares False with any tolerance; it must still refuse
+    # a NaN residual compares False with any tolerance; it must still refuse.
+    # SHG blocks are real symmetric tridiagonal, so dstevd solves them
+    dstevd = scipy.linalg.lapack.dstevd
+
+    def nan_dstevd(*args, **kwargs):
+        values, vectors, info = dstevd(*args, **kwargs)
+        values[0] = np.nan
+        return values, vectors, info
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dstevd", nan_dstevd)
+    monkeypatch.setattr(np.linalg, "eigh", _refuse("eigh"))
+    h, charge = shg
+    with pytest.raises(NumericalFailure) as info:
+        diagonalize_block(h, charge, 4)
+    assert math.isnan(info.value.residual)
+
+
+def test_nan_eigenvalue_fails_residual_gate_dense(monkeypatch):
     eigh = np.linalg.eigh
 
     def nan_eigh(matrix):
@@ -226,7 +269,82 @@ def test_nan_eigenvalue_fails_residual_gate(shg, monkeypatch):
         return values, vectors
 
     monkeypatch.setattr(np.linalg, "eigh", nan_eigh)
-    h, charge = shg
+    monkeypatch.setattr(scipy.linalg.lapack, "dstevd", _refuse("dstevd"))
     with pytest.raises(NumericalFailure) as info:
-        diagonalize_block(h, charge, 4)
+        diagonalize_block(BANDED, ConservedCharge(1, 1), 6)
     assert math.isnan(info.value.residual)
+
+
+class TestSolverFailure:
+    """A LAPACK solver that does not converge is a NumericalFailure with a
+    NaN residual, not the ValueError that np.linalg.LinAlgError is."""
+
+    def test_dstevd_info(self, shg, monkeypatch):
+        monkeypatch.setattr(
+            scipy.linalg.lapack, "dstevd", lambda d, e: (d, np.eye(len(d)), 2)
+        )
+        h, charge = shg
+        message = "kappa=4 eigensolve failed: dstevd returned info=2"
+        with pytest.raises(NumericalFailure, match=message) as info:
+            diagonalize_block(h, charge, 4)
+        assert math.isnan(info.value.residual)
+
+    def test_dense_linalg_error(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigh", _fail_to_converge)
+        with pytest.raises(NumericalFailure, match="did not converge") as info:
+            diagonalize_block(BANDED, ConservedCharge(1, 1), 6)
+        assert math.isnan(info.value.residual)
+
+
+class TestTridiagonalSolver:
+    """Real Hermitian tridiagonal blocks are solved by dstevd; it must agree
+    with dense eigh, and every other block keeps eigh or eig."""
+
+    @staticmethod
+    def assert_matches_eigh(block, values, vectors, eigh):
+        expected = eigh(block.matrix)[0]
+        scale = np.linalg.norm(block.matrix)
+        assert np.abs(values - expected).max() <= 1e-13 * scale
+        gram = vectors.T @ vectors
+        assert np.abs(gram - np.eye(block.dimension)).max() <= 1e-12
+
+    @pytest.mark.parametrize("kappa, dim", [(0, 1), (1, 1), (2, 2), (4, 3), (1198, 600)])
+    def test_matches_dense_eigh(self, shg, monkeypatch, kappa, dim):
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", _refuse("eigh"))
+        h, charge = shg
+        block, values, vectors, method, _ = diagonalize_block(h, charge, kappa)
+        assert block.dimension == dim
+        assert (method, values.dtype, vectors.dtype) == ("hermitian", complex, float)
+        self.assert_matches_eigh(block, values, vectors, eigh)
+
+    def test_exactly_zero_coupling(self, monkeypatch):
+        # the factor N2 - 2 makes the coupling of n2 = 2 to n2 = 1 exactly 0
+        up = monomial(1, 2, 0, 0, 1) * (number(2) - identity(2))
+        h = number(1) + number(2) + up + up.adjoint()
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", _refuse("eigh"))
+        block, values, vectors, _, _ = diagonalize_block(h, shg_charge(), 10)
+        assert np.diag(block.matrix, -1)[1] == 0.0
+        assert np.count_nonzero(np.diag(block.matrix, -1)) == block.dimension - 2
+        self.assert_matches_eigh(block, values, vectors, eigh)
+
+    def test_complex_hermitian_keeps_eigh(self, monkeypatch):
+        coupling = RationalComplex(Fraction(1, 2), Fraction(1, 3))
+        h = build_shg(1, 2, coupling, coupling.conjugate())
+        monkeypatch.setattr(scipy.linalg.lapack, "dstevd", _refuse("dstevd"))
+        block, values, vectors, method, _ = diagonalize_block(h, shg_charge(), 10)
+        assert not np.tril(block.matrix, -2).any()
+        assert block.matrix.dtype == complex
+        assert (method, values.dtype, vectors.dtype) == ("hermitian", complex, complex)
+        expected = np.linalg.eigh(block.matrix)[0]
+        assert np.abs(values - expected).max() <= 1e-13 * np.linalg.norm(block.matrix)
+
+    def test_real_non_hermitian_keeps_eig(self, monkeypatch):
+        h = build_shg(1, 2, Fraction(1, 2), Fraction(1, 3))
+        monkeypatch.setattr(scipy.linalg.lapack, "dstevd", _refuse("dstevd"))
+        block, values, vectors, method, _ = diagonalize_block(h, shg_charge(), 10)
+        assert not np.tril(block.matrix, -2).any()
+        assert block.matrix.dtype == float
+        assert (method, values.dtype) == ("general", complex)
+        assert vectors.dtype == np.linalg.eig(block.matrix)[1].dtype
