@@ -222,7 +222,8 @@ def checked_solve(block: str):
     (a solver that did not converge) into NumericalFailure with residual
     NaN; left alone, the CLI would report that ValueError as a usage error.
 
-    With checked_residual, this is the failure policy of both routes.
+    With checked_residual, this is the failure policy of every block solve:
+    the oracle's, the reduced route's and EnergyPolynomialTable.spectrum.
     """
     try:
         yield

@@ -480,7 +480,9 @@ class EnergyPolynomialTable:
         """Recurrence eigenvalues, sorted ascending by (real, imag).
 
         A three-term recurrence with positive off-diagonal products is
-        solved as its Jacobi matrix, any other by a dense eig.
+        solved as its Jacobi matrix, any other by a dense eig.  Raises
+        NumericalFailure, with residual NaN, when the LAPACK solver does not
+        converge.
         """
         d = self.dimension
         if d == 0:
@@ -488,7 +490,8 @@ class EnergyPolynomialTable:
         recurrence = {
             (d - 1 - j, d - 1 - i): pair for (i, j), pair in self.block.numerators.items()
         }
-        return _solve(recurrence, self.block.denominator, d)[0]
+        with checked_solve(f"recurrence kappa={self.kappa}"):
+            return _solve(recurrence, self.block.denominator, d)[0]
 
     def termination_roots(self) -> np.ndarray:
         """Roots of the terminating polynomial (sorted); equals spectrum().

@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 from math import factorial, sqrt
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import random_conserving_hamiltonian, spectral_deviation
 from qesboson import (
@@ -12,6 +14,7 @@ from qesboson import (
     DegreeOutsidePhysicalSector,
     FockState,
     NonConservingHamiltonian,
+    NumericalFailure,
     Polynomial,
     RationalComplex,
     ReducedBlock,
@@ -224,6 +227,20 @@ class TestEnergyPolynomialTable:
         # linear termination with root at the single diagonal entry
         assert table.termination.degree == 1
         assert np.allclose(table.termination_roots(), [1.0])
+
+    def test_solver_failure_is_numerical_failure(self, shg, monkeypatch):
+        # np.linalg.LinAlgError is a ValueError, which the CLI reads as a
+        # usage error; spectrum() must report it as NumericalFailure
+        def fail_to_converge(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        h, charge = shg
+        table = energy_polynomial_table(h, charge, 4)
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail_to_converge)
+        message = "recurrence kappa=4 eigensolve failed: Eigenvalues did not converge"
+        with pytest.raises(NumericalFailure, match=message) as info:
+            table.spectrum()
+        assert math.isnan(info.value.residual)
 
     def test_transpose_duality_exact(self, shg):
         # recurrence matrix is the order-reversed transpose of the block
