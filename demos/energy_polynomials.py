@@ -2,10 +2,10 @@
 diagnosis of the as-published recurrence.
 
 The block recurrence generates polynomials P_m(E) with exact rational
-coefficients; the terminating member's roots are the block spectrum.  Two
-diagonal conventions are supported: "corrected" matches the exact block,
-while "paper-literal" carries an extra mode-2 frequency on the diagonal,
-so its spectra come out uniformly shifted by exactly that frequency.
+coefficients; the terminating member's roots are the block spectrum.  The
+as-published recurrence carries an extra mode-2 frequency on the diagonal:
+it is the recurrence of paper_literal(h) = h + w2, so its spectra come out
+uniformly shifted by exactly that frequency.
 """
 
 from fractions import Fraction
@@ -15,6 +15,7 @@ import numpy as np
 from qesboson import (
     build_shg,
     energy_polynomial_table,
+    paper_literal,
     qes_spectrum,
     shg_charge,
 )
@@ -26,8 +27,8 @@ print("== energy polynomials for kappa = 6 (corrected convention) ==")
 table = energy_polynomial_table(h, charge, 6)
 for m, poly in enumerate(table.polys):
     print(f"P_{m}(E) = {poly.render('E')}")
-print(f"termination degree: {table.termination_degree}")
-print("roots of the last polynomial:", np.round(table.termination_roots().real, 9))
+print(f"termination degree: {table.dimension}")
+print("roots of the last polynomial:", np.round(table.spectrum().real, 9))
 print("block spectrum (dense solve): ",
       np.round(np.array(qes_spectrum(h, charge, 6).eigenvalues).real, 9))
 
@@ -40,7 +41,7 @@ print("== as-published convention: every level shifts by w2 = 2 ==")
 print(f"{'kappa':>5} {'corrected levels':>34} {'as-published levels':>34} {'shift':>8}")
 for kappa in (2, 3, 5, 8):
     corr = energy_polynomial_table(h, charge, kappa).spectrum().real
-    lit = energy_polynomial_table(h, charge, kappa, mode="paper-literal").spectrum().real
+    lit = energy_polynomial_table(paper_literal(h), charge, kappa).spectrum().real
     shift = np.unique(np.round(lit - corr, 9))
     corr_s = ", ".join(f"{v:.5f}" for v in corr[:3]) + (", ..." if len(corr) > 3 else "")
     lit_s = ", ".join(f"{v:.5f}" for v in lit[:3]) + (", ..." if len(lit) > 3 else "")

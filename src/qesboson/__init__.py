@@ -35,7 +35,6 @@ from .errors import (
     BlockClosureViolation,
     ConventionMismatch,
     DegreeOutsidePhysicalSector,
-    GridTooCoarse,
     InvalidOrder,
     NonConservingHamiltonian,
     NumericalFailure,
@@ -75,13 +74,13 @@ from .reduction import (
     eigenvector_to_fock,
     energy_polynomial_table,
     matrix_element_reduction,
+    paper_literal,
     physical_degrees,
     qes_spectrum,
     reduced_block_matrix,
     reduced_eigensystem,
     shg_ode,
     slaved_occupation,
-    termination_degree,
 )
 from .sextic import (
     GaugeConvention,

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .models import ModelFile, build_shg, parse_model_file, shg_charge
 from .oracle import block_spectrum, enumerate_block
-from .reduction import energy_polynomial_table, qes_spectrum
+from .reduction import energy_polynomial_table, paper_literal, qes_spectrum
 from .sextic import (
     check_gauge_identity,
     constant_shift_match,
@@ -50,15 +50,32 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _tolerance(text: str) -> float:
-    """--tol value: a non-negative float; NaN would switch the gate off."""
+def _float(text: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+
+
+def _tolerance(text: str) -> float:
+    """--tol value: a non-negative float; NaN would switch the gate off."""
+    value = _float(text)
     if not value >= 0.0:
         raise argparse.ArgumentTypeError(f"must be a non-negative number, got {text!r}")
     return value
+
+
+def _finite(text: str) -> float:
+    """A coupling or width: a finite float, which the exact algebra can hold."""
+    value = _float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _reduced_hamiltonian(h: OperatorPolynomial, mode: str) -> OperatorPolynomial:
+    """The Hamiltonian the reduced route is given under --mode."""
+    return paper_literal(h) if mode == "paper-literal" else h
 
 
 @cache  # parsing leaves the parser unchanged, so one per process serves every call
@@ -90,15 +107,15 @@ def _build_parser() -> _Parser:
     polys.add_argument("--output", choices=("text", "json"), default="text")
 
     sextic = sub.add_parser("sextic", help="superpotential, sextic coefficients, gauge check")
-    sextic.add_argument("--w1", type=float, required=True)
-    sextic.add_argument("--w2", type=float, required=True)
-    sextic.add_argument("--kre", type=float, required=True)
-    sextic.add_argument("--kim", type=float, default=0.0)
-    sextic.add_argument("--kbre", type=float, required=True)
-    sextic.add_argument("--kbim", type=float, default=0.0)
+    sextic.add_argument("--w1", type=_finite, required=True)
+    sextic.add_argument("--w2", type=_finite, required=True)
+    sextic.add_argument("--kre", type=_finite, required=True)
+    sextic.add_argument("--kim", type=_finite, default=0.0)
+    sextic.add_argument("--kbre", type=_finite, required=True)
+    sextic.add_argument("--kbim", type=_finite, default=0.0)
     sextic.add_argument("--k", type=int, required=True)
     sextic.add_argument("--fd", action="store_true", help="run the finite-difference comparison")
-    sextic.add_argument("--fd-halfwidth", type=float, default=6.0)
+    sextic.add_argument("--fd-halfwidth", type=_finite, default=6.0)
     sextic.add_argument("--fd-grid", type=int, default=4000)
     sextic.add_argument("--output", choices=("text", "json"), default="text")
 
@@ -226,7 +243,7 @@ def _cmd_spectrum(args) -> int:
         payload["oracle"] = _eig_pairs(report.eigenvalues)
         payload["residuals"]["oracle"] = report.max_residual
     if args.method in ("reduced", "both"):
-        report = qes_spectrum(h, model.charge, args.kappa, mode=args.mode)
+        report = qes_spectrum(_reduced_hamiltonian(h, args.mode), model.charge, args.kappa)
         reduced_vals = np.array(report.eigenvalues)
         payload["reduced"] = _eig_pairs(report.eigenvalues)
         payload["residuals"]["reduced"] = report.max_residual
@@ -249,11 +266,12 @@ def _cmd_scan(args) -> int:
     h = _require_conserving(model)
     if args.kappa_max < 0:
         raise ValueError("kappa must be non-negative")
+    reduced_h = _reduced_hamiltonian(h, args.mode)
     lines = ["kappa,dim,index,eig_re,eig_im,deviation"]
     code = 0
     for kappa in range(args.kappa_max + 1):
         oracle = block_spectrum(h, model.charge, kappa)
-        reduced = qes_spectrum(h, model.charge, kappa, mode=args.mode)
+        reduced = qes_spectrum(reduced_h, model.charge, kappa)
         for index in range(oracle.dimension):
             ev = oracle.eigenvalues[index]
             deviation = abs(ev - reduced.eigenvalues[index])
@@ -273,14 +291,16 @@ def _render_rational(value) -> list[str]:
 def _cmd_polys(args) -> int:
     model = _load_model(args.model)
     h = _require_conserving(model)
-    table = energy_polynomial_table(h, model.charge, args.kappa, mode=args.mode)
+    table = energy_polynomial_table(
+        _reduced_hamiltonian(h, args.mode), model.charge, args.kappa
+    )
     if args.output == "json":
         _dump_json(
             {
                 "kappa": table.kappa,
-                "mode": table.mode,
+                "mode": args.mode,
                 "dimension": table.dimension,
-                "termination_degree": table.termination_degree,
+                "termination_degree": table.dimension,
                 "polys": [
                     [_render_rational(c) for c in poly.coeffs] for poly in table.polys
                 ],
@@ -289,12 +309,12 @@ def _cmd_polys(args) -> int:
     else:
         print(
             f"# energy polynomials: kappa={table.kappa}"
-            f" dimension={table.dimension} mode={table.mode}"
+            f" dimension={table.dimension} mode={args.mode}"
         )
         for m, poly in enumerate(table.polys):
             print(f"P_{m}(E) = {poly.render('E')}")
         print(
-            f"# termination degree {table.termination_degree};"
+            f"# termination degree {table.dimension};"
             " roots of the last polynomial are the block spectrum"
         )
     return 0

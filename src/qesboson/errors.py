@@ -58,11 +58,3 @@ class ConventionMismatch(QesBosonError):
     def __init__(self, message: str, residuals: dict):
         super().__init__(message)
         self.residuals = residuals
-
-
-class GridTooCoarse(QesBosonError):
-    """Finite-difference eigenvalues did not converge under grid refinement."""
-
-    def __init__(self, message: str, disagreement: float):
-        super().__init__(message)
-        self.disagreement = disagreement

@@ -21,12 +21,13 @@ arithmetic (real symmetric eigh, or real eig for non-Hermitian h).  Complex
 coefficients give complex blocks and a complex solve.  A real Hermitian
 block that is exactly tridiagonal, as every block of a single-exchange
 model such as SHG is, goes straight to LAPACK's tridiagonal
-divide-and-conquer solver dstevd (Gu & Eisenstat 1995).  That is the
-solver dense eigh runs after its Householder reduction, which on such a
-block is the identity, so it skips two O(n^3) no-op steps.  The reduced
-route solves its Jacobi blocks by MRRR instead, so the two routes keep
-independent algorithms.  The residual is always taken on the full dense
-block.
+divide-and-conquer solver stevd (Gu & Eisenstat 1995), through
+scipy.linalg.eigh_tridiagonal.  That is the solver dense eigh runs after
+its Householder reduction, which on such a block is the identity, so it
+skips two O(n^3) no-op steps.  The reduced route gives the same solver its
+Jacobi matrix, built from the reduced entries alone, so on these blocks the
+two routes differ in the matrix they solve, not in the solver.  The
+residual is always taken on the full dense block.
 """
 
 from __future__ import annotations
@@ -253,7 +254,7 @@ def diagonalize_block(
     eigenvalues, orthonormal eigenvectors) and the general dense solver
     otherwise, in real arithmetic when the block is real.  A real Hermitian
     block whose lower triangle (the one eigh reads) is zero below the
-    subdiagonal is solved by dstevd on its diagonal and subdiagonal; every
+    subdiagonal is solved by stevd on its diagonal and subdiagonal; every
     other block by dense eigh or eig.  The residual is taken on the full
     block either way.  Returns (block, values, vectors, method,
     max_residual) with the eigenpairs sorted ascending by (real, imag);
@@ -278,24 +279,18 @@ def diagonalize_block(
 
 
 def _eigensolve(matrix: np.ndarray, hermitian: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of a nonempty block, by dstevd when it
-    is real, Hermitian and tridiagonal, else by eigh or eig.  A nonzero
-    dstevd info raises np.linalg.LinAlgError, as eigh does."""
+    """Eigenvalues and eigenvectors of a nonempty block, by stevd when it
+    is real, Hermitian and tridiagonal, else by eigh or eig.  Each raises
+    np.linalg.LinAlgError when LAPACK does not converge."""
     if not hermitian:
         return np.linalg.eig(matrix)
     if matrix.dtype != float or np.tril(matrix, -2).any():
         return np.linalg.eigh(matrix)
-    # imported at the call, as reduction imports eigh_tridiagonal, so the
-    # package import is unchanged
-    from scipy.linalg.lapack import dstevd
+    # imported at the call, as reduction imports it, so the package import
+    # is unchanged
+    from scipy.linalg import eigh_tridiagonal
 
-    # f2py wants len(e) == max(n - 1, 1), so a 1x1 block passes one unread 0
-    off = np.zeros(max(len(matrix) - 1, 1))
-    off[: len(matrix) - 1] = np.diag(matrix, -1)
-    values, vectors, info = dstevd(np.diag(matrix), off)
-    if info:
-        raise np.linalg.LinAlgError(f"dstevd returned info={info}")
-    return values, vectors
+    return eigh_tridiagonal(np.diag(matrix), np.diag(matrix, -1), lapack_driver="stevd")
 
 
 def block_spectrum(

@@ -33,12 +33,11 @@ rounded integer division, and the exact RationalComplex entries are built
 only when asked for (ReducedBlock.entries, the energy polynomials, whose
 recurrence reads only the nonzero band of the block).
 
-Two diagonal conventions are supported for the recurrence and the reduced
-matrix.  The default, "corrected", matches the exact block restriction.
-The "paper-literal" convention keeps the extra mode-2 frequency w2 that
-the original published derivation carries on the diagonal: it is the
-corrected reduction of h + w2.  Its spectra come out uniformly shifted by
-w2, which is itself a reproducible diagnostic of this package.
+Every block, spectrum and polynomial table is the exact restriction of
+the Hamiltonian it is given.  The as-published recurrence keeps an extra
+mode-2 frequency w2 on the diagonal; that convention is a Hamiltonian, not
+an option: paper_literal(h) = h + w2, whose spectra come out uniformly
+shifted by w2, which is itself a reproducible diagnostic of this package.
 """
 
 from __future__ import annotations
@@ -86,14 +85,6 @@ from .oracle import (
     sort_eigenpairs,
 )
 
-MODES = ("corrected", "paper-literal")
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-
-
 def _check_conserves(h: OperatorPolynomial, charge: ConservedCharge) -> None:
     if not conserves(h, charge):
         raise NonConservingHamiltonian(
@@ -131,6 +122,13 @@ def slaved_occupation(charge: ConservedCharge, kappa: int, degree: int) -> int:
 def mode2_frequency(h: OperatorPolynomial) -> RationalComplex:
     """Coefficient of the a2+ a2 term (zero if absent)."""
     return h.coefficient(0, 0, 1, 1)
+
+
+def paper_literal(h: OperatorPolynomial) -> OperatorPolynomial:
+    """h + w2, with w2 the mode-2 frequency: the Hamiltonian whose reduced
+    blocks carry w2 on every diagonal entry, the as-published recurrence
+    convention.  Its spectra are those of h shifted by w2."""
+    return h + identity(mode2_frequency(h))
 
 
 @dataclass(frozen=True)
@@ -286,34 +284,13 @@ class ReducedBlock:
 
 
 def reduced_block_matrix(
-    h: OperatorPolynomial,
-    charge: ConservedCharge,
-    kappa: int,
-    *,
-    mode: str = "corrected",
+    h: OperatorPolynomial, charge: ConservedCharge, kappa: int
 ) -> ReducedBlock:
-    """Square matrix of the reduced operator over the physical degrees.
-
-    Parameters
-    ----------
-    h, charge, kappa
-        Conserving Hamiltonian, its charge, and the block label.
-    mode
-        "corrected" (default) gives the exact conjugated block;
-        "paper-literal" is the corrected block of h + w2, with w2 the
-        mode-2 frequency: w2 on every diagonal entry, the as-published
-        recurrence convention.
-
-    Returns
-    -------
-    ReducedBlock
-        Isospectral to the Fock block in corrected mode.  Its integer
-        numerators come from exact.integer_numerators through
-        ReducedOperator.block_entries.
+    """Square matrix of the reduced operator of the conserving h over the
+    physical degrees of block kappa, isospectral to the Fock block.  Its
+    integer numerators come from exact.integer_numerators through
+    ReducedOperator.block_entries.
     """
-    _check_mode(mode)
-    if mode == "paper-literal":
-        h = h + identity(mode2_frequency(h))
     return ReducedBlock(kappa, *matrix_element_reduction(h, charge).block_entries(kappa))
 
 
@@ -440,14 +417,6 @@ def _solve(
     return values.astype(complex), vectors, residuals, jacobi
 
 
-def termination_degree(
-    h: OperatorPolynomial, charge: ConservedCharge, kappa: int
-) -> int:
-    """Dimension of the physical sector, where the recurrence terminates."""
-    _check_conserves(h, charge)
-    return len(physical_degrees(charge, kappa))
-
-
 @dataclass(frozen=True)
 class EnergyPolynomialTable:
     """Energy polynomials of one block's scalar recurrence.
@@ -460,7 +429,6 @@ class EnergyPolynomialTable:
     """
 
     kappa: int
-    mode: str
     polys: tuple[Polynomial, ...]
     block: ReducedBlock
 
@@ -472,12 +440,11 @@ class EnergyPolynomialTable:
     def termination(self) -> Polynomial:
         return self.polys[-1]
 
-    @property
-    def termination_degree(self) -> int:
-        return self.dimension
-
     def spectrum(self) -> np.ndarray:
-        """Recurrence eigenvalues, sorted ascending by (real, imag).
+        """Recurrence eigenvalues, sorted ascending by (real, imag): the
+        roots of the terminating polynomial, which are far better
+        conditioned as eigenvalues than as roots of its monomial
+        coefficients.
 
         A three-term recurrence with positive off-diagonal products is
         solved as its Jacobi matrix, any other by a dense eig.  Raises
@@ -493,22 +460,9 @@ class EnergyPolynomialTable:
         with checked_solve(f"recurrence kappa={self.kappa}"):
             return _solve(recurrence, self.block.denominator, d)[0]
 
-    def termination_roots(self) -> np.ndarray:
-        """Roots of the terminating polynomial (sorted); equals spectrum().
-
-        P_d(E) vanishes exactly at the eigenvalues of the recurrence
-        matrix, which are far better conditioned than the roots of P_d's
-        monomial coefficients, so the roots are computed as that spectrum.
-        """
-        return self.spectrum()
-
 
 def energy_polynomial_table(
-    h: OperatorPolynomial,
-    charge: ConservedCharge,
-    kappa: int,
-    *,
-    mode: str = "corrected",
+    h: OperatorPolynomial, charge: ConservedCharge, kappa: int
 ) -> EnergyPolynomialTable:
     """Generate the energy polynomials P_m(E) of the block recurrence.
 
@@ -520,7 +474,7 @@ def energy_polynomial_table(
     polynomial of the reduced block is the fallback.  Only the nonzero
     entries of each row enter the recurrence.
     """
-    block = reduced_block_matrix(h, charge, kappa, mode=mode)
+    block = reduced_block_matrix(h, charge, kappa)
     d = block.dimension
     # nonzero entries of each recurrence row: reverse the degree order
     # (slaved occupation ascending) and transpose
@@ -545,7 +499,7 @@ def energy_polynomial_table(
             if j <= m:
                 acc = acc - polys[j] * value
         polys.append(acc if m == d - 1 else acc * (ONE / row[m + 1]))
-    return EnergyPolynomialTable(kappa=kappa, mode=mode, polys=tuple(polys), block=block)
+    return EnergyPolynomialTable(kappa=kappa, polys=tuple(polys), block=block)
 
 
 def reduced_eigensystem(
@@ -553,7 +507,6 @@ def reduced_eigensystem(
     charge: ConservedCharge,
     kappa: int,
     *,
-    mode: str = "corrected",
     residual_tol: float = 1e-8,
 ) -> tuple[ReducedBlock, np.ndarray, np.ndarray, float]:
     """Eigenvalues and right eigenvectors of the reduced block matrix.
@@ -564,9 +517,7 @@ def reduced_eigensystem(
     blocks by a dense eig.  Raises NumericalFailure if the residual exceeds
     residual_tol or if the eigenvectors do not fit in double precision.
     """
-    block, values, vectors, worst, jacobi = _reduced_solve(
-        h, charge, kappa, mode, residual_tol
-    )
+    block, values, vectors, worst, jacobi = _reduced_solve(h, charge, kappa, residual_tol)
     if jacobi is not None:
         vectors = jacobi.monomial_vectors(vectors, kappa)
     return block, values, vectors, worst
@@ -576,14 +527,13 @@ def _reduced_solve(
     h: OperatorPolynomial,
     charge: ConservedCharge,
     kappa: int,
-    mode: str,
     residual_tol: float,
 ) -> tuple[ReducedBlock, np.ndarray, np.ndarray, float, _JacobiForm | None]:
     """The block, its eigenvalues and eigenvectors (as _solve returns
     them), the worst residual and the Jacobi form; raises NumericalFailure
     unless the worst residual is at most residual_tol, and, with residual
     NaN, when the LAPACK solver does not converge."""
-    block = reduced_block_matrix(h, charge, kappa, mode=mode)
+    block = reduced_block_matrix(h, charge, kappa)
     if block.dimension == 0:
         empty = np.zeros(0, dtype=complex)
         return block, empty, np.zeros((0, 0), dtype=complex), 0.0, None
@@ -601,7 +551,6 @@ def qes_spectrum(
     charge: ConservedCharge,
     kappa: int,
     *,
-    mode: str = "corrected",
     residual_tol: float = 1e-8,
 ) -> SpectrumReport:
     """Block spectrum from the reduced single-variable matrix.
@@ -614,7 +563,7 @@ def qes_spectrum(
     via energy_polynomial_table.  Eigenvectors are not formed, so this
     never fails for want of double range in them.
     """
-    block, values, _, worst, _ = _reduced_solve(h, charge, kappa, mode, residual_tol)
+    block, values, _, worst, _ = _reduced_solve(h, charge, kappa, residual_tol)
     return SpectrumReport(
         kappa=kappa,
         dimension=block.dimension,
@@ -680,7 +629,6 @@ class OdeCoefficients:
     c1: Polynomial
     c0: Polynomial
     k: int
-    mode: str
 
     def action(self, poly: Polynomial):
         """The operator applied to a polynomial test function, as a
@@ -726,8 +674,6 @@ def shg_ode(
     kappa_c: Rationalish,
     kappa_bar: Rationalish,
     k: int,
-    *,
-    mode: str = "corrected",
 ) -> OdeCoefficients:
     """Reduced ODE of the two-photon (second-harmonic) model at level k.
 
@@ -736,13 +682,11 @@ def shg_ode(
         4 kb z^3 phi'' + (kc + (w2 - 2 w1) z + 2 kb (3 - 2k) z^2) phi'
             + (C + kb k (k-1) z - E) phi = 0,
 
-    with C = k*w1 in corrected mode and C = w2 + k*w1 in the as-published
-    ("paper-literal") convention; the latter shifts every recurrence
-    eigenvalue up by w2.  Collecting powers of z in this ODE reproduces
-    the transpose of the energy-polynomial recurrence for block
-    kappa = k of the (1, 2) charge.
+    with C = k*w1.  Collecting powers of z in this ODE reproduces the
+    transpose of the energy-polynomial recurrence for block kappa = k of
+    the (1, 2) charge; the as-published constant w2 + k*w1 is that of
+    paper_literal(h), and shifts every recurrence eigenvalue up by w2.
     """
-    _check_mode(mode)
     if k < 0:
         raise ValueError("k must be non-negative")
     w1 = RationalComplex.coerce(omega1)
@@ -751,6 +695,5 @@ def shg_ode(
     kb = RationalComplex.coerce(kappa_bar)
     c3 = kb * 4
     c1 = Polynomial.from_coeffs([kc, w2 - w1 * 2, kb * (2 * (3 - 2 * k))])
-    constant = w1 * k if mode == "corrected" else w2 + w1 * k
-    c0 = Polynomial.from_coeffs([constant, kb * (k * (k - 1))])
-    return OdeCoefficients(c3=c3, c1=c1, c0=c0, k=k, mode=mode)
+    c0 = Polynomial.from_coeffs([w1 * k, kb * (k * (k - 1))])
+    return OdeCoefficients(c3=c3, c1=c1, c0=c0, k=k)

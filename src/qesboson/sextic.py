@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import ConventionMismatch, GridTooCoarse
+from .errors import ConventionMismatch
 from .exact import Polynomial, Rationalish, RationalComplex
 from .reduction import shg_ode
 
@@ -100,6 +100,8 @@ def gauge_superpotential(
     k: int,
 ) -> Superpotential:
     """Coefficients (k of 1/y, (w2-2w1)/4 of y, -kc*kb/4 of y^3)."""
+    if k < 0:
+        raise ValueError("k must be non-negative")
     w1 = RationalComplex.coerce(omega1)
     w2 = RationalComplex.coerce(omega2)
     kk = RationalComplex.coerce(kappa_c) * RationalComplex.coerce(kappa_bar)
@@ -174,6 +176,8 @@ def sextic_potential(
     k: int,
 ) -> SexticPotential:
     """Exact sextic potential coefficients for level parameter k."""
+    if k < 0:
+        raise ValueError("k must be non-negative")
     w1 = RationalComplex.coerce(omega1)
     w2 = RationalComplex.coerce(omega2)
     kc = RationalComplex.coerce(kappa_c)
@@ -231,14 +235,14 @@ def check_gauge_identity(
     """Numerically verify the conjugation identity between the two pictures.
 
     For random polynomial test functions phi(z), the reduced operator
-    (corrected diagonal convention) applied to phi and mapped to the y
-    picture is compared against the sextic Schroedinger operator applied
-    to psi = exp(sign * int W) phi(z(y)), with the second derivative taken
-    by a seven-point stencil at relative step 1e-3.  The overall sign of
-    W, the sign in the exponent and the kinetic normalization (1 or 1/2)
-    are searched; a single constant operator shift per convention is
-    fitted by least squares and reported, since the quoted constant term
-    is known to sit one mode-2 frequency above the conjugated operator.
+    applied to phi and mapped to the y picture is compared against the
+    sextic Schroedinger operator applied to psi = exp(sign * int W)
+    phi(z(y)), with the second derivative taken by a seven-point stencil
+    at relative step 1e-3.  The overall sign of W, the sign in the
+    exponent and the kinetic normalization (1 or 1/2) are searched; a
+    single constant operator shift per convention is fitted by least
+    squares and reported, since the quoted constant term is known to sit
+    one mode-2 frequency above the conjugated operator.
 
     Raises ConventionMismatch with the per-convention residuals when no
     convention reaches the tolerance.
@@ -252,7 +256,7 @@ def check_gauge_identity(
     if k < 0:
         raise ValueError("k must be non-negative")
 
-    ode = shg_ode(w1, w2, kc, kb, k, mode="corrected")
+    ode = shg_ode(w1, w2, kc, kb, k)
     w = gauge_superpotential(w1, w2, kc, kb, k)
     pot = sextic_potential(w1, w2, kc, kb, k)
     c0, c2, c4, c6 = pot.real_coeffs()
@@ -323,75 +327,29 @@ def check_gauge_identity(
     return GaugeIdentityResult(residual=residual, convention=convention, tried=tried)
 
 
-def fd_spectrum(
-    potential,
-    halfwidth: float,
-    grid_points: int,
-    *,
-    n_levels: int | None = None,
-    refine_tol: float | None = None,
-) -> np.ndarray:
+def fd_spectrum(potential, halfwidth: float, grid_points: int) -> np.ndarray:
     """Lowest Dirichlet eigenvalues of -1/2 psi'' + V psi on [-L, L].
 
     Second-order central differences on grid_points interior nodes; the
-    matrix is dense tridiagonal and solved exactly for the requested
-    window.  The potential may be a SexticPotential (solved through its
-    spectrum-preserving grid form), a callable V(y), or an array of
-    values on the interior nodes.  With refine_tol set, the grid is
-    doubled and GridTooCoarse is raised if the two spectra disagree by
-    more than the tolerance; the finer values are returned.
+    matrix is tridiagonal and solved exactly for the lowest levels: 5, or
+    max(5, k + 2) for a SexticPotential of level k, which is solved through
+    its spectrum-preserving grid form.  Any other potential is a callable
+    V(y).  The halfwidth L must be finite and positive.
     """
     if grid_points < 3:
         raise ValueError("grid_points must be at least 3")
-    if halfwidth <= 0:
-        raise ValueError("halfwidth must be positive")
-
+    if not 0 < halfwidth < math.inf:
+        raise ValueError("halfwidth must be finite and positive")
     if isinstance(potential, SexticPotential):
-        vfun = potential.grid_potential()
-        if n_levels is None:
-            n_levels = max(5, potential.k + 2)
-    elif callable(potential):
-        vfun = potential
+        vfun, levels = potential.grid_potential(), max(5, potential.k + 2)
     else:
-        values = np.asarray(potential, dtype=float)
-        if values.shape != (grid_points,):
-            raise ValueError(
-                f"tabulated potential must have shape ({grid_points},),"
-                f" got {values.shape}"
-            )
-        vfun = None
-    if n_levels is None:
-        n_levels = 5
-
-    def solve(n: int) -> np.ndarray:
-        h = 2 * halfwidth / (n + 1)
-        nodes = -halfwidth + h * np.arange(1, n + 1)
-        if vfun is not None:
-            v = np.asarray(vfun(nodes), dtype=float)
-        else:
-            v = values
-        count = min(n_levels, n)
-        diag = 1.0 / h**2 + v
-        off = np.full(n - 1, -0.5 / h**2)
-        vals = eigh_tridiagonal(
-            diag, off, select="i", select_range=(0, count - 1)
-        )[0]
-        return vals
-
-    coarse = solve(grid_points)
-    if refine_tol is None:
-        return coarse
-    if vfun is None:
-        raise ValueError("grid refinement needs a callable or SexticPotential")
-    fine = solve(2 * grid_points)
-    disagreement = float(np.max(np.abs(coarse - fine[: len(coarse)])))
-    if disagreement > refine_tol:
-        raise GridTooCoarse(
-            f"levels moved by {disagreement:.3e} under grid doubling"
-            f" (tolerance {refine_tol:.3e})",
-            disagreement,
-        )
-    return fine
+        vfun, levels = potential, 5
+    h = 2 * halfwidth / (grid_points + 1)
+    nodes = -halfwidth + h * np.arange(1, grid_points + 1)
+    diag = 1.0 / h**2 + np.asarray(vfun(nodes), dtype=float)
+    off = np.full(grid_points - 1, -0.5 / h**2)
+    last = min(levels, grid_points) - 1
+    return eigh_tridiagonal(diag, off, select="i", select_range=(0, last))[0]
 
 
 def constant_shift_match(

@@ -41,6 +41,7 @@ from qesboson import (
     fd_spectrum,
     gauge_superpotential,
     monomial,
+    paper_literal,
     qes_spectrum,
     reduced_eigensystem,
     sextic_potential,
@@ -168,16 +169,14 @@ def test_criterion_5_literal_shift_diagnosis():
     w2 = 2.0
     for kappa in range(21):
         corrected = energy_polynomial_table(h, charge, kappa).spectrum()
-        literal = energy_polynomial_table(
-            h, charge, kappa, mode="paper-literal"
-        ).spectrum()
+        literal = energy_polynomial_table(paper_literal(h), charge, kappa).spectrum()
         assert np.max(np.abs(literal - (corrected + w2))) <= 1e-9
-    spot = energy_polynomial_table(h, charge, 2, mode="paper-literal")
+    spot = energy_polynomial_table(paper_literal(h), charge, 2)
     assert np.allclose(
-        np.sort(spot.termination_roots().real), [3.2928932, 4.7071068], atol=1e-7
+        np.sort(spot.spectrum().real), [3.2928932, 4.7071068], atol=1e-7
     )
     assert np.allclose(
-        np.sort(energy_polynomial_table(h, charge, 2).termination_roots().real),
+        np.sort(energy_polynomial_table(h, charge, 2).spectrum().real),
         [1.2928932, 2.7071068],
         atol=1e-7,
     )

@@ -7,7 +7,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -196,6 +195,42 @@ class TestSextic:
             [1.2928932188134525, 2.7071067811865475]
         )
 
+    @pytest.mark.parametrize("flag", ["--w1", "--w2", "--kre", "--kim", "--kbre", "--kbim"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_coupling_must_be_finite(self, capsys, flag, value):
+        # an infinite coupling used to end in an OverflowError traceback
+        values = dict.fromkeys(("--w1", "--w2", "--kre", "--kbre"), "1") | {flag: value}
+        code, out, err = run(capsys, "sextic", *(f"{f}={v}" for f, v in values.items()), "--k", "1")
+        assert (code, out) == (1, "")
+        assert err == f"usage error: argument {flag}: must be a finite number, got '{value}'\n"
+
+    def test_negative_level_with_complex_couplings(self, capsys):
+        # used to print W(y) = (-1)/y ... and exit 0, although real couplings
+        # refused the same level
+        for kim in ("0", "1"):
+            code, out, err = run(
+                capsys, "sextic", "--w1", "1", "--w2", "2",
+                "--kre", "1", "--kim", kim, "--kbre", "1", "--k", "-1",
+            )
+            assert (code, out, err) == (1, "", "usage error: k must be non-negative\n")
+
+    @pytest.mark.parametrize("halfwidth", ["nan", "inf"])
+    def test_fd_halfwidth_must_be_finite(self, capsys, halfwidth):
+        # used to report scipy's "array must not contain infs or NaNs"
+        code, out, err = run(
+            capsys, "sextic", "--w1", "1", "--w2", "2", "--kre", "0.5", "--kbre", "0.5",
+            "--k", "2", "--fd", "--fd-halfwidth", halfwidth,
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"usage error: argument --fd-halfwidth: must be a finite number, got '{halfwidth}'\n"
+        )
+        code, out, err = run(
+            capsys, "sextic", "--w1", "1", "--w2", "2", "--kre", "0.5", "--kbre", "0.5",
+            "--k", "2", "--fd", "--fd-halfwidth", "-1",
+        )
+        assert (code, out, err) == (1, "", "usage error: halfwidth must be finite and positive\n")
+
 
 class TestExitCodes:
     def test_usage_error_is_1(self, capsys):
@@ -258,6 +293,16 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert f"usage error: argument --tol: must be a non-negative number, got '{tol}'" in err
+
+    def test_bad_mode_rejected(self, capsys):
+        for argv in (
+            ("spectrum", SHG, "--kappa", "2"),
+            ("scan", SHG, "--kappa-max", "2"),
+            ("polys", SHG, "--kappa", "2"),
+        ):
+            code, out, err = run(capsys, *argv, "--mode", "verbatim")
+            assert (code, out) == (1, "")
+            assert err.startswith("usage error: argument --mode: invalid choice: 'verbatim'")
 
     def test_non_numeric_tol_message_unchanged(self, capsys):
         code, _, err = run(capsys, "spectrum", SHG, "--kappa", "2", "--tol", "abc")
@@ -350,12 +395,16 @@ class TestSolverFailure:
     route, although np.linalg.LinAlgError is a ValueError."""
 
     def test_oracle_exits_4(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            scipy.linalg.lapack, "dstevd", lambda d, e: (d, np.eye(len(d)), 1)
-        )
+        def stevd_info(*args, **kwargs):
+            raise np.linalg.LinAlgError("stevd (eigh_tridiagonal) did not converge (LAPACK info=1)")
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", stevd_info)
         code, out, err = run(capsys, "spectrum", SHG, "--kappa", "4", "--method", "oracle")
         assert (code, out) == (4, "")
-        assert err == "numerical failure: block kappa=4 eigensolve failed: dstevd returned info=1\n"
+        assert err == (
+            "numerical failure: block kappa=4 eigensolve failed:"
+            " stevd (eigh_tridiagonal) did not converge (LAPACK info=1)\n"
+        )
 
     def test_reduced_exits_4(self, capsys, monkeypatch):
         monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", _fail_to_converge)

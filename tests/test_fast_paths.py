@@ -62,6 +62,7 @@ from qesboson.reduction import (
     energy_polynomial_table,
     matrix_element_reduction,
     mode2_frequency,
+    paper_literal,
     physical_degrees,
     reduced_block_matrix,
     slaved_occupation,
@@ -495,7 +496,8 @@ def test_reduced_float_data_bits_match_exact_entries(mode, model):
             for i in range(len(degrees)):
                 entries[(i, i)] = entries.get((i, i), ZERO) + w2
             entries = {k: v for k, v in entries.items() if not v.is_zero}
-    block = reduced_block_matrix(h, charge, kappa, mode=mode)
+        h = paper_literal(h)
+    block = reduced_block_matrix(h, charge, kappa)
     assert block.degrees == degrees and block.entries == entries
     dense = np.zeros((len(degrees), len(degrees)), dtype=complex)
     for (i, j), value in entries.items():
@@ -512,7 +514,7 @@ def test_reduced_float_data_bits_match_exact_entries(mode, model):
 
     # the energy polynomials' recurrence, the order-reversing transpose of
     # the block, goes through the same solver
-    table = energy_polynomial_table(h, charge, kappa, mode=mode)
+    table = energy_polynomial_table(h, charge, kappa)
     d = len(degrees)
     if not d:
         return
@@ -581,15 +583,17 @@ def test_energy_polynomials_match_dense_recurrence(mode, model):
     # random conserving models mostly break the band shape: the guards must
     # then raise with the dense reference's message
     h, charge, kappa = model
-    block = reduced_block_matrix(h, charge, kappa, mode=mode)
+    if mode == "paper-literal":
+        h = paper_literal(h)
+    block = reduced_block_matrix(h, charge, kappa)
     try:
         expected = reference_energy_polynomials(block.entries, block.dimension)
     except BandStructureUnsupported as exc:
         with pytest.raises(BandStructureUnsupported) as refused:
-            energy_polynomial_table(h, charge, kappa, mode=mode)
+            energy_polynomial_table(h, charge, kappa)
         assert str(refused.value) == str(exc)
         return
-    table = energy_polynomial_table(h, charge, kappa, mode=mode)
+    table = energy_polynomial_table(h, charge, kappa)
     assert len(table.polys) == len(expected)
     for got, want in zip(table.polys, expected):
         assert got == want

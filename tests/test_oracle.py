@@ -5,7 +5,7 @@ from math import sqrt
 
 import numpy as np
 import pytest
-import scipy.linalg.lapack
+import scipy.linalg
 
 from conftest import (
     random_conserving_hamiltonian,
@@ -58,6 +58,17 @@ def _refuse(name):
 
 def _fail_to_converge(*args, **kwargs):
     raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def stevd_info(info):
+    """eigh_tridiagonal as it fails when LAPACK stevd returns info > 0."""
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError(
+            f"stevd (eigh_tridiagonal) did not converge (LAPACK info={info})"
+        )
+
+    return fail
 
 
 class TestEnumerateBlock:
@@ -244,15 +255,15 @@ def test_diagonalize_block_orthonormal_vectors(shg):
 
 def test_nan_eigenvalue_fails_residual_gate(shg, monkeypatch):
     # a NaN residual compares False with any tolerance; it must still refuse.
-    # SHG blocks are real symmetric tridiagonal, so dstevd solves them
-    dstevd = scipy.linalg.lapack.dstevd
+    # SHG blocks are real symmetric tridiagonal, so stevd solves them
+    eigh_tridiagonal = scipy.linalg.eigh_tridiagonal
 
-    def nan_dstevd(*args, **kwargs):
-        values, vectors, info = dstevd(*args, **kwargs)
+    def nan_values(*args, **kwargs):
+        values, vectors = eigh_tridiagonal(*args, **kwargs)
         values[0] = np.nan
-        return values, vectors, info
+        return values, vectors
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dstevd", nan_dstevd)
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", nan_values)
     monkeypatch.setattr(np.linalg, "eigh", _refuse("eigh"))
     h, charge = shg
     with pytest.raises(NumericalFailure) as info:
@@ -269,7 +280,7 @@ def test_nan_eigenvalue_fails_residual_gate_dense(monkeypatch):
         return values, vectors
 
     monkeypatch.setattr(np.linalg, "eigh", nan_eigh)
-    monkeypatch.setattr(scipy.linalg.lapack, "dstevd", _refuse("dstevd"))
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", _refuse("eigh_tridiagonal"))
     with pytest.raises(NumericalFailure) as info:
         diagonalize_block(BANDED, ConservedCharge(1, 1), 6)
     assert math.isnan(info.value.residual)
@@ -280,11 +291,12 @@ class TestSolverFailure:
     NaN residual, not the ValueError that np.linalg.LinAlgError is."""
 
     def test_dstevd_info(self, shg, monkeypatch):
-        monkeypatch.setattr(
-            scipy.linalg.lapack, "dstevd", lambda d, e: (d, np.eye(len(d)), 2)
-        )
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", stevd_info(2))
         h, charge = shg
-        message = "kappa=4 eigensolve failed: dstevd returned info=2"
+        message = (
+            r"kappa=4 eigensolve failed: stevd \(eigh_tridiagonal\) did not converge"
+            r" \(LAPACK info=2\)"
+        )
         with pytest.raises(NumericalFailure, match=message) as info:
             diagonalize_block(h, charge, 4)
         assert math.isnan(info.value.residual)
@@ -297,7 +309,7 @@ class TestSolverFailure:
 
 
 class TestTridiagonalSolver:
-    """Real Hermitian tridiagonal blocks are solved by dstevd; it must agree
+    """Real Hermitian tridiagonal blocks are solved by stevd; it must agree
     with dense eigh, and every other block keeps eigh or eig."""
 
     @staticmethod
@@ -332,7 +344,7 @@ class TestTridiagonalSolver:
     def test_complex_hermitian_keeps_eigh(self, monkeypatch):
         coupling = RationalComplex(Fraction(1, 2), Fraction(1, 3))
         h = build_shg(1, 2, coupling, coupling.conjugate())
-        monkeypatch.setattr(scipy.linalg.lapack, "dstevd", _refuse("dstevd"))
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", _refuse("eigh_tridiagonal"))
         block, values, vectors, method, _ = diagonalize_block(h, shg_charge(), 10)
         assert not np.tril(block.matrix, -2).any()
         assert block.matrix.dtype == complex
@@ -342,7 +354,7 @@ class TestTridiagonalSolver:
 
     def test_real_non_hermitian_keeps_eig(self, monkeypatch):
         h = build_shg(1, 2, Fraction(1, 2), Fraction(1, 3))
-        monkeypatch.setattr(scipy.linalg.lapack, "dstevd", _refuse("dstevd"))
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", _refuse("eigh_tridiagonal"))
         block, values, vectors, method, _ = diagonalize_block(h, shg_charge(), 10)
         assert not np.tril(block.matrix, -2).any()
         assert block.matrix.dtype == float

@@ -26,9 +26,11 @@ from qesboson import (
     eigenvector_to_fock,
     energy_polynomial_table,
     enumerate_block,
+    identity,
     matrix_element_reduction,
     monomial,
     number,
+    paper_literal,
     physical_degrees,
     qes_spectrum,
     reduced_block_matrix,
@@ -36,7 +38,6 @@ from qesboson import (
     shg_charge,
     shg_ode,
     slaved_occupation,
-    termination_degree,
 )
 from qesboson.exact import ZERO
 from qesboson.oracle import block_spectrum
@@ -159,38 +160,39 @@ class TestReducedBlockMatrix:
     def test_paper_literal_mode_shifts_diagonal(self, shg):
         h, charge = shg
         base = reduced_block_matrix(h, charge, 6)
-        literal = reduced_block_matrix(h, charge, 6, mode="paper-literal")
+        literal = reduced_block_matrix(paper_literal(h), charge, 6)
         assert np.allclose(literal.matrix, base.matrix + 2.0 * np.eye(4))
 
     def test_paper_literal_drops_cancelled_diagonal(self):
         # at degree 2 of block 4 the diagonal w1*n1 + w2*n2 + w2 = 2 - 1 - 1
         # vanishes, so the block stores no entry there
-        block = reduced_block_matrix(
-            build_shg(1, -1, 1, 1), shg_charge(), 4, mode="paper-literal"
-        )
+        block = reduced_block_matrix(paper_literal(build_shg(1, -1, 1, 1)), shg_charge(), 4)
         assert (1, 1) not in block.numerators
         assert all(re or im for re, im in block.numerators.values())
 
-    def test_bad_mode_rejected(self, shg):
-        h, charge = shg
-        with pytest.raises(ValueError):
-            reduced_block_matrix(h, charge, 2, mode="verbatim")
+    def test_paper_literal_adds_mode2_frequency(self, shg):
+        h, _ = shg
+        assert paper_literal(h) == h + identity(2)
+
+    def test_paper_literal_without_mode2_number_is_h(self):
+        # no a2+ a2 term: w2 = 0 and the as-published diagonal is h's own
+        h = number(1) + monomial(Fraction(1, 2), 2, 0, 0, 1) + monomial(Fraction(1, 2), 0, 2, 1, 0)
+        assert paper_literal(h) == h
 
 
 class TestTerminationDegree:
     def test_shg_examples(self, shg):
-        h, charge = shg
-        assert termination_degree(h, charge, 2) == 2
-        assert termination_degree(h, charge, 5) == 3
+        _, charge = shg
+        assert len(physical_degrees(charge, 2)) == 2
+        assert len(physical_degrees(charge, 5)) == 3
 
     def test_matches_floor_rule(self, shg):
-        h, charge = shg
+        _, charge = shg
         for kappa in range(30):
-            assert termination_degree(h, charge, kappa) == kappa // 2 + 1
+            assert len(physical_degrees(charge, kappa)) == kappa // 2 + 1
 
     def test_trilinear(self):
-        h = build_nth_harmonic(1, 2, Fraction(1, 2), Fraction(1, 2), 3)
-        assert termination_degree(h, ConservedCharge(1, 3), 3) == 2
+        assert len(physical_degrees(ConservedCharge(1, 3), 3)) == 2
 
 
 class TestEnergyPolynomialTable:
@@ -202,13 +204,13 @@ class TestEnergyPolynomialTable:
         assert table.polys[1] == Polynomial.from_coeffs([-2, 1])
         # termination: (E-2)^2 - 1/2, up to sign convention it is monic here
         assert table.termination == Polynomial.from_coeffs([Fraction(7, 2), -4, 1])
-        roots = np.sort(table.termination_roots().real)
+        roots = np.sort(table.spectrum().real)
         assert np.allclose(roots, [2 - sqrt(0.5), 2 + sqrt(0.5)], atol=1e-12)
 
     def test_shg_kappa_two_literal_shift(self, shg):
         h, charge = shg
-        literal = energy_polynomial_table(h, charge, 2, mode="paper-literal")
-        roots = np.sort(literal.termination_roots().real)
+        literal = energy_polynomial_table(paper_literal(h), charge, 2)
+        roots = np.sort(literal.spectrum().real)
         assert np.allclose(roots, [4 - sqrt(0.5), 4 + sqrt(0.5)], atol=1e-12)
 
     def test_degree_structure(self, shg):
@@ -218,7 +220,7 @@ class TestEnergyPolynomialTable:
             assert len(table.polys) == table.dimension + 1
             for m, poly in enumerate(table.polys):
                 assert poly.degree == m
-            assert table.termination_degree == table.dimension
+            assert table.termination.degree == table.dimension
 
     def test_dimension_one_block(self, shg):
         h, charge = shg
@@ -226,7 +228,7 @@ class TestEnergyPolynomialTable:
         assert table.dimension == 1
         # linear termination with root at the single diagonal entry
         assert table.termination.degree == 1
-        assert np.allclose(table.termination_roots(), [1.0])
+        assert np.allclose(table.spectrum(), [1.0])
 
     def test_solver_failure_is_numerical_failure(self, shg, monkeypatch):
         # np.linalg.LinAlgError is a ValueError, which the CLI reads as a
@@ -255,14 +257,15 @@ class TestEnergyPolynomialTable:
             )
 
     def test_termination_roots_equal_recurrence_spectrum(self, shg):
+        # the terminating polynomial vanishes at every recurrence eigenvalue,
+        # relative to the size of its terms there
         h, charge = shg
         for kappa in range(0, 13, 2):
             table = energy_polynomial_table(h, charge, kappa)
-            assert np.allclose(
-                sorted_reals(table.termination_roots()),
-                sorted_reals(table.spectrum()),
-                atol=1e-8,
-            )
+            coeffs = [complex(c) for c in table.termination.coeffs]
+            for value in table.spectrum():
+                terms = [c * value**i for i, c in enumerate(coeffs)]
+                assert abs(sum(terms)) <= 1e-12 * sum(abs(t) for t in terms)
 
     def test_multiple_subdiagonals_supported(self):
         # one superdiagonal plus two subdiagonal bands: the recurrence
@@ -275,7 +278,6 @@ class TestEnergyPolynomialTable:
             table = energy_polynomial_table(h, charge, kappa)
             oracle = np.array(block_spectrum(h, charge, kappa).eigenvalues)
             assert spectral_deviation(table.spectrum(), oracle) <= 1e-9
-            assert spectral_deviation(table.termination_roots(), oracle) <= 1e-7
 
     def test_band_structure_guard(self):
         # two competing raising steps break the single-superdiagonal shape;
@@ -465,10 +467,6 @@ class TestShgOde:
         assert ode.c1 == Polynomial.from_coeffs([Fraction(1, 2), 0, -1])
         assert ode.c0 == Polynomial.from_coeffs([2, 1])
 
-    def test_literal_constant_shifted(self):
-        ode = shg_ode(1, 2, Fraction(1, 2), Fraction(1, 2), 2, mode="paper-literal")
-        assert ode.c0 == Polynomial.from_coeffs([4, 1])
-
     def test_first_order_when_kb_zero(self):
         ode = shg_ode(1, 2, Fraction(1, 2), 0, 2)
         assert ode.c3.is_zero
@@ -488,7 +486,7 @@ class TestShgOde:
     def test_ode_recurrence_roots_match_oracle(self, shg):
         h, charge = shg
         for kappa in (2, 5, 9):
-            dim = termination_degree(h, charge, kappa)
+            dim = len(physical_degrees(charge, kappa))
             ode = shg_ode(1, 2, Fraction(1, 2), Fraction(1, 2), kappa)
             vals = np.linalg.eigvals(np.array(ode.recurrence_exact(dim), dtype=complex))
             oracle = np.array(block_spectrum(h, charge, kappa).eigenvalues)

@@ -8,7 +8,6 @@ import pytest
 from conftest import random_coeff
 from qesboson import (
     ConventionMismatch,
-    GridTooCoarse,
     RationalComplex,
     build_shg,
     check_gauge_identity,
@@ -34,6 +33,11 @@ class TestSuperpotential:
         w = gauge_superpotential(1, 2, Fraction(1, 2), Fraction(1, 2), 0)
         assert w.inverse_coeff.is_zero and w.linear_coeff.is_zero
         assert not w.cubic_coeff.is_zero
+
+    def test_negative_level_rejected(self):
+        for build in (gauge_superpotential, sextic_potential):
+            with pytest.raises(ValueError, match="k must be non-negative"):
+                build(1, 2, Fraction(1, 2), Fraction(1, 2), -1)
 
     def test_no_cubic_without_both_couplings(self):
         w = gauge_superpotential(1, 3, 0, Fraction(1, 2), 2)
@@ -133,28 +137,11 @@ class TestFdSpectrum:
         assert np.allclose(vals, np.arange(5) + 0.5, atol=1e-3)
 
     def test_second_order_convergence(self):
-        exact = np.arange(3) + 0.5
-        coarse = fd_spectrum(lambda y: y**2 / 2, 10.0, 500, n_levels=3)
-        fine = fd_spectrum(lambda y: y**2 / 2, 10.0, 1000, n_levels=3)
+        exact = np.arange(5) + 0.5
+        coarse = fd_spectrum(lambda y: y**2 / 2, 10.0, 500)
+        fine = fd_spectrum(lambda y: y**2 / 2, 10.0, 1000)
         ratio = np.abs(coarse - exact) / np.abs(fine - exact)
         assert np.all((3.5 <= ratio) & (ratio <= 4.5))
-
-    def test_grid_too_coarse(self):
-        with pytest.raises(GridTooCoarse):
-            fd_spectrum(lambda y: y**2 / 2, 10.0, 40, refine_tol=1e-10)
-
-    def test_refinement_returns_finer_values(self):
-        vals = fd_spectrum(lambda y: y**2 / 2, 10.0, 1000, refine_tol=1e-2)
-        direct = fd_spectrum(lambda y: y**2 / 2, 10.0, 2000)
-        assert np.allclose(vals, direct, atol=1e-12)
-
-    def test_tabulated_potential_matches_callable(self):
-        n = 800
-        h = 20.0 / (n + 1)
-        nodes = -10.0 + h * np.arange(1, n + 1)
-        tabulated = fd_spectrum(nodes**2 / 2, 10.0, n)
-        called = fd_spectrum(lambda y: y**2 / 2, 10.0, n)
-        assert np.allclose(tabulated, called)
 
     def test_confining_even_potential_monotone_nondegenerate(self):
         # c4 = 0, c2 > 0, c6 > 0: spectrum strictly increasing
@@ -169,10 +156,9 @@ class TestFdSpectrum:
             fd_spectrum(lambda y: y**2, -1.0, 100)
         with pytest.raises(ValueError):
             fd_spectrum(lambda y: y**2, 1.0, 2)
-        with pytest.raises(ValueError):
-            fd_spectrum(np.zeros(7), 1.0, 8)
-        with pytest.raises(ValueError):
-            fd_spectrum(np.zeros(8), 1.0, 8, refine_tol=1e-3)
+        for halfwidth in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="halfwidth must be finite and positive"):
+                fd_spectrum(lambda y: y**2, halfwidth, 100)
 
 
 def test_block_levels_inside_sextic_spectrum():
