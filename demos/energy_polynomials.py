@@ -26,7 +26,7 @@ charge = shg_charge()
 print("== energy polynomials for kappa = 6 (corrected convention) ==")
 table = energy_polynomial_table(h, charge, 6)
 for m, poly in enumerate(table.polys):
-    print(f"P_{m}(E) = {poly.render('E')}")
+    print(f"P_{m}(E) = {poly.render()}")
 print(f"termination degree: {table.dimension}")
 print("roots of the last polynomial:", np.round(table.spectrum().real, 9))
 print("block spectrum (dense solve): ",

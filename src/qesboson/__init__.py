@@ -47,8 +47,6 @@ from .models import (
     ModelFile,
     build_nth_harmonic,
     build_shg,
-    model_from_hamiltonian,
-    nth_harmonic_charge,
     parse_model_file,
     shg_charge,
     write_model_file,

@@ -268,11 +268,14 @@ def conserves(h: OperatorPolynomial, charge: ConservedCharge) -> bool:
     return all(charge_weight(charge, *key) == 0 for key, _ in h.items())
 
 
-def conserving_pairs(h: OperatorPolynomial, limit: int = 12) -> list[tuple[int, int]]:
-    """All raw (s, p) with 1 <= s, p <= limit under which h conserves."""
+PAIR_LIMIT = 12  # the largest weight s or p that conserving_pairs tries
+
+
+def conserving_pairs(h: OperatorPolynomial) -> list[tuple[int, int]]:
+    """All raw (s, p) with 1 <= s, p <= PAIR_LIMIT under which h conserves."""
     out = []
-    for s in range(1, limit + 1):
-        for p in range(1, limit + 1):
+    for s in range(1, PAIR_LIMIT + 1):
+        for p in range(1, PAIR_LIMIT + 1):
             if all(s * (k[0] - k[1]) + p * (k[2] - k[3]) == 0 for k, _ in h.items()):
                 out.append((s, p))
     return out

@@ -196,7 +196,7 @@ def _cmd_check(args) -> int:
     h = model.hamiltonian()
     ok = conserves(h, model.charge)
     herm = is_hermitian(h)
-    pairs = conserving_pairs(h, limit=12)
+    pairs = conserving_pairs(h)
     comm = None
     if not ok:
         comm = str(commutator(charge_operator(model.charge), h))
@@ -312,7 +312,7 @@ def _cmd_polys(args) -> int:
             f" dimension={table.dimension} mode={args.mode}"
         )
         for m, poly in enumerate(table.polys):
-            print(f"P_{m}(E) = {poly.render('E')}")
+            print(f"P_{m}(E) = {poly.render()}")
         print(
             f"# termination degree {table.dimension};"
             " roots of the last polynomial are the block spectrum"

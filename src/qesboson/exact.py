@@ -237,8 +237,8 @@ class Polynomial:
     def complex_coeffs(self) -> list[complex]:
         return list(self._complex_coeffs)
 
-    def render(self, variable: str = "E") -> str:
-        """Human-readable form, lowest power first."""
+    def render(self) -> str:
+        """Human-readable form in the energy E, lowest power first."""
         if self.is_zero:
             return "0"
         parts = []
@@ -248,7 +248,7 @@ class Polynomial:
             if i == 0:
                 parts.append(str(c))
             else:
-                power = variable if i == 1 else f"{variable}^{i}"
+                power = "E" if i == 1 else f"E^{i}"
                 if c == ONE:
                     parts.append(power)
                 elif c == -ONE:

@@ -70,12 +70,6 @@ def shg_charge() -> ConservedCharge:
     return ConservedCharge(1, 2)
 
 
-def nth_harmonic_charge(n: int) -> ConservedCharge:
-    if not isinstance(n, int) or n < 1:
-        raise InvalidOrder(f"order must be a positive integer, got {n!r}")
-    return ConservedCharge(1, n)
-
-
 @dataclass(frozen=True)
 class ModelFile:
     """Parsed model: charge plus canonical term list.
@@ -90,12 +84,6 @@ class ModelFile:
 
     def hamiltonian(self) -> OperatorPolynomial:
         return OperatorPolynomial.from_monomials(self.terms)
-
-
-def model_from_hamiltonian(
-    h: OperatorPolynomial, charge: ConservedCharge, name: str | None = None
-) -> ModelFile:
-    return ModelFile(charge=charge, terms=h.monomials(), name=name)
 
 
 def _parse_fraction(token: str, line_no: int, what: str) -> Fraction:

@@ -57,7 +57,7 @@ from .errors import (
     ZeroVector,
 )
 
-DEFAULT_RESIDUAL_TOL = 1e-8
+RESIDUAL_TOL = 1e-8  # the largest residual a block solve may have; see checked_residual
 
 
 def enumerate_block(charge: ConservedCharge, kappa: int) -> tuple[FockState, ...]:
@@ -203,16 +203,18 @@ def eigen_residual(matrix, values, vectors):
     return residuals if vectors.ndim == 2 else float(residuals)
 
 
-def checked_residual(worst: float, tol: float, block: str) -> float:
+def checked_residual(worst: float, block: str) -> float:
     """worst, the largest eigenpair residual of a block solve, if it is at
-    most tol; otherwise raises NumericalFailure.  A NaN residual is refused.
+    most RESIDUAL_TOL; otherwise raises NumericalFailure.  A NaN residual is
+    refused.
 
-    This is the residual policy of both routes; block names the block in
-    the message.
+    This is the residual policy of both routes and of
+    EnergyPolynomialTable.spectrum; block names the block in the message.
     """
-    if not worst <= tol:
+    if not worst <= RESIDUAL_TOL:
         raise NumericalFailure(
-            f"{block} eigensolve residual {worst:.3e} exceeds {tol:.3e}", worst
+            f"{block} eigensolve residual {worst:.3e} exceeds {RESIDUAL_TOL:.3e}",
+            worst,
         )
     return worst
 
@@ -233,20 +235,15 @@ def checked_solve(block: str):
 
 
 def sort_eigenpairs(
-    values: np.ndarray, vectors: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray | None]:
+    values: np.ndarray, vectors: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Ascending by (real, imag); the package-wide eigenvalue order."""
     order = np.lexsort((values.imag, values.real))
-    if vectors is None:
-        return values[order], None
     return values[order], vectors[:, order]
 
 
 def diagonalize_block(
-    h: OperatorPolynomial,
-    charge: ConservedCharge,
-    kappa: int,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
+    h: OperatorPolynomial, charge: ConservedCharge, kappa: int
 ) -> tuple[FockBlock, np.ndarray, np.ndarray, str, float]:
     """Full eigensystem of one block.
 
@@ -260,8 +257,8 @@ def diagonalize_block(
     max_residual) with the eigenpairs sorted ascending by (real, imag);
     values are complex, vectors have the dtype the solver returns (float64
     for a real Hermitian block).  Raises NumericalFailure unless
-    max_residual <= residual_tol, and, with residual NaN, when the LAPACK
-    solver does not converge.
+    checked_residual accepts max_residual, and, with residual NaN, when the
+    LAPACK solver does not converge.
     """
     block = build_block(h, charge, kappa)
     hermitian = is_hermitian(h)
@@ -273,7 +270,7 @@ def diagonalize_block(
     with checked_solve(name):
         values, vectors = sort_eigenpairs(*_eigensolve(block.matrix, hermitian))
     max_residual = checked_residual(
-        float(eigen_residual(block.matrix, values, vectors).max()), residual_tol, name
+        float(eigen_residual(block.matrix, values, vectors).max()), name
     )
     return block, values.astype(complex), vectors, method, max_residual
 
@@ -294,15 +291,10 @@ def _eigensolve(matrix: np.ndarray, hermitian: bool) -> tuple[np.ndarray, np.nda
 
 
 def block_spectrum(
-    h: OperatorPolynomial,
-    charge: ConservedCharge,
-    kappa: int,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
+    h: OperatorPolynomial, charge: ConservedCharge, kappa: int
 ) -> SpectrumReport:
     """Eigenvalues of h on the block with charge eigenvalue kappa."""
-    block, values, _, method, max_residual = diagonalize_block(
-        h, charge, kappa, residual_tol
-    )
+    block, values, _, method, max_residual = diagonalize_block(h, charge, kappa)
     return SpectrumReport(
         kappa=kappa,
         dimension=block.dimension,

@@ -395,10 +395,12 @@ def _jacobi_form(numerators: _Numerators, denom: int, dim: int) -> _JacobiForm |
 
 
 def _solve(
-    numerators: _Numerators, denom: int, dim: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, _JacobiForm | None]:
-    """Eigenvalues, eigenvectors, residuals and Jacobi form of a nonempty
-    block given by the integer numerators of its entries over denom.
+    numerators: _Numerators, denom: int, dim: int, name: str
+) -> tuple[np.ndarray, np.ndarray, float, _JacobiForm | None]:
+    """Eigenvalues, eigenvectors, worst residual and Jacobi form of a
+    nonempty block given by the integer numerators of its entries over
+    denom, solved inside checked_solve and with the worst residual passed
+    through checked_residual; name names the block in their messages.
 
     A block with a Jacobi form (see the module docstring) is solved by
     eigh_tridiagonal, its residuals are taken on J, and the eigenvectors
@@ -406,15 +408,18 @@ def _solve(
     eig, with eigenpairs sorted ascending by (real, imag).
     """
     jacobi = _jacobi_form(numerators, denom, dim)
-    if jacobi is None:
-        matrix = _dense(numerators, denom, dim)
-        values, vectors = sort_eigenpairs(*np.linalg.eig(matrix))
-        return values, vectors, eigen_residual(matrix, values, vectors), None
-    from scipy.linalg import eigh_tridiagonal
+    with checked_solve(name):
+        if jacobi is None:
+            matrix = _dense(numerators, denom, dim)
+            values, vectors = sort_eigenpairs(*np.linalg.eig(matrix))
+            residuals = eigen_residual(matrix, values, vectors)
+        else:
+            from scipy.linalg import eigh_tridiagonal
 
-    values, vectors = eigh_tridiagonal(jacobi.diagonal, jacobi.off)
-    residuals = jacobi.residuals(values, vectors)
-    return values.astype(complex), vectors, residuals, jacobi
+            values, vectors = eigh_tridiagonal(jacobi.diagonal, jacobi.off)
+            residuals = jacobi.residuals(values, vectors)
+            values = values.astype(complex)
+    return values, vectors, checked_residual(float(residuals.max()), name), jacobi
 
 
 @dataclass(frozen=True)
@@ -448,8 +453,8 @@ class EnergyPolynomialTable:
 
         A three-term recurrence with positive off-diagonal products is
         solved as its Jacobi matrix, any other by a dense eig.  Raises
-        NumericalFailure, with residual NaN, when the LAPACK solver does not
-        converge.
+        NumericalFailure when checked_residual refuses the worst residual
+        and, with residual NaN, when the LAPACK solver does not converge.
         """
         d = self.dimension
         if d == 0:
@@ -457,8 +462,8 @@ class EnergyPolynomialTable:
         recurrence = {
             (d - 1 - j, d - 1 - i): pair for (i, j), pair in self.block.numerators.items()
         }
-        with checked_solve(f"recurrence kappa={self.kappa}"):
-            return _solve(recurrence, self.block.denominator, d)[0]
+        name = f"recurrence kappa={self.kappa}"
+        return _solve(recurrence, self.block.denominator, d, name)[0]
 
 
 def energy_polynomial_table(
@@ -503,55 +508,40 @@ def energy_polynomial_table(
 
 
 def reduced_eigensystem(
-    h: OperatorPolynomial,
-    charge: ConservedCharge,
-    kappa: int,
-    *,
-    residual_tol: float = 1e-8,
+    h: OperatorPolynomial, charge: ConservedCharge, kappa: int
 ) -> tuple[ReducedBlock, np.ndarray, np.ndarray, float]:
     """Eigenvalues and right eigenvectors of the reduced block matrix.
 
     Jacobi-form blocks (see the module docstring) are solved by
     eigh_tridiagonal, with the residual taken on the Jacobi matrix, and
     their eigenvectors mapped back through the diagonal similarity; other
-    blocks by a dense eig.  Raises NumericalFailure if the residual exceeds
-    residual_tol or if the eigenvectors do not fit in double precision.
+    blocks by a dense eig.  Raises NumericalFailure if checked_residual
+    refuses the residual or if the eigenvectors do not fit in double
+    precision.
     """
-    block, values, vectors, worst, jacobi = _reduced_solve(h, charge, kappa, residual_tol)
+    block, values, vectors, worst, jacobi = _reduced_solve(h, charge, kappa)
     if jacobi is not None:
         vectors = jacobi.monomial_vectors(vectors, kappa)
     return block, values, vectors, worst
 
 
 def _reduced_solve(
-    h: OperatorPolynomial,
-    charge: ConservedCharge,
-    kappa: int,
-    residual_tol: float,
+    h: OperatorPolynomial, charge: ConservedCharge, kappa: int
 ) -> tuple[ReducedBlock, np.ndarray, np.ndarray, float, _JacobiForm | None]:
     """The block, its eigenvalues and eigenvectors (as _solve returns
     them), the worst residual and the Jacobi form; raises NumericalFailure
-    unless the worst residual is at most residual_tol, and, with residual
+    unless checked_residual accepts the worst residual, and, with residual
     NaN, when the LAPACK solver does not converge."""
     block = reduced_block_matrix(h, charge, kappa)
     if block.dimension == 0:
         empty = np.zeros(0, dtype=complex)
         return block, empty, np.zeros((0, 0), dtype=complex), 0.0, None
     name = f"reduced block kappa={kappa}"
-    with checked_solve(name):
-        values, vectors, residuals, jacobi = _solve(
-            block.numerators, block.denominator, block.dimension
-        )
-    worst = checked_residual(float(residuals.max()), residual_tol, name)
-    return block, values, vectors, worst, jacobi
+    return block, *_solve(block.numerators, block.denominator, block.dimension, name)
 
 
 def qes_spectrum(
-    h: OperatorPolynomial,
-    charge: ConservedCharge,
-    kappa: int,
-    *,
-    residual_tol: float = 1e-8,
+    h: OperatorPolynomial, charge: ConservedCharge, kappa: int
 ) -> SpectrumReport:
     """Block spectrum from the reduced single-variable matrix.
 
@@ -563,7 +553,7 @@ def qes_spectrum(
     via energy_polynomial_table.  Eigenvectors are not formed, so this
     never fails for want of double range in them.
     """
-    block, values, _, worst, _ = _reduced_solve(h, charge, kappa, residual_tol)
+    block, values, _, worst, _ = _reduced_solve(h, charge, kappa)
     return SpectrumReport(
         kappa=kappa,
         dimension=block.dimension,

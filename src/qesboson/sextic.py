@@ -28,9 +28,10 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import ConventionMismatch
+from .errors import ConventionMismatch, NumericalFailure
 from .exact import Polynomial, Rationalish, RationalComplex
-from .reduction import shg_ode
+from .oracle import checked_solve
+from .reduction import OdeCoefficients, shg_ode
 
 # seven-point central second-derivative weights
 STENCIL_D2 = (
@@ -44,12 +45,27 @@ STENCIL_D2 = (
 )
 
 # the gauge check's random polynomial test functions (degree, count and
-# generator seed) and its sample points y in GAUGE_Y_RANGE
+# generator seed), its sample points y in GAUGE_Y_RANGE and the largest
+# residual it accepts
 GAUGE_POLY_DEGREE = 3
 GAUGE_POLY_COUNT = 5
 GAUGE_SEED = 20260810
 GAUGE_SAMPLES = 25
 GAUGE_Y_RANGE = (0.5, 2.0)
+GAUGE_TOLERANCE = 1e-6
+
+
+def _real_floats(*named: tuple[str, RationalComplex]) -> tuple[float, ...]:
+    """The named coefficients as floats; raises ValueError for one that is
+    not real and NumericalFailure when one does not fit in a double."""
+    for name, c in named:
+        if not c.is_real:
+            raise ValueError(f"{name} is not real: {c}")
+    try:
+        return tuple(float(c.re) for _, c in named)
+    except OverflowError:
+        names = ", ".join(name for name, _ in named)
+        raise NumericalFailure(f"one of {names} exceeds double range", math.inf) from None
 
 
 def _as_real(value: Rationalish, what: str) -> RationalComplex:
@@ -69,17 +85,10 @@ class Superpotential:
 
     @cached_property
     def _real_parts(self) -> tuple[float, float, float]:
-        for name, c in (
-            ("inverse", self.inverse_coeff),
-            ("linear", self.linear_coeff),
-            ("cubic", self.cubic_coeff),
-        ):
-            if not c.is_real:
-                raise ValueError(f"{name} coefficient is not real: {c}")
-        return (
-            float(self.inverse_coeff.re),
-            float(self.linear_coeff.re),
-            float(self.cubic_coeff.re),
+        return _real_floats(
+            ("inverse coefficient", self.inverse_coeff),
+            ("linear coefficient", self.linear_coeff),
+            ("cubic coefficient", self.cubic_coeff),
         )
 
     def __call__(self, y: float) -> float:
@@ -132,19 +141,10 @@ class SexticPotential:
     c2: RationalComplex
     c4: RationalComplex
     c6: RationalComplex
-    omega1: RationalComplex
-    omega2: RationalComplex
-    kappa_c: RationalComplex
-    kappa_bar: RationalComplex
     k: int
 
     def real_coeffs(self) -> tuple[float, float, float, float]:
-        out = []
-        for name, c in (("c0", self.c0), ("c2", self.c2), ("c4", self.c4), ("c6", self.c6)):
-            if not c.is_real:
-                raise ValueError(f"{name} is not real: {c}")
-            out.append(float(c.re))
-        return tuple(out)
+        return _real_floats(("c0", self.c0), ("c2", self.c2), ("c4", self.c4), ("c6", self.c6))
 
     def __call__(self, y):
         c0, c2, c4, c6 = self.real_coeffs()
@@ -180,19 +180,13 @@ def sextic_potential(
         raise ValueError("k must be non-negative")
     w1 = RationalComplex.coerce(omega1)
     w2 = RationalComplex.coerce(omega2)
-    kc = RationalComplex.coerce(kappa_c)
-    kb = RationalComplex.coerce(kappa_bar)
-    kk = kc * kb
+    kk = RationalComplex.coerce(kappa_c) * RationalComplex.coerce(kappa_bar)
     delta = w2 - w1 * 2
     return SexticPotential(
         c0=(w2 * (2 * k + 5) - w1 * 2) / 4,
         c2=(delta * delta - kk * (4 * (2 * k + 3))) / 16,
         c4=-kk * delta / 8,
         c6=kk * kk / 16,
-        omega1=w1,
-        omega2=w2,
-        kappa_c=kc,
-        kappa_bar=kb,
         k=k,
     )
 
@@ -229,8 +223,6 @@ def check_gauge_identity(
     kappa_c: Rationalish,
     kappa_bar: Rationalish,
     k: int,
-    *,
-    tolerance: float = 1e-6,
 ) -> GaugeIdentityResult:
     """Numerically verify the conjugation identity between the two pictures.
 
@@ -244,8 +236,9 @@ def check_gauge_identity(
     squares and reported, since the quoted constant term is known to sit
     one mode-2 frequency above the conjugated operator.
 
-    Raises ConventionMismatch with the per-convention residuals when no
-    convention reaches the tolerance.
+    Raises ConventionMismatch with the per-convention residuals unless the
+    best residual that is a number is at most GAUGE_TOLERANCE, and
+    NumericalFailure when a sample does not fit in double precision.
     """
     w1 = _as_real(omega1, "omega1")
     w2 = _as_real(omega2, "omega2")
@@ -259,9 +252,43 @@ def check_gauge_identity(
     ode = shg_ode(w1, w2, kc, kb, k)
     w = gauge_superpotential(w1, w2, kc, kb, k)
     pot = sextic_potential(w1, w2, kc, kb, k)
-    c0, c2, c4, c6 = pot.real_coeffs()
-    kbf = float(kb.re)
+    try:
+        fits = _convention_fits(ode, w, pot, float(kb.re))
+    except OverflowError:
+        raise NumericalFailure(
+            f"gauge check samples at k={k} do not fit in double precision", math.inf
+        ) from None
 
+    tried: dict[tuple[int, int, float], float] = {}
+    best: tuple[float, GaugeConvention | None] = (math.nan, None)
+    for w_sign in (1, -1):
+        for exp_sign in (1, -1):
+            for kinetic in (1.0, 0.5):
+                residual, shift = fits[(w_sign * exp_sign, kinetic)]
+                tried[(w_sign, exp_sign, kinetic)] = residual
+                convention = GaugeConvention(w_sign, exp_sign, kinetic, shift)
+                # a NaN residual wins only over NaN
+                if residual < best[0] or math.isnan(best[0]):
+                    best = (residual, convention)
+
+    residual, convention = best
+    if not residual <= GAUGE_TOLERANCE:
+        raise ConventionMismatch(
+            f"gauge identity fails under every convention; best residual"
+            f" {residual:.3e} at {convention}",
+            tried,
+        )
+    return GaugeIdentityResult(residual=residual, convention=convention, tried=tried)
+
+
+@np.errstate(all="ignore")  # check_gauge_identity refuses NaN and inf residuals
+def _convention_fits(
+    ode: OdeCoefficients, w: Superpotential, pot: SexticPotential, kbf: float
+) -> dict[tuple[int, float], tuple[float, float]]:
+    """(residual, shift) of the gauge check's least-squares fit per (sign of
+    W times sign of the exponent, kinetic factor); raises OverflowError
+    when a sample does not fit in double precision."""
+    c0, c2, c4, c6 = pot.real_coeffs()
     rng = np.random.default_rng(GAUGE_SEED)
     polys = [
         Polynomial.from_coeffs(
@@ -305,26 +332,7 @@ def check_gauge_identity(
                 np.max(np.abs(rhs_arr - lhs_arr - shift * psi_arr)) / scale
             )
             fits[(sign, kinetic)] = (residual, shift)
-
-    tried: dict[tuple[int, int, float], float] = {}
-    best: tuple[float, GaugeConvention] | None = None
-    for w_sign in (1, -1):
-        for exp_sign in (1, -1):
-            for kinetic in (1.0, 0.5):
-                residual, shift = fits[(w_sign * exp_sign, kinetic)]
-                tried[(w_sign, exp_sign, kinetic)] = residual
-                convention = GaugeConvention(w_sign, exp_sign, kinetic, shift)
-                if best is None or residual < best[0]:
-                    best = (residual, convention)
-
-    residual, convention = best
-    if residual > tolerance:
-        raise ConventionMismatch(
-            f"gauge identity fails under every convention; best residual"
-            f" {residual:.3e} at {convention}",
-            tried,
-        )
-    return GaugeIdentityResult(residual=residual, convention=convention, tried=tried)
+    return fits
 
 
 def fd_spectrum(potential, halfwidth: float, grid_points: int) -> np.ndarray:
@@ -334,7 +342,9 @@ def fd_spectrum(potential, halfwidth: float, grid_points: int) -> np.ndarray:
     matrix is tridiagonal and solved exactly for the lowest levels: 5, or
     max(5, k + 2) for a SexticPotential of level k, which is solved through
     its spectrum-preserving grid form.  Any other potential is a callable
-    V(y).  The halfwidth L must be finite and positive.
+    V(y).  The halfwidth L must be finite and positive.  Raises
+    NumericalFailure when a matrix entry does not fit in double precision
+    (residual inf) or, with residual NaN, when the solver does not converge.
     """
     if grid_points < 3:
         raise ValueError("grid_points must be at least 3")
@@ -346,10 +356,17 @@ def fd_spectrum(potential, halfwidth: float, grid_points: int) -> np.ndarray:
         vfun, levels = potential, 5
     h = 2 * halfwidth / (grid_points + 1)
     nodes = -halfwidth + h * np.arange(1, grid_points + 1)
-    diag = 1.0 / h**2 + np.asarray(vfun(nodes), dtype=float)
-    off = np.full(grid_points - 1, -0.5 / h**2)
+    h2 = np.float64(h**2)  # numpy division: 1 / 0 is inf, refused below
+    with np.errstate(all="ignore"):
+        diag = 1.0 / h2 + np.asarray(vfun(nodes), dtype=float)
+        off = np.full(grid_points - 1, -0.5 / h2)
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise NumericalFailure(
+            f"finite-difference matrix at halfwidth {halfwidth!r} exceeds double range", math.inf
+        )
     last = min(levels, grid_points) - 1
-    return eigh_tridiagonal(diag, off, select="i", select_range=(0, last))[0]
+    with checked_solve("finite-difference"):
+        return eigh_tridiagonal(diag, off, select="i", select_range=(0, last))[0]
 
 
 def constant_shift_match(

@@ -15,6 +15,7 @@ from qesboson.cli import main
 
 SAMPLE_DIR = Path(__file__).resolve().parent.parent / "models"
 SHG = str(SAMPLE_DIR / "shg.qesb")
+SHG_COUPLINGS = ["--w1", "1", "--w2", "2", "--kre", "0.5", "--kbre", "0.5"]
 
 
 def run(capsys, *argv):
@@ -230,6 +231,29 @@ class TestSextic:
             "--k", "2", "--fd", "--fd-halfwidth", "-1",
         )
         assert (code, out, err) == (1, "", "usage error: halfwidth must be finite and positive\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # every convention residual NaN: printed residual=nan and exited 0
+            *([*SHG_COUPLINGS, "--k", k] for k in ("514", "515", "600", "1000")),
+            # math.exp overflow in the gauge samples: OverflowError traceback
+            *([*SHG_COUPLINGS, "--k", k] for k in ("1500", "2000", "100000")),
+            # a potential coefficient beyond double range: OverflowError traceback
+            ["--w1", "1e308", "--w2", "1e308", "--kre", "1e308", "--kbre", "1e308", "--k", "1"],
+            # grid step squared underflows to 0: ZeroDivisionError traceback
+            *([*SHG_COUPLINGS, "--k", "3", "--fd", "--fd-halfwidth", w] for w in ("1e-300", "1e-160")),
+            # infinite potential samples: scipy's "array must not contain infs"
+            [*SHG_COUPLINGS, "--k", "3", "--fd", "--fd-halfwidth", "1e100"],
+            # stebz does not converge: reported as a usage error
+            [*SHG_COUPLINGS, "--k", "3", "--fd", "--fd-halfwidth", "1e-150"],
+        ],
+        ids=" ".join,
+    )
+    def test_out_of_range_input_is_numerical_failure(self, capsys, argv):
+        code, out, err = run(capsys, "sextic", *argv)
+        assert (code, out) == (4, "")
+        assert err.startswith("numerical failure: ")
 
 
 class TestExitCodes:

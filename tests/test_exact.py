@@ -84,7 +84,7 @@ def test_polynomial_trims_leading_zeros():
 
 def test_polynomial_render():
     p = Polynomial.from_coeffs([Fraction(7, 2), -4, 1])
-    assert p.render("E") == "7/2 - 4*E + E^2"
+    assert p.render() == "7/2 - 4*E + E^2"
     assert Polynomial.from_coeffs([0]).render() == "0"
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from math import factorial
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from qesboson import (
     Polynomial,
     RationalComplex,
 )
+from qesboson import oracle
 from qesboson.algebra import (
     apply_to_fock,
     is_hermitian,
@@ -47,7 +49,7 @@ from qesboson.algebra import (
     monomial_product,
 )
 from qesboson.exact import ONE, ZERO, falling_factorial_poly
-from qesboson.models import build_nth_harmonic, nth_harmonic_charge
+from qesboson.models import build_nth_harmonic
 from qesboson.oracle import (
     block_amplitudes,
     block_matrix,
@@ -381,7 +383,8 @@ def test_real_oracle_solve_matches_complex_solve(model, hermitian):
     if hermitian:
         h = h + h.adjoint()
     # the absolute residual gate is not under test: ||H|| reaches 1e6 here
-    block, values, vectors, method, _ = diagonalize_block(h, charge, kappa, math.inf)
+    with patch.object(oracle, "RESIDUAL_TOL", math.inf):
+        block, values, vectors, method, _ = diagonalize_block(h, charge, kappa)
     assert block.matrix.dtype == np.float64 and values.dtype == np.complex128
     assert method == ("hermitian" if is_hermitian(h) else "general")
     if block.dimension == 0:
@@ -481,7 +484,7 @@ def three_term_models(draw):
     kc = complex(draw(nonzero_fractions), draw(nonzero_fractions))
     kb = kc.conjugate() if draw(st.booleans()) else complex(draw(nonzero_fractions), draw(fractions))
     h = build_nth_harmonic(draw(fractions), draw(fractions), kc, kb, order)
-    return h, nth_harmonic_charge(order), draw(st.integers(0, 40))
+    return h, ConservedCharge(1, order), draw(st.integers(0, 40))
 
 
 @pytest.mark.parametrize("mode", ["corrected", "paper-literal"])

@@ -10,15 +10,14 @@ from qesboson import (
     BosonMonomial,
     ConservedCharge,
     InvalidOrder,
+    ModelFile,
     ParseError,
     RationalComplex,
     block_spectrum,
     build_nth_harmonic,
     build_shg,
     conserves,
-    model_from_hamiltonian,
     monomial,
-    nth_harmonic_charge,
     parse_model_file,
     shg_charge,
     write_model_file,
@@ -58,7 +57,7 @@ class TestBuilders:
     def test_catalog_fails_perturbed_charge(self):
         for n in (1, 2, 3, 4):
             h = build_nth_harmonic(1, 2, Fraction(1, 2), Fraction(1, 2), n)
-            charge = nth_harmonic_charge(n)
+            charge = ConservedCharge(1, n)
             assert conserves(h, charge)
             assert not conserves(h, ConservedCharge(charge.s, charge.p + 1))
 
@@ -76,8 +75,6 @@ class TestBuilders:
     def test_invalid_order(self):
         with pytest.raises(InvalidOrder):
             build_nth_harmonic(1, 2, 0.5, 0.5, 0)
-        with pytest.raises(InvalidOrder):
-            nth_harmonic_charge(-2)
 
 
 class TestParsing:
@@ -144,7 +141,7 @@ class TestSerialization:
 
     def test_terms_sorted_and_zero_dropped(self):
         h = monomial(1, 2, 0, 0, 1) + monomial(1, 1, 1, 0, 0) + monomial(0, 0, 0, 1, 1)
-        model = model_from_hamiltonian(h, ConservedCharge(1, 2))
+        model = ModelFile(ConservedCharge(1, 2), h.monomials())
         text = write_model_file(model)
         lines = [l for l in text.splitlines() if l.startswith("term")]
         assert lines == ["term 1 0 1 1 0 0", "term 1 0 2 0 0 1"]
@@ -167,8 +164,8 @@ class TestSerialization:
             h = OperatorPolynomial.from_monomials(monos)
             if h.is_zero:
                 continue
-            model = model_from_hamiltonian(
-                h, ConservedCharge(rng.randint(1, 6), rng.randint(1, 6))
+            model = ModelFile(
+                ConservedCharge(rng.randint(1, 6), rng.randint(1, 6)), h.monomials()
             )
             again = parse_model_file(write_model_file(model))
             assert again.charge == model.charge

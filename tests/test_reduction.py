@@ -244,6 +244,24 @@ class TestEnergyPolynomialTable:
             table.spectrum()
         assert math.isnan(info.value.residual)
 
+    def test_nan_eigenvalue_is_refused(self, shg, monkeypatch):
+        # spectrum() used to return [nan, 4, 6] here, while qes_spectrum
+        # refused the same block; both now pass through checked_residual
+        solver = scipy.linalg.eigh_tridiagonal
+
+        def nan_first(*args, **kwargs):
+            values, vectors = solver(*args, **kwargs)
+            values[0] = math.nan
+            return values, vectors
+
+        h, charge = shg
+        table = energy_polynomial_table(h, charge, 4)
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", nan_first)
+        with pytest.raises(NumericalFailure, match="recurrence kappa=4 eigensolve residual nan"):
+            table.spectrum()
+        with pytest.raises(NumericalFailure, match="reduced block kappa=4 eigensolve residual nan"):
+            qes_spectrum(h, charge, 4)
+
     def test_transpose_duality_exact(self, shg):
         # recurrence matrix is the order-reversed transpose of the block
         h, charge = shg

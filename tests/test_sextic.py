@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from qesboson import (
     sextic_potential,
     shg_charge,
 )
+from qesboson import sextic
 from qesboson.sextic import second_derivative
 
 
@@ -112,10 +114,10 @@ class TestGaugeIdentity:
         assert result.residual == min(result.tried.values())
 
     def test_mismatch_raised_when_tolerance_unreachable(self):
-        with pytest.raises(ConventionMismatch) as err:
-            check_gauge_identity(
-                1, 2, Fraction(1, 2), Fraction(1, 2), 2, tolerance=1e-30
-            )
+        with patch.object(sextic, "GAUGE_TOLERANCE", 1e-30), pytest.raises(
+            ConventionMismatch
+        ) as err:
+            check_gauge_identity(1, 2, Fraction(1, 2), Fraction(1, 2), 2)
         assert len(err.value.residuals) == 8
 
     def test_residual_wrapper(self):
