@@ -17,7 +17,6 @@ from .algebra import (
     OperatorPolynomial,
     annihilate,
     apply_to_fock,
-    apply_to_amplitudes,
     charge_operator,
     charge_weight,
     commutator,
@@ -68,7 +67,6 @@ from .reduction import (
     OdeCoefficients,
     ReducedBlock,
     ReducedOperator,
-    ReducedTerm,
     eigenvector_to_fock,
     energy_polynomial_table,
     matrix_element_reduction,

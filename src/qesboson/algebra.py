@@ -422,15 +422,3 @@ def apply_to_fock(
         )
     return out
 
-
-def apply_to_amplitudes(
-    h: OperatorPolynomial, amplitudes: Mapping[FockState, FockAmplitude]
-) -> dict[FockState, FockAmplitude]:
-    """Apply h to a superposition expressed as state -> amplitude."""
-    out: dict[FockState, FockAmplitude] = {}
-    for state, amp in amplitudes.items():
-        for target, hop in apply_to_fock(h, state).items():
-            contrib = hop * amp
-            prev = out.get(target)
-            out[target] = contrib if prev is None else prev + contrib
-    return {st: amp for st, amp in out.items() if not amp.is_zero}

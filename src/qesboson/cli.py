@@ -26,6 +26,7 @@ from .algebra import (
 )
 from .errors import (
     NonConservingHamiltonian,
+    NumericalFailure,
     ParseError,
     QesBosonError,
 )
@@ -336,6 +337,13 @@ def _cmd_sextic(args) -> int:
         h = build_shg(args.w1, args.w2, complex(args.kre, args.kim),
                       complex(args.kbre, args.kbim))
         block_levels = qes_spectrum(h, shg_charge(), args.k)
+        if any(v.imag for v in block_levels.eigenvalues):
+            # the FD levels of the sextic potential are real
+            raise NumericalFailure(
+                f"block kappa={args.k} has non-real levels, which no"
+                " finite-difference level can match",
+                block_levels.max_residual,
+            )
         reference = np.array([v.real for v in block_levels.eigenvalues])
         fd_levels = fd_spectrum(pot, args.fd_halfwidth, args.fd_grid)
         shift, max_dev = constant_shift_match(fd_levels, reference)

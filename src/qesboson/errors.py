@@ -16,9 +16,10 @@ class BlockClosureViolation(QesBosonError):
 
 
 class NumericalFailure(QesBosonError):
-    """An eigensolve residual exceeded the configured tolerance, its
+    """An eigensolve residual exceeded oracle.RESIDUAL_TOL, its
     eigenvectors cannot be represented in double precision (residual inf),
-    or the LAPACK solver did not converge (residual nan)."""
+    the LAPACK solver did not converge (residual nan), or a spectrum that
+    must be real to be compared is not (the solve's residual)."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Union
 
@@ -160,10 +160,6 @@ class Polynomial:
         return Polynomial(tuple(coeffs))
 
     @staticmethod
-    def constant(value: Rationalish) -> "Polynomial":
-        return Polynomial.from_coeffs([value])
-
-    @staticmethod
     def one() -> "Polynomial":
         return Polynomial.from_coeffs([1])
 
@@ -263,11 +259,3 @@ class Polynomial:
             text += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
         return text
 
-
-@cache
-def falling_factorial_poly(m: int) -> Polynomial:
-    """X (X-1) ... (X-m+1) as a polynomial in X (built once per m)."""
-    out = Polynomial.one()
-    for i in range(m):
-        out = out * Polynomial.from_coeffs([-i, 1])
-    return out

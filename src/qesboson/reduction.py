@@ -3,14 +3,13 @@
 Within one charge block the second mode is slaved to the first: fixing
 s*n1 + p*n2 = kappa makes n2 a function of n1.  A non-unitary similarity
 transformation decouples the slaved mode, turning each conserving term
-into a mode-1 ladder pair (m1, m2) dressed with a diagonal factor that is
-a polynomial in the slaved occupation.  Realizing the remaining mode on
-monomials (a1 = d/dx, a1+ = x) gives a finite banded matrix per block,
+into a mode-1 ladder pair (m1, m2) dressed with its coupling times a
+falling factorial of the slaved occupation.  Realizing the remaining mode
+on monomials (a1 = d/dx, a1+ = x) gives a finite banded matrix per block,
 isospectral to the exact Fock-space block.
 
 The transformation built from powers of a2+ (the a2+ route,
-matrix_element_reduction) gives the falling factorial of the slaved
-occupation for every term; it is exactly the monomial realization,
+matrix_element_reduction) is exactly the monomial realization,
 R = D^-1 M D with D = diag(sqrt(n1! n2!)) and M the exact block matrix.
 The banded matrix drives a scalar recurrence whose polynomial solutions
 in the energy terminate at the block dimension; the roots of the
@@ -22,16 +21,16 @@ blocks whose paired off-diagonals b_i = R[i, i+1], c_i = R[i+1, i] have
 b_i c_i > 0 and whose diagonal is real are therefore solved as the
 symmetric Jacobi matrix with off-diagonals sqrt(b_i c_i), a diagonal
 similarity of R built from the recurrence coefficients alone (Golub &
-Welsch 1969); the block and its energy polynomials take that route, and
-every other block keeps a dense general eigensolve.
+Welsch 1969); every other block keeps a dense general eigensolve.  Both
+qes_spectrum and the energy polynomials' spectrum run this one solve.
 
-A block is assembled as integer numerators over one common denominator,
-which exact.integer_numerators, the package's one conversion from exact
-values to integers, supplies.  The dense float matrix and the Jacobi data
-are formed straight from those integers, each float by one correctly
-rounded integer division, and the exact RationalComplex entries are built
-only when asked for (ReducedBlock.entries, the energy polynomials, whose
-recurrence reads only the nonzero band of the block).
+A block is assembled from h's coefficients as integer numerators over one
+common denominator (algebra._integer_terms, the oracle's own integer form
+of h) times two integer falling factorials.  The dense float matrix and
+the Jacobi data are formed straight from those integers, each float by
+one correctly rounded integer division, and the exact RationalComplex
+entries are built only when asked for (ReducedBlock.entries, the energy
+polynomials, whose recurrence reads only the nonzero band of the block).
 
 Every block, spectrum and polynomial table is the exact restriction of
 the Hamiltonian it is given.  The as-published recurrence keeps an extra
@@ -55,6 +54,8 @@ from .algebra import (
     ConservedCharge,
     FockState,
     OperatorPolynomial,
+    _IntegerTerms,
+    _integer_terms,
     conserves,
     identity,
 )
@@ -73,8 +74,6 @@ from .exact import (
     Rationalish,
     RationalComplex,
     falling_factorial,
-    falling_factorial_poly,
-    integer_numerators,
 )
 from .oracle import (
     SpectrumReport,
@@ -132,27 +131,19 @@ def paper_literal(h: OperatorPolynomial) -> OperatorPolynomial:
 
 
 @dataclass(frozen=True)
-class ReducedTerm:
-    """Mode-1 ladder pair with a diagonal polynomial in the slaved occupation."""
-
-    m1: int
-    m2: int
-    diag: Polynomial
-
-
-@dataclass(frozen=True)
 class ReducedOperator:
     """Single-variable image of a conserving Hamiltonian.
 
-    Each term acts on the monomial x^n as
-
-        coeff-free ladder (a1+)^m1 (a1)^m2  times  diag(n2(n)),
-
-    where n2(n) = (kappa - s*n)/p is evaluated at the source degree and
-    must be a non-negative integer there (guaranteed on physical degrees).
+    terms are h's terms ((m1, m2, m3, m4), re, im), the coefficient of
+    (a1+)^m1 (a1)^m2 (a2+)^m3 (a2)^m4 being (re + i*im) / denominator
+    (algebra._integer_terms).  Each acts on the monomial x^n as the mode-1
+    ladder pair (m1, m2) times its coefficient and the falling factorial
+    (n2)_m4 of the slaved occupation n2(n) = (kappa - s*n)/p, a
+    non-negative integer on every physical degree.
     """
 
-    terms: tuple[ReducedTerm, ...]
+    terms: _IntegerTerms
+    denominator: int
     charge: ConservedCharge
 
     def block_entries(
@@ -163,36 +154,18 @@ class ReducedOperator:
         nonzero entry (re + i*im) / D as integers.  A nonzero amplitude
         leaving the degree set is reported as a closure violation.
 
-        Every diagonal coefficient is put over one common denominator D
-        (exact.integer_numerators), so each entry is accumulated as integer
-        numerators (Horner at the integer n2 times the falling factorial of
-        n); entries that sum to zero are dropped.
+        Each entry is accumulated as the terms' integer numerators times
+        the two integer falling factorials (n)_m2 (n2)_m4; a term with
+        n < m2 or n2 < m4 contributes nothing, and entries that sum to zero
+        are dropped.
         """
         degrees = physical_degrees(self.charge, kappa)
         pos = {n: i for i, n in enumerate(degrees)}
-        # diagonal coefficients highest power first, for Horner
-        pairs, denom = integer_numerators(
-            c for term in self.terms for c in term.diag.coeffs[::-1]
-        )
-        pairs = iter(pairs)
-        # (m1, m2, numerator pairs) per term
-        int_terms = [
-            (term.m1, term.m2, tuple(next(pairs) for _ in term.diag.coeffs))
-            for term in self.terms
-        ]
         sums: dict[tuple[int, int], tuple[int, int]] = {}
         for j, n in enumerate(degrees):
             n2 = slaved_occupation(self.charge, kappa, n)
-            for m1, m2, coeffs in int_terms:
-                if n < m2:
-                    continue
-                re = im = 0
-                for a, b in coeffs:
-                    re = re * n2 + a
-                    im = im * n2 + b
-                # the falling factorial of n >= m2 is positive, so the
-                # amplitude vanishes exactly when the diagonal factor does
-                if not re and not im:
+            for (m1, m2, _, m4), re, im in self.terms:
+                if n < m2 or n2 < m4:
                     continue
                 i = pos.get(n - m2 + m1)
                 if i is None:
@@ -200,11 +173,11 @@ class ReducedOperator:
                         f"reduced term ({m1},{m2}) maps degree {n}"
                         f" outside the block kappa={kappa}"
                     )
-                ladder = falling_factorial(n, m2)
-                re, im = re * ladder, im * ladder
+                weight = falling_factorial(n, m2) * falling_factorial(n2, m4)
+                re, im = re * weight, im * weight
                 prev = sums.get((i, j))
                 sums[(i, j)] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
-        return degrees, {k: v for k, v in sums.items() if v[0] or v[1]}, denom
+        return degrees, {k: v for k, v in sums.items() if v[0] or v[1]}, self.denominator
 
 
 def matrix_element_reduction(
@@ -214,19 +187,16 @@ def matrix_element_reduction(
 
     The similarity built from powers of a2+ turns every conserving term
     alpha (a1+)^m1 (a1)^m2 (a2+)^m3 (a2)^m4 into the ladder pair (m1, m2)
-    with diagonal factor the falling factorial n2 (n2-1) ... (n2-m4+1) of
-    the slaved occupation.  That is the monomial realization: acting on
-    x^n1 y^n2 with a_i = d, a_i+ = multiplication, every term contributes
-    the product of per-mode falling factorials, so the block matrix equals
-    D^-1 M D with M the exact Fock block and D = diag(sqrt(n1! n2!)).  No
-    term shape restrictions.
+    with diagonal factor alpha (n2)_m4, the falling factorial
+    n2 (n2-1) ... (n2-m4+1) of the slaved occupation.  That is the monomial
+    realization: acting on x^n1 y^n2 with a_i = d, a_i+ = multiplication,
+    every term contributes the product of per-mode falling factorials, so
+    the block matrix equals D^-1 M D with M the exact Fock block and
+    D = diag(sqrt(n1! n2!)).  No term shape restrictions.  The operator
+    keeps h's terms as the integer numerators of algebra._integer_terms.
     """
     _check_conserves(h, charge)
-    terms = tuple(
-        ReducedTerm(m1, m2, falling_factorial_poly(m4) * coeff)
-        for (m1, m2, m3, m4), coeff in h.items()
-    )
-    return ReducedOperator(terms=terms, charge=charge)
+    return ReducedOperator(*_integer_terms(h), charge=charge)
 
 
 _Numerators = Mapping[tuple[int, int], tuple[int, int]]
@@ -236,22 +206,6 @@ def _unrepresentable() -> NumericalFailure:
     return NumericalFailure(
         "a reduced block entry does not fit in double precision", math.inf
     )
-
-
-def _dense(numerators: _Numerators, denom: int, dim: int) -> np.ndarray:
-    """Complex dim x dim matrix of sparse entries (re + i*im) / denom.
-
-    Integer true division is correctly rounded, so each float equals the
-    conversion of the exact rational entry.  Raises NumericalFailure when
-    an entry does not fit in a double.
-    """
-    matrix = np.zeros((dim, dim), dtype=complex)
-    try:
-        for (i, j), (re, im) in numerators.items():
-            matrix[i, j] = complex(re / denom, im / denom)
-    except OverflowError:
-        raise _unrepresentable() from None
-    return matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,7 +234,18 @@ class ReducedBlock:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        return _dense(self.numerators, self.denominator, self.dimension)
+        """Complex matrix of the entries.  Integer true division is
+        correctly rounded, so each float equals the conversion of the exact
+        rational entry.  Raises NumericalFailure when an entry does not fit
+        in a double."""
+        d = self.denominator
+        matrix = np.zeros((self.dimension, self.dimension), dtype=complex)
+        try:
+            for (i, j), (re, im) in self.numerators.items():
+                matrix[i, j] = complex(re / d, im / d)
+        except OverflowError:
+            raise _unrepresentable() from None
+        return matrix
 
 
 def reduced_block_matrix(
@@ -288,8 +253,7 @@ def reduced_block_matrix(
 ) -> ReducedBlock:
     """Square matrix of the reduced operator of the conserving h over the
     physical degrees of block kappa, isospectral to the Fock block.  Its
-    integer numerators come from exact.integer_numerators through
-    ReducedOperator.block_entries.
+    integer numerators come from ReducedOperator.block_entries.
     """
     return ReducedBlock(kappa, *matrix_element_reduction(h, charge).block_entries(kappa))
 
@@ -395,22 +359,24 @@ def _jacobi_form(numerators: _Numerators, denom: int, dim: int) -> _JacobiForm |
 
 
 def _solve(
-    numerators: _Numerators, denom: int, dim: int, name: str
+    block: ReducedBlock, name: str
 ) -> tuple[np.ndarray, np.ndarray, float, _JacobiForm | None]:
     """Eigenvalues, eigenvectors, worst residual and Jacobi form of a
-    nonempty block given by the integer numerators of its entries over
-    denom, solved inside checked_solve and with the worst residual passed
-    through checked_residual; name names the block in their messages.
+    reduced block, solved inside checked_solve and with the worst residual
+    passed through checked_residual; name names the block in their
+    messages.  An empty block has no eigenpairs and residual 0.
 
     A block with a Jacobi form (see the module docstring) is solved by
     eigh_tridiagonal, its residuals are taken on J, and the eigenvectors
     returned are those of J; any other block (Jacobi form None) by a dense
     eig, with eigenpairs sorted ascending by (real, imag).
     """
-    jacobi = _jacobi_form(numerators, denom, dim)
+    if block.dimension == 0:
+        return np.zeros(0, dtype=complex), np.zeros((0, 0), dtype=complex), 0.0, None
+    jacobi = _jacobi_form(block.numerators, block.denominator, block.dimension)
     with checked_solve(name):
         if jacobi is None:
-            matrix = _dense(numerators, denom, dim)
+            matrix = block.matrix
             values, vectors = sort_eigenpairs(*np.linalg.eig(matrix))
             residuals = eigen_residual(matrix, values, vectors)
         else:
@@ -430,7 +396,8 @@ class EnergyPolynomialTable:
     terminating member, whose roots are the block spectrum.  block is the
     reduced block R the polynomials were read from.  The recurrence matrix
     A, indexed by the slaved occupation ascending, is its order-reversing
-    transpose, A[d-1-j][d-1-i] = R[i, j], so both share one spectrum.
+    transpose, A[d-1-j][d-1-i] = R[i, j], so both share one spectrum, and
+    spectrum() solves R itself.
     """
 
     kappa: int
@@ -451,19 +418,12 @@ class EnergyPolynomialTable:
         conditioned as eigenvalues than as roots of its monomial
         coefficients.
 
-        A three-term recurrence with positive off-diagonal products is
-        solved as its Jacobi matrix, any other by a dense eig.  Raises
-        NumericalFailure when checked_residual refuses the worst residual
-        and, with residual NaN, when the LAPACK solver does not converge.
+        They are the eigenvalues of the block's own solve, the one
+        qes_spectrum runs, bit for bit.  Raises NumericalFailure when
+        checked_residual refuses the worst residual and, with residual NaN,
+        when the LAPACK solver does not converge.
         """
-        d = self.dimension
-        if d == 0:
-            return np.zeros(0, dtype=complex)
-        recurrence = {
-            (d - 1 - j, d - 1 - i): pair for (i, j), pair in self.block.numerators.items()
-        }
-        name = f"recurrence kappa={self.kappa}"
-        return _solve(recurrence, self.block.denominator, d, name)[0]
+        return _solve(self.block, f"recurrence kappa={self.kappa}")[0]
 
 
 def energy_polynomial_table(
@@ -519,25 +479,11 @@ def reduced_eigensystem(
     refuses the residual or if the eigenvectors do not fit in double
     precision.
     """
-    block, values, vectors, worst, jacobi = _reduced_solve(h, charge, kappa)
+    block = reduced_block_matrix(h, charge, kappa)
+    values, vectors, worst, jacobi = _solve(block, f"reduced block kappa={kappa}")
     if jacobi is not None:
         vectors = jacobi.monomial_vectors(vectors, kappa)
     return block, values, vectors, worst
-
-
-def _reduced_solve(
-    h: OperatorPolynomial, charge: ConservedCharge, kappa: int
-) -> tuple[ReducedBlock, np.ndarray, np.ndarray, float, _JacobiForm | None]:
-    """The block, its eigenvalues and eigenvectors (as _solve returns
-    them), the worst residual and the Jacobi form; raises NumericalFailure
-    unless checked_residual accepts the worst residual, and, with residual
-    NaN, when the LAPACK solver does not converge."""
-    block = reduced_block_matrix(h, charge, kappa)
-    if block.dimension == 0:
-        empty = np.zeros(0, dtype=complex)
-        return block, empty, np.zeros((0, 0), dtype=complex), 0.0, None
-    name = f"reduced block kappa={kappa}"
-    return block, *_solve(block.numerators, block.denominator, block.dimension, name)
 
 
 def qes_spectrum(
@@ -553,7 +499,8 @@ def qes_spectrum(
     via energy_polynomial_table.  Eigenvectors are not formed, so this
     never fails for want of double range in them.
     """
-    block, values, _, worst, _ = _reduced_solve(h, charge, kappa)
+    block = reduced_block_matrix(h, charge, kappa)
+    values, _, worst, _ = _solve(block, f"reduced block kappa={kappa}")
     return SpectrumReport(
         kappa=kappa,
         dimension=block.dimension,

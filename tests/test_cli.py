@@ -247,6 +247,11 @@ class TestSextic:
             [*SHG_COUPLINGS, "--k", "3", "--fd", "--fd-halfwidth", "1e100"],
             # stebz does not converge: reported as a usage error
             [*SHG_COUPLINGS, "--k", "3", "--fd", "--fd-halfwidth", "1e-150"],
+            # block levels not real (5, 5 +- 2.83i for kc*kb < 0): their real
+            # parts were all "located" on one FD level with exit 0
+            ["--w1", "1", "--w2", "2", "--kre", "0.5", "--kbre", "-0.5", "--k", "5", "--fd"],
+            ["--w1", "1", "--w2", "2", "--kre", "0", "--kim", "0.5", "--kbre", "0", "--kbim", "0.5",
+             "--k", "3", "--fd"],
         ],
         ids=" ".join,
     )

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qesboson import Polynomial, RationalComplex, falling_factorial
-from qesboson.exact import falling_factorial_poly, integer_numerators
+from qesboson.exact import integer_numerators
 
 
 def test_rational_complex_arithmetic():
@@ -56,13 +56,6 @@ def test_integer_numerators_are_exact_over_the_lcm(values):
 
 def test_integer_numerators_of_nothing():
     assert integer_numerators([]) == ([], 1)
-
-
-def test_factorial_polynomials():
-    ff2 = falling_factorial_poly(2)
-    assert ff2(5) == RationalComplex.coerce(20)
-    assert ff2(1) == RationalComplex.coerce(0)
-    assert falling_factorial_poly(0).degree == 0
 
 
 def test_polynomial_ops_and_eval():

@@ -48,7 +48,7 @@ from qesboson.algebra import (
     monomial,
     monomial_product,
 )
-from qesboson.exact import ONE, ZERO, falling_factorial_poly
+from qesboson.exact import ONE, ZERO
 from qesboson.models import build_nth_harmonic
 from qesboson.oracle import (
     block_amplitudes,
@@ -66,6 +66,7 @@ from qesboson.reduction import (
     mode2_frequency,
     paper_literal,
     physical_degrees,
+    qes_spectrum,
     reduced_block_matrix,
     slaved_occupation,
 )
@@ -267,21 +268,24 @@ def conserving_models(draw, coefficients=rcs):
     return h, charge, kappa
 
 
-def reference_block_entries(op, kappa):
-    """The per-entry evaluation the integer falling factorial replaces:
-    term.diag(n2) * falling_factorial_poly(m2)(n), by RationalComplex Horner."""
-    degrees = physical_degrees(op.charge, kappa)
+def reference_block_entries(h, charge, kappa):
+    """The per-entry evaluation the integer numerators replace: each term
+    coeff * (n)_m2 * (n2)_m4 of h.items(), multiplied out factor by factor
+    in RationalComplex, so a term annihilating more quanta than the degree
+    holds vanishes through a zero factor."""
+    degrees = physical_degrees(charge, kappa)
     pos = {n: i for i, n in enumerate(degrees)}
     entries = {}
     for j, n in enumerate(degrees):
-        n2 = RationalComplex(Fraction(slaved_occupation(op.charge, kappa, n)))
-        for term in op.terms:
-            if n < term.m2:
-                continue
-            amp = term.diag(n2) * falling_factorial_poly(term.m2)(RationalComplex(Fraction(n)))
+        n2 = slaved_occupation(charge, kappa, n)
+        for (m1, m2, _, m4), coeff in h.items():
+            amp = coeff
+            for x, m in ((n, m2), (n2, m4)):
+                for k in range(m):
+                    amp = amp * RationalComplex(Fraction(x - k))
             if amp.is_zero:
                 continue
-            i = pos.get(n - term.m2 + term.m1)
+            i = pos.get(n - m2 + m1)
             if i is None:
                 raise BlockClosureViolation("reference: leaves the block")
             entries[(i, j)] = entries.get((i, j), ZERO) + amp
@@ -294,7 +298,7 @@ def test_block_entries_match_polynomial_evaluation(model):
     h, charge, kappa = model
     op = matrix_element_reduction(h, charge)
     try:
-        expected = reference_block_entries(op, kappa)
+        expected = reference_block_entries(h, charge, kappa)
     except BlockClosureViolation:
         with pytest.raises(BlockClosureViolation):
             op.block_entries(kappa)
@@ -492,7 +496,7 @@ def three_term_models(draw):
 @given(model=three_term_models())
 def test_reduced_float_data_bits_match_exact_entries(mode, model):
     h, charge, kappa = model
-    degrees, entries = reference_block_entries(matrix_element_reduction(h, charge), kappa)
+    degrees, entries = reference_block_entries(h, charge, kappa)
     if mode == "paper-literal":
         w2 = mode2_frequency(h)
         if not w2.is_zero:
@@ -515,22 +519,17 @@ def test_reduced_float_data_bits_match_exact_entries(mode, model):
             got = getattr(jacobi, name)
             assert got.dtype == value.dtype and got.tobytes() == value.tobytes(), name
 
-    # the energy polynomials' recurrence, the order-reversing transpose of
-    # the block, goes through the same solver
+    # qes_spectrum and the energy polynomials' spectrum both run the
+    # block's own solve on exactly this data
     table = energy_polynomial_table(h, charge, kappa)
-    d = len(degrees)
-    if not d:
+    if not degrees:
         return
-    recurrence = {(d - 1 - j, d - 1 - i): value for (i, j), value in entries.items()}
-    expected = reference_jacobi_form(recurrence, d)
     if expected is not None:
         values = eigh_tridiagonal(expected["diagonal"], expected["off"])[0].astype(complex)
     else:
-        dense = np.zeros((d, d), dtype=complex)
-        for (i, j), value in recurrence.items():
-            dense[i, j] = complex(value)
         values = sort_eigenpairs(*np.linalg.eig(dense))[0]
     assert table.spectrum().tobytes() == values.tobytes()
+    assert np.array(qes_spectrum(h, charge, kappa).eigenvalues).tobytes() == values.tobytes()
 
 
 def reference_energy_polynomials(entries, d):

@@ -39,6 +39,7 @@ from qesboson import (
     shg_ode,
     slaved_occupation,
 )
+from qesboson.algebra import _integer_terms
 from qesboson.exact import ZERO
 from qesboson.oracle import block_spectrum
 
@@ -70,26 +71,29 @@ class TestReduceViaS:
     matrix_element_reduction."""
 
     def test_shg_term_structure(self, shg):
+        # h's coefficients as integer numerators over D = 2: w1 N1 = 1,
+        # w2 N2 = 2, kc (a1+)^2 a2 = kb a1^2 a2+ = 1/2
         h, charge = shg
         op = matrix_element_reduction(h, charge)
-        by_ladder = {(t.m1, t.m2): t.diag for t in op.terms}
-        assert set(by_ladder) == {(1, 1), (0, 0), (2, 0), (0, 2)}
-        # w1 N1: bare ladder; w2 N2 and kc raising: slaved occupation; kb: bare
-        assert by_ladder[(1, 1)] == Polynomial.constant(1)
-        assert by_ladder[(0, 0)] == Polynomial.from_coeffs([0, 2])
-        assert by_ladder[(2, 0)] == Polynomial.from_coeffs([0, Fraction(1, 2)])
-        assert by_ladder[(0, 2)] == Polynomial.constant(Fraction(1, 2))
+        assert op.denominator == 2
+        assert set(op.terms) == {
+            ((1, 1, 0, 0), 2, 0),
+            ((0, 0, 1, 1), 4, 0),
+            ((2, 0, 0, 1), 1, 0),
+            ((0, 2, 1, 0), 1, 0),
+        }
+        assert (op.terms, op.denominator) == _integer_terms(h)
 
     def test_mode2_free_term_unchanged(self):
         h = 3 * number(1)
         op = matrix_element_reduction(h, ConservedCharge(1, 2))
-        assert len(op.terms) == 1
-        assert (op.terms[0].m1, op.terms[0].m2) == (1, 1)
-        assert op.terms[0].diag == Polynomial.constant(3)
+        assert (op.terms, op.denominator) == ((((1, 1, 0, 0), 3, 0),), 1)
 
     def test_mode2_number_gets_slaved_occupation(self):
         op = matrix_element_reduction(5 * number(2), ConservedCharge(1, 2))
-        assert op.terms[0].diag == Polynomial.from_coeffs([0, 5])
+        assert op.terms == (((0, 0, 1, 1), 5, 0),)
+        # degrees 0, 2, 4 of kappa = 4 slave n2 = 2, 1, 0
+        assert op.block_entries(4) == ((0, 2, 4), {(0, 0): (10, 0), (1, 1): (5, 0)}, 1)
 
     def test_matches_defining_matrix_exactly(self, shg):
         # R = D^-1 M D entry by entry: the Fock amplitude coeff*sqrt(t!/n!)
@@ -514,10 +518,11 @@ class TestShgOde:
 def test_reduced_operator_closure_violation_detected():
     # build an operator by hand whose raising band does not vanish at the
     # top degree: block closure must be flagged on the defining route
-    from qesboson.reduction import ReducedOperator, ReducedTerm
+    from qesboson.reduction import ReducedOperator
 
     op = ReducedOperator(
-        terms=(ReducedTerm(2, 0, Polynomial.one()),),
+        terms=(((2, 0, 0, 0), 1, 0),),
+        denominator=1,
         charge=ConservedCharge(1, 2),
     )
     from qesboson import BlockClosureViolation
