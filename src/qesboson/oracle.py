@@ -26,8 +26,15 @@ scipy.linalg.eigh_tridiagonal.  That is the solver dense eigh runs after
 its Householder reduction, which on such a block is the identity, so it
 skips two O(n^3) no-op steps.  The reduced route gives the same solver its
 Jacobi matrix, built from the reduced entries alone, so on these blocks the
-two routes differ in the matrix they solve, not in the solver.  The
-residual is always taken on the full dense block.
+two routes differ in the matrix they solve, not in the solver.
+
+Such a block also takes its residual on its band: d*v - lambda*v plus the
+sub- and superdiagonal terms, elementwise, the form the reduced route takes
+on its Jacobi matrix.  That is every nonzero entry the dense product
+M @ v would multiply, in O(n^2) instead of O(n^3), and with no BLAS call, so
+the residual has the same bits at any BLAS thread count and no second
+thread pool wakes up right after stevd's.  Every other block takes its
+residual on the full dense matrix.
 """
 
 from __future__ import annotations
@@ -203,6 +210,23 @@ def eigen_residual(matrix, values, vectors):
     return residuals if vectors.ndim == 2 else float(residuals)
 
 
+def _band_residuals(
+    diagonal: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    values: np.ndarray,
+    vectors: np.ndarray,
+) -> np.ndarray:
+    """eigen_residual of the tridiagonal matrix with this diagonal,
+    subdiagonal lower and superdiagonal upper, for every column of vectors,
+    without forming the matrix: elementwise on the band, with no BLAS call.
+    """
+    r = diagonal[:, None] * vectors - vectors * values
+    r[:-1] += upper[:, None] * vectors[1:]
+    r[1:] += lower[:, None] * vectors[:-1]
+    return np.linalg.norm(r, axis=0) / np.linalg.norm(vectors, axis=0)
+
+
 def checked_residual(worst: float, block: str) -> float:
     """worst, the largest eigenpair residual of a block solve, if it is at
     most RESIDUAL_TOL; otherwise raises NumericalFailure.  A NaN residual is
@@ -250,15 +274,16 @@ def diagonalize_block(
     Uses the Hermitian eigensolver when h is exactly Hermitian (real
     eigenvalues, orthonormal eigenvectors) and the general dense solver
     otherwise, in real arithmetic when the block is real.  A real Hermitian
-    block whose lower triangle (the one eigh reads) is zero below the
-    subdiagonal is solved by stevd on its diagonal and subdiagonal; every
-    other block by dense eigh or eig.  The residual is taken on the full
-    block either way.  Returns (block, values, vectors, method,
-    max_residual) with the eigenpairs sorted ascending by (real, imag);
-    values are complex, vectors have the dtype the solver returns (float64
-    for a real Hermitian block).  Raises NumericalFailure unless
-    checked_residual accepts max_residual, and, with residual NaN, when the
-    LAPACK solver does not converge.
+    block that is zero outside its diagonal, subdiagonal and superdiagonal
+    is solved by stevd on its diagonal and subdiagonal (the lower triangle
+    eigh would read), and its residual is taken on that band; every other
+    block is solved by dense eigh or eig, with the residual taken on the
+    full matrix.  Both residuals multiply the same nonzero entries.  Returns
+    (block, values, vectors, method, max_residual) with the eigenpairs
+    sorted ascending by (real, imag); values are complex, vectors have the
+    dtype the solver returns (float64 for a real Hermitian block).  Raises
+    NumericalFailure unless checked_residual accepts max_residual, and,
+    with residual NaN, when the LAPACK solver does not converge.
     """
     block = build_block(h, charge, kappa)
     hermitian = is_hermitian(h)
@@ -268,26 +293,35 @@ def diagonalize_block(
         return block, np.zeros(0, dtype=complex), empty, method, 0.0
     name = f"block kappa={kappa}"
     with checked_solve(name):
-        values, vectors = sort_eigenpairs(*_eigensolve(block.matrix, hermitian))
-    max_residual = checked_residual(
-        float(eigen_residual(block.matrix, values, vectors).max()), name
-    )
+        values, vectors, residuals = _eigensolve(block.matrix, hermitian)
+    max_residual = checked_residual(float(residuals.max()), name)
     return block, values.astype(complex), vectors, method, max_residual
 
 
-def _eigensolve(matrix: np.ndarray, hermitian: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of a nonempty block, by stevd when it
-    is real, Hermitian and tridiagonal, else by eigh or eig.  Each raises
-    np.linalg.LinAlgError when LAPACK does not converge."""
+def _eigensolve(
+    matrix: np.ndarray, hermitian: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted eigenvalues, eigenvectors and column residuals of a nonempty
+    block: by stevd, with the residual on the band, when it is real,
+    Hermitian and tridiagonal, else by eigh or eig, with the residual on the
+    full matrix.  Each solver raises np.linalg.LinAlgError when LAPACK does
+    not converge."""
     if not hermitian:
-        return np.linalg.eig(matrix)
-    if matrix.dtype != float or np.tril(matrix, -2).any():
-        return np.linalg.eigh(matrix)
-    # imported at the call, as reduction imports it, so the package import
-    # is unchanged
-    from scipy.linalg import eigh_tridiagonal
+        values, vectors = sort_eigenpairs(*np.linalg.eig(matrix))
+    elif matrix.dtype != float or np.tril(matrix, -2).any() or np.triu(matrix, 2).any():
+        values, vectors = sort_eigenpairs(*np.linalg.eigh(matrix))
+    else:
+        # imported at the call, as reduction imports it, so the package
+        # import is unchanged
+        from scipy.linalg import eigh_tridiagonal
 
-    return eigh_tridiagonal(np.diag(matrix), np.diag(matrix, -1), lapack_driver="stevd")
+        diagonal, lower = np.diag(matrix), np.diag(matrix, -1)
+        values, vectors = sort_eigenpairs(
+            *eigh_tridiagonal(diagonal, lower, lapack_driver="stevd")
+        )
+        residuals = _band_residuals(diagonal, lower, np.diag(matrix, 1), values, vectors)
+        return values, vectors, residuals
+    return values, vectors, eigen_residual(matrix, values, vectors)
 
 
 def block_spectrum(

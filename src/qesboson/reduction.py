@@ -77,6 +77,7 @@ from .exact import (
 )
 from .oracle import (
     SpectrumReport,
+    _band_residuals,
     checked_residual,
     checked_solve,
     eigen_residual,
@@ -288,13 +289,6 @@ class _JacobiForm:
     log_scale: np.ndarray
     phase: np.ndarray
 
-    def residuals(self, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-        """||J u - lambda u|| / ||u|| per column, without forming J."""
-        r = self.diagonal[:, None] * vectors - vectors * values
-        r[:-1] += self.off[:, None] * vectors[1:]
-        r[1:] += self.off[:, None] * vectors[:-1]
-        return np.linalg.norm(r, axis=0) / np.linalg.norm(vectors, axis=0)
-
     def monomial_vectors(self, vectors: np.ndarray, kappa: int) -> np.ndarray:
         """Eigenvectors S u of R with unit columns.
 
@@ -383,7 +377,9 @@ def _solve(
             from scipy.linalg import eigh_tridiagonal
 
             values, vectors = eigh_tridiagonal(jacobi.diagonal, jacobi.off)
-            residuals = jacobi.residuals(values, vectors)
+            residuals = _band_residuals(
+                jacobi.diagonal, jacobi.off, jacobi.off, values, vectors
+            )
             values = values.astype(complex)
     return values, vectors, checked_residual(float(residuals.max()), name), jacobi
 

@@ -356,6 +356,24 @@ def test_parser_reused_across_calls(capsys):
     assert [code for code, _, _ in fresh] == [1, 0]
 
 
+@pytest.mark.parametrize("model, kappa", [("trilinear3.qesb", "1797"), ("shg.qesb", "1198")])
+def test_stdout_independent_of_blas_threads(model, kappa):
+    """The d = 600 blocks print the same bytes at 1 and at 2 BLAS threads,
+    residuals included; a dense residual product changed the last digits
+    of residuals.oracle at SHG kappa = 1198."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    argv = [sys.executable, "-m", "qesboson.cli", "spectrum", str(SAMPLE_DIR / model)]
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [*argv, "--kappa", kappa, "--method", "both"], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
 # a coupling at 1.5e308: single, or with its adjoint (a Hermitian pair);
 # some block entry of each case overflows a double on both routes
 HUGE_MODELS = {

@@ -35,6 +35,7 @@ from qesboson import (
     shg_charge,
 )
 from qesboson.exact import integer_numerators
+from qesboson.oracle import _band_residuals
 from qesboson.reduction import _jacobi_form
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -181,7 +182,7 @@ def test_jacobi_residuals_match_dense_residuals():
     values, vectors = eigh_tridiagonal(jacobi.diagonal, jacobi.off)
     dense = np.diag(jacobi.diagonal) + np.diag(jacobi.off, 1) + np.diag(jacobi.off, -1)
     assert np.allclose(
-        jacobi.residuals(values, vectors),
+        _band_residuals(jacobi.diagonal, jacobi.off, jacobi.off, values, vectors),
         eigen_residual(dense, values, vectors),
         rtol=0,
         atol=1e-15,

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 from math import sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,8 +35,13 @@ from qesboson import (
     is_hermitian,
     monomial,
     number,
+    parse_model_file,
     shg_charge,
 )
+from qesboson import oracle
+from qesboson.oracle import RESIDUAL_TOL, _band_residuals
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 # real Hermitian, charge N1 + N2, with bands +-1 and +-2: its blocks are
 # pentadiagonal, so the oracle solves them with dense eigh
@@ -271,6 +277,26 @@ def test_nan_eigenvalue_fails_residual_gate(shg, monkeypatch):
     assert math.isnan(info.value.residual)
 
 
+def test_perturbed_eigenvector_fails_residual_gate(shg, monkeypatch):
+    # a finite residual above RESIDUAL_TOL, taken on the band, must refuse:
+    # u0 + 1e-6 u1 has residual 1e-6 (l1 - l0) / sqrt(1 + 1e-12)
+    h, charge = shg
+    exact = diagonalize_block(h, charge, 4)[1].real
+    eigh_tridiagonal = scipy.linalg.eigh_tridiagonal
+
+    def perturbed(*args, **kwargs):
+        values, vectors = eigh_tridiagonal(*args, **kwargs)
+        vectors[:, 0] += 1e-6 * vectors[:, 1]
+        return values, vectors
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", perturbed)
+    monkeypatch.setattr(oracle, "eigen_residual", _refuse("eigen_residual"))
+    with pytest.raises(NumericalFailure, match="kappa=4 eigensolve residual") as info:
+        diagonalize_block(h, charge, 4)
+    assert RESIDUAL_TOL < info.value.residual < math.inf
+    assert info.value.residual == pytest.approx(1e-6 * (exact[1] - exact[0]), rel=1e-6)
+
+
 def test_nan_eigenvalue_fails_residual_gate_dense(monkeypatch):
     eigh = np.linalg.eigh
 
@@ -360,3 +386,52 @@ class TestTridiagonalSolver:
         assert block.matrix.dtype == float
         assert (method, values.dtype) == ("general", complex)
         assert vectors.dtype == np.linalg.eig(block.matrix)[1].dtype
+
+
+class TestBandResidual:
+    """Real Hermitian tridiagonal blocks take their residual on the band,
+    with no dense product; it must match the dense residual, and every
+    other block keeps the dense one."""
+
+    @pytest.mark.parametrize(
+        "name, kappa, dim",
+        [
+            ("shg", 0, 1),
+            ("shg", 2, 2),
+            ("shg", 41, 21),
+            ("shg", 598, 300),
+            ("trilinear3", 1, 1),
+            ("trilinear3", 3, 2),
+            ("trilinear3", 62, 21),
+            ("trilinear3", 897, 300),
+        ],
+    )
+    def test_matches_dense_residual(self, monkeypatch, name, kappa, dim):
+        model = parse_model_file((MODELS / f"{name}.qesb").read_text(encoding="utf-8"))
+        monkeypatch.setattr(oracle, "eigen_residual", _refuse("eigen_residual"))
+        block, values, vectors, _, max_residual = diagonalize_block(
+            model.hamiltonian(), model.charge, kappa
+        )
+        matrix, values = block.matrix, values.real
+        assert block.dimension == dim
+        band = _band_residuals(
+            np.diag(matrix), np.diag(matrix, -1), np.diag(matrix, 1), values, vectors
+        )
+        assert max_residual == band.max()
+        bound = 4 * np.finfo(float).eps * max(1.0, np.linalg.norm(matrix))
+        assert np.abs(band - eigen_residual(matrix, values, vectors)).max() <= bound
+
+    def test_pentadiagonal_block_keeps_dense_residual(self, monkeypatch):
+        dense = []
+
+        def spy(matrix, values, vectors):
+            dense.append((matrix, eigen_residual(matrix, values, vectors)))
+            return dense[-1][1]
+
+        monkeypatch.setattr(oracle, "eigen_residual", spy)
+        monkeypatch.setattr(oracle, "_band_residuals", _refuse("_band_residuals"))
+        block, _, _, _, max_residual = diagonalize_block(BANDED, ConservedCharge(1, 1), 6)
+        assert np.tril(block.matrix, -2).any()
+        [(matrix, residuals)] = dense
+        assert matrix is block.matrix
+        assert max_residual == residuals.max()
