@@ -2,11 +2,11 @@
 
 A change of variable plus a superpotential gauge factor turns the reduced
 second-order operator into a Schroedinger operator with a sextic
-potential.  The conjugation identity is verified numerically on random
-polynomial test functions; the search over sign/normalization conventions
-reports that the identity holds with a unit-mass kinetic term and that
-the quoted constant term sits one mode-2 frequency above the conjugated
-operator.  A finite-difference box solver then finds the block energies
+potential.  The conjugation identity is checked exactly, as Laurent
+polynomials in y with rational coefficients; the search over
+sign/normalization conventions reports that the identity holds with a
+unit-mass kinetic term and that the quoted constant term sits exactly one
+mode-2 frequency above the conjugated operator.  A finite-difference box solver then finds the block energies
 inside the sextic spectrum, up to that same constant.
 """
 
@@ -34,7 +34,7 @@ pot = sextic_potential(W1, W2, KC, KB, 2)
 print(f"V(y) = {pot.c0} + ({pot.c2})*y^2 + ({pot.c4})*y^4 + ({pot.c6})*y^6")
 
 print()
-print("== conjugation identity, convention search ==")
+print("== conjugation identity, exact convention search ==")
 for k in range(4):
     result = check_gauge_identity(W1, W2, KC, KB, k)
     conv = result.convention

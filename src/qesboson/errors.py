@@ -53,8 +53,8 @@ class InvalidOrder(QesBosonError):
 
 
 class ConventionMismatch(QesBosonError):
-    """The gauge conjugation identity failed under every sign/normalization
-    convention tried; carries the best residual achieved per convention."""
+    """The exact gauge conjugation identity holds under no sign/normalization
+    convention tried; carries each convention's residual (inf: fails)."""
 
     def __init__(self, message: str, residuals: dict):
         super().__init__(message)

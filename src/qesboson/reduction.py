@@ -563,22 +563,6 @@ class OdeCoefficients:
     c0: Polynomial
     k: int
 
-    def action(self, poly: Polynomial):
-        """The operator applied to a polynomial test function, as a
-        function of z; the derivatives of poly are built once."""
-        d1 = poly.derivative()
-        d2 = d1.derivative()
-        c3 = complex(self.c3)
-
-        def at(z: complex) -> complex:
-            return (
-                c3 * z**3 * d2.eval_complex(z)
-                + self.c1.eval_complex(z) * d1.eval_complex(z)
-                + self.c0.eval_complex(z) * poly.eval_complex(z)
-            )
-
-        return at
-
     def recurrence_exact(self, dim: int) -> tuple[tuple[RationalComplex, ...], ...]:
         """Exact matrix B of the coefficient recurrence on z^0 .. z^(dim-1).
 

@@ -7,12 +7,12 @@ superpotential
 
 turns the reduced second-order operator into a one-dimensional
 Schroedinger operator with a sextic polynomial potential.  The conjugation
-is verified here numerically, on random polynomial test functions, with
-the sign and normalization freedoms of the construction searched
-explicitly: the identity holds exactly for kinetic term -d^2/dy^2 (not
+is checked here exactly, in Laurent polynomials of y with rational
+coefficients, with the sign and normalization freedoms of the construction
+searched explicitly: the identity holds for kinetic term -d^2/dy^2 (not
 the halved form the potential is usually quoted with) and the quoted
-constant term sits a fixed mode-2 frequency above the conjugated
-operator.  Both findings are reported, not assumed.
+constant term sits exactly one mode-2 frequency w2 above the conjugated
+operator.  Both findings are derived per call, not assumed.
 
 A deliberately simple finite-difference solver (three-point Laplacian,
 Dirichlet box, dense tridiagonal eigensolve) provides desk-scale spectra
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -31,41 +31,10 @@ from scipy.linalg import eigh_tridiagonal
 from .errors import ConventionMismatch, NumericalFailure
 from .exact import Polynomial, Rationalish, RationalComplex
 from .oracle import checked_solve
-from .reduction import OdeCoefficients, shg_ode
+from .reduction import shg_ode
 
-# seven-point central second-derivative weights
-STENCIL_D2 = (
-    1.0 / 90.0,
-    -3.0 / 20.0,
-    1.5,
-    -49.0 / 18.0,
-    1.5,
-    -3.0 / 20.0,
-    1.0 / 90.0,
-)
-
-# the gauge check's random polynomial test functions (degree, count and
-# generator seed), its sample points y in GAUGE_Y_RANGE and the largest
-# residual it accepts
-GAUGE_POLY_DEGREE = 3
-GAUGE_POLY_COUNT = 5
-GAUGE_SEED = 20260810
-GAUGE_SAMPLES = 25
-GAUGE_Y_RANGE = (0.5, 2.0)
-GAUGE_TOLERANCE = 1e-6
-
-
-def _real_floats(*named: tuple[str, RationalComplex]) -> tuple[float, ...]:
-    """The named coefficients as floats; raises ValueError for one that is
-    not real and NumericalFailure when one does not fit in a double."""
-    for name, c in named:
-        if not c.is_real:
-            raise ValueError(f"{name} is not real: {c}")
-    try:
-        return tuple(float(c.re) for _, c in named)
-    except OverflowError:
-        names = ", ".join(name for name, _ in named)
-        raise NumericalFailure(f"one of {names} exceeds double range", math.inf) from None
+# a Laurent polynomial in y: exponent -> nonzero rational coefficient
+Laurent = dict[int, Fraction]
 
 
 def _as_real(value: Rationalish, what: str) -> RationalComplex:
@@ -82,23 +51,6 @@ class Superpotential:
     inverse_coeff: RationalComplex
     linear_coeff: RationalComplex
     cubic_coeff: RationalComplex
-
-    @cached_property
-    def _real_parts(self) -> tuple[float, float, float]:
-        return _real_floats(
-            ("inverse coefficient", self.inverse_coeff),
-            ("linear coefficient", self.linear_coeff),
-            ("cubic coefficient", self.cubic_coeff),
-        )
-
-    def __call__(self, y: float) -> float:
-        a, b, c = self._real_parts
-        return a / y + b * y + c * y**3
-
-    def integral(self, y: float) -> float:
-        """int W dy = inverse*log(y) + linear*y^2/2 + cubic*y^4/4 (y > 0)."""
-        a, b, c = self._real_parts
-        return a * math.log(y) + b * y**2 / 2 + c * y**4 / 4
 
 
 def gauge_superpotential(
@@ -144,7 +96,16 @@ class SexticPotential:
     k: int
 
     def real_coeffs(self) -> tuple[float, float, float, float]:
-        return _real_floats(("c0", self.c0), ("c2", self.c2), ("c4", self.c4), ("c6", self.c6))
+        """The coefficients as floats; raises ValueError for one that is not
+        real and NumericalFailure when one does not fit in a double."""
+        named = {"c0": self.c0, "c2": self.c2, "c4": self.c4, "c6": self.c6}
+        for name, c in named.items():
+            if not c.is_real:
+                raise ValueError(f"{name} is not real: {c}")
+        try:
+            return tuple(float(c.re) for c in named.values())
+        except OverflowError:
+            raise NumericalFailure("one of c0, c2, c4, c6 exceeds double range", math.inf) from None
 
     def __call__(self, y):
         c0, c2, c4, c6 = self.real_coeffs()
@@ -210,11 +171,30 @@ class GaugeIdentityResult:
     tried: dict[tuple[int, int, float], float]
 
 
-def second_derivative(fn, y: float, h: float) -> float:
-    """Seven-point central-stencil second derivative."""
-    return sum(
-        w * fn(y + (i - 3) * h) for i, w in enumerate(STENCIL_D2)
-    ) / h**2
+def _product(p: Laurent, q: Laurent) -> Laurent:
+    out: Laurent = {}
+    for i, a in p.items():
+        for j, b in q.items():
+            out[i + j] = out.get(i + j, 0) + a * b
+    return out
+
+
+def _derivative(p: Laurent) -> Laurent:
+    return {e - 1: e * c for e, c in p.items() if e}
+
+
+def _combination(*terms: tuple[Fraction, Laurent]) -> Laurent:
+    """sum of scale * p over the (scale, p) terms, zero coefficients dropped."""
+    out: Laurent = {}
+    for scale, p in terms:
+        for e, c in p.items():
+            out[e] = out.get(e, 0) + scale * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _in_y(poly: Polynomial, z_coeff: Fraction) -> Laurent:
+    """poly(z) at z = z_coeff / y^2, for a polynomial with real coefficients."""
+    return {-2 * j: c.re * z_coeff**j for j, c in enumerate(poly.coeffs)}
 
 
 def check_gauge_identity(
@@ -224,21 +204,25 @@ def check_gauge_identity(
     kappa_bar: Rationalish,
     k: int,
 ) -> GaugeIdentityResult:
-    """Numerically verify the conjugation identity between the two pictures.
+    """Verify the conjugation identity between the two pictures exactly.
 
-    For random polynomial test functions phi(z), the reduced operator
-    applied to phi and mapped to the y picture is compared against the
-    sextic Schroedinger operator applied to psi = exp(sign * int W)
-    phi(z(y)), with the second derivative taken by a seven-point stencil
-    at relative step 1e-3.  The overall sign of W, the sign in the
-    exponent and the kinetic normalization (1 or 1/2) are searched; a
-    single constant operator shift per convention is fitted by least
-    squares and reported, since the quoted constant term is known to sit
-    one mode-2 frequency above the conjugated operator.
+    With psi = exp(s int W) f(z(y)), s the sign of W times the sign in the
+    exponent, the sextic operator -kin d^2/dy^2 + V maps psi to exp(s int W)
+    times the reduced operator c3 z^3 f'' + c1(z) f' + c0(z) f plus a
+    constant shift times f exactly when, as Laurent polynomials in y,
 
-    Raises ConventionMismatch with the per-convention residuals unless the
-    best residual that is a number is at most GAUGE_TOLERANCE, and
-    NumericalFailure when a sample does not fit in double precision.
+        -kin z'^2 = c3 z^3,
+        -kin (z'' + 2 s W z') = c1(z),
+        V - kin (s W' + W^2) - c0(z) = shift.
+
+    The signs of W and of the exponent and the kinetic normalization (1 or
+    1/2) are searched in a fixed order; the first convention that holds wins
+    with residual 0.0 and its exact shift, which is w2: the quoted constant
+    term sits one mode-2 frequency above the conjugated operator.  `tried`
+    maps every convention to 0.0 if it holds and to inf if not.
+
+    Raises ConventionMismatch with those residuals when no convention holds,
+    and NumericalFailure when the shift does not fit in a double.
     """
     w1 = _as_real(omega1, "omega1")
     w2 = _as_real(omega2, "omega2")
@@ -252,87 +236,47 @@ def check_gauge_identity(
     ode = shg_ode(w1, w2, kc, kb, k)
     w = gauge_superpotential(w1, w2, kc, kb, k)
     pot = sextic_potential(w1, w2, kc, kb, k)
-    try:
-        fits = _convention_fits(ode, w, pot, float(kb.re))
-    except OverflowError:
-        raise NumericalFailure(
-            f"gauge check samples at k={k} do not fit in double precision", math.inf
-        ) from None
+    z_coeff = -1 / kb.re
+    dz = _derivative({-2: z_coeff})
+    sup = {-1: w.inverse_coeff.re, 1: w.linear_coeff.re, 3: w.cubic_coeff.re}
+    c3_z3 = {-6: ode.c3.re * z_coeff**3}
+    potential = {0: pot.c0.re, 2: pot.c2.re, 4: pot.c4.re, 6: pot.c6.re}
+    dz_sq, d2z, w_dz = _product(dz, dz), _derivative(dz), _product(sup, dz)
+    dw, w_sq = _derivative(sup), _product(sup, sup)
+    c1, c0 = _in_y(ode.c1, z_coeff), _in_y(ode.c0, z_coeff)
+
+    # each identity depends on the convention only through (s, kin)
+    shifts: dict[tuple[int, float], Fraction | None] = {}
+    for sign in (1, -1):
+        for kinetic in (1.0, 0.5):
+            kin = Fraction(kinetic)
+            f2 = _combination((-kin, dz_sq), (-1, c3_z3))
+            f1 = _combination((-kin, d2z), (-2 * sign * kin, w_dz), (-1, c1))
+            f0 = _combination((1, potential), (-sign * kin, dw), (-kin, w_sq), (-1, c0))
+            holds = not f2 and not f1 and f0.keys() <= {0}
+            shifts[(sign, kinetic)] = f0.get(0, Fraction(0)) if holds else None
 
     tried: dict[tuple[int, int, float], float] = {}
-    best: tuple[float, GaugeConvention | None] = (math.nan, None)
+    winner = None
     for w_sign in (1, -1):
         for exp_sign in (1, -1):
             for kinetic in (1.0, 0.5):
-                residual, shift = fits[(w_sign * exp_sign, kinetic)]
-                tried[(w_sign, exp_sign, kinetic)] = residual
-                convention = GaugeConvention(w_sign, exp_sign, kinetic, shift)
-                # a NaN residual wins only over NaN
-                if residual < best[0] or math.isnan(best[0]):
-                    best = (residual, convention)
+                shift = shifts[(w_sign * exp_sign, kinetic)]
+                tried[(w_sign, exp_sign, kinetic)] = math.inf if shift is None else 0.0
+                if shift is not None and winner is None:
+                    winner = (w_sign, exp_sign, kinetic, shift)
 
-    residual, convention = best
-    if not residual <= GAUGE_TOLERANCE:
+    if winner is None:
         raise ConventionMismatch(
-            f"gauge identity fails under every convention; best residual"
-            f" {residual:.3e} at {convention}",
+            f"gauge identity at k={k} leaves a non-constant remainder under every convention",
             tried,
         )
-    return GaugeIdentityResult(residual=residual, convention=convention, tried=tried)
-
-
-@np.errstate(all="ignore")  # check_gauge_identity refuses NaN and inf residuals
-def _convention_fits(
-    ode: OdeCoefficients, w: Superpotential, pot: SexticPotential, kbf: float
-) -> dict[tuple[int, float], tuple[float, float]]:
-    """(residual, shift) of the gauge check's least-squares fit per (sign of
-    W times sign of the exponent, kinetic factor); raises OverflowError
-    when a sample does not fit in double precision."""
-    c0, c2, c4, c6 = pot.real_coeffs()
-    rng = np.random.default_rng(GAUGE_SEED)
-    polys = [
-        Polynomial.from_coeffs(
-            [float(c) for c in rng.uniform(-1.0, 1.0, size=GAUGE_POLY_DEGREE + 1)]
-        )
-        for _ in range(GAUGE_POLY_COUNT)
-    ]
-    ys = np.linspace(*GAUGE_Y_RANGE, GAUGE_SAMPLES)
-
-    def z_of(y: float) -> float:
-        return -1.0 / (kbf * y * y)
-
-    # only the sign of the exponent and the kinetic factor depend on the
-    # convention, so the operator action and the potential are sampled once,
-    # psi and its second derivative once per sign, and conventions sharing
-    # (sign, kinetic) share one fit
-    actions = [[ode.action(poly)(z_of(y)).real for y in ys] for poly in polys]
-    potential = [c0 + c2 * y**2 + c4 * y**4 + c6 * y**6 for y in ys]
-    samples = range(len(ys))
-    fits: dict[tuple[int, float], tuple[float, float]] = {}
-    for sign in (1, -1):
-        gauges = [math.exp(sign * w.integral(y)) for y in ys]
-        psis, d2s = [], []
-        for poly in polys:
-            def psi(y: float) -> float:
-                return math.exp(sign * w.integral(y)) * poly.eval_complex(
-                    z_of(y)
-                ).real
-
-            psis.append([psi(y) for y in ys])
-            d2s.append([second_derivative(psi, y, 1e-3 * abs(y)) for y in ys])
-        lhs_arr = np.array([gauges[i] * action[i] for action in actions for i in samples])
-        psi_arr = np.array([p[i] for p in psis for i in samples])
-        for kinetic in (1.0, 0.5):
-            rhs_arr = np.array(
-                [-kinetic * d2[i] + potential[i] * p[i] for p, d2 in zip(psis, d2s) for i in samples]
-            )
-            shift = float(np.dot(psi_arr, rhs_arr - lhs_arr) / np.dot(psi_arr, psi_arr))
-            scale = float(np.max(np.abs(lhs_arr) + np.abs(rhs_arr)))
-            residual = float(
-                np.max(np.abs(rhs_arr - lhs_arr - shift * psi_arr)) / scale
-            )
-            fits[(sign, kinetic)] = (residual, shift)
-    return fits
+    w_sign, exp_sign, kinetic, shift = winner
+    try:
+        convention = GaugeConvention(w_sign, exp_sign, kinetic, float(shift))
+    except OverflowError:
+        raise NumericalFailure(f"gauge shift at k={k} exceeds double range", math.inf) from None
+    return GaugeIdentityResult(residual=0.0, convention=convention, tried=tried)
 
 
 def fd_spectrum(potential, halfwidth: float, grid_points: int) -> np.ndarray:
@@ -366,7 +310,7 @@ def fd_spectrum(potential, halfwidth: float, grid_points: int) -> np.ndarray:
         )
     last = min(levels, grid_points) - 1
     with checked_solve("finite-difference"):
-        return eigh_tridiagonal(diag, off, select="i", select_range=(0, last))[0]
+        return eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, last))
 
 
 def constant_shift_match(

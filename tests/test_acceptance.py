@@ -211,7 +211,7 @@ def test_criterion_6_sextic_module():
             f" kinetic={conv.kinetic} w_sign={conv.w_sign:+d}"
             f" exponent_sign={conv.exponent_sign:+d} shift={conv.shift:.9f}"
         )
-        assert result.residual <= 1e-6
+        assert result.residual == 0.0 and conv.shift == 2.0
 
 
 @criterion(7, "normal ordering vs truncated ladder matrices")

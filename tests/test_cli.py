@@ -16,6 +16,7 @@ from qesboson.cli import main
 SAMPLE_DIR = Path(__file__).resolve().parent.parent / "models"
 SHG = str(SAMPLE_DIR / "shg.qesb")
 SHG_COUPLINGS = ["--w1", "1", "--w2", "2", "--kre", "0.5", "--kbre", "0.5"]
+HUGE_COUPLINGS = ["--w1", "1e308", "--w2", "1e308", "--kre", "1e308", "--kbre", "1e308"]
 
 
 def run(capsys, *argv):
@@ -188,8 +189,9 @@ class TestSextic:
         assert code == 0
         payload = json.loads(out)
         assert payload["potential"]["c0"] == ["4", "0"]
-        assert payload["gauge_identity"]["residual"] <= 1e-6
+        assert payload["gauge_identity"]["residual"] == 0.0
         assert payload["gauge_identity"]["kinetic"] == 1.0
+        assert payload["gauge_identity"]["shift"] == 2.0
         assert payload["fd"]["shift"] == pytest.approx(2.0, abs=5e-3)
         assert payload["fd"]["max_deviation"] <= 5e-3
         assert payload["fd"]["block_levels"] == pytest.approx(
@@ -235,12 +237,28 @@ class TestSextic:
     @pytest.mark.parametrize(
         "argv",
         [
-            # every convention residual NaN: printed residual=nan and exited 0
-            *([*SHG_COUPLINGS, "--k", k] for k in ("514", "515", "600", "1000")),
-            # math.exp overflow in the gauge samples: OverflowError traceback
-            *([*SHG_COUPLINGS, "--k", k] for k in ("1500", "2000", "100000")),
+            # the gauge identity is algebraic: large levels need no double
+            *([*SHG_COUPLINGS, "--k", k] for k in
+              ("100", "200", "300", "500", "514", "515", "600", "1000", "1500", "2000", "100000")),
+            # the exact coefficients need no double; only the FD solve does
+            [*HUGE_COUPLINGS, "--k", "1"],
+        ],
+        ids=" ".join,
+    )
+    def test_exact_gauge_shift_at_any_level(self, capsys, argv):
+        code, out, err = run(capsys, "sextic", *argv)
+        assert (code, err) == (0, "")
+        w2 = argv[argv.index("--w2") + 1]
+        assert (
+            f"gauge identity: residual=0.0 kinetic=1.0 w_sign=+1 exponent_sign=+1"
+            f" shift={float(w2)!r}\n"
+        ) in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             # a potential coefficient beyond double range: OverflowError traceback
-            ["--w1", "1e308", "--w2", "1e308", "--kre", "1e308", "--kbre", "1e308", "--k", "1"],
+            [*HUGE_COUPLINGS, "--k", "1", "--fd"],
             # grid step squared underflows to 0: ZeroDivisionError traceback
             *([*SHG_COUPLINGS, "--k", "3", "--fd", "--fd-halfwidth", w] for w in ("1e-300", "1e-160")),
             # infinite potential samples: scipy's "array must not contain infs"

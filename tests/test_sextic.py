@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -5,10 +6,14 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_coeff
 from qesboson import (
     ConventionMismatch,
+    NumericalFailure,
     RationalComplex,
     build_shg,
     check_gauge_identity,
@@ -20,7 +25,10 @@ from qesboson import (
     shg_charge,
 )
 from qesboson import sextic
-from qesboson.sextic import second_derivative
+
+RESOLVED = (1, 1, 1.0)  # (w_sign, exponent_sign, kinetic) the check reports
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=50)
 
 
 class TestSuperpotential:
@@ -29,7 +37,6 @@ class TestSuperpotential:
         assert w.inverse_coeff == RationalComplex.coerce(2)
         assert w.linear_coeff == RationalComplex.coerce(0)
         assert w.cubic_coeff == RationalComplex.coerce(Fraction(-1, 16))
-        assert w(2.0) == pytest.approx(2 / 2.0 - 8 / 16)
 
     def test_only_cubic_survives(self):
         w = gauge_superpotential(1, 2, Fraction(1, 2), Fraction(1, 2), 0)
@@ -96,41 +103,73 @@ class TestSexticPotential:
         assert v(x) == pytest.approx(pot(math.sqrt(2) * x))
 
 
+def assert_exact_shift(w1, w2, kc, kb, k):
+    result = check_gauge_identity(w1, w2, kc, kb, k)
+    conv = result.convention
+    # resolved convention: unit-mass kinetic term, quoted constant sits
+    # exactly one mode-2 frequency above the conjugated operator
+    assert result.residual == 0.0
+    assert (conv.w_sign, conv.exponent_sign, conv.kinetic) == RESOLVED
+    assert conv.shift == float(w2)
+    assert len(result.tried) == 8
+    # w_sign and exponent_sign enter only through their product
+    assert [key for key, r in result.tried.items() if r == 0.0] == [RESOLVED, (-1, -1, 1.0)]
+    assert all(r in (0.0, math.inf) for r in result.tried.values())
+
+
 class TestGaugeIdentity:
-    def test_residual_small_for_low_levels(self):
-        for k in range(4):
-            result = check_gauge_identity(1, 2, Fraction(1, 2), Fraction(1, 2), k)
-            assert result.residual <= 1e-6
-            conv = result.convention
-            # resolved convention: unit-mass kinetic term, quoted constant
-            # sits one mode-2 frequency above the conjugated operator
-            assert conv.kinetic == 1.0
-            assert conv.w_sign * conv.exponent_sign == 1
-            assert abs(conv.shift - 2.0) <= 1e-6
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 100, 500, 10**6])
+    def test_shift_is_exactly_w2(self, k):
+        assert_exact_shift(1, 2, Fraction(1, 2), Fraction(1, 2), k)
+
+    def test_negative_kappa_bar(self):
+        for k in (0, 3, 7):
+            assert_exact_shift(1, 2, Fraction(1, 2), Fraction(-1, 2), k)
+
+    def test_generic_rational_couplings(self):
+        for k in (0, 1, 5):
+            assert_exact_shift(Fraction(3, 7), Fraction(5, 3), Fraction(-2, 9), Fraction(4, 11), k)
+
+    @settings(deadline=None)
+    @given(
+        w1=rationals,
+        w2=rationals,
+        kc=rationals,
+        kb=rationals.filter(lambda q: q != 0),
+        k=st.integers(min_value=0, max_value=50),
+    )
+    def test_shift_is_w2_for_random_couplings(self, w1, w2, kc, kb, k):
+        assert_exact_shift(w1, w2, kc, kb, k)
 
     def test_all_conventions_reported(self):
         result = check_gauge_identity(1, 2, Fraction(1, 2), Fraction(1, 2), 1)
         assert len(result.tried) == 8
         assert result.residual == min(result.tried.values())
 
-    def test_mismatch_raised_when_tolerance_unreachable(self):
-        with patch.object(sextic, "GAUGE_TOLERANCE", 1e-30), pytest.raises(
+    def test_mismatch_raised_when_no_convention_holds(self):
+        real_potential = sextic.sextic_potential
+
+        def perturbed(*args):
+            pot = real_potential(*args)
+            return dataclasses.replace(pot, c2=pot.c2 + 1)
+
+        with patch.object(sextic, "sextic_potential", perturbed), pytest.raises(
             ConventionMismatch
         ) as err:
             check_gauge_identity(1, 2, Fraction(1, 2), Fraction(1, 2), 2)
         assert len(err.value.residuals) == 8
+        assert all(r == math.inf for r in err.value.residuals.values())
+
+    def test_shift_beyond_double_range_is_numerical_failure(self):
+        with pytest.raises(NumericalFailure, match="exceeds double range"):
+            check_gauge_identity(1, Fraction(10**400), Fraction(1, 2), Fraction(1, 2), 1)
 
     def test_residual_wrapper(self):
-        assert check_gauge_identity(1, 2, 0.5, 0.5, 0).residual <= 1e-6
+        assert check_gauge_identity(1, 2, 0.5, 0.5, 0).residual == 0.0
 
     def test_zero_coupling_rejected(self):
         with pytest.raises(ValueError):
             check_gauge_identity(1, 2, 0.5, 0, 1)
-
-    def test_stencil_accuracy(self):
-        # pure-kinetic degenerate case: the error is differentiation error
-        got = second_derivative(math.sin, 1.0, 1e-3)
-        assert abs(got + math.sin(1.0)) <= 1e-8
 
 
 class TestFdSpectrum:
@@ -152,6 +191,21 @@ class TestFdSpectrum:
         assert c4 == 0 and c2 > 0 and c6 > 0
         vals = fd_spectrum(pot, 8.0, 1500)
         assert np.all(np.diff(vals) > 1e-6)
+
+    @pytest.mark.parametrize(
+        "potential",
+        [sextic_potential(1, 2, Fraction(1, 2), Fraction(1, 2), 3), lambda y: y**2 / 2 + y**4],
+        ids=["sextic", "callable"],
+    )
+    def test_levels_match_the_solve_with_eigenvectors(self, potential):
+        # eigvals_only skips stein; the levels come from stebz either way
+        def with_vectors(diag, off, eigvals_only, **kwargs):
+            assert eigvals_only
+            return scipy.linalg.eigh_tridiagonal(diag, off, **kwargs)[0]
+
+        with patch.object(sextic, "eigh_tridiagonal", with_vectors):
+            reference = fd_spectrum(potential, 6.0, 4000)
+        assert np.array_equal(fd_spectrum(potential, 6.0, 4000), reference)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
