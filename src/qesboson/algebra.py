@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
-from typing import Iterable, Mapping
+from math import comb, factorial, perm
+from typing import Iterable, Mapping, Sequence
 
-from .exact import ZERO, Rationalish, RationalComplex, falling_factorial, integer_numerators
+from .exact import ZERO, Rationalish, RationalComplex, integer_numerators
 
 ExponentKey = tuple[int, int, int, int]
 
@@ -348,15 +348,15 @@ def _ladder_ratio(state: FockState, target: FockState) -> tuple[int, int]:
     """t1! t2! / (n1! n2!) for |n1, n2> -> |t1, t2> as (numerator, denominator).
 
     Per mode, t!/n! is the product of the |t - n| factors between the two
-    occupations, so the full factorials are never formed.  The pair is not
-    reduced.
+    occupations, the falling factorial math.perm, so the full factorials are
+    never formed.  The pair is not reduced.
     """
     num = den = 1
     for n, t in ((state.n1, target.n1), (state.n2, target.n2)):
         if t >= n:
-            num *= falling_factorial(t, t - n)
+            num *= perm(t, t - n)
         else:
-            den *= falling_factorial(n, n - t)
+            den *= perm(n, n - t)
     return num, den
 
 
@@ -391,12 +391,46 @@ def _integer_image(
     for (m1, m2, m3, m4), re, im in terms:
         if n1 < m2 or n2 < m4:
             continue
-        weight = falling_factorial(n1, m2) * falling_factorial(n2, m4)
+        weight = perm(n1, m2) * perm(n2, m4)
         re, im = re * weight, im * weight
         target = (n1 - m2 + m1, n2 - m4 + m3)
         prev = sums.get(target)
         sums[target] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
     return {target: value for target, value in sums.items() if value[0] or value[1]}
+
+
+def _band_numerators(
+    terms: Iterable[tuple[ExponentKey, int, int]],
+    n1s: Sequence[int],
+    n2s: Sequence[int],
+) -> tuple[list[int], list[int] | None]:
+    """Summed numerators of terms at every occupation pair (n1s[j], n2s[j]):
+    the lists of sum(re * (n1)_m2 (n2)_m4) and sum(im * (n1)_m2 (n2)_m4)
+    over the terms, the second None when every im is 0.
+
+    Both block routes fill one band from it, with the terms that move a state
+    to the same place.  math.perm is the falling factorial on non-negative
+    integers and 0 where a term needs more annihilations than the occupation
+    holds, so such a term contributes nothing there.
+    """
+    res = ims = None
+    for (_, m2, _, m4), re, im in terms:
+        if not m4:
+            weights = [perm(a, m2) for a in n1s]
+        elif not m2:
+            weights = [perm(b, m4) for b in n2s]
+        else:
+            weights = [perm(a, m2) * perm(b, m4) for a, b in zip(n1s, n2s)]
+        res = _accumulate(res, re, weights)
+        if im:
+            ims = _accumulate(ims, im, weights)
+    return res, ims
+
+
+def _accumulate(acc: list[int] | None, c: int, weights: list[int]) -> list[int]:
+    if acc is None:
+        return [c * w for w in weights]
+    return [a + c * w for a, w in zip(acc, weights)]
 
 
 def apply_to_fock(

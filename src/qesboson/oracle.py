@@ -9,20 +9,26 @@ package, and every reduced-route result is validated against it.
 Matrix elements are assembled in exact arithmetic, each as a rational
 coefficient times the square root of a ladder ratio t1! t2! / (n1! n2!)
 built from the few integer factors between source and target occupations.
-The coefficients are accumulated as integer numerators over one common
-denominator of the Hamiltonian's coefficients, computed once per block,
-and block_matrix forms each float entry directly from those integers and
-the integer ladder ratio, with no exact rational object in between; the
-exact amplitudes themselves come from block_amplitudes.
+The coefficients are integer numerators over one common denominator of the
+Hamiltonian's coefficients.  Every term moves a basis state by the same
+number of places along the block, so block_matrix assembles the block band
+by band: it groups h's terms by that shift, forms each band's numerators
+for all its columns at once with list comprehensions over math.perm (the
+falling factorial, in C), divides each by the denominator and multiplies by
+the square root of its ladder ratio, one correctly rounded operation per
+entry on exact Python integers of any size, and fills the dense matrix with
+one fancy-index assignment.  No exact rational object is formed; the exact
+amplitudes themselves come from block_amplitudes, entry by entry.
 
 A Hamiltonian whose coefficients are all real has real blocks: block_matrix
 returns them as float64, and they are diagonalized and checked in real
 arithmetic (real symmetric eigh, or real eig for non-Hermitian h).  Complex
 coefficients give complex blocks and a complex solve.  A real Hermitian
 block that is exactly tridiagonal, as every block of a single-exchange
-model such as SHG is, goes straight to LAPACK's tridiagonal
-divide-and-conquer solver stevd (Gu & Eisenstat 1995), through
-scipy.linalg.eigh_tridiagonal.  That is the solver dense eigh runs after
+model such as SHG is (decided on the few diagonals h's terms can fill),
+goes straight to LAPACK's tridiagonal divide-and-conquer solver stevd
+(Gu & Eisenstat 1995), through scipy.linalg.eigh_tridiagonal.  That is
+the solver dense eigh runs after
 its Householder reduction, which on such a block is the identity, so it
 skips two O(n^3) no-op steps.  The reduced route gives the same solver its
 Jacobi matrix, built from the reduced entries alone, so on these blocks the
@@ -42,6 +48,9 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import compress
+from math import perm
+from operator import or_
 
 import numpy as np
 
@@ -50,7 +59,9 @@ from .algebra import (
     FockAmplitude,
     FockState,
     OperatorPolynomial,
+    _band_numerators,
     _integer_image,
+    _IntegerTerms,
     _integer_terms,
     _ladder_ratio,
     apply_to_fock,
@@ -74,12 +85,12 @@ def enumerate_block(charge: ConservedCharge, kappa: int) -> tuple[FockState, ...
     """
     if kappa < 0:
         raise ValueError("kappa must be non-negative")
-    states = []
-    for n2 in range(kappa // charge.p + 1):
-        rest = kappa - charge.p * n2
-        if rest % charge.s == 0:
-            states.append(FockState(rest // charge.s, n2))
-    return tuple(states)
+    s, p = charge.s, charge.p
+    # the smallest n2 >= 0 with p*n2 = kappa (mod s); the rest follow every s
+    first = kappa * pow(p, -1, s) % s
+    return tuple(
+        FockState((kappa - p * n2) // s, n2) for n2 in range(first, kappa // p + 1, s)
+    )
 
 
 def block_amplitudes(
@@ -106,7 +117,8 @@ def block_amplitudes(
 
 def block_matrix(h: OperatorPolynomial, basis: tuple[FockState, ...]) -> np.ndarray:
     """Dense matrix of h restricted to the block basis: float64 when every
-    coefficient of h is real, complex otherwise.
+    coefficient of h is real, complex otherwise.  basis is an enumerate_block
+    basis, or a run of consecutive states of one.
 
     Each entry is formed straight from its integer numerators re, im over
     h's common denominator D and its unreduced ladder ratio num/den as
@@ -116,30 +128,82 @@ def block_matrix(h: OperatorPolynomial, basis: tuple[FockState, ...]) -> np.ndar
     complex(amp) (its real part for real h) of the exact amplitude that
     block_amplitudes returns.  Raises BlockClosureViolation as
     block_amplitudes does, and NumericalFailure when an entry does not fit
-    in a double.
+    in a double; either names the first such entry column by column.
     """
     dim = len(basis)
     terms, denom = _integer_terms(h)
     real = not any(im for _, _, im in terms)
     matrix = np.zeros((dim, dim), dtype=float if real else complex)
-    index = {(state.n1, state.n2): i for i, state in enumerate(basis)}
+    n1s = [state.n1 for state in basis]
+    n2s = [state.n2 for state in basis]
+    # consecutive states differ by (-p, s); a single state fixes no step,
+    # and every shift but (0, 0) then leaves it
+    p, s = (n1s[0] - n1s[1], n2s[1] - n2s[0]) if dim > 1 else (1, 1)
+    if dim > 1 and not (
+        p > 0 < s
+        and n1s == list(range(n1s[0], n1s[0] - p * dim, -p))
+        and n2s == list(range(n2s[0], n2s[0] + s * dim, s))
+    ):
+        raise ValueError("basis is not a run of consecutive states of one block")
+    groups: dict[tuple[int, int], list] = {}
+    for term in terms:
+        (m1, m2, m3, m4), _, _ = term
+        groups.setdefault((m1 - m2, m3 - m4), []).append(term)
+    rows, cols, values = [], [], []
     try:
-        for col, state in enumerate(basis):
-            for target, (re, im) in _integer_image(terms, state.n1, state.n2).items():
-                row = index.get(target)
-                if row is None:
-                    raise BlockClosureViolation(
-                        f"h maps {state} to {FockState(*target)}, outside the block basis"
-                    )
-                num, den = _ladder_ratio(state, basis[row])
-                value = re / denom if real else complex(re / denom, im / denom)
-                matrix[row, col] = value * (num / den) ** 0.5
+        for (d1, d2), group in groups.items():
+            res, ims = _band_numerators(group, n1s, n2s)
+            nz = list(compress(range(dim), res if ims is None else map(or_, res, ims)))
+            if not nz:
+                continue
+            # the band moves the state k places along the basis
+            k, rem = divmod(d2, s)
+            if rem or d1 != -p * k or nz[0] + k < 0 or nz[-1] + k >= dim:
+                raise _first_failure(terms, denom, basis)
+            # ladder ratio per mode: the rising occupation over the falling one
+            if k >= 0:
+                rise, fall, ups, downs = s * k, p * k, n2s, n1s
+            else:
+                rise, fall, ups, downs = -p * k, -s * k, n1s, n2s
+            scales = [(perm(ups[j] + rise, rise) / perm(downs[j], fall)) ** 0.5 for j in nz]
+            if real:
+                values += [res[j] / denom * x for j, x in zip(nz, scales)]
+            else:
+                ims = ims or [0] * dim
+                values += [
+                    complex(res[j] / denom, ims[j] / denom) * x for j, x in zip(nz, scales)
+                ]
+            rows += [j + k for j in nz]
+            cols += nz
     except OverflowError:
-        raise _unrepresentable(state, FockState(*target)) from None
-    if not np.isfinite(matrix).all():
+        raise _first_failure(terms, denom, basis) from None
+    values = np.array(values, dtype=matrix.dtype)
+    matrix[rows, cols] = values
+    if not np.isfinite(values).all():
         row, col = np.argwhere(~np.isfinite(matrix))[0]
         raise _unrepresentable(basis[col], basis[row])
     return matrix
+
+
+def _first_failure(
+    terms: _IntegerTerms, denom: int, basis: tuple[FockState, ...]
+) -> BlockClosureViolation | NumericalFailure:
+    """The error that assembling the block entry by entry meets first,
+    column by column and in term order within a column; block_matrix calls
+    it only once it has met one, so that it names the same entry."""
+    inside = {(state.n1, state.n2) for state in basis}
+    for state in basis:
+        for target, (re, im) in _integer_image(terms, state.n1, state.n2).items():
+            if target not in inside:
+                return BlockClosureViolation(
+                    f"h maps {state} to {FockState(*target)}, outside the block basis"
+                )
+            num, den = _ladder_ratio(state, FockState(*target))
+            try:
+                re / denom, im / denom, num / den
+            except OverflowError:
+                return _unrepresentable(state, FockState(*target))
+    raise AssertionError("block_matrix met no failure")
 
 
 def _unrepresentable(state: FockState, target: FockState) -> NumericalFailure:
@@ -292,23 +356,27 @@ def diagonalize_block(
         empty = np.zeros((0, 0), dtype=block.matrix.dtype)
         return block, np.zeros(0, dtype=complex), empty, method, 0.0
     name = f"block kappa={kappa}"
+    # the diagonals h's terms can fill: a term moves a state (m3 - m4) / s
+    # places along the basis
+    offsets = {(m4 - m3) // charge.s for (_, _, m3, m4), _ in h.items()}
+    tridiagonal = not any(np.diagonal(block.matrix, k).any() for k in offsets if abs(k) > 1)
     with checked_solve(name):
-        values, vectors, residuals = _eigensolve(block.matrix, hermitian)
+        values, vectors, residuals = _eigensolve(block.matrix, hermitian, tridiagonal)
     max_residual = checked_residual(float(residuals.max()), name)
     return block, values.astype(complex), vectors, method, max_residual
 
 
 def _eigensolve(
-    matrix: np.ndarray, hermitian: bool
+    matrix: np.ndarray, hermitian: bool, tridiagonal: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sorted eigenvalues, eigenvectors and column residuals of a nonempty
     block: by stevd, with the residual on the band, when it is real,
-    Hermitian and tridiagonal, else by eigh or eig, with the residual on the
-    full matrix.  Each solver raises np.linalg.LinAlgError when LAPACK does
-    not converge."""
+    Hermitian and tridiagonal (zero outside its three central diagonals),
+    else by eigh or eig, with the residual on the full matrix.  Each solver
+    raises np.linalg.LinAlgError when LAPACK does not converge."""
     if not hermitian:
         values, vectors = sort_eigenpairs(*np.linalg.eig(matrix))
-    elif matrix.dtype != float or np.tril(matrix, -2).any() or np.triu(matrix, 2).any():
+    elif matrix.dtype != float or not tridiagonal:
         values, vectors = sort_eigenpairs(*np.linalg.eigh(matrix))
     else:
         # imported at the call, as reduction imports it, so the package

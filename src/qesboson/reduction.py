@@ -26,11 +26,14 @@ qes_spectrum and the energy polynomials' spectrum run this one solve.
 
 A block is assembled from h's coefficients as integer numerators over one
 common denominator (algebra._integer_terms, the oracle's own integer form
-of h) times two integer falling factorials.  The dense float matrix and
-the Jacobi data are formed straight from those integers, each float by
-one correctly rounded integer division, and the exact RationalComplex
-entries are built only when asked for (ReducedBlock.entries, the energy
-polynomials, whose recurrence reads only the nonzero band of the block).
+of h) times two integer falling factorials, band by band: the terms are
+grouped by the degree shift they make and each band's numerators come
+from one pass over its degrees (algebra._band_numerators, which the
+oracle's assembly shares).  The dense float matrix and the Jacobi data are
+formed straight from those integers, each float by one correctly rounded
+integer division, and the exact RationalComplex entries are built only
+when asked for (ReducedBlock.entries, the energy polynomials, whose
+recurrence reads only the nonzero band of the block).
 
 Every block, spectrum and polynomial table is the exact restriction of
 the Hamiltonian it is given.  The as-published recurrence keeps an extra
@@ -46,6 +49,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import compress, repeat
+from math import perm
+from operator import or_
 from typing import Mapping
 
 import numpy as np
@@ -54,6 +60,7 @@ from .algebra import (
     ConservedCharge,
     FockState,
     OperatorPolynomial,
+    _band_numerators,
     _IntegerTerms,
     _integer_terms,
     conserves,
@@ -73,7 +80,6 @@ from .exact import (
     Polynomial,
     Rationalish,
     RationalComplex,
-    falling_factorial,
 )
 from .oracle import (
     SpectrumReport,
@@ -102,11 +108,9 @@ def physical_degrees(charge: ConservedCharge, kappa: int) -> tuple[int, ...]:
     """
     if kappa < 0:
         raise ValueError("kappa must be non-negative")
-    return tuple(
-        n
-        for n in range(kappa // charge.s + 1)
-        if (kappa - charge.s * n) % charge.p == 0
-    )
+    # the smallest n >= 0 with s*n = kappa (mod p); the rest follow every p
+    first = kappa * pow(charge.s, -1, charge.p) % charge.p
+    return tuple(range(first, kappa // charge.s + 1, charge.p))
 
 
 def slaved_occupation(charge: ConservedCharge, kappa: int, degree: int) -> int:
@@ -152,33 +156,53 @@ class ReducedOperator:
     ) -> tuple[tuple[int, ...], dict[tuple[int, int], tuple[int, int]], int]:
         """Exact matrix entries over the physical degrees (ascending), as
         (degrees, numerators, D): numerators[(i, j)] = (re, im) holds the
-        nonzero entry (re + i*im) / D as integers.  A nonzero amplitude
-        leaving the degree set is reported as a closure violation.
+        nonzero entry (re + i*im) / D as integers.  A term that leaves the
+        degree set from a degree where it does not vanish is reported as a
+        closure violation, the first one degree by degree and in term order.
 
-        Each entry is accumulated as the terms' integer numerators times
-        the two integer falling factorials (n)_m2 (n2)_m4; a term with
-        n < m2 or n2 < m4 contributes nothing, and entries that sum to zero
-        are dropped.
+        Terms are grouped by the degree shift m1 - m2 they make, and each
+        group's entries are its terms' integer numerators times the two
+        integer falling factorials (n)_m2 (n2)_m4, summed along the band; a
+        term with n < m2 or n2 < m4 contributes nothing, and entries that
+        sum to zero are dropped.
         """
         degrees = physical_degrees(self.charge, kappa)
-        pos = {n: i for i, n in enumerate(degrees)}
-        sums: dict[tuple[int, int], tuple[int, int]] = {}
-        for j, n in enumerate(degrees):
-            n2 = slaved_occupation(self.charge, kappa, n)
-            for (m1, m2, _, m4), re, im in self.terms:
-                if n < m2 or n2 < m4:
-                    continue
-                i = pos.get(n - m2 + m1)
-                if i is None:
-                    raise BlockClosureViolation(
-                        f"reduced term ({m1},{m2}) maps degree {n}"
-                        f" outside the block kappa={kappa}"
-                    )
-                weight = falling_factorial(n, m2) * falling_factorial(n2, m4)
-                re, im = re * weight, im * weight
-                prev = sums.get((i, j))
-                sums[(i, j)] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
-        return degrees, {k: v for k, v in sums.items() if v[0] or v[1]}, self.denominator
+        dim, s, p = len(degrees), self.charge.s, self.charge.p
+        # n2 = (kappa - s*n) / p falls by s from one degree to the next
+        top = (kappa - s * degrees[0]) // p if dim else 0
+        slaved = range(top, top - s * dim, -s)
+        groups: dict[int, list] = {}
+        violations = []  # (column, term index) where a term leaves the block
+        for t, term in enumerate(self.terms):
+            (m1, m2, _, m4), _, _ = term
+            groups.setdefault(m1 - m2, []).append(term)
+            # columns whose target degree is past the block, or no degree at all
+            shift, rem = divmod(m1 - m2, p)
+            outside = range(0 if rem else max(dim - shift, 0), dim)
+            j = next((j for j in outside if perm(degrees[j], m2) and perm(slaved[j], m4)), None)
+            if j is not None:
+                violations.append((j, t))
+        if violations:
+            j, t = min(violations)
+            (m1, m2, _, _), _, _ = self.terms[t]
+            raise BlockClosureViolation(
+                f"reduced term ({m1},{m2}) maps degree {degrees[j]}"
+                f" outside the block kappa={kappa}"
+            )
+        numerators: dict[tuple[int, int], tuple[int, int]] = {}
+        for step, group in groups.items():
+            shift, rem = divmod(step, p)
+            if rem:  # zero on every degree, or a violation was raised
+                continue
+            res, ims = _band_numerators(group, degrees, slaved)
+            if ims is None:
+                nz = list(compress(range(dim), res))
+                pairs = zip([res[j] for j in nz], repeat(0))
+            else:
+                nz = list(compress(range(dim), map(or_, res, ims)))
+                pairs = zip([res[j] for j in nz], [ims[j] for j in nz])
+            numerators.update(zip(zip([j + shift for j in nz], nz), pairs))
+        return degrees, numerators, self.denominator
 
 
 def matrix_element_reduction(
@@ -242,10 +266,12 @@ class ReducedBlock:
         d = self.denominator
         matrix = np.zeros((self.dimension, self.dimension), dtype=complex)
         try:
-            for (i, j), (re, im) in self.numerators.items():
-                matrix[i, j] = complex(re / d, im / d)
+            values = [complex(re / d, im / d) for re, im in self.numerators.values()]
         except OverflowError:
             raise _unrepresentable() from None
+        if values:
+            rows, cols = zip(*self.numerators)
+            matrix[rows, cols] = values
         return matrix
 
 
@@ -279,22 +305,47 @@ def _log_ratio(num: int, den: int) -> float:
 class _JacobiForm:
     """Symmetric tridiagonal J = S^-1 R S of a three-term block R.
 
-    diagonal and off hold J.  S = diag(phase * exp(log_scale)) with
-    s_0 = 1 and s_{i+1} = s_i sqrt(b_i c_i) / b_i; it is kept in log space
-    because its range exceeds double precision on large blocks.
+    diagonal and off hold J.  upper holds the numerators (re, im) of
+    b_i = R[i, i+1] and products those of b_i c_i, both over powers of
+    denominator.  S = diag(phase * exp(log_scale)) with s_0 = 1 and
+    s_{i+1} = s_i sqrt(b_i c_i) / b_i; it is kept in log space because its
+    range exceeds double precision on large blocks.  Only eigenvectors need
+    S, so log_scale and phase are formed on first use: a spectrum never pays
+    for them, and never fails for want of double range in them.
     """
 
     diagonal: np.ndarray
     off: np.ndarray
-    log_scale: np.ndarray
-    phase: np.ndarray
+    upper: list[tuple[int, int]]
+    products: list[int]
+    denominator: int
+
+    @cached_property
+    def log_scale(self) -> np.ndarray:
+        denom2 = self.denominator * self.denominator
+        steps = [
+            0.5 * (_log_ratio(product, denom2) - _log_ratio(br * br + bi * bi, denom2))
+            for product, (br, bi) in zip(self.products, self.upper)
+        ]
+        return np.concatenate(([0.0], np.cumsum(steps)))
+
+    @cached_property
+    def phase(self) -> np.ndarray:
+        """Raises NumericalFailure when some b_i does not fit in a double."""
+        d = self.denominator
+        try:
+            upper = [complex(br / d, bi / d) for br, bi in self.upper]
+        except OverflowError:
+            raise _unrepresentable() from None
+        return np.cumprod(np.array([1.0 + 0.0j] + [b.conjugate() / abs(b) for b in upper]))
 
     def monomial_vectors(self, vectors: np.ndarray, kappa: int) -> np.ndarray:
         """Eigenvectors S u of R with unit columns.
 
         Each column is scaled in log space so that its largest entry has
         modulus 1.  Raises NumericalFailure when an entry of u above
-        rounding level would fall below the smallest normal double there.
+        rounding level would fall below the smallest normal double there,
+        or when S's phase does not fit in double precision.
         """
         magnitude = np.abs(vectors)
         with np.errstate(divide="ignore"):
@@ -317,39 +368,37 @@ def _jacobi_form(numerators: _Numerators, denom: int, dim: int) -> _JacobiForm |
 
     Applies when the block is tridiagonal, its diagonal is real and every
     product b_i c_i of paired off-diagonals is real and positive, all
-    decided exactly on the integers; each float of J comes from one
-    correctly rounded integer division.  Raises NumericalFailure when a
-    float of J or of the phase does not fit in a double.
+    decided exactly on the integers of its three central bands, read whole
+    before any float is formed; each float of J comes from one correctly
+    rounded integer division.  Raises NumericalFailure when a float of J
+    does not fit in a double.
     """
-    if any(abs(i - j) > 1 for i, j in numerators):
+    get = numerators.get
+    diag = list(map(get, zip(range(dim), range(dim))))
+    upper = list(map(get, zip(range(dim - 1), range(1, dim))))
+    lower = list(map(get, zip(range(1, dim), range(dim - 1))))
+    present = sum(len(band) - band.count(None) for band in (diag, upper, lower))
+    if present != len(numerators):  # an entry off the three bands
         return None
-    diag = [numerators.get((i, i), (0, 0)) for i in range(dim)]
+    zero = (0, 0)
+    diag = [entry or zero for entry in diag]
     if any(im for _, im in diag):
         return None
+    upper = [entry or zero for entry in upper]
+    lower = [entry or zero for entry in lower]
+    # b_i c_i = (product + cross i) / denom^2
+    products = [br * cr - bi * ci for (br, bi), (cr, ci) in zip(upper, lower)]
+    if min(products, default=1) <= 0 or any(
+        br * ci + bi * cr for (br, bi), (cr, ci) in zip(upper, lower)
+    ):
+        return None
     denom2 = denom * denom
-    off, log_steps, phase_steps = [], [], []
     try:
-        for i in range(dim - 1):
-            br, bi = numerators.get((i, i + 1), (0, 0))
-            cr, ci = numerators.get((i + 1, i), (0, 0))
-            product = br * cr - bi * ci  # b_i c_i = (product + 0i) / denom^2
-            if br * ci + bi * cr or product <= 0:
-                return None
-            off.append(math.sqrt(product / denom2))
-            log_steps.append(
-                0.5 * (_log_ratio(product, denom2) - _log_ratio(br * br + bi * bi, denom2))
-            )
-            b = complex(br / denom, bi / denom)
-            phase_steps.append(b.conjugate() / abs(b))
+        off = [math.sqrt(product / denom2) for product in products]
         diagonal = np.array([re / denom for re, _ in diag])
     except OverflowError:
         raise _unrepresentable() from None
-    return _JacobiForm(
-        diagonal=diagonal,
-        off=np.array(off),
-        log_scale=np.concatenate(([0.0], np.cumsum(log_steps))),
-        phase=np.cumprod(np.array([1.0 + 0.0j] + phase_steps)),
-    )
+    return _JacobiForm(diagonal, np.array(off), upper, products, denom)
 
 
 def _solve(
@@ -509,16 +558,18 @@ def qes_spectrum(
 @lru_cache(maxsize=4)
 def _fock_frame(
     charge: ConservedCharge, kappa: int
-) -> tuple[tuple[FockState, ...], frozenset[int], np.ndarray]:
-    """Block basis, its set of n1 values and the read-only log-weights
-    0.5 * log(n1! n2!) per basis state; eigenvector_to_fock maps every
-    column of one block through the same frame."""
+) -> tuple[tuple[FockState, ...], frozenset[int], tuple[int, ...], np.ndarray]:
+    """Block basis, its set of n1 values, its n1 values in basis order and
+    the read-only log-weights 0.5 * log(n1! n2!) per basis state;
+    eigenvector_to_fock maps every column of one block through the same
+    frame."""
     basis = enumerate_block(charge, kappa)
+    n1s = tuple(st.n1 for st in basis)
     log_weight = np.array(
         [0.5 * (math.lgamma(st.n1 + 1) + math.lgamma(st.n2 + 1)) for st in basis]
     )
     log_weight.flags.writeable = False
-    return basis, frozenset(st.n1 for st in basis), log_weight
+    return basis, frozenset(n1s), n1s, log_weight
 
 
 def eigenvector_to_fock(
@@ -534,19 +585,21 @@ def eigenvector_to_fock(
     result matches the corresponding exact block eigenvector.  The rescaling
     runs in log space (lgamma), so it never overflows.
     """
-    basis, degrees, log_weight = _fock_frame(charge, kappa)
-    for degree in coeffs:
-        if degree not in degrees:
-            raise DegreeOutsidePhysicalSector(
-                f"degree {degree} outside block kappa={kappa}"
-            )
-    c = np.array([complex(coeffs.get(state.n1, 0.0)) for state in basis])
+    basis, degrees, n1s, log_weight = _fock_frame(charge, kappa)
+    if not coeffs.keys() <= degrees:
+        degree = next(degree for degree in coeffs if degree not in degrees)
+        raise DegreeOutsidePhysicalSector(
+            f"degree {degree} outside block kappa={kappa}"
+        )
+    c = np.array(list(map(coeffs.get, n1s, repeat(0.0))), dtype=complex)
     nonzero = c != 0.0
     if not nonzero.any():
         raise ZeroVector("eigenvector coefficients are all zero")
-    log_amp = np.log(np.abs(c[nonzero])) + log_weight[nonzero]
+    c = c[nonzero]
+    magnitude = np.abs(c)
+    log_amp = np.log(magnitude) + log_weight[nonzero]
     amplitudes = np.zeros(len(basis), dtype=complex)
-    amplitudes[nonzero] = c[nonzero] / np.abs(c[nonzero]) * np.exp(log_amp - log_amp.max())
+    amplitudes[nonzero] = c / magnitude * np.exp(log_amp - log_amp.max())
     return basis, amplitudes / np.linalg.norm(amplitudes)
 
 

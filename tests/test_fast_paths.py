@@ -8,8 +8,11 @@ the reduced route's integer entries and the energy polynomials' sparse
 recurrence (against the dense one over every entry).  The float blocks and
 Jacobi data formed straight from integer numerators are compared byte for
 byte against the conversion of the exact entries (its real part, for the
-float64 blocks of real-coefficient operators), and the oracle's real solve
-of those blocks against the complex solve of the same matrix.
+float64 blocks of real-coefficient operators), also at d = 600 and with
+numerators beyond 2^63, and the oracle's real solve of those blocks against
+the complex solve of the same matrix.  The band assembly of both routes is
+also compared with the entry-by-entry loop it replaced, refusals included:
+the same exception type and message, naming the same entry.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -36,12 +40,15 @@ from qesboson import (
     ConservedCharge,
     FockAmplitude,
     FockState,
+    NumericalFailure,
     OperatorPolynomial,
     Polynomial,
     RationalComplex,
+    parse_model_file,
 )
 from qesboson import oracle
 from qesboson.algebra import (
+    _integer_terms,
     apply_to_fock,
     is_hermitian,
     ladder_radicand,
@@ -60,6 +67,7 @@ from qesboson.oracle import (
 )
 from qesboson.reduction import (
     ReducedBlock,
+    ReducedOperator,
     _jacobi_form,
     energy_polynomial_table,
     matrix_element_reduction,
@@ -272,7 +280,8 @@ def reference_block_entries(h, charge, kappa):
     """The per-entry evaluation the integer numerators replace: each term
     coeff * (n)_m2 * (n2)_m4 of h.items(), multiplied out factor by factor
     in RationalComplex, so a term annihilating more quanta than the degree
-    holds vanishes through a zero factor."""
+    holds vanishes through a zero factor.  The first term, degree by degree,
+    that does not vanish and leaves the block raises BlockClosureViolation."""
     degrees = physical_degrees(charge, kappa)
     pos = {n: i for i, n in enumerate(degrees)}
     entries = {}
@@ -287,7 +296,9 @@ def reference_block_entries(h, charge, kappa):
                 continue
             i = pos.get(n - m2 + m1)
             if i is None:
-                raise BlockClosureViolation("reference: leaves the block")
+                raise BlockClosureViolation(
+                    f"reduced term ({m1},{m2}) maps degree {n} outside the block kappa={kappa}"
+                )
             entries[(i, j)] = entries.get((i, j), ZERO) + amp
     return degrees, {k: v for k, v in entries.items() if not v.is_zero}
 
@@ -308,6 +319,26 @@ def test_block_entries_match_polynomial_evaluation(model):
     assert (degrees, entries) == expected
     for value in entries.values():
         assert type(value.re) is Fraction and type(value.im) is Fraction
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=conserving_models(), extra=operators)
+def test_block_entries_match_reference_on_any_terms(model, extra):
+    # terms that do not conserve the charge reach block_entries only through
+    # a ReducedOperator built directly; they must leave the block, or land on
+    # a degree, exactly where the per-entry evaluation says
+    h, charge, kappa = model
+    h = h + extra
+    op = ReducedOperator(*_integer_terms(h), charge=charge)
+    try:
+        expected = reference_block_entries(h, charge, kappa)
+    except BlockClosureViolation as exc:
+        with pytest.raises(BlockClosureViolation) as info:
+            op.block_entries(kappa)
+        assert str(info.value) == str(exc)
+        return
+    block = ReducedBlock(kappa, *op.block_entries(kappa))
+    assert (block.degrees, block.entries) == expected
 
 
 @st.composite
@@ -347,6 +378,79 @@ def complex_reference(h, basis):
     for (row, col), amp in block_amplitudes(h, basis).items():
         reference[row, col] = complex(amp)
     return reference
+
+
+def entrywise_block_matrix(h, basis):
+    """The entry-by-entry assembly the band assembly replaced: column by
+    column, each target of h's terms in the order they first reach it, its
+    float formed on the spot from exact Fractions (float() of a Fraction is
+    correctly rounded, as integer true division is).  The first target
+    outside the basis raises BlockClosureViolation and the first part that
+    does not fit in a double NumericalFailure; a product that overflows to
+    inf is reported at the first non-finite entry in row-major order."""
+    index = {state: i for i, state in enumerate(basis)}
+    real = all(coeff.im == 0 for _, coeff in h.items())
+    matrix = np.zeros((len(basis), len(basis)), dtype=float if real else complex)
+    for col, state in enumerate(basis):
+        n1, n2 = state.n1, state.n2
+        sums = {}
+        for (m1, m2, m3, m4), coeff in h.items():
+            if n1 < m2 or n2 < m4:
+                continue
+            weight = math.perm(n1, m2) * math.perm(n2, m4)
+            target = FockState(n1 - m2 + m1, n2 - m4 + m3)
+            re, im = sums.get(target, (Fraction(0), Fraction(0)))
+            sums[target] = (re + coeff.re * weight, im + coeff.im * weight)
+        for target, (re, im) in sums.items():
+            if not (re or im):
+                continue
+            if target not in index:
+                raise BlockClosureViolation(f"h maps {state} to {target}, outside the block basis")
+            radicand = Fraction(
+                factorial(target.n1) * factorial(target.n2), factorial(n1) * factorial(n2)
+            )
+            try:
+                value = float(re) if real else complex(float(re), float(im))
+                scale = float(radicand) ** 0.5
+            except OverflowError:
+                raise NumericalFailure(
+                    f"h maps {state} to {target} with an amplitude that does not fit in"
+                    " double precision", math.inf,
+                ) from None
+            matrix[index[target], col] = value * scale
+    if not np.isfinite(matrix).all():
+        row, col = np.argwhere(~np.isfinite(matrix))[0]
+        raise NumericalFailure(
+            f"h maps {basis[col]} to {basis[row]} with an amplitude that does not fit in"
+            " double precision", math.inf,
+        )
+    return matrix
+
+
+def _outcome(assemble, h, basis):
+    try:
+        matrix = assemble(h, basis)
+    except (BlockClosureViolation, NumericalFailure) as exc:
+        return type(exc).__name__, str(exc)
+    return matrix.dtype, matrix.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    model=conserving_models(),
+    extra=st.one_of(st.none(), monomials),
+    scale=st.sampled_from((1, 10**300, 10**308)),
+)
+def test_block_matrix_matches_entrywise_assembly(model, extra, scale):
+    # a term that does not conserve the charge leaves the block; a scale of
+    # 1e300 or 1e308 pushes entries past double range, sometimes in an
+    # earlier column than the violation: the same bits, or the same refusal
+    h, charge, kappa = model
+    if extra is not None:
+        h = h + OperatorPolynomial.from_monomials([extra])
+    h = scale * h
+    basis = enumerate_block(charge, kappa)
+    assert _outcome(block_matrix, h, basis) == _outcome(entrywise_block_matrix, h, basis)
 
 
 @settings(max_examples=60, deadline=None)
@@ -599,3 +703,119 @@ def test_energy_polynomials_match_dense_recurrence(mode, model):
     assert len(table.polys) == len(expected)
     for got, want in zip(table.polys, expected):
         assert got == want
+
+
+# ---------------------------------------------------------------------------
+# The band assembly at the sizes it has to carry: d = 600 blocks of the
+# shipped models and of a model whose coefficients have 30-digit numerators
+# and denominators, so that h's common denominator, the numerators and their
+# products with the falling factorials all pass 2^63.
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
+
+
+def _shipped(name):
+    model = parse_model_file((MODELS / f"{name}.qesb").read_text(encoding="utf-8"))
+    return model.hamiltonian(), model.charge
+
+
+def _thirty_digit_shg():
+    """A Hermitian SHG model with complex couplings: its blocks are complex."""
+    def big(a, b):
+        return Fraction(10**29 + a, 3 * 10**29 + b)
+
+    kc = RationalComplex(big(7, 1), big(-11, 13))
+    h = build_nth_harmonic(big(17, 19), big(23, -29), kc, kc.conjugate(), 2)
+    return h, ConservedCharge(1, 2)
+
+
+LARGE_BLOCKS = {
+    "shg-1198": (*_shipped("shg"), 1198),
+    "trilinear3-1797": (*_shipped("trilinear3"), 1797),
+    "thirty-digit-shg-1198": (*_thirty_digit_shg(), 1198),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_BLOCKS))
+def test_large_block_matrix_bits_match_exact_amplitudes(name):
+    h, charge, kappa = LARGE_BLOCKS[name]
+    basis = enumerate_block(charge, kappa)
+    assert len(basis) == 600
+    matrix = block_matrix(h, basis)
+    reference = complex_reference(h, basis)
+    if matrix.dtype == np.float64:
+        assert not reference.imag.any()
+        reference = reference.real.copy()
+    else:
+        assert name.startswith("thirty-digit")
+    assert matrix.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_BLOCKS))
+def test_large_block_entries_and_jacobi_data_match_exact_entries(name):
+    h, charge, kappa = LARGE_BLOCKS[name]
+    op = matrix_element_reduction(h, charge)
+    if name.startswith("thirty-digit"):
+        assert op.denominator > 2**63
+    block = ReducedBlock(kappa, *op.block_entries(kappa))
+    degrees, entries = reference_block_entries(h, charge, kappa)
+    assert (block.degrees, block.entries) == (degrees, entries)
+    jacobi = _jacobi_form(block.numerators, block.denominator, block.dimension)
+    for key, value in reference_jacobi_form(entries, len(degrees)).items():
+        got = getattr(jacobi, key)
+        assert got.dtype == value.dtype and got.tobytes() == value.tobytes(), key
+
+
+# Refusal messages name the first failing entry in the order of the
+# entry-by-entry assembly: column by column, then in term order.
+C12 = ConservedCharge(1, 2)
+SHG = build_nth_harmonic(1, 2, Fraction(1, 2), Fraction(1, 2), 2)
+HUGE = Fraction(3, 2) * 10**308
+
+
+@pytest.mark.parametrize("h,kappa,error,message", [
+    (SHG + monomial(1, 0, 0, 0, 3) + monomial(Fraction(1, 3), 1, 0, 0, 0), 8, BlockClosureViolation,
+     "h maps FockState(n1=8, n2=0) to FockState(n1=9, n2=0), outside the block basis"),
+    (SHG + monomial(1, 0, 0, 0, 3), 8, BlockClosureViolation,
+     "h maps FockState(n1=2, n2=3) to FockState(n1=2, n2=0), outside the block basis"),
+    (monomial(1, 0, 0, 1, 0), 4, BlockClosureViolation,
+     "h maps FockState(n1=4, n2=0) to FockState(n1=4, n2=1), outside the block basis"),
+    # an overflowing entry in an earlier column than the closure violation
+    (monomial(HUGE, 2, 0, 0, 1) + monomial(1, 0, 0, 0, 3), 8, NumericalFailure,
+     "h maps FockState(n1=4, n2=2) to FockState(n1=6, n2=1) with an amplitude that"
+     " does not fit in double precision"),
+    # re / D overflows
+    (monomial(HUGE, 2, 0, 0, 1), 4, NumericalFailure,
+     "h maps FockState(n1=0, n2=2) to FockState(n1=2, n2=1) with an amplitude that"
+     " does not fit in double precision"),
+    # re / D fits, times the ladder factor it does not
+    (monomial(Fraction(10**308), 2, 0, 0, 1) + monomial(1, 0, 2, 1, 0), 8, NumericalFailure,
+     "h maps FockState(n1=4, n2=2) to FockState(n1=6, n2=1) with an amplitude that"
+     " does not fit in double precision"),
+    (monomial(RationalComplex(Fraction(1), Fraction(10**308)), 2, 0, 0, 1), 8, NumericalFailure,
+     "h maps FockState(n1=4, n2=2) to FockState(n1=6, n2=1) with an amplitude that"
+     " does not fit in double precision"),
+])
+def test_block_matrix_refusal_messages(h, kappa, error, message):
+    with pytest.raises(error) as info:
+        block_matrix(h, enumerate_block(C12, kappa))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("terms,kappa,message", [
+    ((((2, 0, 0, 0), 1, 0),), 4, "reduced term (2,0) maps degree 4 outside the block kappa=4"),
+    ((((0, 0, 0, 0), 1, 0), ((1, 0, 0, 0), 1, 0), ((0, 1, 0, 2), 1, 0), ((4, 0, 0, 1), 2, 0)), 9,
+     "reduced term (1,0) maps degree 1 outside the block kappa=9"),
+])
+def test_block_entries_closure_messages(terms, kappa, message):
+    op = ReducedOperator(terms=terms, denominator=1, charge=C12)
+    with pytest.raises(BlockClosureViolation) as info:
+        op.block_entries(kappa)
+    assert str(info.value) == message
+
+
+def test_unrepresentable_reduced_entry_message():
+    with pytest.raises(NumericalFailure) as info:
+        qes_spectrum(monomial(HUGE, 2, 0, 0, 1), C12, 4)
+    assert str(info.value) == "a reduced block entry does not fit in double precision"
+    assert info.value.residual == math.inf

@@ -4,6 +4,7 @@ Large-kappa bounds are scaled by the block's spectral norm ||H||, which
 for the Hermitian sample models is the largest oracle eigenvalue modulus.
 """
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -34,6 +35,7 @@ from qesboson import (
     reduced_eigensystem,
     shg_charge,
 )
+from qesboson.cli import main
 from qesboson.exact import integer_numerators
 from qesboson.oracle import _band_residuals
 from qesboson.reduction import _jacobi_form
@@ -100,12 +102,48 @@ def test_complex_couplings_roundtrip():
 
 
 def test_unrepresentable_eigenvectors_raise_typed_error():
-    # the monomial scaling spans about 514 decades at trilinear3 kappa=597
     h, charge = load("trilinear3")
-    with pytest.raises(NumericalFailure):
+    with pytest.raises(NumericalFailure) as info:
         reduced_eigensystem(h, charge, 597)
+    assert str(info.value) == (
+        "reduced block kappa=597 eigenvectors do not fit in double precision:"
+        " the monomial scaling spans 514 decades"
+    )
     report = qes_spectrum(h, charge, 597)
     assert report.dimension == 200 and report.max_residual <= 1e-8
+
+
+# kb = 1e305 on (a1)^2 a2+, kc = 1e-305 on (a1+)^2 a2: b_i = R[i, i+1]
+# leaves double range from kappa = 43 on, while b_i c_i is that of
+# kb = kc = 1, a model similar to this one by the scaling a1 -> 10^152.5 a1
+SCALED = "charge 1 2\nterm 1e305 0 0 2 1 0\nterm 1e-305 0 2 0 0 1\n"
+UNIT = "charge 1 2\nterm 1 0 0 2 1 0\nterm 1 0 2 0 0 1\n"
+
+
+def test_spectrum_needs_no_similarity(tmp_path, capsys):
+    # J is formed from the products b_i c_i alone; the similarity S, which
+    # needs b_i itself, is formed only for eigenvectors.  The spectrum
+    # answers (exit 0 with --method reduced, where it used to exit 4), and
+    # the eigenvectors are refused with a typed error.
+    scaled = parse_model_file(SCALED)
+    unit = parse_model_file(UNIT)
+    charge = scaled.charge
+    report = qes_spectrum(scaled.hamiltonian(), charge, 100)
+    expected = qes_spectrum(unit.hamiltonian(), charge, 100).eigenvalues
+    assert report.eigenvalues == expected
+    truth = block_spectrum(unit.hamiltonian(), charge, 100).eigenvalues
+    assert spectral_deviation(report.eigenvalues, truth) <= REL_TOL * max(map(abs, truth))
+    with pytest.raises(NumericalFailure):
+        reduced_eigensystem(scaled.hamiltonian(), charge, 100)
+
+    path = tmp_path / "scaled.qesb"
+    path.write_text(SCALED)
+    assert main(["spectrum", str(path), "--kappa", "100", "--method", "reduced"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [complex(*pair) for pair in payload["reduced"]] == list(expected)
+    # the oracle's Fock block itself does not fit in double precision
+    assert main(["spectrum", str(path), "--kappa", "100", "--method", "both"]) == 4
+    assert "does not fit in double precision" in capsys.readouterr().err
 
 
 def test_eigenvector_to_fock_far_beyond_factorial_range():
