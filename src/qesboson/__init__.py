@@ -41,7 +41,7 @@ from .errors import (
     QesBosonError,
     ZeroVector,
 )
-from .exact import Polynomial, RationalComplex, falling_factorial
+from .exact import Polynomial, RationalComplex
 from .models import (
     ModelFile,
     build_nth_harmonic,

@@ -13,13 +13,22 @@ with the single-mode reordering identity
 applied independently per mode.  Coefficients stay exact complex rationals,
 so conservation, hermiticity and commutator checks are exact, never
 tolerance-based.
+
+Both block routes read a conserving h through one integer form: its
+coefficients as integer numerators over one common denominator
+(_integer_terms), summed band by band over a run of a block's states with
+integer falling factorials (_block_bands).  Conservation is the only
+closure check either route makes: a conserving term maps every state of a
+block, where it does not vanish, to a state of the same block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import comb, factorial, perm
+from operator import or_
 from typing import Iterable, Mapping, Sequence
 
 from .exact import ZERO, Rationalish, RationalComplex, integer_numerators
@@ -399,6 +408,40 @@ def _integer_image(
     return {target: value for target, value in sums.items() if value[0] or value[1]}
 
 
+def _block_bands(
+    terms: _IntegerTerms, n1s: Sequence[int], n2s: Sequence[int]
+) -> dict[int, tuple[list[int], list[int], list[int] | None]]:
+    """The nonzero bands of the block of a conserving h, given by
+    _integer_terms, over the run of its states (n1s[j], n2s[j]), as
+    shift -> (columns, real numerators, imaginary numerators or None): the
+    entry in row column + shift is (re + i*im) / D times the ladder factor.
+
+    The run goes either way along the block, n2 ascending (the oracle's
+    basis) or n1 ascending (the reduced route's degrees): a term moves a
+    state by m3 - m4 in n2, which is the same number of places at every
+    state of the run.  Conservation is what keeps every nonzero band inside
+    the block: a term that does not vanish at a state maps it to a state of
+    the same charge, so no column is checked for closure here.
+    """
+    groups: dict[int, list] = {}
+    for term in terms:
+        (_, _, m3, m4), _, _ = term
+        groups.setdefault(m3 - m4, []).append(term)
+    # a single state has only its diagonal band: every other term vanishes there
+    step = n2s[1] - n2s[0] if len(n2s) > 1 else 1
+    bands = {}
+    for d2, group in groups.items():
+        res, ims = _band_numerators(group, n1s, n2s)
+        cols = list(compress(range(len(res)), res if ims is None else map(or_, res, ims)))
+        if cols:
+            bands[d2 // step] = (
+                cols,
+                [res[j] for j in cols],
+                None if ims is None else [ims[j] for j in cols],
+            )
+    return bands
+
+
 def _band_numerators(
     terms: Iterable[tuple[ExponentKey, int, int]],
     n1s: Sequence[int],
@@ -408,7 +451,7 @@ def _band_numerators(
     the lists of sum(re * (n1)_m2 (n2)_m4) and sum(im * (n1)_m2 (n2)_m4)
     over the terms, the second None when every im is 0.
 
-    Both block routes fill one band from it, with the terms that move a state
+    _block_bands fills one band from it, with the terms that move a state
     to the same place.  math.perm is the falling factorial on non-negative
     integers and 0 where a term needs more annihilations than the occupation
     holds, so such a term contributes nothing there.

@@ -1,9 +1,9 @@
 """Batch front-end: model checks, block spectra, scans and the sextic map.
 
-Exit codes are a stable contract: 0 success, 1 usage error, 2 model parse
-error, 3 declared charge not conserved, 4 numerical failure or tolerance
-exceeded.  Output is deterministic: fixed key order, fixed sort orders,
-floats serialized with full double precision.
+Exit codes are a stable contract: 0 success, 1 usage error, 2 model file
+unreadable as UTF-8 text or unparsable, 3 declared charge not conserved,
+4 numerical failure or tolerance exceeded.  Output is deterministic: fixed
+key order, fixed sort orders, floats serialized with full double precision.
 """
 
 from __future__ import annotations
@@ -44,6 +44,11 @@ from .sextic import (
 
 class _UsageError(Exception):
     pass
+
+
+class _UnreadableModel(Exception):
+    """A model file that cannot be read as UTF-8 text: missing, a
+    directory, unreadable or not UTF-8.  Exit 2, as a parse error."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -124,7 +129,10 @@ def _build_parser() -> _Parser:
 
 
 def _load_model(path: str) -> ModelFile:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # the latter is a ValueError
+        raise _UnreadableModel(exc) from None
     model = parse_model_file(text)
     return ModelFile(charge=model.charge, terms=model.terms, name=Path(path).name)
 
@@ -425,7 +433,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except _UnreadableModel as exc:
         print(f"cannot read model file: {exc}", file=sys.stderr)
         return 2
     except ParseError as exc:

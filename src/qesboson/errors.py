@@ -12,7 +12,10 @@ class NonConservingHamiltonian(QesBosonError):
 
 
 class BlockClosureViolation(QesBosonError):
-    """A block basis was not invariant under the operator (internal error)."""
+    """oracle.block_amplitudes was given a basis that the operator maps
+    outside itself.  The block routes never raise it: they refuse an
+    operator that does not conserve the charge (NonConservingHamiltonian),
+    and a conserving one keeps every block."""
 
 
 class NumericalFailure(QesBosonError):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from typing import Iterable, Union
 
@@ -118,14 +117,6 @@ ZERO = RationalComplex()
 ONE = RationalComplex(Fraction(1))
 
 
-def falling_factorial(x: Union[int, Fraction], m: int) -> Union[int, Fraction]:
-    """x (x-1) ... (x-m+1); equals 1 for m = 0."""
-    out: Union[int, Fraction] = 1
-    for i in range(m):
-        out *= x - i
-    return out
-
-
 def integer_numerators(
     values: Iterable[RationalComplex],
 ) -> tuple[list[tuple[int, int]], int]:
@@ -213,25 +204,6 @@ class Polynomial:
         for c in reversed(self.coeffs):
             acc = acc * v + c
         return acc
-
-    @cached_property
-    def _complex_coeffs(self) -> tuple[complex, ...]:
-        return tuple(complex(c) for c in self.coeffs)
-
-    def eval_complex(self, z: complex) -> complex:
-        """Floating-point Horner evaluation."""
-        acc = 0j
-        for c in reversed(self._complex_coeffs):
-            acc = acc * z + c
-        return acc
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial.from_coeffs(
-            [c * i for i, c in enumerate(self.coeffs)][1:]
-        )
-
-    def complex_coeffs(self) -> list[complex]:
-        return list(self._complex_coeffs)
 
     def render(self) -> str:
         """Human-readable form in the energy E, lowest power first."""

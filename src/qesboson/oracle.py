@@ -12,13 +12,20 @@ built from the few integer factors between source and target occupations.
 The coefficients are integer numerators over one common denominator of the
 Hamiltonian's coefficients.  Every term moves a basis state by the same
 number of places along the block, so block_matrix assembles the block band
-by band: it groups h's terms by that shift, forms each band's numerators
-for all its columns at once with list comprehensions over math.perm (the
-falling factorial, in C), divides each by the denominator and multiplies by
-the square root of its ladder ratio, one correctly rounded operation per
-entry on exact Python integers of any size, and fills the dense matrix with
-one fancy-index assignment.  No exact rational object is formed; the exact
-amplitudes themselves come from block_amplitudes, entry by entry.
+by band: algebra._block_bands, which the reduced route reads as well, forms
+each band's numerators for all its columns at once with list comprehensions
+over math.perm (the falling factorial, in C); block_matrix divides each by
+the denominator and multiplies it by the square root of its ladder ratio,
+one correctly rounded operation per entry on exact Python integers of any
+size, and fills the dense matrix with one fancy-index assignment.  No exact
+rational object is formed; the exact amplitudes themselves come from
+block_amplitudes, entry by entry.
+
+Closure is conservation: block_matrix refuses a Hamiltonian that does not
+conserve the charge (NonConservingHamiltonian) before it forms any entry,
+and a conserving one maps the block into itself, so no entry is checked
+for leaving it.  Only block_amplitudes, which takes any basis, reports a
+state that leaves its basis (BlockClosureViolation).
 
 A Hamiltonian whose coefficients are all real has real blocks: block_matrix
 returns them as float64, and they are diagonalized and checked in real
@@ -48,9 +55,8 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import compress
+from itertools import repeat
 from math import perm
-from operator import or_
 
 import numpy as np
 
@@ -59,7 +65,7 @@ from .algebra import (
     FockAmplitude,
     FockState,
     OperatorPolynomial,
-    _band_numerators,
+    _block_bands,
     _integer_image,
     _IntegerTerms,
     _integer_terms,
@@ -78,19 +84,27 @@ from .errors import (
 RESIDUAL_TOL = 1e-8  # the largest residual a block solve may have; see checked_residual
 
 
-def enumerate_block(charge: ConservedCharge, kappa: int) -> tuple[FockState, ...]:
-    """All states with s*n1 + p*n2 = kappa, ordered by increasing n2.
-
-    The list may be empty; ties are impossible because gcd(s, p) = 1.
-    """
+def _block_run(charge: ConservedCharge, kappa: int) -> tuple[list[int], list[int]]:
+    """The n1 and the n2 of every state with s*n1 + p*n2 = kappa, ordered by
+    increasing n2 (so n1 falls by p and n2 rises by s from state to state).
+    Lists, not ranges: the band assembly indexes them entry by entry, and a
+    range forms a new int at every index."""
     if kappa < 0:
         raise ValueError("kappa must be non-negative")
     s, p = charge.s, charge.p
     # the smallest n2 >= 0 with p*n2 = kappa (mod s); the rest follow every s
     first = kappa * pow(p, -1, s) % s
-    return tuple(
-        FockState((kappa - p * n2) // s, n2) for n2 in range(first, kappa // p + 1, s)
-    )
+    n2s = range(first, kappa // p + 1, s)
+    top = (kappa - p * first) // s
+    return list(range(top, top - p * len(n2s), -p)), list(n2s)
+
+
+def enumerate_block(charge: ConservedCharge, kappa: int) -> tuple[FockState, ...]:
+    """All states with s*n1 + p*n2 = kappa, ordered by increasing n2.
+
+    The list may be empty; ties are impossible because gcd(s, p) = 1.
+    """
+    return tuple(map(FockState, *_block_run(charge, kappa)))
 
 
 def block_amplitudes(
@@ -98,9 +112,9 @@ def block_amplitudes(
 ) -> dict[tuple[int, int], FockAmplitude]:
     """Exact block entries as (row, col) -> amplitude of basis[row] in h|basis[col]>.
 
-    Raises BlockClosureViolation if h maps any basis state outside the
-    basis, which means a non-conserving Hamiltonian slipped past the
-    preconditions.
+    basis may be any tuple of states.  Raises BlockClosureViolation if h
+    maps one of them outside it, which a conserving h never does on a whole
+    block.
     """
     index = {state: i for i, state in enumerate(basis)}
     entries: dict[tuple[int, int], FockAmplitude] = {}
@@ -115,10 +129,11 @@ def block_amplitudes(
     return entries
 
 
-def block_matrix(h: OperatorPolynomial, basis: tuple[FockState, ...]) -> np.ndarray:
-    """Dense matrix of h restricted to the block basis: float64 when every
-    coefficient of h is real, complex otherwise.  basis is an enumerate_block
-    basis, or a run of consecutive states of one.
+def block_matrix(h: OperatorPolynomial, charge: ConservedCharge, kappa: int) -> np.ndarray:
+    """Dense matrix of h restricted to the block kappa, over the
+    enumerate_block basis: float64 when every coefficient of h is real,
+    complex otherwise.  Raises NonConservingHamiltonian unless h conserves
+    the charge.
 
     Each entry is formed straight from its integer numerators re, im over
     h's common denominator D and its unreduced ladder ratio num/den as
@@ -126,40 +141,20 @@ def block_matrix(h: OperatorPolynomial, basis: tuple[FockState, ...]) -> np.ndar
     re / D * (num / den) ** 0.5, the real part of that product bit for
     bit.  Integer true division is correctly rounded, so this is bit for bit
     complex(amp) (its real part for real h) of the exact amplitude that
-    block_amplitudes returns.  Raises BlockClosureViolation as
-    block_amplitudes does, and NumericalFailure when an entry does not fit
-    in a double; either names the first such entry column by column.
+    block_amplitudes returns.  Raises NumericalFailure when an entry does
+    not fit in a double, naming the first such entry column by column.
     """
-    dim = len(basis)
+    if not conserves(h, charge):
+        raise _non_conserving(charge)
+    n1s, n2s = _block_run(charge, kappa)
+    dim = len(n2s)
     terms, denom = _integer_terms(h)
     real = not any(im for _, _, im in terms)
     matrix = np.zeros((dim, dim), dtype=float if real else complex)
-    n1s = [state.n1 for state in basis]
-    n2s = [state.n2 for state in basis]
-    # consecutive states differ by (-p, s); a single state fixes no step,
-    # and every shift but (0, 0) then leaves it
-    p, s = (n1s[0] - n1s[1], n2s[1] - n2s[0]) if dim > 1 else (1, 1)
-    if dim > 1 and not (
-        p > 0 < s
-        and n1s == list(range(n1s[0], n1s[0] - p * dim, -p))
-        and n2s == list(range(n2s[0], n2s[0] + s * dim, s))
-    ):
-        raise ValueError("basis is not a run of consecutive states of one block")
-    groups: dict[tuple[int, int], list] = {}
-    for term in terms:
-        (m1, m2, m3, m4), _, _ = term
-        groups.setdefault((m1 - m2, m3 - m4), []).append(term)
+    s, p = charge.s, charge.p
     rows, cols, values = [], [], []
     try:
-        for (d1, d2), group in groups.items():
-            res, ims = _band_numerators(group, n1s, n2s)
-            nz = list(compress(range(dim), res if ims is None else map(or_, res, ims)))
-            if not nz:
-                continue
-            # the band moves the state k places along the basis
-            k, rem = divmod(d2, s)
-            if rem or d1 != -p * k or nz[0] + k < 0 or nz[-1] + k >= dim:
-                raise _first_failure(terms, denom, basis)
+        for k, (nz, res, ims) in _block_bands(terms, n1s, n2s).items():
             # ladder ratio per mode: the rising occupation over the falling one
             if k >= 0:
                 rise, fall, ups, downs = s * k, p * k, n2s, n1s
@@ -167,43 +162,45 @@ def block_matrix(h: OperatorPolynomial, basis: tuple[FockState, ...]) -> np.ndar
                 rise, fall, ups, downs = -p * k, -s * k, n1s, n2s
             scales = [(perm(ups[j] + rise, rise) / perm(downs[j], fall)) ** 0.5 for j in nz]
             if real:
-                values += [res[j] / denom * x for j, x in zip(nz, scales)]
+                values += [re / denom * x for re, x in zip(res, scales)]
             else:
-                ims = ims or [0] * dim
                 values += [
-                    complex(res[j] / denom, ims[j] / denom) * x for j, x in zip(nz, scales)
+                    complex(re / denom, im / denom) * x
+                    for re, im, x in zip(res, ims or repeat(0), scales)
                 ]
             rows += [j + k for j in nz]
             cols += nz
     except OverflowError:
-        raise _first_failure(terms, denom, basis) from None
+        raise _first_overflow(terms, denom, n1s, n2s) from None
     values = np.array(values, dtype=matrix.dtype)
     matrix[rows, cols] = values
     if not np.isfinite(values).all():
         row, col = np.argwhere(~np.isfinite(matrix))[0]
-        raise _unrepresentable(basis[col], basis[row])
+        raise _unrepresentable(FockState(n1s[col], n2s[col]), FockState(n1s[row], n2s[row]))
     return matrix
 
 
-def _first_failure(
-    terms: _IntegerTerms, denom: int, basis: tuple[FockState, ...]
-) -> BlockClosureViolation | NumericalFailure:
-    """The error that assembling the block entry by entry meets first,
+def _first_overflow(
+    terms: _IntegerTerms, denom: int, n1s: list[int], n2s: list[int]
+) -> NumericalFailure:
+    """The overflow that assembling the block entry by entry meets first,
     column by column and in term order within a column; block_matrix calls
     it only once it has met one, so that it names the same entry."""
-    inside = {(state.n1, state.n2) for state in basis}
-    for state in basis:
+    for state in map(FockState, n1s, n2s):
         for target, (re, im) in _integer_image(terms, state.n1, state.n2).items():
-            if target not in inside:
-                return BlockClosureViolation(
-                    f"h maps {state} to {FockState(*target)}, outside the block basis"
-                )
-            num, den = _ladder_ratio(state, FockState(*target))
+            target = FockState(*target)
+            num, den = _ladder_ratio(state, target)
             try:
                 re / denom, im / denom, num / den
             except OverflowError:
-                return _unrepresentable(state, FockState(*target))
-    raise AssertionError("block_matrix met no failure")
+                return _unrepresentable(state, target)
+    raise AssertionError("block_matrix met no overflow")
+
+
+def _non_conserving(charge: ConservedCharge) -> NonConservingHamiltonian:
+    return NonConservingHamiltonian(
+        f"Hamiltonian does not commute with {charge.s}*N1 + {charge.p}*N2"
+    )
 
 
 def _unrepresentable(state: FockState, target: FockState) -> NumericalFailure:
@@ -233,12 +230,8 @@ def build_block(
     h: OperatorPolynomial, charge: ConservedCharge, kappa: int
 ) -> FockBlock:
     """Enumerate the block and restrict h to it; requires conservation."""
-    if not conserves(h, charge):
-        raise NonConservingHamiltonian(
-            f"Hamiltonian does not commute with {charge.s}*N1 + {charge.p}*N2"
-        )
-    basis = enumerate_block(charge, kappa)
-    return FockBlock(charge, kappa, basis, block_matrix(h, basis))
+    matrix = block_matrix(h, charge, kappa)
+    return FockBlock(charge, kappa, enumerate_block(charge, kappa), matrix)
 
 
 @dataclass(frozen=True)

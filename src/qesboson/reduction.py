@@ -26,14 +26,19 @@ qes_spectrum and the energy polynomials' spectrum run this one solve.
 
 A block is assembled from h's coefficients as integer numerators over one
 common denominator (algebra._integer_terms, the oracle's own integer form
-of h) times two integer falling factorials, band by band: the terms are
-grouped by the degree shift they make and each band's numerators come
-from one pass over its degrees (algebra._band_numerators, which the
-oracle's assembly shares).  The dense float matrix and the Jacobi data are
-formed straight from those integers, each float by one correctly rounded
-integer division, and the exact RationalComplex entries are built only
-when asked for (ReducedBlock.entries, the energy polynomials, whose
-recurrence reads only the nonzero band of the block).
+of h) times two integer falling factorials, band by band: each band's
+numerators come from one pass over the degrees (algebra._block_bands, the
+oracle's own band assembly, read over the block's states in degree order).
+The dense float matrix and the Jacobi data are formed straight from those
+integers, each float by one correctly rounded integer division, and the
+exact RationalComplex entries are built only when asked for
+(ReducedBlock.entries, the energy polynomials, whose recurrence reads only
+the nonzero band of the block).
+
+Closure is conservation, as on the oracle route: matrix_element_reduction
+and ReducedOperator refuse terms that do not conserve the charge
+(NonConservingHamiltonian), and a conserving term maps every degree of a
+block, where it does not vanish, to a degree of the same block.
 
 Every block, spectrum and polynomial table is the exact restriction of
 the Hamiltonian it is given.  The as-published recurrence keeps an extra
@@ -49,9 +54,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import compress, repeat
-from math import perm
-from operator import or_
+from itertools import repeat
 from typing import Mapping
 
 import numpy as np
@@ -60,17 +63,16 @@ from .algebra import (
     ConservedCharge,
     FockState,
     OperatorPolynomial,
-    _band_numerators,
+    _block_bands,
     _IntegerTerms,
     _integer_terms,
+    charge_weight,
     conserves,
     identity,
 )
 from .errors import (
     BandStructureUnsupported,
-    BlockClosureViolation,
     DegreeOutsidePhysicalSector,
-    NonConservingHamiltonian,
     NumericalFailure,
     ZeroVector,
 )
@@ -84,18 +86,14 @@ from .exact import (
 from .oracle import (
     SpectrumReport,
     _band_residuals,
+    _block_run,
+    _non_conserving,
     checked_residual,
     checked_solve,
     eigen_residual,
     enumerate_block,
     sort_eigenpairs,
 )
-
-def _check_conserves(h: OperatorPolynomial, charge: ConservedCharge) -> None:
-    if not conserves(h, charge):
-        raise NonConservingHamiltonian(
-            f"Hamiltonian does not commute with {charge.s}*N1 + {charge.p}*N2"
-        )
 
 
 def physical_degrees(charge: ConservedCharge, kappa: int) -> tuple[int, ...]:
@@ -106,11 +104,7 @@ def physical_degrees(charge: ConservedCharge, kappa: int) -> tuple[int, ...]:
     Raises ValueError for a negative kappa, as the oracle's enumerate_block
     does.
     """
-    if kappa < 0:
-        raise ValueError("kappa must be non-negative")
-    # the smallest n >= 0 with s*n = kappa (mod p); the rest follow every p
-    first = kappa * pow(charge.s, -1, charge.p) % charge.p
-    return tuple(range(first, kappa // charge.s + 1, charge.p))
+    return tuple(_block_run(charge, kappa)[0][::-1])
 
 
 def slaved_occupation(charge: ConservedCharge, kappa: int, degree: int) -> int:
@@ -144,65 +138,39 @@ class ReducedOperator:
     (algebra._integer_terms).  Each acts on the monomial x^n as the mode-1
     ladder pair (m1, m2) times its coefficient and the falling factorial
     (n2)_m4 of the slaved occupation n2(n) = (kappa - s*n)/p, a
-    non-negative integer on every physical degree.
+    non-negative integer on every physical degree.  Raises
+    NonConservingHamiltonian when a term does not conserve the charge, the
+    one condition under which every block is closed under the terms.
     """
 
     terms: _IntegerTerms
     denominator: int
     charge: ConservedCharge
 
+    def __post_init__(self) -> None:
+        if any(charge_weight(self.charge, *key) for key, _, _ in self.terms):
+            raise _non_conserving(self.charge)
+
     def block_entries(
         self, kappa: int
     ) -> tuple[tuple[int, ...], dict[tuple[int, int], tuple[int, int]], int]:
         """Exact matrix entries over the physical degrees (ascending), as
         (degrees, numerators, D): numerators[(i, j)] = (re, im) holds the
-        nonzero entry (re + i*im) / D as integers.  A term that leaves the
-        degree set from a degree where it does not vanish is reported as a
-        closure violation, the first one degree by degree and in term order.
+        nonzero entry (re + i*im) / D as integers.
 
-        Terms are grouped by the degree shift m1 - m2 they make, and each
-        group's entries are its terms' integer numerators times the two
-        integer falling factorials (n)_m2 (n2)_m4, summed along the band; a
+        The entries are read band by band from algebra._block_bands, over
+        the block's states in degree order: each is the terms' integer
+        numerators times the two integer falling factorials (n)_m2 (n2)_m4,
+        summed over the terms that shift the degree by the same m1 - m2; a
         term with n < m2 or n2 < m4 contributes nothing, and entries that
         sum to zero are dropped.
         """
-        degrees = physical_degrees(self.charge, kappa)
-        dim, s, p = len(degrees), self.charge.s, self.charge.p
-        # n2 = (kappa - s*n) / p falls by s from one degree to the next
-        top = (kappa - s * degrees[0]) // p if dim else 0
-        slaved = range(top, top - s * dim, -s)
-        groups: dict[int, list] = {}
-        violations = []  # (column, term index) where a term leaves the block
-        for t, term in enumerate(self.terms):
-            (m1, m2, _, m4), _, _ = term
-            groups.setdefault(m1 - m2, []).append(term)
-            # columns whose target degree is past the block, or no degree at all
-            shift, rem = divmod(m1 - m2, p)
-            outside = range(0 if rem else max(dim - shift, 0), dim)
-            j = next((j for j in outside if perm(degrees[j], m2) and perm(slaved[j], m4)), None)
-            if j is not None:
-                violations.append((j, t))
-        if violations:
-            j, t = min(violations)
-            (m1, m2, _, _), _, _ = self.terms[t]
-            raise BlockClosureViolation(
-                f"reduced term ({m1},{m2}) maps degree {degrees[j]}"
-                f" outside the block kappa={kappa}"
-            )
+        n1s, n2s = _block_run(self.charge, kappa)
+        degrees = n1s[::-1]
         numerators: dict[tuple[int, int], tuple[int, int]] = {}
-        for step, group in groups.items():
-            shift, rem = divmod(step, p)
-            if rem:  # zero on every degree, or a violation was raised
-                continue
-            res, ims = _band_numerators(group, degrees, slaved)
-            if ims is None:
-                nz = list(compress(range(dim), res))
-                pairs = zip([res[j] for j in nz], repeat(0))
-            else:
-                nz = list(compress(range(dim), map(or_, res, ims)))
-                pairs = zip([res[j] for j in nz], [ims[j] for j in nz])
-            numerators.update(zip(zip([j + shift for j in nz], nz), pairs))
-        return degrees, numerators, self.denominator
+        for shift, (nz, res, ims) in _block_bands(self.terms, degrees, n2s[::-1]).items():
+            numerators.update(zip(zip([j + shift for j in nz], nz), zip(res, ims or repeat(0))))
+        return tuple(degrees), numerators, self.denominator
 
 
 def matrix_element_reduction(
@@ -219,8 +187,11 @@ def matrix_element_reduction(
     the block matrix equals D^-1 M D with M the exact Fock block and
     D = diag(sqrt(n1! n2!)).  No term shape restrictions.  The operator
     keeps h's terms as the integer numerators of algebra._integer_terms.
+    Raises NonConservingHamiltonian, before it forms them, unless h
+    conserves the charge.
     """
-    _check_conserves(h, charge)
+    if not conserves(h, charge):
+        raise _non_conserving(charge)
     return ReducedOperator(*_integer_terms(h), charge=charge)
 
 

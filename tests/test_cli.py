@@ -300,6 +300,18 @@ class TestExitCodes:
         code, _, err = run(capsys, "check", "no-such-file.qesb")
         assert code == 2
 
+    def test_directory_is_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "check", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("cannot read model file: ")
+
+    def test_non_utf8_file_is_2(self, capsys, tmp_path):
+        path = tmp_path / "latin1.qesb"
+        path.write_bytes("# mod\xe8le\ncharge 1 2\n".encode("latin-1"))
+        code, out, err = run(capsys, "spectrum", str(path), "--kappa", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("cannot read model file: 'utf-8' codec can't decode")
+
     def test_non_conserving_spectrum_is_3(self, capsys, tmp_path):
         bad = tmp_path / "bad.qesb"
         bad.write_text(Path(SHG).read_text().replace("charge 1 2", "charge 1 1"))

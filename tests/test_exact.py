@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qesboson import Polynomial, RationalComplex, falling_factorial
+from qesboson import Polynomial, RationalComplex
 from qesboson.exact import integer_numerators
 
 
@@ -37,13 +37,6 @@ def test_scalar_dispatch_with_builtin_numbers():
     assert 1 - a == RationalComplex(Fraction(1, 2))
 
 
-def test_falling_factorial_values():
-    assert falling_factorial(5, 0) == 1
-    assert falling_factorial(5, 2) == 20
-    assert falling_factorial(3, 4) == 0
-    assert falling_factorial(Fraction(5, 2), 2) == Fraction(15, 4)
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.builds(RationalComplex, st.fractions(), st.fractions()), max_size=8))
 def test_integer_numerators_are_exact_over_the_lcm(values):
@@ -64,9 +57,7 @@ def test_polynomial_ops_and_eval():
     assert q * q == p + Polynomial.from_coeffs([0, 0, 0])
     assert p(1) == RationalComplex.coerce(0)
     assert p(3) == RationalComplex.coerce(4)
-    assert p.derivative() == Polynomial.from_coeffs([-2, 2])
     assert p.shifted() == Polynomial.from_coeffs([0, 1, -2, 1])
-    assert abs(p.eval_complex(1.5) - 0.25) < 1e-15
 
 
 def test_polynomial_trims_leading_zeros():

@@ -11,8 +11,9 @@ byte against the conversion of the exact entries (its real part, for the
 float64 blocks of real-coefficient operators), also at d = 600 and with
 numerators beyond 2^63, and the oracle's real solve of those blocks against
 the complex solve of the same matrix.  The band assembly of both routes is
-also compared with the entry-by-entry loop it replaced, refusals included:
-the same exception type and message, naming the same entry.
+also compared with the entry-by-entry loop it replaced, overflow refusals
+included: the same exception type and message, naming the same entry.  Both
+routes refuse a Hamiltonian exactly when it does not conserve the charge.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import pytest
 import scipy.linalg
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import linear_sum_assignment
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import spectral_deviation
@@ -40,6 +41,7 @@ from qesboson import (
     ConservedCharge,
     FockAmplitude,
     FockState,
+    NonConservingHamiltonian,
     NumericalFailure,
     OperatorPolynomial,
     Polynomial,
@@ -50,6 +52,7 @@ from qesboson import oracle
 from qesboson.algebra import (
     _integer_terms,
     apply_to_fock,
+    conserves,
     is_hermitian,
     ladder_radicand,
     monomial,
@@ -131,17 +134,6 @@ def test_polynomial_at_int_matches_rational_complex_horner(poly, n):
         acc = RationalComplex(acc.re + c.re, acc.im + c.im)
     assert_exact(poly(n), acc)
     assert poly(n) == poly(v)
-
-
-@settings(max_examples=50, deadline=None)
-@given(polys, st.complex_numbers(max_magnitude=10, allow_nan=False))
-def test_cached_float_coefficients_keep_horner_bits(poly, z):
-    acc = 0j
-    for c in reversed(poly.coeffs):
-        acc = acc * z + complex(c)
-    assert poly.eval_complex(z) == acc
-    assert poly.eval_complex(z) == acc  # second call reads the cache
-    assert poly.complex_coeffs() == [complex(c) for c in poly.coeffs]
 
 
 occupations = st.integers(min_value=0, max_value=400)
@@ -280,8 +272,8 @@ def reference_block_entries(h, charge, kappa):
     """The per-entry evaluation the integer numerators replace: each term
     coeff * (n)_m2 * (n2)_m4 of h.items(), multiplied out factor by factor
     in RationalComplex, so a term annihilating more quanta than the degree
-    holds vanishes through a zero factor.  The first term, degree by degree,
-    that does not vanish and leaves the block raises BlockClosureViolation."""
+    holds vanishes through a zero factor.  h conserves the charge, so every
+    term that does not vanish lands on a degree of the block."""
     degrees = physical_degrees(charge, kappa)
     pos = {n: i for i, n in enumerate(degrees)}
     entries = {}
@@ -294,11 +286,7 @@ def reference_block_entries(h, charge, kappa):
                     amp = amp * RationalComplex(Fraction(x - k))
             if amp.is_zero:
                 continue
-            i = pos.get(n - m2 + m1)
-            if i is None:
-                raise BlockClosureViolation(
-                    f"reduced term ({m1},{m2}) maps degree {n} outside the block kappa={kappa}"
-                )
+            i = pos[n - m2 + m1]
             entries[(i, j)] = entries.get((i, j), ZERO) + amp
     return degrees, {k: v for k, v in entries.items() if not v.is_zero}
 
@@ -308,37 +296,11 @@ def reference_block_entries(h, charge, kappa):
 def test_block_entries_match_polynomial_evaluation(model):
     h, charge, kappa = model
     op = matrix_element_reduction(h, charge)
-    try:
-        expected = reference_block_entries(h, charge, kappa)
-    except BlockClosureViolation:
-        with pytest.raises(BlockClosureViolation):
-            op.block_entries(kappa)
-        return
     block = ReducedBlock(kappa, *op.block_entries(kappa))
     degrees, entries = block.degrees, block.entries
-    assert (degrees, entries) == expected
+    assert (degrees, entries) == reference_block_entries(h, charge, kappa)
     for value in entries.values():
         assert type(value.re) is Fraction and type(value.im) is Fraction
-
-
-@settings(max_examples=60, deadline=None)
-@given(model=conserving_models(), extra=operators)
-def test_block_entries_match_reference_on_any_terms(model, extra):
-    # terms that do not conserve the charge reach block_entries only through
-    # a ReducedOperator built directly; they must leave the block, or land on
-    # a degree, exactly where the per-entry evaluation says
-    h, charge, kappa = model
-    h = h + extra
-    op = ReducedOperator(*_integer_terms(h), charge=charge)
-    try:
-        expected = reference_block_entries(h, charge, kappa)
-    except BlockClosureViolation as exc:
-        with pytest.raises(BlockClosureViolation) as info:
-            op.block_entries(kappa)
-        assert str(info.value) == str(exc)
-        return
-    block = ReducedBlock(kappa, *op.block_entries(kappa))
-    assert (block.degrees, block.entries) == expected
 
 
 @st.composite
@@ -384,9 +346,9 @@ def entrywise_block_matrix(h, basis):
     """The entry-by-entry assembly the band assembly replaced: column by
     column, each target of h's terms in the order they first reach it, its
     float formed on the spot from exact Fractions (float() of a Fraction is
-    correctly rounded, as integer true division is).  The first target
-    outside the basis raises BlockClosureViolation and the first part that
-    does not fit in a double NumericalFailure; a product that overflows to
+    correctly rounded, as integer true division is).  h conserves the
+    charge, so every target is in the basis.  The first part that does not
+    fit in a double raises NumericalFailure; a product that overflows to
     inf is reported at the first non-finite entry in row-major order."""
     index = {state: i for i, state in enumerate(basis)}
     real = all(coeff.im == 0 for _, coeff in h.items())
@@ -404,8 +366,6 @@ def entrywise_block_matrix(h, basis):
         for target, (re, im) in sums.items():
             if not (re or im):
                 continue
-            if target not in index:
-                raise BlockClosureViolation(f"h maps {state} to {target}, outside the block basis")
             radicand = Fraction(
                 factorial(target.n1) * factorial(target.n2), factorial(n1) * factorial(n2)
             )
@@ -427,30 +387,23 @@ def entrywise_block_matrix(h, basis):
     return matrix
 
 
-def _outcome(assemble, h, basis):
+def _outcome(assemble, *args):
     try:
-        matrix = assemble(h, basis)
-    except (BlockClosureViolation, NumericalFailure) as exc:
+        matrix = assemble(*args)
+    except NumericalFailure as exc:
         return type(exc).__name__, str(exc)
     return matrix.dtype, matrix.tobytes()
 
 
 @settings(max_examples=80, deadline=None)
-@given(
-    model=conserving_models(),
-    extra=st.one_of(st.none(), monomials),
-    scale=st.sampled_from((1, 10**300, 10**308)),
-)
-def test_block_matrix_matches_entrywise_assembly(model, extra, scale):
-    # a term that does not conserve the charge leaves the block; a scale of
-    # 1e300 or 1e308 pushes entries past double range, sometimes in an
-    # earlier column than the violation: the same bits, or the same refusal
+@given(model=conserving_models(), scale=st.sampled_from((1, 10**300, 10**308)))
+def test_block_matrix_matches_entrywise_assembly(model, scale):
+    # a scale of 1e300 or 1e308 pushes entries past double range, in one
+    # column or several: the same bits, or the same refusal
     h, charge, kappa = model
-    if extra is not None:
-        h = h + OperatorPolynomial.from_monomials([extra])
     h = scale * h
     basis = enumerate_block(charge, kappa)
-    assert _outcome(block_matrix, h, basis) == _outcome(entrywise_block_matrix, h, basis)
+    assert _outcome(block_matrix, h, charge, kappa) == _outcome(entrywise_block_matrix, h, basis)
 
 
 @settings(max_examples=60, deadline=None)
@@ -459,7 +412,7 @@ def test_block_matrix_bits_match_exact_amplitudes(model):
     h, charge, kappa = model
     assume(any(coeff.im for _, coeff in h.items()))
     basis = enumerate_block(charge, kappa)
-    matrix = block_matrix(h, basis)
+    matrix = block_matrix(h, charge, kappa)
     assert matrix.dtype == np.complex128
     assert matrix.tobytes() == complex_reference(h, basis).tobytes()
 
@@ -469,7 +422,7 @@ def test_block_matrix_bits_match_exact_amplitudes(model):
 def test_real_block_matrix_bits_match_real_parts_of_exact_amplitudes(model):
     h, charge, kappa = model
     basis = enumerate_block(charge, kappa)
-    matrix = block_matrix(h, basis)
+    matrix = block_matrix(h, charge, kappa)
     reference = complex_reference(h, basis)
     assert matrix.dtype == np.float64
     assert matrix.tobytes() == reference.real.copy().tobytes()
@@ -539,13 +492,14 @@ def test_eigen_residual_int_and_list_inputs_keep_values(case):
 
 
 def test_block_matrix_reports_closure_violation():
-    # a2+ alone leaves every block; the float path raises as the exact one
+    # a2+ alone leaves every block: the exact amplitudes, which take any
+    # basis, report the state it leaves; the float path refuses h up front
     h = monomial(1, 0, 0, 1, 0)
-    basis = enumerate_block(ConservedCharge(1, 2), 4)
+    charge = ConservedCharge(1, 2)
     with pytest.raises(BlockClosureViolation):
-        block_amplitudes(h, basis)
-    with pytest.raises(BlockClosureViolation):
-        block_matrix(h, basis)
+        block_amplitudes(h, enumerate_block(charge, 4))
+    with pytest.raises(NonConservingHamiltonian):
+        block_matrix(h, charge, 4)
 
 
 def _log(value: Fraction) -> float:
@@ -741,7 +695,7 @@ def test_large_block_matrix_bits_match_exact_amplitudes(name):
     h, charge, kappa = LARGE_BLOCKS[name]
     basis = enumerate_block(charge, kappa)
     assert len(basis) == 600
-    matrix = block_matrix(h, basis)
+    matrix = block_matrix(h, charge, kappa)
     reference = complex_reference(h, basis)
     if matrix.dtype == np.float64:
         assert not reference.imag.any()
@@ -766,24 +720,23 @@ def test_large_block_entries_and_jacobi_data_match_exact_entries(name):
         assert got.dtype == value.dtype and got.tobytes() == value.tobytes(), key
 
 
-# Refusal messages name the first failing entry in the order of the
+# Refusal messages: a Hamiltonian that does not conserve the charge is
+# refused before any entry is formed, even where an entry would overflow;
+# an overflow names the first failing entry in the order of the
 # entry-by-entry assembly: column by column, then in term order.
 C12 = ConservedCharge(1, 2)
 SHG = build_nth_harmonic(1, 2, Fraction(1, 2), Fraction(1, 2), 2)
 HUGE = Fraction(3, 2) * 10**308
+NOT_CONSERVED = "Hamiltonian does not commute with 1*N1 + 2*N2"
 
 
 @pytest.mark.parametrize("h,kappa,error,message", [
-    (SHG + monomial(1, 0, 0, 0, 3) + monomial(Fraction(1, 3), 1, 0, 0, 0), 8, BlockClosureViolation,
-     "h maps FockState(n1=8, n2=0) to FockState(n1=9, n2=0), outside the block basis"),
-    (SHG + monomial(1, 0, 0, 0, 3), 8, BlockClosureViolation,
-     "h maps FockState(n1=2, n2=3) to FockState(n1=2, n2=0), outside the block basis"),
-    (monomial(1, 0, 0, 1, 0), 4, BlockClosureViolation,
-     "h maps FockState(n1=4, n2=0) to FockState(n1=4, n2=1), outside the block basis"),
-    # an overflowing entry in an earlier column than the closure violation
-    (monomial(HUGE, 2, 0, 0, 1) + monomial(1, 0, 0, 0, 3), 8, NumericalFailure,
-     "h maps FockState(n1=4, n2=2) to FockState(n1=6, n2=1) with an amplitude that"
-     " does not fit in double precision"),
+    (SHG + monomial(1, 0, 0, 0, 3) + monomial(Fraction(1, 3), 1, 0, 0, 0), 8,
+     NonConservingHamiltonian, NOT_CONSERVED),
+    (SHG + monomial(1, 0, 0, 0, 3), 8, NonConservingHamiltonian, NOT_CONSERVED),
+    (monomial(1, 0, 0, 1, 0), 4, NonConservingHamiltonian, NOT_CONSERVED),
+    (monomial(HUGE, 2, 0, 0, 1) + monomial(1, 0, 0, 0, 3), 8, NonConservingHamiltonian,
+     NOT_CONSERVED),
     # re / D overflows
     (monomial(HUGE, 2, 0, 0, 1), 4, NumericalFailure,
      "h maps FockState(n1=0, n2=2) to FockState(n1=2, n2=1) with an amplitude that"
@@ -798,20 +751,52 @@ HUGE = Fraction(3, 2) * 10**308
 ])
 def test_block_matrix_refusal_messages(h, kappa, error, message):
     with pytest.raises(error) as info:
-        block_matrix(h, enumerate_block(C12, kappa))
+        block_matrix(h, C12, kappa)
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("terms,kappa,message", [
-    ((((2, 0, 0, 0), 1, 0),), 4, "reduced term (2,0) maps degree 4 outside the block kappa=4"),
-    ((((0, 0, 0, 0), 1, 0), ((1, 0, 0, 0), 1, 0), ((0, 1, 0, 2), 1, 0), ((4, 0, 0, 1), 2, 0)), 9,
-     "reduced term (1,0) maps degree 1 outside the block kappa=9"),
+@pytest.mark.parametrize("terms", [
+    (((2, 0, 0, 0), 1, 0),),
+    (((0, 0, 0, 0), 1, 0), ((1, 0, 0, 0), 1, 0), ((0, 1, 0, 2), 1, 0), ((4, 0, 0, 1), 2, 0)),
+    # a lone a2, which no degree of a block keeps
+    (((0, 0, 0, 1), 1, 0),),
 ])
-def test_block_entries_closure_messages(terms, kappa, message):
-    op = ReducedOperator(terms=terms, denominator=1, charge=C12)
-    with pytest.raises(BlockClosureViolation) as info:
-        op.block_entries(kappa)
-    assert str(info.value) == message
+def test_reduced_operator_refusal_messages(terms):
+    with pytest.raises(NonConservingHamiltonian) as info:
+        ReducedOperator(terms=terms, denominator=1, charge=C12)
+    assert str(info.value) == NOT_CONSERVED
+
+
+@settings(max_examples=80, deadline=None)
+@given(model=conserving_models(), extra=st.one_of(st.none(), operators))
+# a lone a2, and SHG + a2^3 at kappa = 2, where a2^3 vanishes on every state
+@example(model=(OperatorPolynomial(), C12, 4), extra=monomial(1, 0, 0, 0, 1))
+@example(model=(SHG, C12, 2), extra=monomial(1, 0, 0, 0, 3))
+def test_conservation_is_the_one_closure_rule(model, extra):
+    """block_matrix, reduced_block_matrix and a ReducedOperator built
+    directly all refuse h exactly when it does not conserve the charge,
+    also where every non-conserving term vanishes on the block."""
+    h, charge, kappa = model
+    if extra is not None:
+        h = h + extra
+    routes = (
+        lambda: block_matrix(h, charge, kappa),
+        lambda: reduced_block_matrix(h, charge, kappa),
+        lambda: ReducedOperator(*_integer_terms(h), charge=charge).block_entries(kappa),
+    )
+    if conserves(h, charge):
+        degrees, numerators, denom = routes[2]()
+        block = ReducedBlock(kappa, degrees, numerators, denom)
+        assert (block.degrees, block.entries) == reference_block_entries(h, charge, kappa)
+        assert block_matrix(h, charge, kappa).shape == (len(degrees),) * 2
+        assert reduced_block_matrix(h, charge, kappa).numerators == numerators
+        return
+    for route in routes:
+        with pytest.raises(NonConservingHamiltonian) as info:
+            route()
+        assert str(info.value) == (
+            f"Hamiltonian does not commute with {charge.s}*N1 + {charge.p}*N2"
+        )
 
 
 def test_unrepresentable_reduced_entry_message():

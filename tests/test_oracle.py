@@ -112,7 +112,7 @@ class TestEnumerateBlock:
 class TestBlockMatrix:
     def test_shg_kappa_two(self, shg):
         h, charge = shg
-        m = block_matrix(h, enumerate_block(charge, 2))
+        m = block_matrix(h, charge, 2)
         expected = np.array([[2.0, sqrt(2) / 2], [sqrt(2) / 2, 2.0]])
         assert np.allclose(m, expected, atol=1e-15)
 
@@ -120,13 +120,13 @@ class TestBlockMatrix:
         h = 3 * number(1) + 5 * number(2)
         charge = ConservedCharge(1, 2)
         basis = enumerate_block(charge, 6)
-        m = block_matrix(h, basis)
+        m = block_matrix(h, charge, 6)
         diag = [3 * st.n1 + 5 * st.n2 for st in basis]
         assert np.allclose(m, np.diag(diag))
 
     def test_vacuum_block(self, shg):
         h, charge = shg
-        m = block_matrix(h, enumerate_block(charge, 0))
+        m = block_matrix(h, charge, 0)
         assert m.shape == (1, 1) and m[0, 0] == 0
 
     def test_closure_for_catalog(self):

@@ -148,7 +148,7 @@ class TestReducedBlockMatrix:
             fock = {(st.n1, st.n2): i for i, st in enumerate(basis)}
             from qesboson import block_matrix
 
-            m = block_matrix(h, basis)
+            m = block_matrix(h, charge, kappa)
             d = {}
             for n in block.degrees:
                 n2 = slaved_occupation(charge, kappa, n)
@@ -515,17 +515,15 @@ class TestShgOde:
             assert np.allclose(sorted_reals(vals), sorted_reals(oracle), atol=1e-9)
 
 
-def test_reduced_operator_closure_violation_detected():
-    # build an operator by hand whose raising band does not vanish at the
-    # top degree: block closure must be flagged on the defining route
+def test_reduced_operator_refuses_non_conserving_terms():
+    # an operator built by hand whose raising term does not conserve the
+    # charge is refused when it is built, as matrix_element_reduction
+    # refuses the Hamiltonian
     from qesboson.reduction import ReducedOperator
 
-    op = ReducedOperator(
-        terms=(((2, 0, 0, 0), 1, 0),),
-        denominator=1,
-        charge=ConservedCharge(1, 2),
-    )
-    from qesboson import BlockClosureViolation
-
-    with pytest.raises(BlockClosureViolation):
-        op.block_entries(4)
+    with pytest.raises(NonConservingHamiltonian):
+        ReducedOperator(
+            terms=(((2, 0, 0, 0), 1, 0),),
+            denominator=1,
+            charge=ConservedCharge(1, 2),
+        )
