@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -84,7 +83,6 @@ def _reduced_hamiltonian(h: OperatorPolynomial, mode: str) -> OperatorPolynomial
     return paper_literal(h) if mode == "paper-literal" else h
 
 
-@cache  # parsing leaves the parser unchanged, so one per process serves every call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qesboson", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -126,6 +124,12 @@ def _build_parser() -> _Parser:
     sextic.add_argument("--output", choices=("text", "json"), default="text")
 
     return parser
+
+
+# parsing leaves the parser unchanged, so one per process serves every call;
+# it is built at import, together with argparse's one-time gettext set-up
+# (which imports locale), rather than inside the first call
+_PARSER = _build_parser()
 
 
 def _load_model(path: str) -> ModelFile:
@@ -416,9 +420,8 @@ def _cmd_sextic(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         handler = {
             "check": _cmd_check,
             "spectrum": _cmd_spectrum,

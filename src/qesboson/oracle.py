@@ -33,10 +33,10 @@ arithmetic (real symmetric eigh, or real eig for non-Hermitian h).  Complex
 coefficients give complex blocks and a complex solve.  A real Hermitian
 block that is exactly tridiagonal, as every block of a single-exchange
 model such as SHG is (decided on the few diagonals h's terms can fill),
-goes straight to LAPACK's tridiagonal divide-and-conquer solver stevd
-(Gu & Eisenstat 1995), through scipy.linalg.eigh_tridiagonal.  That is
-the solver dense eigh runs after
-its Householder reduction, which on such a block is the identity, so it
+goes straight to LAPACK's tridiagonal divide-and-conquer solver dstevd
+(Gu & Eisenstat 1995), called through scipy's compiled wrapper by
+qesboson._lapack.  That is the solver dense eigh runs after its
+Householder reduction, which on such a block is the identity, so it
 skips two O(n^3) no-op steps.  The reduced route gives the same solver its
 Jacobi matrix, built from the reduced entries alone, so on these blocks the
 two routes differ in the matrix they solve, not in the solver.
@@ -60,6 +60,7 @@ from math import perm
 
 import numpy as np
 
+from ._lapack import stevd
 from .algebra import (
     ConservedCharge,
     FockAmplitude,
@@ -372,14 +373,8 @@ def _eigensolve(
     elif matrix.dtype != float or not tridiagonal:
         values, vectors = sort_eigenpairs(*np.linalg.eigh(matrix))
     else:
-        # imported at the call, as reduction imports it, so the package
-        # import is unchanged
-        from scipy.linalg import eigh_tridiagonal
-
         diagonal, lower = np.diag(matrix), np.diag(matrix, -1)
-        values, vectors = sort_eigenpairs(
-            *eigh_tridiagonal(diagonal, lower, lapack_driver="stevd")
-        )
+        values, vectors = sort_eigenpairs(*stevd(diagonal, lower))
         residuals = _band_residuals(diagonal, lower, np.diag(matrix, 1), values, vectors)
         return values, vectors, residuals
     return values, vectors, eigen_residual(matrix, values, vectors)

@@ -21,7 +21,8 @@ blocks whose paired off-diagonals b_i = R[i, i+1], c_i = R[i+1, i] have
 b_i c_i > 0 and whose diagonal is real are therefore solved as the
 symmetric Jacobi matrix with off-diagonals sqrt(b_i c_i), a diagonal
 similarity of R built from the recurrence coefficients alone (Golub &
-Welsch 1969); every other block keeps a dense general eigensolve.  Both
+Welsch 1969), by the oracle's tridiagonal solver dstevd (qesboson._lapack);
+every other block keeps a dense general eigensolve.  Both
 qes_spectrum and the energy polynomials' spectrum run this one solve.
 
 A block is assembled from h's coefficients as integer numerators over one
@@ -59,6 +60,7 @@ from typing import Mapping
 
 import numpy as np
 
+from ._lapack import stevd
 from .algebra import (
     ConservedCharge,
     FockState,
@@ -256,11 +258,6 @@ def reduced_block_matrix(
     return ReducedBlock(kappa, *matrix_element_reduction(h, charge).block_entries(kappa))
 
 
-# scipy.linalg.eigh_tridiagonal is imported where it is called: sextic
-# already imports scipy.linalg with the package, and importing it from this
-# module instead added about 35 ms of CPU to `import qesboson` (median of
-# 30 starts, Python 3.11.7, scipy 1.17.1, 2-core x86-64 host)
-
 _LOG_TINY = math.log(sys.float_info.min)  # smallest normal double
 _EPS = sys.float_info.epsilon
 
@@ -381,7 +378,7 @@ def _solve(
     messages.  An empty block has no eigenpairs and residual 0.
 
     A block with a Jacobi form (see the module docstring) is solved by
-    eigh_tridiagonal, its residuals are taken on J, and the eigenvectors
+    LAPACK's dstevd, its residuals are taken on J, and the eigenvectors
     returned are those of J; any other block (Jacobi form None) by a dense
     eig, with eigenpairs sorted ascending by (real, imag).
     """
@@ -394,9 +391,7 @@ def _solve(
             values, vectors = sort_eigenpairs(*np.linalg.eig(matrix))
             residuals = eigen_residual(matrix, values, vectors)
         else:
-            from scipy.linalg import eigh_tridiagonal
-
-            values, vectors = eigh_tridiagonal(jacobi.diagonal, jacobi.off)
+            values, vectors = stevd(jacobi.diagonal, jacobi.off)
             residuals = _band_residuals(
                 jacobi.diagonal, jacobi.off, jacobi.off, values, vectors
             )
@@ -488,8 +483,8 @@ def reduced_eigensystem(
 ) -> tuple[ReducedBlock, np.ndarray, np.ndarray, float]:
     """Eigenvalues and right eigenvectors of the reduced block matrix.
 
-    Jacobi-form blocks (see the module docstring) are solved by
-    eigh_tridiagonal, with the residual taken on the Jacobi matrix, and
+    Jacobi-form blocks (see the module docstring) are solved by LAPACK's
+    dstevd, with the residual taken on the Jacobi matrix, and
     their eigenvectors mapped back through the diagonal similarity; other
     blocks by a dense eig.  Raises NumericalFailure if checked_residual
     refuses the residual or if the eigenvectors do not fit in double
@@ -508,8 +503,8 @@ def qes_spectrum(
     """Block spectrum from the reduced single-variable matrix.
 
     Three-term blocks with positive off-diagonal products and a real
-    diagonal are solved as their symmetric Jacobi matrix by
-    eigh_tridiagonal; every other block by a dense eig of the reduced
+    diagonal are solved as their symmetric Jacobi matrix by LAPACK's
+    dstevd; every other block by a dense eig of the reduced
     matrix.  Either is numerically preferable to isolating roots of the
     terminating energy polynomial, which remain available for inspection
     via energy_polynomial_table.  Eigenvectors are not formed, so this

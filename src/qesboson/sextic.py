@@ -15,7 +15,8 @@ constant term sits exactly one mode-2 frequency w2 above the conjugated
 operator.  Both findings are derived per call, not assumed.
 
 A deliberately simple finite-difference solver (three-point Laplacian,
-Dirichlet box, dense tridiagonal eigensolve) provides desk-scale spectra
+Dirichlet box, the lowest levels of the tridiagonal matrix by LAPACK's
+bisection dstebz) provides desk-scale spectra
 for cross-checking the block energies inside the sextic spectrum.
 """
 
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
+from ._lapack import lowest_eigenvalues
 from .errors import ConventionMismatch, NumericalFailure
 from .exact import Polynomial, Rationalish, RationalComplex
 from .oracle import checked_solve
@@ -308,9 +309,8 @@ def fd_spectrum(potential, halfwidth: float, grid_points: int) -> np.ndarray:
         raise NumericalFailure(
             f"finite-difference matrix at halfwidth {halfwidth!r} exceeds double range", math.inf
         )
-    last = min(levels, grid_points) - 1
     with checked_solve("finite-difference"):
-        return eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, last))
+        return lowest_eigenvalues(diag, off, min(levels, grid_points))
 
 
 def constant_shift_match(

@@ -6,11 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qesboson import SpectrumReport, cli
+from qesboson import SpectrumReport, cli, oracle, reduction
 from qesboson.cli import main
 
 SAMPLE_DIR = Path(__file__).resolve().parent.parent / "models"
@@ -475,7 +474,7 @@ class TestSolverFailure:
         def stevd_info(*args, **kwargs):
             raise np.linalg.LinAlgError("stevd (eigh_tridiagonal) did not converge (LAPACK info=1)")
 
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", stevd_info)
+        monkeypatch.setattr(oracle, "stevd", stevd_info)
         code, out, err = run(capsys, "spectrum", SHG, "--kappa", "4", "--method", "oracle")
         assert (code, out) == (4, "")
         assert err == (
@@ -484,7 +483,7 @@ class TestSolverFailure:
         )
 
     def test_reduced_exits_4(self, capsys, monkeypatch):
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", _fail_to_converge)
+        monkeypatch.setattr(reduction, "stevd", _fail_to_converge)
         code, out, err = run(capsys, "spectrum", SHG, "--kappa", "4", "--method", "reduced")
         assert (code, out) == (4, "")
         assert err == (

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from conftest import (
     random_conserving_hamiltonian,
@@ -67,7 +66,7 @@ def _fail_to_converge(*args, **kwargs):
 
 
 def stevd_info(info):
-    """eigh_tridiagonal as it fails when LAPACK stevd returns info > 0."""
+    """stevd as it fails when LAPACK dstevd returns info > 0."""
 
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError(
@@ -262,14 +261,14 @@ def test_diagonalize_block_orthonormal_vectors(shg):
 def test_nan_eigenvalue_fails_residual_gate(shg, monkeypatch):
     # a NaN residual compares False with any tolerance; it must still refuse.
     # SHG blocks are real symmetric tridiagonal, so stevd solves them
-    eigh_tridiagonal = scipy.linalg.eigh_tridiagonal
+    stevd = oracle.stevd
 
     def nan_values(*args, **kwargs):
-        values, vectors = eigh_tridiagonal(*args, **kwargs)
+        values, vectors = stevd(*args, **kwargs)
         values[0] = np.nan
         return values, vectors
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", nan_values)
+    monkeypatch.setattr(oracle, "stevd", nan_values)
     monkeypatch.setattr(np.linalg, "eigh", _refuse("eigh"))
     h, charge = shg
     with pytest.raises(NumericalFailure) as info:
@@ -282,14 +281,14 @@ def test_perturbed_eigenvector_fails_residual_gate(shg, monkeypatch):
     # u0 + 1e-6 u1 has residual 1e-6 (l1 - l0) / sqrt(1 + 1e-12)
     h, charge = shg
     exact = diagonalize_block(h, charge, 4)[1].real
-    eigh_tridiagonal = scipy.linalg.eigh_tridiagonal
+    stevd = oracle.stevd
 
     def perturbed(*args, **kwargs):
-        values, vectors = eigh_tridiagonal(*args, **kwargs)
+        values, vectors = stevd(*args, **kwargs)
         vectors[:, 0] += 1e-6 * vectors[:, 1]
         return values, vectors
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", perturbed)
+    monkeypatch.setattr(oracle, "stevd", perturbed)
     monkeypatch.setattr(oracle, "eigen_residual", _refuse("eigen_residual"))
     with pytest.raises(NumericalFailure, match="kappa=4 eigensolve residual") as info:
         diagonalize_block(h, charge, 4)
@@ -306,7 +305,7 @@ def test_nan_eigenvalue_fails_residual_gate_dense(monkeypatch):
         return values, vectors
 
     monkeypatch.setattr(np.linalg, "eigh", nan_eigh)
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", _refuse("eigh_tridiagonal"))
+    monkeypatch.setattr(oracle, "stevd", _refuse("stevd"))
     with pytest.raises(NumericalFailure) as info:
         diagonalize_block(BANDED, ConservedCharge(1, 1), 6)
     assert math.isnan(info.value.residual)
@@ -317,7 +316,7 @@ class TestSolverFailure:
     NaN residual, not the ValueError that np.linalg.LinAlgError is."""
 
     def test_dstevd_info(self, shg, monkeypatch):
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", stevd_info(2))
+        monkeypatch.setattr(oracle, "stevd", stevd_info(2))
         h, charge = shg
         message = (
             r"kappa=4 eigensolve failed: stevd \(eigh_tridiagonal\) did not converge"
@@ -370,7 +369,7 @@ class TestTridiagonalSolver:
     def test_complex_hermitian_keeps_eigh(self, monkeypatch):
         coupling = RationalComplex(Fraction(1, 2), Fraction(1, 3))
         h = build_shg(1, 2, coupling, coupling.conjugate())
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", _refuse("eigh_tridiagonal"))
+        monkeypatch.setattr(oracle, "stevd", _refuse("stevd"))
         block, values, vectors, method, _ = diagonalize_block(h, shg_charge(), 10)
         assert not np.tril(block.matrix, -2).any()
         assert block.matrix.dtype == complex
@@ -380,7 +379,7 @@ class TestTridiagonalSolver:
 
     def test_real_non_hermitian_keeps_eig(self, monkeypatch):
         h = build_shg(1, 2, Fraction(1, 2), Fraction(1, 3))
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", _refuse("eigh_tridiagonal"))
+        monkeypatch.setattr(oracle, "stevd", _refuse("stevd"))
         block, values, vectors, method, _ = diagonalize_block(h, shg_charge(), 10)
         assert not np.tril(block.matrix, -2).any()
         assert block.matrix.dtype == float

@@ -5,7 +5,6 @@ from math import factorial, sqrt
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from conftest import random_conserving_hamiltonian, spectral_deviation
 from qesboson import (
@@ -39,6 +38,7 @@ from qesboson import (
     shg_ode,
     slaved_occupation,
 )
+from qesboson import reduction
 from qesboson.algebra import _integer_terms
 from qesboson.exact import ZERO
 from qesboson.oracle import block_spectrum
@@ -242,7 +242,7 @@ class TestEnergyPolynomialTable:
 
         h, charge = shg
         table = energy_polynomial_table(h, charge, 4)
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail_to_converge)
+        monkeypatch.setattr(reduction, "stevd", fail_to_converge)
         message = "recurrence kappa=4 eigensolve failed: Eigenvalues did not converge"
         with pytest.raises(NumericalFailure, match=message) as info:
             table.spectrum()
@@ -251,7 +251,7 @@ class TestEnergyPolynomialTable:
     def test_nan_eigenvalue_is_refused(self, shg, monkeypatch):
         # spectrum() used to return [nan, 4, 6] here, while qes_spectrum
         # refused the same block; both now pass through checked_residual
-        solver = scipy.linalg.eigh_tridiagonal
+        solver = reduction.stevd
 
         def nan_first(*args, **kwargs):
             values, vectors = solver(*args, **kwargs)
@@ -260,7 +260,7 @@ class TestEnergyPolynomialTable:
 
         h, charge = shg
         table = energy_polynomial_table(h, charge, 4)
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", nan_first)
+        monkeypatch.setattr(reduction, "stevd", nan_first)
         with pytest.raises(NumericalFailure, match="recurrence kappa=4 eigensolve residual nan"):
             table.spectrum()
         with pytest.raises(NumericalFailure, match="reduced block kappa=4 eigensolve residual nan"):
