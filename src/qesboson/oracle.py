@@ -37,17 +37,21 @@ goes straight to LAPACK's tridiagonal divide-and-conquer solver dstevd
 (Gu & Eisenstat 1995), called through scipy's compiled wrapper by
 qesboson._lapack.  That is the solver dense eigh runs after its
 Householder reduction, which on such a block is the identity, so it
-skips two O(n^3) no-op steps.  The reduced route gives the same solver its
-Jacobi matrix, built from the reduced entries alone, so on these blocks the
-two routes differ in the matrix they solve, not in the solver.
+skips two O(n^3) no-op steps.
 
 Such a block also takes its residual on its band: d*v - lambda*v plus the
-sub- and superdiagonal terms, elementwise, the form the reduced route takes
-on its Jacobi matrix.  That is every nonzero entry the dense product
-M @ v would multiply, in O(n^2) instead of O(n^3), and with no BLAS call, so
-the residual has the same bits at any BLAS thread count and no second
-thread pool wakes up right after stevd's.  Every other block takes its
-residual on the full dense matrix.
+sub- and superdiagonal terms, elementwise.  That is every nonzero entry the
+dense product M @ v would multiply, in O(n^2) instead of O(n^3), and with
+no BLAS call, so the residual has the same bits at any BLAS thread count
+and no second thread pool wakes up right after stevd's.  Every other block
+takes its residual on the full dense matrix.
+
+Both routes share this one solve, _solve_block, and its one residual gate,
+RESIDUAL_TOL: the oracle hands it the band of its tridiagonal blocks or the
+dense Fock block, the reduced route the band of its Jacobi matrix, built
+from the reduced entries alone, or the dense reduced block.  The two
+routes differ in the matrix or band they pass, not in the solver or the
+checks.
 """
 
 from __future__ import annotations
@@ -82,7 +86,7 @@ from .errors import (
     ZeroVector,
 )
 
-RESIDUAL_TOL = 1e-8  # the largest residual a block solve may have; see checked_residual
+RESIDUAL_TOL = 1e-8  # the largest residual a block solve may have; see _solve_block
 
 
 def _block_run(charge: ConservedCharge, kappa: int) -> tuple[list[int], list[int]]:
@@ -285,30 +289,14 @@ def _band_residuals(
     return np.linalg.norm(r, axis=0) / np.linalg.norm(vectors, axis=0)
 
 
-def checked_residual(worst: float, block: str) -> float:
-    """worst, the largest eigenpair residual of a block solve, if it is at
-    most RESIDUAL_TOL; otherwise raises NumericalFailure.  A NaN residual is
-    refused.
-
-    This is the residual policy of both routes and of
-    EnergyPolynomialTable.spectrum; block names the block in the message.
-    """
-    if not worst <= RESIDUAL_TOL:
-        raise NumericalFailure(
-            f"{block} eigensolve residual {worst:.3e} exceeds {RESIDUAL_TOL:.3e}",
-            worst,
-        )
-    return worst
-
-
 @contextmanager
 def checked_solve(block: str):
     """Runs a block eigensolve, turning an np.linalg.LinAlgError from LAPACK
     (a solver that did not converge) into NumericalFailure with residual
     NaN; left alone, the CLI would report that ValueError as a usage error.
 
-    With checked_residual, this is the failure policy of every block solve:
-    the oracle's, the reduced route's and EnergyPolynomialTable.spectrum.
+    With the residual gate of _solve_block, this is the failure policy of
+    every block solve; the sextic finite-difference solve shares it.
     """
     try:
         yield
@@ -333,51 +321,63 @@ def diagonalize_block(
     eigenvalues, orthonormal eigenvectors) and the general dense solver
     otherwise, in real arithmetic when the block is real.  A real Hermitian
     block that is zero outside its diagonal, subdiagonal and superdiagonal
-    is solved by stevd on its diagonal and subdiagonal (the lower triangle
-    eigh would read), and its residual is taken on that band; every other
-    block is solved by dense eigh or eig, with the residual taken on the
-    full matrix.  Both residuals multiply the same nonzero entries.  Returns
-    (block, values, vectors, method, max_residual) with the eigenpairs
-    sorted ascending by (real, imag); values are complex, vectors have the
-    dtype the solver returns (float64 for a real Hermitian block).  Raises
-    NumericalFailure unless checked_residual accepts max_residual, and,
-    with residual NaN, when the LAPACK solver does not converge.
+    goes to _solve_block as that band, every other block as its dense
+    matrix.  Returns (block, values, vectors, method, max_residual) with
+    the eigenpairs sorted ascending by (real, imag); values are complex,
+    vectors have the dtype the solver returns (float64 for a real Hermitian
+    block).  Raises NumericalFailure when _solve_block refuses the solve.
     """
     block = build_block(h, charge, kappa)
     hermitian = is_hermitian(h)
-    method = "hermitian" if hermitian else "general"
-    if block.dimension == 0:
-        empty = np.zeros((0, 0), dtype=block.matrix.dtype)
-        return block, np.zeros(0, dtype=complex), empty, method, 0.0
-    name = f"block kappa={kappa}"
+    matrix = block.matrix
     # the diagonals h's terms can fill: a term moves a state (m3 - m4) / s
     # places along the basis
     offsets = {(m4 - m3) // charge.s for (_, _, m3, m4), _ in h.items()}
-    tridiagonal = not any(np.diagonal(block.matrix, k).any() for k in offsets if abs(k) > 1)
+    form = matrix
+    if hermitian and matrix.dtype == float and not any(
+        np.diagonal(matrix, k).any() for k in offsets if abs(k) > 1
+    ):
+        form = np.diag(matrix), np.diag(matrix, -1), np.diag(matrix, 1)
+    values, vectors, max_residual = _solve_block(f"block kappa={kappa}", form, hermitian)
+    return block, values, vectors, "hermitian" if hermitian else "general", max_residual
+
+
+def _solve_block(
+    name: str, form: np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray], hermitian: bool
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Eigenvalues, eigenvectors and worst eigenpair residual of one block:
+    the one solve of both routes and of EnergyPolynomialTable.spectrum.
+
+    form is the band (diagonal, lower, upper) of a real symmetric
+    tridiagonal matrix, solved by stevd on its diagonal and subdiagonal
+    with the residual taken on the band, or a dense matrix, solved by eigh
+    when hermitian and by eig otherwise with the residual taken on the full
+    matrix.  The eigenvalues are complex and ascending by (real, imag),
+    which is stevd's own order; the eigenvectors have the solver's dtype.
+    An empty block has no eigenpairs, residual 0 and vectors of the dtype
+    its solver would return.  Raises NumericalFailure, naming the block by
+    name, when the worst residual exceeds RESIDUAL_TOL or is NaN, and, with
+    residual NaN, when LAPACK does not converge (checked_solve).
+    """
+    band = isinstance(form, tuple)
+    if not len(form[0] if band else form):
+        empty = np.zeros((0, 0), dtype=float if band else form.dtype)
+        return np.zeros(0, dtype=complex), empty, 0.0
     with checked_solve(name):
-        values, vectors, residuals = _eigensolve(block.matrix, hermitian, tridiagonal)
-    max_residual = checked_residual(float(residuals.max()), name)
-    return block, values.astype(complex), vectors, method, max_residual
-
-
-def _eigensolve(
-    matrix: np.ndarray, hermitian: bool, tridiagonal: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted eigenvalues, eigenvectors and column residuals of a nonempty
-    block: by stevd, with the residual on the band, when it is real,
-    Hermitian and tridiagonal (zero outside its three central diagonals),
-    else by eigh or eig, with the residual on the full matrix.  Each solver
-    raises np.linalg.LinAlgError when LAPACK does not converge."""
-    if not hermitian:
-        values, vectors = sort_eigenpairs(*np.linalg.eig(matrix))
-    elif matrix.dtype != float or not tridiagonal:
-        values, vectors = sort_eigenpairs(*np.linalg.eigh(matrix))
-    else:
-        diagonal, lower = np.diag(matrix), np.diag(matrix, -1)
-        values, vectors = sort_eigenpairs(*stevd(diagonal, lower))
-        residuals = _band_residuals(diagonal, lower, np.diag(matrix, 1), values, vectors)
-        return values, vectors, residuals
-    return values, vectors, eigen_residual(matrix, values, vectors)
+        if band:
+            diagonal, lower, upper = form
+            values, vectors = stevd(diagonal, lower)
+            residuals = _band_residuals(diagonal, lower, upper, values, vectors)
+        else:
+            solver = np.linalg.eigh if hermitian else np.linalg.eig
+            values, vectors = sort_eigenpairs(*solver(form))
+            residuals = eigen_residual(form, values, vectors)
+    worst = float(residuals.max())
+    if not worst <= RESIDUAL_TOL:
+        raise NumericalFailure(
+            f"{name} eigensolve residual {worst:.3e} exceeds {RESIDUAL_TOL:.3e}", worst
+        )
+    return values.astype(complex), vectors, worst
 
 
 def block_spectrum(

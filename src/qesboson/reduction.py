@@ -21,9 +21,12 @@ blocks whose paired off-diagonals b_i = R[i, i+1], c_i = R[i+1, i] have
 b_i c_i > 0 and whose diagonal is real are therefore solved as the
 symmetric Jacobi matrix with off-diagonals sqrt(b_i c_i), a diagonal
 similarity of R built from the recurrence coefficients alone (Golub &
-Welsch 1969), by the oracle's tridiagonal solver dstevd (qesboson._lapack);
-every other block keeps a dense general eigensolve.  Both
-qes_spectrum and the energy polynomials' spectrum run this one solve.
+Welsch 1969); every other block keeps a dense general eigensolve of R.
+The solve itself is the oracle's (oracle._solve_block), with its one
+residual gate: this route hands it the band of J or the dense R where the
+oracle hands it the Fock block, so the two routes differ in the matrix or
+band they pass, not in the solver or the checks.  qes_spectrum,
+reduced_eigensystem and the energy polynomials' spectrum all run it.
 
 A block is assembled from h's coefficients as integer numerators over one
 common denominator (algebra._integer_terms, the oracle's own integer form
@@ -36,10 +39,11 @@ exact RationalComplex entries are built only when asked for
 (ReducedBlock.entries, the energy polynomials, whose recurrence reads only
 the nonzero band of the block).
 
-Closure is conservation, as on the oracle route: matrix_element_reduction
-and ReducedOperator refuse terms that do not conserve the charge
-(NonConservingHamiltonian), and a conserving term maps every degree of a
-block, where it does not vanish, to a degree of the same block.
+Closure is conservation, as on the oracle route: ReducedOperator, which
+matrix_element_reduction builds, refuses terms that do not conserve the
+charge (NonConservingHamiltonian), the one place this route decides it,
+and a conserving term maps every degree of a block, where it does not
+vanish, to a degree of the same block.
 
 Every block, spectrum and polynomial table is the exact restriction of
 the Hamiltonian it is given.  The as-published recurrence keeps an extra
@@ -60,7 +64,6 @@ from typing import Mapping
 
 import numpy as np
 
-from ._lapack import stevd
 from .algebra import (
     ConservedCharge,
     FockState,
@@ -69,7 +72,7 @@ from .algebra import (
     _IntegerTerms,
     _integer_terms,
     charge_weight,
-    conserves,
+    conserves,  # unused here; perfbench/spans.py looks it up in this module
     identity,
 )
 from .errors import (
@@ -87,14 +90,11 @@ from .exact import (
 )
 from .oracle import (
     SpectrumReport,
-    _band_residuals,
     _block_run,
     _non_conserving,
-    checked_residual,
-    checked_solve,
-    eigen_residual,
+    _solve_block,
+    eigen_residual,  # unused here; perfbench/spans.py looks it up in this module
     enumerate_block,
-    sort_eigenpairs,
 )
 
 
@@ -189,11 +189,9 @@ def matrix_element_reduction(
     the block matrix equals D^-1 M D with M the exact Fock block and
     D = diag(sqrt(n1! n2!)).  No term shape restrictions.  The operator
     keeps h's terms as the integer numerators of algebra._integer_terms.
-    Raises NonConservingHamiltonian, before it forms them, unless h
+    Raises NonConservingHamiltonian (from ReducedOperator) unless h
     conserves the charge.
     """
-    if not conserves(h, charge):
-        raise _non_conserving(charge)
     return ReducedOperator(*_integer_terms(h), charge=charge)
 
 
@@ -334,19 +332,19 @@ def _jacobi_form(numerators: _Numerators, denom: int, dim: int) -> _JacobiForm |
     """Jacobi form of a block given by the integer numerators of its
     nonzero entries over denom, or None.
 
-    Applies when the block is tridiagonal, its diagonal is real and every
-    product b_i c_i of paired off-diagonals is real and positive, all
-    decided exactly on the integers of its three central bands, read whole
-    before any float is formed; each float of J comes from one correctly
-    rounded integer division.  Raises NumericalFailure when a float of J
-    does not fit in a double.
+    Applies when the block is nonempty and tridiagonal, its diagonal is
+    real and every product b_i c_i of paired off-diagonals is real and
+    positive, all decided exactly on the integers of its three central
+    bands, read whole before any float is formed; each float of J comes
+    from one correctly rounded integer division.  Raises NumericalFailure
+    when a float of J does not fit in a double.
     """
     get = numerators.get
     diag = list(map(get, zip(range(dim), range(dim))))
     upper = list(map(get, zip(range(dim - 1), range(1, dim))))
     lower = list(map(get, zip(range(1, dim), range(dim - 1))))
     present = sum(len(band) - band.count(None) for band in (diag, upper, lower))
-    if present != len(numerators):  # an entry off the three bands
+    if not dim or present != len(numerators):  # empty, or an entry off the three bands
         return None
     zero = (0, 0)
     diag = [entry or zero for entry in diag]
@@ -373,30 +371,19 @@ def _solve(
     block: ReducedBlock, name: str
 ) -> tuple[np.ndarray, np.ndarray, float, _JacobiForm | None]:
     """Eigenvalues, eigenvectors, worst residual and Jacobi form of a
-    reduced block, solved inside checked_solve and with the worst residual
-    passed through checked_residual; name names the block in their
-    messages.  An empty block has no eigenpairs and residual 0.
+    reduced block, by the oracle's block solve (oracle._solve_block); name
+    names the block in its messages.
 
-    A block with a Jacobi form (see the module docstring) is solved by
-    LAPACK's dstevd, its residuals are taken on J, and the eigenvectors
-    returned are those of J; any other block (Jacobi form None) by a dense
-    eig, with eigenpairs sorted ascending by (real, imag).
+    A block with a Jacobi form (see the module docstring) passes the band
+    of J, and the eigenvectors returned are those of J; any other block
+    (Jacobi form None), the empty one included, passes its dense matrix as
+    a general, non-Hermitian block.
     """
-    if block.dimension == 0:
-        return np.zeros(0, dtype=complex), np.zeros((0, 0), dtype=complex), 0.0, None
     jacobi = _jacobi_form(block.numerators, block.denominator, block.dimension)
-    with checked_solve(name):
-        if jacobi is None:
-            matrix = block.matrix
-            values, vectors = sort_eigenpairs(*np.linalg.eig(matrix))
-            residuals = eigen_residual(matrix, values, vectors)
-        else:
-            values, vectors = stevd(jacobi.diagonal, jacobi.off)
-            residuals = _band_residuals(
-                jacobi.diagonal, jacobi.off, jacobi.off, values, vectors
-            )
-            values = values.astype(complex)
-    return values, vectors, checked_residual(float(residuals.max()), name), jacobi
+    if jacobi is None:
+        return (*_solve_block(name, block.matrix, False), None)
+    band = jacobi.diagonal, jacobi.off, jacobi.off
+    return (*_solve_block(name, band, True), jacobi)
 
 
 @dataclass(frozen=True)
@@ -430,9 +417,9 @@ class EnergyPolynomialTable:
         coefficients.
 
         They are the eigenvalues of the block's own solve, the one
-        qes_spectrum runs, bit for bit.  Raises NumericalFailure when
-        checked_residual refuses the worst residual and, with residual NaN,
-        when the LAPACK solver does not converge.
+        qes_spectrum runs, bit for bit.  Raises NumericalFailure when the
+        oracle's block solve refuses the worst residual and, with residual
+        NaN, when the LAPACK solver does not converge.
         """
         return _solve(self.block, f"recurrence kappa={self.kappa}")[0]
 
@@ -484,9 +471,9 @@ def reduced_eigensystem(
     """Eigenvalues and right eigenvectors of the reduced block matrix.
 
     Jacobi-form blocks (see the module docstring) are solved by LAPACK's
-    dstevd, with the residual taken on the Jacobi matrix, and
-    their eigenvectors mapped back through the diagonal similarity; other
-    blocks by a dense eig.  Raises NumericalFailure if checked_residual
+    dstevd, with the residual taken on the Jacobi matrix, and their
+    eigenvectors mapped back through the diagonal similarity; other blocks
+    by a dense eig.  Raises NumericalFailure if the oracle's block solve
     refuses the residual or if the eigenvectors do not fit in double
     precision.
     """

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qesboson import SpectrumReport, cli, oracle, reduction
+from qesboson import SpectrumReport, cli, oracle
 from qesboson.cli import main
 
 SAMPLE_DIR = Path(__file__).resolve().parent.parent / "models"
@@ -483,7 +483,7 @@ class TestSolverFailure:
         )
 
     def test_reduced_exits_4(self, capsys, monkeypatch):
-        monkeypatch.setattr(reduction, "stevd", _fail_to_converge)
+        monkeypatch.setattr(oracle, "stevd", _fail_to_converge)
         code, out, err = run(capsys, "spectrum", SHG, "--kappa", "4", "--method", "reduced")
         assert (code, out) == (4, "")
         assert err == (

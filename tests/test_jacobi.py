@@ -34,7 +34,7 @@ from qesboson import (
     reduced_eigensystem,
     shg_charge,
 )
-from qesboson import reduction
+from qesboson import oracle
 from qesboson.cli import main
 from qesboson.exact import integer_numerators
 from qesboson.oracle import _band_residuals
@@ -229,14 +229,14 @@ def test_jacobi_residuals_match_dense_residuals():
 
 def test_nan_eigenvalue_fails_residual_gate(monkeypatch):
     # a NaN residual compares False with any tolerance; it must still refuse
-    stevd = reduction.stevd
+    stevd = oracle.stevd
 
     def nan_values(*args, **kwargs):
         values, vectors = stevd(*args, **kwargs)
         values[0] = np.nan
         return values, vectors
 
-    monkeypatch.setattr(reduction, "stevd", nan_values)
+    monkeypatch.setattr(oracle, "stevd", nan_values)
     h, charge = load("shg")
     with pytest.raises(NumericalFailure) as info:
         qes_spectrum(h, charge, 10)

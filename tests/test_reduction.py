@@ -38,7 +38,7 @@ from qesboson import (
     shg_ode,
     slaved_occupation,
 )
-from qesboson import reduction
+from qesboson import oracle
 from qesboson.algebra import _integer_terms
 from qesboson.exact import ZERO
 from qesboson.oracle import block_spectrum
@@ -242,7 +242,7 @@ class TestEnergyPolynomialTable:
 
         h, charge = shg
         table = energy_polynomial_table(h, charge, 4)
-        monkeypatch.setattr(reduction, "stevd", fail_to_converge)
+        monkeypatch.setattr(oracle, "stevd", fail_to_converge)
         message = "recurrence kappa=4 eigensolve failed: Eigenvalues did not converge"
         with pytest.raises(NumericalFailure, match=message) as info:
             table.spectrum()
@@ -250,8 +250,8 @@ class TestEnergyPolynomialTable:
 
     def test_nan_eigenvalue_is_refused(self, shg, monkeypatch):
         # spectrum() used to return [nan, 4, 6] here, while qes_spectrum
-        # refused the same block; both now pass through checked_residual
-        solver = reduction.stevd
+        # refused the same block; both now pass through the oracle's residual gate
+        solver = oracle.stevd
 
         def nan_first(*args, **kwargs):
             values, vectors = solver(*args, **kwargs)
@@ -260,7 +260,7 @@ class TestEnergyPolynomialTable:
 
         h, charge = shg
         table = energy_polynomial_table(h, charge, 4)
-        monkeypatch.setattr(reduction, "stevd", nan_first)
+        monkeypatch.setattr(oracle, "stevd", nan_first)
         with pytest.raises(NumericalFailure, match="recurrence kappa=4 eigensolve residual nan"):
             table.spectrum()
         with pytest.raises(NumericalFailure, match="reduced block kappa=4 eigensolve residual nan"):
@@ -347,6 +347,25 @@ class TestQesSpectrum:
         h_diag = 2 * number(1) + 3 * number(2)
         report = qes_spectrum(h_diag, ConservedCharge(2, 3), 1)
         assert report.dimension == 0 and report.eigenvalues == ()
+
+    def test_empty_block_eigensystems(self):
+        # charge (2,3) has no states at kappa=1: every solve returns no
+        # eigenpairs, residual 0 and (0, 0) vectors in the dtype its solver
+        # would give, float64 for the oracle's real Hermitian block
+        h_diag = 2 * number(1) + 3 * number(2)
+        charge = ConservedCharge(2, 3)
+        block, values, vectors, method, worst = diagonalize_block(h_diag, charge, 1)
+        assert (block.dimension, method, worst) == (0, "hermitian", 0.0)
+        assert values.shape == (0,) and values.dtype == np.complex128
+        assert vectors.shape == (0, 0) and vectors.dtype == np.float64
+        block, values, vectors, worst = reduced_eigensystem(h_diag, charge, 1)
+        assert (block.dimension, worst) == (0, 0.0)
+        assert values.shape == (0,) and values.dtype == np.complex128
+        assert vectors.shape == (0, 0) and vectors.dtype == np.complex128
+        table = energy_polynomial_table(h_diag, charge, 1)
+        values = table.spectrum()
+        assert table.dimension == 0
+        assert values.shape == (0,) and values.dtype == np.complex128
 
     def test_random_hermitian_models_isospectral(self):
         # mixed term shapes included: the defining route must track the
