@@ -1,9 +1,11 @@
 """Batch front-end: model checks, block spectra, scans and the sextic map.
 
 Exit codes are a stable contract: 0 success, 1 usage error, 2 model file
-unreadable as UTF-8 text or unparsable, 3 declared charge not conserved,
-4 numerical failure or tolerance exceeded.  Output is deterministic: fixed
-key order, fixed sort orders, floats serialized with full double precision.
+unreadable as UTF-8 text or unparsable, 3 declared charge not conserved
+(NonConservingHamiltonian, which each block route raises before it reads
+kappa), 4 numerical failure or tolerance exceeded.  Output is
+deterministic: fixed key order, fixed sort orders, floats serialized with
+full double precision.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .errors import (
     QesBosonError,
 )
 from .models import ModelFile, build_shg, parse_model_file, shg_charge
-from .oracle import block_spectrum, enumerate_block
+from .oracle import SpectrumReport, block_spectrum, enumerate_block
 from .reduction import energy_polynomial_table, paper_literal, qes_spectrum
 from .sextic import (
     check_gauge_identity,
@@ -141,17 +143,6 @@ def _load_model(path: str) -> ModelFile:
     return ModelFile(charge=model.charge, terms=model.terms, name=Path(path).name)
 
 
-def _require_conserving(model: ModelFile) -> OperatorPolynomial:
-    """The model's Hamiltonian; raises NonConservingHamiltonian unless it
-    conserves the declared charge."""
-    h = model.hamiltonian()
-    if not conserves(h, model.charge):
-        raise NonConservingHamiltonian(
-            f"declared charge ({model.charge.s}, {model.charge.p}) is not conserved"
-        )
-    return h
-
-
 def _pair_list_json(value) -> str | None:
     """json.dumps(value, indent=2) at depth 1 of an object when value is a
     list of two-element lists of numbers (or None), else None.
@@ -204,6 +195,16 @@ def _eig_pairs(values) -> list[list[float]]:
     return [[float(v.real), float(v.imag)] for v in values]
 
 
+def _compare_routes(
+    oracle: SpectrumReport, reduced: SpectrumReport, tol: float
+) -> tuple[np.ndarray, bool]:
+    """The one comparison of the two routes, for spectrum and scan alike:
+    |oracle - reduced| per eigenvalue in the shared (real, imag) order, and
+    whether every one is within tol (a NaN deviation exceeds every tol)."""
+    deviations = np.abs(np.array(oracle.eigenvalues) - np.array(reduced.eigenvalues))
+    return deviations, bool((deviations <= tol).all())
+
+
 def _cmd_check(args) -> int:
     model = _load_model(args.model)
     h = model.hamiltonian()
@@ -238,7 +239,14 @@ def _cmd_check(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     model = _load_model(args.model)
-    h = _require_conserving(model)
+    h = model.hamiltonian()
+    # each route refuses a non-conserving h (exit 3), then a negative kappa
+    reports = {"oracle": None, "reduced": None}
+    if args.method != "reduced":
+        reports["oracle"] = block_spectrum(h, model.charge, args.kappa)
+    if args.method != "oracle":
+        reduced_h = _reduced_hamiltonian(h, args.mode)
+        reports["reduced"] = qes_spectrum(reduced_h, model.charge, args.kappa)
     basis = enumerate_block(model.charge, args.kappa)
     payload = {
         "kappa": args.kappa,
@@ -249,50 +257,37 @@ def _cmd_spectrum(args) -> int:
         "max_deviation": None,
         "residuals": {"oracle": None, "reduced": None},
     }
-    oracle_vals = reduced_vals = None
-    if args.method in ("oracle", "both"):
-        report = block_spectrum(h, model.charge, args.kappa)
-        oracle_vals = np.array(report.eigenvalues)
-        payload["oracle"] = _eig_pairs(report.eigenvalues)
-        payload["residuals"]["oracle"] = report.max_residual
-    if args.method in ("reduced", "both"):
-        report = qes_spectrum(_reduced_hamiltonian(h, args.mode), model.charge, args.kappa)
-        reduced_vals = np.array(report.eigenvalues)
-        payload["reduced"] = _eig_pairs(report.eigenvalues)
-        payload["residuals"]["reduced"] = report.max_residual
+    for name, report in reports.items():
+        if report is not None:
+            payload[name] = _eig_pairs(report.eigenvalues)
+            payload["residuals"][name] = report.max_residual
     code = 0
-    if oracle_vals is not None and reduced_vals is not None:
-        deviation = (
-            float(np.max(np.abs(oracle_vals - reduced_vals)))
-            if len(oracle_vals)
-            else 0.0
-        )
-        payload["max_deviation"] = deviation
-        if not deviation <= args.tol:  # NaN exceeds every tolerance
-            code = 4
+    if args.method == "both":
+        deviations, within = _compare_routes(reports["oracle"], reports["reduced"], args.tol)
+        payload["max_deviation"] = float(deviations.max(initial=0.0))
+        code = 0 if within else 4
     _dump_json(payload)
     return code
 
 
 def _cmd_scan(args) -> int:
     model = _load_model(args.model)
-    h = _require_conserving(model)
-    if args.kappa_max < 0:
-        raise ValueError("kappa must be non-negative")
+    h = model.hamiltonian()
     reduced_h = _reduced_hamiltonian(h, args.mode)
     lines = ["kappa,dim,index,eig_re,eig_im,deviation"]
     code = 0
-    for kappa in range(args.kappa_max + 1):
+    # a negative kappa_max is scanned as that one block, which the routes
+    # refuse as for spectrum: a non-conserving h (exit 3), then the kappa
+    for kappa in range(min(args.kappa_max, 0), args.kappa_max + 1):
         oracle = block_spectrum(h, model.charge, kappa)
         reduced = qes_spectrum(reduced_h, model.charge, kappa)
-        for index in range(oracle.dimension):
-            ev = oracle.eigenvalues[index]
-            deviation = abs(ev - reduced.eigenvalues[index])
-            if not deviation <= args.tol:  # NaN exceeds every tolerance
-                code = 4
-            lines.append(
-                f"{kappa},{oracle.dimension},{index},{ev.real!r},{ev.imag!r},{deviation!r}"
-            )
+        deviations, within = _compare_routes(oracle, reduced, args.tol)
+        if not within:
+            code = 4
+        lines += [
+            f"{kappa},{oracle.dimension},{index},{ev.real!r},{ev.imag!r},{deviation!r}"
+            for index, (ev, deviation) in enumerate(zip(oracle.eigenvalues, deviations.tolist()))
+        ]
     print("\n".join(lines))
     return code
 
@@ -303,9 +298,8 @@ def _render_rational(value) -> list[str]:
 
 def _cmd_polys(args) -> int:
     model = _load_model(args.model)
-    h = _require_conserving(model)
     table = energy_polynomial_table(
-        _reduced_hamiltonian(h, args.mode), model.charge, args.kappa
+        _reduced_hamiltonian(model.hamiltonian(), args.mode), model.charge, args.kappa
     )
     if args.output == "json":
         _dump_json(

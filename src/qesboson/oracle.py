@@ -21,11 +21,12 @@ size, and fills the dense matrix with one fancy-index assignment.  No exact
 rational object is formed; the exact amplitudes themselves come from
 block_amplitudes, entry by entry.
 
-Closure is conservation: block_matrix refuses a Hamiltonian that does not
-conserve the charge (NonConservingHamiltonian) before it forms any entry,
-and a conserving one maps the block into itself, so no entry is checked
-for leaving it.  Only block_amplitudes, which takes any basis, reports a
-state that leaves its basis (BlockClosureViolation).
+Closure is conservation, which block_matrix alone decides on this route:
+it refuses a Hamiltonian that does not conserve the charge
+(NonConservingHamiltonian) before it reads kappa, and a conserving one maps
+the block into itself, so no entry is checked for leaving it.  Only
+block_amplitudes, which takes any basis, reports a state that leaves its
+basis (BlockClosureViolation).  FockBlock builds its basis on first use.
 
 A Hamiltonian whose coefficients are all real has real blocks: block_matrix
 returns them as float64, and they are diagonalized and checked in real
@@ -59,6 +60,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from math import perm
 
@@ -218,25 +220,27 @@ def _unrepresentable(state: FockState, target: FockState) -> NumericalFailure:
 
 @dataclass(frozen=True, eq=False)
 class FockBlock:
-    """A charge block: its kappa, ordered basis and exact restriction of h,
-    a float64 matrix when h has real coefficients and complex otherwise."""
+    """A charge block: its kappa, exact restriction of h (float64 when h
+    has real coefficients, complex otherwise) and, on first use, basis."""
 
     charge: ConservedCharge
     kappa: int
-    basis: tuple[FockState, ...]
     matrix: np.ndarray
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.matrix)
+
+    @cached_property
+    def basis(self) -> tuple[FockState, ...]:
+        return enumerate_block(self.charge, self.kappa)
 
 
 def build_block(
     h: OperatorPolynomial, charge: ConservedCharge, kappa: int
 ) -> FockBlock:
-    """Enumerate the block and restrict h to it; requires conservation."""
-    matrix = block_matrix(h, charge, kappa)
-    return FockBlock(charge, kappa, enumerate_block(charge, kappa), matrix)
+    """Restrict h to the block; requires conservation."""
+    return FockBlock(charge, kappa, block_matrix(h, charge, kappa))
 
 
 @dataclass(frozen=True)

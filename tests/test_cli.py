@@ -131,6 +131,22 @@ class TestScan:
         code, out, _ = run(capsys, "scan", SHG, "--kappa-max", "3", "--mode", "paper-literal")
         assert code == 4
 
+    def test_deviations_are_spectrum_deviations(self, capsys, tmp_path):
+        # a non-Hermitian SHG: the kappa = 4 block is 4, 4 - 2i, 4 + 2i, and
+        # Python's complex abs gives another last bit than numpy's for row 0
+        path = tmp_path / "nonhermitian.qesb"
+        path.write_text(Path(SHG).read_text().replace("term 1/2 0 0 2 1 0", "term -1/2 0 0 2 1 0"))
+        _, out, _ = run(capsys, "scan", str(path), "--kappa-max", "4")
+        column = [float(row.split(",")[5]) for row in out.split()[1:] if row.startswith("4,")]
+        _, out, _ = run(capsys, "spectrum", str(path), "--kappa", "4", "--method", "both")
+        payload = json.loads(out)
+        oracle_vals, reduced_vals = (
+            np.array([complex(*pair) for pair in payload[name]]) for name in ("oracle", "reduced")
+        )
+        assert any(v.imag for v in oracle_vals)
+        assert column == np.abs(oracle_vals - reduced_vals).tolist()
+        assert max(column) == payload["max_deviation"]
+
 
 class TestPolys:
     def test_text_output(self, capsys):
@@ -311,12 +327,23 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("cannot read model file: 'utf-8' codec can't decode")
 
-    def test_non_conserving_spectrum_is_3(self, capsys, tmp_path):
+    @pytest.mark.parametrize("argv", [
+        *(("spectrum", "--kappa", kappa, "--method", method)
+          for kappa in ("2", "-1") for method in ("oracle", "reduced", "both")),
+        ("scan", "--kappa-max", "2"),
+        ("scan", "--kappa-max", "-3"),
+        ("polys", "--kappa", "2"),
+        ("polys", "--kappa", "-1"),
+    ], ids=" ".join)
+    def test_non_conserving_is_3(self, capsys, tmp_path, argv):
+        # the routes refuse the model before they read kappa: exit 3 wins
+        # over the usage error of a negative kappa
         bad = tmp_path / "bad.qesb"
         bad.write_text(Path(SHG).read_text().replace("charge 1 2", "charge 1 1"))
-        code, _, err = run(capsys, "spectrum", str(bad), "--kappa", "2")
-        assert code == 3
-        assert "non-conserving" in err
+        command, *options = argv
+        code, out, err = run(capsys, command, str(bad), *options)
+        assert (code, out) == (3, "")
+        assert err == "non-conserving model: Hamiltonian does not commute with 1*N1 + 1*N2\n"
 
     def test_unsupported_band_structure_is_4(self, capsys, tmp_path):
         # one-way coupling: the recurrence has no superdiagonal to solve for

@@ -185,6 +185,22 @@ class TestBlockSpectrum:
         assert report.eigenvalues == ()
         assert report.max_residual == 0.0
 
+    def test_enumerates_no_basis(self, shg, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            oracle, "enumerate_block", lambda *args: calls.append(args) or enumerate_block(*args)
+        )
+        h, charge = shg
+        assert block_spectrum(h, charge, 6).dimension == 4
+        assert calls == []
+
+    @pytest.mark.parametrize("charge, kappa", [(ConservedCharge(1, 2), 6), (ConservedCharge(2, 3), 1)])
+    def test_diagonalized_block_keeps_basis(self, charge, kappa):
+        # charge (2,3) has no states at kappa=1
+        block = diagonalize_block(2 * number(1) + 3 * number(2), charge, kappa)[0]
+        assert block.basis == enumerate_block(charge, kappa)
+        assert block.dimension == len(block.basis) == len(block.matrix)
+
     def test_hermitian_eigenvalues_real(self, shg):
         h, charge = shg
         assert is_hermitian(h)
