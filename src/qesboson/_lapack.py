@@ -1,17 +1,18 @@
 """LAPACK's real symmetric tridiagonal eigensolvers, dstevd and dstebz.
 
-Every block spectrum the package solves in the end is that of a real
-symmetric tridiagonal matrix, and these two LAPACK routines are all it needs
-from scipy.  They are called through scipy's compiled f2py wrapper,
-scipy.linalg._flapack, which this module loads by itself: it finds the
-extension file inside scipy's installed package directory and executes it,
-without running the `scipy` or `scipy.linalg` package code.  Importing the
-scipy.linalg package would also import numpy's f2py, testing, ma and random
-packages, and costs more per process than most commands spend solving.  The
-extension is registered under its own name in sys.modules, so an
-`import scipy.linalg` later in the same process reuses it, and one imported
-before is reused here.  scipy >= 1.10 always ships it; if it is missing,
-importing this module raises ImportError.
+Every real symmetric tridiagonal solve of the package runs one of them: the
+oracle's tridiagonal blocks, the reduced Jacobi matrices, the energy
+polynomials and the sextic grid.  Dense blocks go to numpy's eigh and eig,
+so these routines are all the package needs from scipy.  They are called
+through scipy's compiled f2py wrapper, scipy.linalg._flapack, which this
+module loads by itself: it finds the extension file inside scipy's installed
+package directory and executes it, without running the `scipy` or
+`scipy.linalg` package code.  Importing the scipy.linalg package would also
+import numpy's f2py, testing, ma and random packages, and costs more per
+process than most commands spend solving.  The extension is registered under
+its own name in sys.modules, so an `import scipy.linalg` later in the same
+process reuses it, and one imported before is reused here.  scipy >= 1.10
+always ships it; if it is missing, importing this module raises ImportError.
 
 Both functions keep the checks scipy.linalg.eigh_tridiagonal makes and raise
 its errors with its texts, so callers see the same failures: ValueError for

@@ -328,21 +328,23 @@ def _cmd_polys(args) -> int:
 
 
 def _cmd_sextic(args) -> int:
-    w = gauge_superpotential(args.w1, args.w2, complex(args.kre, args.kim),
-                             complex(args.kbre, args.kbim), args.k)
-    pot = sextic_potential(args.w1, args.w2, complex(args.kre, args.kim),
-                           complex(args.kbre, args.kbim), args.k)
-    result = None
+    kc, kb = complex(args.kre, args.kim), complex(args.kbre, args.kbim)
+    w = gauge_superpotential(args.w1, args.w2, kc, kb, args.k)
+    pot = sextic_potential(args.w1, args.w2, kc, kb, args.k)
+    gauge_payload = None
     if args.kim == 0.0 and args.kbim == 0.0:
         # the change of variable behind the identity needs real couplings
-        result = check_gauge_identity(
-            args.w1, args.w2, args.kre, args.kbre, args.k,
-        )
+        result = check_gauge_identity(args.w1, args.w2, args.kre, args.kbre, args.k)
+        gauge_payload = {
+            "residual": result.residual,
+            "kinetic": result.convention.kinetic,
+            "w_sign": result.convention.w_sign,
+            "exponent_sign": result.convention.exponent_sign,
+            "shift": result.convention.shift,
+        }
     fd_payload = None
     if args.fd:
-        h = build_shg(args.w1, args.w2, complex(args.kre, args.kim),
-                      complex(args.kbre, args.kbim))
-        block_levels = qes_spectrum(h, shg_charge(), args.k)
+        block_levels = qes_spectrum(build_shg(args.w1, args.w2, kc, kb), shg_charge(), args.k)
         if any(v.imag for v in block_levels.eigenvalues):
             # the FD levels of the sextic potential are real
             raise NumericalFailure(
@@ -358,16 +360,6 @@ def _cmd_sextic(args) -> int:
             "fd_levels": [float(v) for v in fd_levels],
             "shift": shift,
             "max_deviation": max_dev,
-        }
-    gauge_payload = None
-    if result is not None:
-        conv = result.convention
-        gauge_payload = {
-            "residual": result.residual,
-            "kinetic": conv.kinetic,
-            "w_sign": conv.w_sign,
-            "exponent_sign": conv.exponent_sign,
-            "shift": conv.shift,
         }
     if args.output == "json":
         _dump_json(
@@ -387,29 +379,29 @@ def _cmd_sextic(args) -> int:
                 "fd": fd_payload,
             }
         )
+        return 0
+    print(
+        f"superpotential: W(y) = ({w.inverse_coeff})/y"
+        f" + ({w.linear_coeff})*y + ({w.cubic_coeff})*y^3"
+    )
+    print(f"potential: c0={pot.c0} c2={pot.c2} c4={pot.c4} c6={pot.c6}")
+    if gauge_payload is None:
+        print("gauge identity: skipped (needs real couplings)")
     else:
         print(
-            f"superpotential: W(y) = ({w.inverse_coeff})/y"
-            f" + ({w.linear_coeff})*y + ({w.cubic_coeff})*y^3"
+            f"gauge identity: residual={gauge_payload['residual']!r}"
+            f" kinetic={gauge_payload['kinetic']}"
+            f" w_sign={gauge_payload['w_sign']:+d}"
+            f" exponent_sign={gauge_payload['exponent_sign']:+d}"
+            f" shift={gauge_payload['shift']!r}"
         )
-        print(f"potential: c0={pot.c0} c2={pot.c2} c4={pot.c4} c6={pot.c6}")
-        if gauge_payload is None:
-            print("gauge identity: skipped (needs real couplings)")
-        else:
-            print(
-                f"gauge identity: residual={gauge_payload['residual']!r}"
-                f" kinetic={gauge_payload['kinetic']}"
-                f" w_sign={gauge_payload['w_sign']:+d}"
-                f" exponent_sign={gauge_payload['exponent_sign']:+d}"
-                f" shift={gauge_payload['shift']!r}"
-            )
-        if fd_payload is not None:
-            print(f"block levels: {fd_payload['block_levels']}")
-            print(f"fd levels: {fd_payload['fd_levels']}")
-            print(
-                f"fd shift estimate: {fd_payload['shift']!r}"
-                f" max deviation: {fd_payload['max_deviation']!r}"
-            )
+    if fd_payload is not None:
+        print(f"block levels: {fd_payload['block_levels']}")
+        print(f"fd levels: {fd_payload['fd_levels']}")
+        print(
+            f"fd shift estimate: {fd_payload['shift']!r}"
+            f" max deviation: {fd_payload['max_deviation']!r}"
+        )
     return 0
 
 
@@ -424,10 +416,7 @@ def main(argv: list[str] | None = None) -> int:
             "sextic": _cmd_sextic,
         }[args.command]
         return handler(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except _UnreadableModel as exc:

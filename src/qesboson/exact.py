@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import lcm
 from typing import Iterable, Union
 
@@ -62,7 +63,7 @@ class RationalComplex:
     __radd__ = __add__
 
     def __sub__(self, other: Rationalish) -> "RationalComplex":
-        o = RationalComplex._try_coerce(other)
+        o = other if isinstance(other, RationalComplex) else RationalComplex._try_coerce(other)
         if o is None:
             return NotImplemented
         return RationalComplex(self.re - o.re, self.im - o.im)
@@ -164,16 +165,12 @@ class Polynomial:
         return not self.coeffs
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else ZERO
-            b = other.coeffs[i] if i < len(other.coeffs) else ZERO
-            out.append(a + b)
-        return Polynomial.from_coeffs(out)
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=ZERO)
+        return Polynomial.from_coeffs(a + b for a, b in pairs)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=ZERO)
+        return Polynomial.from_coeffs(a - b for a, b in pairs)
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(tuple(-c for c in self.coeffs))

@@ -367,7 +367,8 @@ def _solve_block(
     if not len(form[0] if band else form):
         empty = np.zeros((0, 0), dtype=float if band else form.dtype)
         return np.zeros(0, dtype=complex), empty, 0.0
-    with checked_solve(name):
+    # entries above about 1e154 overflow the residual norm to inf, refused below
+    with checked_solve(name), np.errstate(over="ignore"):
         if band:
             diagonal, lower, upper = form
             values, vectors = stevd(diagonal, lower)

@@ -231,8 +231,6 @@ def check_gauge_identity(
     kb = _as_real(kappa_bar, "kappa_bar")
     if kb.is_zero:
         raise ValueError("kappa_bar must be nonzero: the change of variable is z = -1/(kb y^2)")
-    if k < 0:
-        raise ValueError("k must be non-negative")
 
     ode = shg_ode(w1, w2, kc, kb, k)
     w = gauge_superpotential(w1, w2, kc, kb, k)
@@ -247,34 +245,32 @@ def check_gauge_identity(
     c1, c0 = _in_y(ode.c1, z_coeff), _in_y(ode.c0, z_coeff)
 
     # each identity depends on the convention only through (s, kin)
-    shifts: dict[tuple[int, float], Fraction | None] = {}
+    shifts: dict[tuple[int, float], Fraction] = {}  # the identities that hold
     for sign in (1, -1):
         for kinetic in (1.0, 0.5):
             kin = Fraction(kinetic)
             f2 = _combination((-kin, dz_sq), (-1, c3_z3))
             f1 = _combination((-kin, d2z), (-2 * sign * kin, w_dz), (-1, c1))
             f0 = _combination((1, potential), (-sign * kin, dw), (-kin, w_sq), (-1, c0))
-            holds = not f2 and not f1 and f0.keys() <= {0}
-            shifts[(sign, kinetic)] = f0.get(0, Fraction(0)) if holds else None
+            if not f2 and not f1 and f0.keys() <= {0}:
+                shifts[(sign, kinetic)] = f0.get(0, Fraction(0))
 
-    tried: dict[tuple[int, int, float], float] = {}
-    winner = None
-    for w_sign in (1, -1):
-        for exp_sign in (1, -1):
-            for kinetic in (1.0, 0.5):
-                shift = shifts[(w_sign * exp_sign, kinetic)]
-                tried[(w_sign, exp_sign, kinetic)] = math.inf if shift is None else 0.0
-                if shift is not None and winner is None:
-                    winner = (w_sign, exp_sign, kinetic, shift)
-
+    tried = {
+        (w_sign, exp_sign, kinetic): 0.0 if (w_sign * exp_sign, kinetic) in shifts else math.inf
+        for w_sign in (1, -1)
+        for exp_sign in (1, -1)
+        for kinetic in (1.0, 0.5)
+    }
+    winner = next((key for key, residual in tried.items() if not residual), None)
     if winner is None:
         raise ConventionMismatch(
             f"gauge identity at k={k} leaves a non-constant remainder under every convention",
             tried,
         )
-    w_sign, exp_sign, kinetic, shift = winner
+    w_sign, exp_sign, kinetic = winner
     try:
-        convention = GaugeConvention(w_sign, exp_sign, kinetic, float(shift))
+        shift = float(shifts[(w_sign * exp_sign, kinetic)])
+        convention = GaugeConvention(w_sign, exp_sign, kinetic, shift)
     except OverflowError:
         raise NumericalFailure(f"gauge shift at k={k} exceeds double range", math.inf) from None
     return GaugeIdentityResult(residual=0.0, convention=convention, tried=tried)

@@ -16,6 +16,14 @@ SAMPLE_DIR = Path(__file__).resolve().parent.parent / "models"
 SHG = str(SAMPLE_DIR / "shg.qesb")
 SHG_COUPLINGS = ["--w1", "1", "--w2", "2", "--kre", "0.5", "--kbre", "0.5"]
 HUGE_COUPLINGS = ["--w1", "1e308", "--w2", "1e308", "--kre", "1e308", "--kbre", "1e308"]
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# sextic parameter sets whose output tests/golden/sextic_<name>.{txt,json} pins byte for byte
+SEXTIC_GOLDEN = {
+    "real": [*SHG_COUPLINGS, "--k", "3"],
+    "complex": ["--w1", "1", "--w2", "2", "--kre", "0.5", "--kim", "0.25",
+                "--kbre", "0.5", "--kbim", "-0.25", "--k", "2"],
+    "w0": ["--w1", "0", "--w2", "0", "--kre", "0", "--kbre", "1", "--k", "0"],  # W(y) = 0
+}
 
 
 def run(capsys, *argv):
@@ -211,6 +219,35 @@ class TestSextic:
         assert payload["fd"]["max_deviation"] <= 5e-3
         assert payload["fd"]["block_levels"] == pytest.approx(
             [1.2928932188134525, 2.7071067811865475]
+        )
+
+    @pytest.mark.parametrize("output", ["text", "json"])
+    @pytest.mark.parametrize("name", sorted(SEXTIC_GOLDEN))
+    def test_golden_output(self, capsys, name, output):
+        code, out, err = run(capsys, "sextic", *SEXTIC_GOLDEN[name], "--output", output)
+        assert (code, err) == (0, "")
+        suffix = "txt" if output == "text" else "json"
+        assert out == (GOLDEN / f"sextic_{name}.{suffix}").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("name", sorted(SEXTIC_GOLDEN))
+    def test_fd_output_extends_golden(self, capsys, name):
+        # the FD floats depend on the LAPACK build: pin the keys, the exact
+        # part, and the text lines as formatted from the same run's JSON
+        argv = ["sextic", *SEXTIC_GOLDEN[name], "--fd", "--fd-grid", "2000"]
+        code, out, err = run(capsys, *argv, "--output", "json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        golden = json.loads((GOLDEN / f"sextic_{name}.json").read_text(encoding="utf-8"))
+        assert list(payload) == list(golden) == ["superpotential", "potential", "gauge_identity", "fd"]
+        assert list(payload["fd"]) == ["block_levels", "fd_levels", "shift", "max_deviation"]
+        assert {**payload, "fd": None} == golden
+        fd = payload["fd"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / f"sextic_{name}.txt").read_text(encoding="utf-8") + (
+            f"block levels: {fd['block_levels']}\n"
+            f"fd levels: {fd['fd_levels']}\n"
+            f"fd shift estimate: {fd['shift']!r} max deviation: {fd['max_deviation']!r}\n"
         )
 
     @pytest.mark.parametrize("flag", ["--w1", "--w2", "--kre", "--kim", "--kbre", "--kbim"])
@@ -438,6 +475,15 @@ HUGE_MODELS = {
 }
 
 
+# 1e300 couplings on the tridiagonal band, and with a pair off it
+OVERFLOWING_RESIDUAL_MODELS = {
+    "band": "charge 1 2\nterm 1e300 0 0 2 1 0\nterm 1e300 0 2 0 0 1\n",
+}
+OVERFLOWING_RESIDUAL_MODELS["wide"] = (
+    OVERFLOWING_RESIDUAL_MODELS["band"] + "term 1e300 0 0 4 2 0\nterm 1e300 0 4 0 0 2\n"
+)
+
+
 class TestUnrepresentableBlocks:
     """Entries beyond double range are a numerical failure (exit 4), not a
     traceback or a usage error."""
@@ -462,6 +508,30 @@ class TestUnrepresentableBlocks:
         assert out == ""
         assert err.startswith("numerical failure: ")
         assert "does not fit in double precision" in err
+
+
+    # every entry fits in a double; the residual norm of the oracle's block
+    # (and of the dense reduced block of the wide model) overflows to inf
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "model,method,err",
+        [
+            ("band", "oracle", "block kappa=10 eigensolve residual inf exceeds 1.000e-08"),
+            ("band", "both", "block kappa=10 eigensolve residual inf exceeds 1.000e-08"),
+            ("band", "reduced", "a reduced block entry does not fit in double precision"),
+            ("wide", "oracle", "block kappa=10 eigensolve residual inf exceeds 1.000e-08"),
+            ("wide", "both", "block kappa=10 eigensolve residual inf exceeds 1.000e-08"),
+            ("wide", "reduced", "reduced block kappa=10 eigensolve residual inf exceeds 1.000e-08"),
+        ],
+    )
+    def test_overflowing_residual_exits_4_without_warning(
+        self, capsys, tmp_path, model, method, err
+    ):
+        # numpy's overflow warning used to reach stderr before the message
+        path = tmp_path / "big.qesb"
+        path.write_text(OVERFLOWING_RESIDUAL_MODELS[model])
+        result = run(capsys, "spectrum", str(path), "--kappa", "10", "--method", method)
+        assert result == (4, "", f"numerical failure: {err}\n")
 
 
 def _nan_first_eigenvalue(qes_spectrum):

@@ -1,8 +1,10 @@
 """Exactness of the small-operand fast paths in block assembly.
 
 Every fast path is compared for exact equality against the general formula
-it short-cuts: RationalComplex arithmetic, Horner evaluation at an integer,
-the oracle's ladder-ratio radicand and its integer accumulation over one
+it short-cuts: RationalComplex arithmetic, Polynomial addition and
+subtraction (against the zero-padded coefficient-wise definition), Horner
+evaluation at an integer, the oracle's ladder-ratio radicand and its
+integer accumulation over one
 common denominator, operator products, the term-by-term hermiticity check,
 the reduced route's integer entries and the energy polynomials' sparse
 recurrence (against the dense one over every entry).  The float blocks and
@@ -119,7 +121,52 @@ def test_mul_fast_paths_match_general_formula(a, b):
     assert_exact(b * a, general_mul(a, b))
 
 
+@settings(max_examples=100, deadline=None)
+@given(rcs, operands)
+def test_sub_fast_paths_match_general_formula(a, b):
+    o = RationalComplex.coerce(b)
+    assert_exact(a - b, RationalComplex(a.re - o.re, a.im - o.im))
+    assert_exact(b - a, RationalComplex(o.re - a.re, o.im - a.im))
+
+
 polys = st.lists(rcs, max_size=7).map(Polynomial.from_coeffs)
+
+
+def coefficientwise(p: Polynomial, q: Polynomial, op) -> tuple[RationalComplex, ...]:
+    """op of the zero-padded coefficients, trailing zeros trimmed."""
+    n = max(len(p.coeffs), len(q.coeffs))
+    out = [op(a, b) for a, b in zip(p.coeffs + (ZERO,) * (n - len(p.coeffs)),
+                                    q.coeffs + (ZERO,) * (n - len(q.coeffs)))]
+    while out and out[-1].is_zero:
+        out.pop()
+    return tuple(out)
+
+
+@st.composite
+def polynomial_pairs(draw):
+    """(p, q), where q often shares p's leading terms or their negatives, so
+    that p - q or p + q cancels them."""
+    p, q = draw(polys), draw(polys)
+    if draw(st.booleans()):
+        shared = draw(st.integers(min_value=0, max_value=len(p.coeffs)))
+        head = p.coeffs[len(p.coeffs) - shared:]
+        if draw(st.booleans()):
+            head = tuple(-c for c in head)
+        low = draw(st.lists(rcs, min_size=len(p.coeffs) - shared, max_size=len(p.coeffs) - shared))
+        q = Polynomial.from_coeffs([*low, *head])
+    return p, q
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomial_pairs())
+def test_polynomial_add_and_sub_are_coefficientwise(pair):
+    p, q = pair
+    for value, op in ((p + q, lambda a, b: a + b), (p - q, lambda a, b: a - b)):
+        assert value.coeffs == coefficientwise(p, q, op)
+        assert all(type(c.re) is Fraction and type(c.im) is Fraction for c in value.coeffs)
+        assert value.degree == len(value.coeffs) - 1
+    assert p - q == p + (-q)
+    assert (p - p).is_zero and (p - p).degree == -1
 
 
 @settings(max_examples=60, deadline=None)
