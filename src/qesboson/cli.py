@@ -35,6 +35,7 @@ from .models import ModelFile, build_shg, parse_model_file, shg_charge
 from .oracle import SpectrumReport, block_spectrum, enumerate_block
 from .reduction import energy_polynomial_table, paper_literal, qes_spectrum
 from .sextic import (
+    _check_grid,
     check_gauge_identity,
     constant_shift_match,
     fd_spectrum,
@@ -353,6 +354,18 @@ def _cmd_sextic(args) -> int:
                 block_levels.max_residual,
             )
         reference = np.array([v.real for v in block_levels.eigenvalues])
+        # above the potential at the box edge the Dirichlet walls, not V, set
+        # a level: refining the grid cannot show that error, so refuse the box
+        _check_grid(args.fd_halfwidth, args.fd_grid)
+        with np.errstate(all="ignore"):  # inf or nan at the edge: fd_spectrum refuses
+            margin = float(pot.grid_potential()(args.fd_halfwidth) - (reference.max() + args.w2))
+        if margin < 0:
+            raise NumericalFailure(
+                f"finite-difference box --fd-halfwidth {args.fd_halfwidth!r} cannot hold block"
+                f" kappa={args.k}: edge margin {margin!r} (grid potential at the edge minus"
+                " the highest block level + w2) is negative; widen --fd-halfwidth",
+                block_levels.max_residual,
+            )
         fd_levels = fd_spectrum(pot, args.fd_halfwidth, args.fd_grid)
         shift, max_dev = constant_shift_match(fd_levels, reference)
         fd_payload = {

@@ -21,8 +21,9 @@ class BlockClosureViolation(QesBosonError):
 class NumericalFailure(QesBosonError):
     """An eigensolve residual exceeded oracle.RESIDUAL_TOL, its
     eigenvectors cannot be represented in double precision (residual inf),
-    the LAPACK solver did not converge (residual nan), or a spectrum that
-    must be real to be compared is not (the solve's residual)."""
+    the LAPACK solver did not converge (residual nan), a spectrum that
+    must be real to be compared is not, or a finite-difference box is too
+    narrow for the block levels it must hold (both: the solve's residual)."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)

@@ -17,7 +17,10 @@ operator.  Both findings are derived per call, not assumed.
 A deliberately simple finite-difference solver (three-point Laplacian,
 Dirichlet box, the lowest levels of the tridiagonal matrix by LAPACK's
 bisection dstebz) provides desk-scale spectra
-for cross-checking the block energies inside the sextic spectrum.
+for cross-checking the block energies inside the sextic spectrum.  Its
+nodes are mirror-symmetric, so an even potential (every sextic one) is
+solved as the direct sum of its even and odd sectors: each level is
+bisected on half the rows.
 """
 
 from __future__ import annotations
@@ -276,6 +279,14 @@ def check_gauge_identity(
     return GaugeIdentityResult(residual=0.0, convention=convention, tried=tried)
 
 
+def _check_grid(halfwidth: float, grid_points: int) -> None:
+    """Raises ValueError unless fd_spectrum can lay out this grid."""
+    if grid_points < 3:
+        raise ValueError("grid_points must be at least 3")
+    if not 0 < halfwidth < math.inf:
+        raise ValueError("halfwidth must be finite and positive")
+
+
 def fd_spectrum(potential, halfwidth: float, grid_points: int) -> np.ndarray:
     """Lowest Dirichlet eigenvalues of -1/2 psi'' + V psi on [-L, L].
 
@@ -286,17 +297,23 @@ def fd_spectrum(potential, halfwidth: float, grid_points: int) -> np.ndarray:
     V(y).  The halfwidth L must be finite and positive.  Raises
     NumericalFailure when a matrix entry does not fit in double precision
     (residual inf) or, with residual NaN, when the solver does not converge.
+
+    The nodes h (i - (N + 1)/2), i = 1..N, are mirror-symmetric.  When the
+    diagonal equals its own reverse, as for any even V, the matrix is the
+    direct sum of the even and odd sectors, and that direct sum is solved:
+    the same N rows with the coupling between the two halves set to 0.  For
+    even N = 2m the two nodes next to the centre get d_m + e (even) and
+    d_m - e (odd) on the diagonal; for odd N the centre node joins the even
+    sector with coupling sqrt(2) e.  Any other V is solved unfolded.
     """
-    if grid_points < 3:
-        raise ValueError("grid_points must be at least 3")
-    if not 0 < halfwidth < math.inf:
-        raise ValueError("halfwidth must be finite and positive")
+    _check_grid(halfwidth, grid_points)
     if isinstance(potential, SexticPotential):
         vfun, levels = potential.grid_potential(), max(5, potential.k + 2)
     else:
         vfun, levels = potential, 5
     h = 2 * halfwidth / (grid_points + 1)
-    nodes = -halfwidth + h * np.arange(1, grid_points + 1)
+    # mirror-symmetric nodes: an even V gives a bit-for-bit symmetric diagonal
+    nodes = h * (np.arange(1, grid_points + 1) - (grid_points + 1) / 2)
     h2 = np.float64(h**2)  # numpy division: 1 / 0 is inf, refused below
     with np.errstate(all="ignore"):
         diag = 1.0 / h2 + np.asarray(vfun(nodes), dtype=float)
@@ -305,6 +322,17 @@ def fd_spectrum(potential, halfwidth: float, grid_points: int) -> np.ndarray:
         raise NumericalFailure(
             f"finite-difference matrix at halfwidth {halfwidth!r} exceeds double range", math.inf
         )
+    if np.array_equal(diag, diag[::-1]):
+        # the direct sum of the even sector (first rows) and the odd sector
+        # (last rows): dstebz splits at the zero and bisects each half alone
+        m = grid_points // 2
+        if grid_points % 2:  # the centre node m joins the even sector
+            off[m - 1] *= math.sqrt(2)
+            off[m] = 0.0
+        else:
+            diag[m - 1] += off[m - 1]
+            diag[m] -= off[m - 1]
+            off[m - 1] = 0.0
     with checked_solve("finite-difference"):
         return lowest_eigenvalues(diag, off, min(levels, grid_points))
 

@@ -311,7 +311,9 @@ class TestSextic:
         [
             # a potential coefficient beyond double range: OverflowError traceback
             [*HUGE_COUPLINGS, "--k", "1", "--fd"],
-            # grid step squared underflows to 0: ZeroDivisionError traceback
+            # grid step squared underflows to 0: ZeroDivisionError traceback;
+            # now refused by the box check before the solve, as is 1e-150,
+            # where stebz did not converge (test_sextic keeps both guards)
             *([*SHG_COUPLINGS, "--k", "3", "--fd", "--fd-halfwidth", w] for w in ("1e-300", "1e-160")),
             # infinite potential samples: scipy's "array must not contain infs"
             [*SHG_COUPLINGS, "--k", "3", "--fd", "--fd-halfwidth", "1e100"],
@@ -329,6 +331,22 @@ class TestSextic:
         code, out, err = run(capsys, "sextic", *argv)
         assert (code, out) == (4, "")
         assert err.startswith("numerical failure: ")
+
+    @pytest.mark.parametrize(
+        ("argv", "margin"),
+        [
+            ([*SHG_COUPLINGS, "--k", "30", "--fd", "--fd-halfwidth", "4"], -42.2),
+            ([*SHG_COUPLINGS, "--k", "200", "--fd"], -1124.0),
+        ],
+        ids=["k30-halfwidth4", "k200"],
+    )
+    def test_box_that_cannot_hold_the_levels_is_refused(self, capsys, argv, margin):
+        # both used to exit 0, with max deviation 2.05 and 5.61
+        code, out, err = run(capsys, "sextic", *argv)
+        assert (code, out) == (4, "")
+        assert err.count("\n") == 1 and err.startswith("numerical failure: finite-difference box")
+        assert err.endswith("is negative; widen --fd-halfwidth\n")
+        assert float(err.split("edge margin ")[1].split()[0]) == pytest.approx(margin, abs=0.1)
 
 
 class TestExitCodes:

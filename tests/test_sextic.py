@@ -25,6 +25,7 @@ from qesboson import (
     shg_charge,
 )
 from qesboson import sextic
+from qesboson._lapack import lowest_eigenvalues
 
 RESOLVED = (1, 1, 1.0)  # (w_sign, exponent_sign, kinetic) the check reports
 
@@ -178,6 +179,15 @@ class TestGaugeIdentity:
             check_gauge_identity(1, 2, 0.5, 0, 1)
 
 
+def unfolded_matrix(potential, halfwidth, grid):
+    """The three-point matrix fd_spectrum builds, before any fold."""
+    v = potential.grid_potential() if isinstance(potential, sextic.SexticPotential) else potential
+    h = 2 * halfwidth / (grid + 1)
+    h2 = np.float64(h**2)
+    diag = 1.0 / h2 + np.asarray(v(h * (np.arange(1, grid + 1) - (grid + 1) / 2)), dtype=float)
+    return diag, np.full(grid - 1, -0.5 / h2)
+
+
 class TestFdSpectrum:
     def test_harmonic_oscillator_levels(self):
         vals = fd_spectrum(lambda y: y**2 / 2, 10.0, 2000)
@@ -199,18 +209,68 @@ class TestFdSpectrum:
         assert np.all(np.diff(vals) > 1e-6)
 
     @pytest.mark.parametrize(
-        "potential",
-        [sextic_potential(1, 2, Fraction(1, 2), Fraction(1, 2), 3), lambda y: y**2 / 2 + y**4],
-        ids=["sextic", "callable"],
+        ("potential", "grid"),
+        [
+            (sextic_potential(1, 2, Fraction(1, 2), Fraction(1, 2), 3), 4000),
+            (lambda y: y**2 / 2 + y**4, 4000),
+            (sextic_potential(1, 2, Fraction(1, 2), Fraction(1, 2), 3), 4001),
+            (lambda y: y**2 / 2 + y**4, 4001),
+        ],
+        ids=["sextic", "callable", "sextic-odd-grid", "callable-odd-grid"],
     )
-    def test_levels_match_the_solve_with_eigenvectors(self, potential):
+    def test_levels_match_the_solve_with_eigenvectors(self, potential, grid):
         # eigenvalues alone skip stein; the levels come from stebz either way
         def with_vectors(diag, off, count):
             return scipy.linalg.eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1))[0]
 
         with patch.object(sextic, "lowest_eigenvalues", with_vectors):
-            reference = fd_spectrum(potential, 6.0, 4000)
-        assert np.array_equal(fd_spectrum(potential, 6.0, 4000), reference)
+            reference = fd_spectrum(potential, 6.0, grid)
+        assert np.array_equal(fd_spectrum(potential, 6.0, grid), reference)
+
+    @pytest.mark.parametrize("grid", [3, 4, 301, 302])
+    @pytest.mark.parametrize(
+        ("potential", "halfwidth"),
+        [(sextic_potential(1, 2, Fraction(1, 2), Fraction(1, 2), 7), 6.0), (lambda y: y**2 / 2, 10.0)],
+        ids=["sextic-k7", "harmonic"],
+    )
+    def test_folded_levels_match_the_dense_unfolded_matrix(self, potential, halfwidth, grid):
+        # an even V is solved as the direct sum of its even and odd sectors;
+        # at k = 7 the near-degenerate doublet 4.2097 / 4.2104 is split
+        # between them
+        diag, off = unfolded_matrix(potential, halfwidth, grid)
+        dense = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        solved = []
+
+        def recording(d, e, count):
+            solved.append((d, e))
+            return lowest_eigenvalues(d, e, count)
+
+        with patch.object(sextic, "lowest_eigenvalues", recording):
+            levels = fd_spectrum(potential, halfwidth, grid)
+        (folded_diag, folded_off), = solved
+        split = grid // 2 - (grid % 2 == 0)  # the coupling between the sectors
+        assert folded_off[split] == 0.0 and np.count_nonzero(folded_off) == grid - 2
+        np.testing.assert_allclose(levels, dense[: levels.size], rtol=0, atol=1e-14 * np.abs(dense).max())
+        if grid > 300 and isinstance(potential, sextic.SexticPotential):
+            even = lowest_eigenvalues(folded_diag[: split + 1], folded_off[:split], 2)
+            assert levels[1] - levels[0] < 1e-3
+            assert even[0] == pytest.approx(levels[0], rel=1e-12) and even[1] > levels[1] + 1
+
+    def test_asymmetric_potential_is_solved_unfolded(self):
+        def cubic(y):
+            return y**2 / 2 + y**3 / 10
+
+        diag, off = unfolded_matrix(cubic, 6.0, 4000)
+        assert np.array_equal(fd_spectrum(cubic, 6.0, 4000), lowest_eigenvalues(diag, off, 5))
+
+    def test_matrix_guards_hold_below_the_box_check(self):
+        # the CLI refuses these boxes before the solve; the solver keeps its own guards
+        pot = sextic_potential(1, 2, Fraction(1, 2), Fraction(1, 2), 3)
+        for halfwidth in (1e-300, 1e-160, 1e100):
+            with pytest.raises(NumericalFailure, match="exceeds double range"):
+                fd_spectrum(pot, halfwidth, 4000)
+        with pytest.raises(NumericalFailure, match="finite-difference eigensolve failed"):
+            fd_spectrum(pot, 1e-150, 4000)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
