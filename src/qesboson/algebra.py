@@ -272,9 +272,22 @@ def conserves(h: OperatorPolynomial, charge: ConservedCharge) -> bool:
     """True iff every term of h has vanishing charge weight.
 
     Equivalent to commutator(charge_operator(charge), h) being the zero
-    polynomial, but decided term by term without any reordering.
+    polynomial, but decided term by term without any reordering; that
+    commutator itself is _charge_commutator(h, charge).
     """
     return all(charge_weight(charge, *key) == 0 for key, _ in h.items())
+
+
+def _charge_commutator(h: OperatorPolynomial, charge: ConservedCharge) -> OperatorPolynomial:
+    """[K, h] for K = s*N1 + p*N2, equal to commutator(charge_operator(charge), h).
+
+    [N1, t] = (m1 - m2) t and [N2, t] = (m3 - m4) t for every normal-ordered
+    term t, so [K, h] is each term of h times its charge weight, formed
+    without any operator product; the terms that conserve the charge drop out.
+    """
+    return OperatorPolynomial(
+        {key: coeff * charge_weight(charge, *key) for key, coeff in h.items()}
+    )
 
 
 PAIR_LIMIT = 12  # the largest weight s or p that conserving_pairs tries

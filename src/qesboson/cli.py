@@ -19,8 +19,7 @@ import numpy as np
 
 from .algebra import (
     OperatorPolynomial,
-    charge_operator,
-    commutator,
+    _charge_commutator,
     conserves,
     conserving_pairs,
     is_hermitian,
@@ -214,7 +213,7 @@ def _cmd_check(args) -> int:
     pairs = conserving_pairs(h)
     comm = None
     if not ok:
-        comm = str(commutator(charge_operator(model.charge), h))
+        comm = str(_charge_commutator(h, model.charge))
     if args.output == "json":
         _dump_json(
             {
@@ -367,7 +366,14 @@ def _cmd_sextic(args) -> int:
                 block_levels.max_residual,
             )
         fd_levels = fd_spectrum(pot, args.fd_halfwidth, args.fd_grid)
-        shift, max_dev = constant_shift_match(fd_levels, reference)
+        if len(reference) == 1:
+            # one level fixes no shift (any anchor matches it exactly): report
+            # the exact gauge shift w2 and the level's distance from the FD
+            # spectrum under it
+            shift = args.w2
+            max_dev = float(np.abs(fd_levels - (reference[0] + args.w2)).min())
+        else:
+            shift, max_dev = constant_shift_match(fd_levels, reference)
         fd_payload = {
             "block_levels": [float(v) for v in reference],
             "fd_levels": [float(v) for v in fd_levels],

@@ -34,10 +34,12 @@ of h) times two integer falling factorials, band by band: each band's
 numerators come from one pass over the degrees (algebra._block_bands, the
 oracle's own band assembly, read over the block's states in degree order).
 The dense float matrix and the Jacobi data are formed straight from those
-integers, each float by one correctly rounded integer division, and the
-exact RationalComplex entries are built only when asked for
-(ReducedBlock.entries, the energy polynomials, whose recurrence reads only
-the nonzero band of the block).
+integers, each float by one correctly rounded integer division.  The
+energy polynomials are too: their recurrence runs fraction-free on the
+nonzero numerators, in Gaussian integers, and forms each coefficient's
+reduced Fractions once, at the end (energy_polynomial_table).  The exact
+RationalComplex entries (ReducedBlock.entries) are built only when asked
+for, and only the tests ask.
 
 Closure is conservation, as on the oracle route: ReducedOperator, which
 matrix_element_reduction builds, refuses terms that do not conserve the
@@ -82,7 +84,6 @@ from .errors import (
     ZeroVector,
 )
 from .exact import (
-    ONE,
     ZERO,
     Polynomial,
     Rationalish,
@@ -209,7 +210,8 @@ class ReducedBlock:
     """Finite single-variable block: admissible degrees and the nonzero
     entries (row, col) -> (re, im) as integer numerators over one common
     denominator.  entries (exact RationalComplex values) and matrix (dense
-    float form, straight from the integers) are built on first use."""
+    float form, straight from the integers) are built on first use; every
+    package path reads the numerators, so entries has only test callers."""
 
     kappa: int
     degrees: tuple[int, ...]
@@ -436,13 +438,24 @@ def energy_polynomial_table(
     BandStructureUnsupported otherwise, in which case the characteristic
     polynomial of the reduced block is the fallback.  Only the nonzero
     entries of each row enter the recurrence.
+
+    The recurrence runs fraction-free on the block's integer numerators
+    a_mj = A[m][j] * D (block.numerators over block.denominator D), with
+    u_m = a_{m,m+1} and U_m = u_0 ... u_{m-1}: Q_m = U_m P_m has
+    Gaussian-integer coefficients,
+
+        Q_{m+1} = D E Q_m - sum_{j<=m} a_mj (u_j ... u_{m-1}) Q_j,
+
+    and the terminating member is P_d = Q_d / (D U_{d-1}).  Each
+    coefficient becomes its two reduced Fractions once, when Q_m is divided
+    by its scale, so no gcd is taken inside the recurrence.
     """
     block = reduced_block_matrix(h, charge, kappa)
     d = block.dimension
-    # nonzero entries of each recurrence row: reverse the degree order
+    # nonzero numerators of each recurrence row: reverse the degree order
     # (slaved occupation ascending) and transpose
-    rows: list[dict[int, RationalComplex]] = [{} for _ in range(d)]
-    for (i, j), value in block.entries.items():
+    rows: list[dict[int, tuple[int, int]]] = [{} for _ in range(d)]
+    for (i, j), value in block.numerators.items():
         rows[d - 1 - j][d - 1 - i] = value
     for m, row in enumerate(rows):
         above = [mp for mp in row if mp > m + 1]
@@ -455,14 +468,55 @@ def energy_polynomial_table(
             raise BandStructureUnsupported(
                 f"superdiagonal entry ({m},{m + 1}) vanishes"
             )
-    polys = [Polynomial.one()]
+    denom = block.denominator
+    upper = [rows[m][m + 1] for m in range(d - 1)]
+    qs = [([1], [0])]  # Q_m as (real, imaginary) integer coefficients, ascending
     for m, row in enumerate(rows):
-        acc = polys[m].shifted()  # E * P_m
-        for j, value in sorted(row.items()):
-            if j <= m:
-                acc = acc - polys[j] * value
-        polys.append(acc if m == d - 1 else acc * (ONE / row[m + 1]))
-    return EnergyPolynomialTable(kappa=kappa, polys=tuple(polys), block=block)
+        re, im = qs[m]
+        acc_re, acc_im = [0, *(denom * c for c in re)], [0, *(denom * c for c in im)]
+        wr, wi = 1, 0  # u_j ... u_{m-1}
+        for j in range(m, min(row, default=m) - 1, -1):
+            if j < m:
+                ur, ui = upper[j]
+                wr, wi = wr * ur - wi * ui, wr * ui + wi * ur
+            if j in row:
+                ar, ai = row[j]
+                _subtract_multiple(acc_re, acc_im, ar * wr - ai * wi, ar * wi + ai * wr, *qs[j])
+        qs.append((acc_re, acc_im))
+    scales = [(1, 0)]  # U_m, then D U_{d-1} for the terminating member
+    for ur, ui in upper:
+        sr, si = scales[-1]
+        scales.append((sr * ur - si * ui, sr * ui + si * ur))
+    if d:
+        sr, si = scales[-1]
+        scales.append((denom * sr, denom * si))
+    polys = tuple(_divided(*q, *scale) for q, scale in zip(qs, scales))
+    return EnergyPolynomialTable(kappa=kappa, polys=polys, block=block)
+
+
+def _subtract_multiple(
+    acc_re: list[int], acc_im: list[int], cr: int, ci: int, re: list[int], im: list[int]
+) -> None:
+    """acc -= (cr + i*ci) * (re + i*im) in place, coefficient by
+    coefficient over the length of re."""
+    n = len(re)
+    acc_re[:n] = [a - cr * x + ci * y for a, x, y in zip(acc_re, re, im)]
+    acc_im[:n] = [a - cr * y - ci * x for a, x, y in zip(acc_im, re, im)]
+
+
+def _divided(re: list[int], im: list[int], sr: int, si: int) -> Polynomial:
+    """The polynomial with coefficients (re + i*im) / (sr + i*si), each
+    part one reduced Fraction; a complex scale is divided by multiplying
+    with its conjugate over its squared modulus."""
+    if si:
+        re, im, sr = (
+            [x * sr + y * si for x, y in zip(re, im)],
+            [y * sr - x * si for x, y in zip(re, im)],
+            sr * sr + si * si,
+        )
+    return Polynomial.from_coeffs(
+        RationalComplex(Fraction(x, sr), Fraction(y, sr)) for x, y in zip(re, im)
+    )
 
 
 def reduced_eigensystem(

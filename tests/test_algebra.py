@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     ladder_chain_apply,
@@ -30,6 +32,7 @@ from qesboson import (
     monomial_product,
     number,
 )
+from qesboson.algebra import _charge_commutator
 
 
 def mono(coeff, m1, m2, m3, m4) -> BosonMonomial:
@@ -113,6 +116,26 @@ class TestCommutators:
                 for m in h.monomials()
             )
             assert commutator(k, h) == expected
+
+
+fractions = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+coefficients = st.builds(RationalComplex, fractions, fractions | st.just(Fraction(0)))
+operators = st.dictionaries(
+    st.tuples(*(st.integers(0, 3) for _ in range(4))), coefficients, max_size=6
+).map(OperatorPolynomial)
+charges = st.builds(ConservedCharge, st.integers(1, 6), st.integers(1, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(h=operators, charge=charges)
+def test_charge_commutator_is_the_operator_commutator(h, charge):
+    # [K, h] from the charge weights alone is the normal-ordered product
+    # difference K h - h K, term for term and in its printed form
+    expected = commutator(charge_operator(charge), h)
+    got = _charge_commutator(h, charge)
+    assert got == expected
+    assert str(got) == str(expected)
+    assert got.is_zero == conserves(h, charge)
 
 
 class TestConservation:

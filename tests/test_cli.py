@@ -24,6 +24,26 @@ SEXTIC_GOLDEN = {
                 "--kbre", "0.5", "--kbim", "-0.25", "--k", "2"],
     "w0": ["--w1", "0", "--w2", "0", "--kre", "0", "--kbre", "1", "--k", "0"],  # W(y) = 0
 }
+# model files written by the polys and check golden tests: complex couplings on
+# both off-diagonals, and a model whose terms have charge weights 0, 1, 4 and -1
+COMPLEX_MODEL = (
+    "# qesb v1\ncharge 1 2\nterm 2 1/3 0 0 1 1\nterm 1/2 1/5 0 2 1 0\n"
+    "term 1 0 1 1 0 0\nterm 1/3 -1/7 2 0 0 1\n"
+)
+NON_CONSERVING_MODEL = (
+    "# qesb v1\ncharge 1 2\nterm 2 0 1 1 0 0\nterm 1/2 1/3 2 0 0 1\n"
+    "term 1/2 -1/3 0 2 1 0\nterm 3/4 0 1 0 0 0\nterm -5/6 1/7 0 0 2 0\n"
+    "term 1/9 -2 0 3 1 0\n"
+)
+# polys requests whose output tests/golden/polys_<name>.{txt,json} pins byte for
+# byte; a model of None is the complex one above
+POLYS_GOLDEN = {
+    "shg_k40": (SHG, ["--kappa", "40"]),
+    "trilinear3_k40_literal": (
+        str(SAMPLE_DIR / "trilinear3.qesb"), ["--kappa", "40", "--mode", "paper-literal"]
+    ),
+    "complex_k20": (None, ["--kappa", "20"]),
+}
 
 
 def run(capsys, *argv):
@@ -65,6 +85,16 @@ class TestCheck:
         for s in range(1, 13):
             for p in range(1, 13):
                 assert f"({s},{p})" in out
+
+
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_non_conserving_golden_output(self, capsys, tmp_path, output):
+        path = tmp_path / "nonconserving.qesb"
+        path.write_text(NON_CONSERVING_MODEL)
+        code, out, err = run(capsys, "check", str(path), "--output", output)
+        assert (code, err) == (3, "")
+        suffix = "txt" if output == "text" else "json"
+        assert out == (GOLDEN / f"check_nonconserving.{suffix}").read_text(encoding="utf-8")
 
 
 class TestSpectrum:
@@ -181,6 +211,19 @@ class TestPolys:
         assert "P_1(E) = -4 + E" in out
 
 
+    @pytest.mark.parametrize("output", ["text", "json"])
+    @pytest.mark.parametrize("name", sorted(POLYS_GOLDEN))
+    def test_golden_output(self, capsys, tmp_path, name, output):
+        model, argv = POLYS_GOLDEN[name]
+        if model is None:
+            model = tmp_path / "complex.qesb"
+            model.write_text(COMPLEX_MODEL)
+        code, out, err = run(capsys, "polys", str(model), *argv, "--output", output)
+        assert (code, err) == (0, "")
+        suffix = "txt" if output == "text" else "json"
+        assert out == (GOLDEN / f"polys_{name}.{suffix}").read_text(encoding="utf-8")
+
+
 class TestSextic:
     def test_reference_coefficients(self, capsys):
         code, out, _ = run(
@@ -249,6 +292,26 @@ class TestSextic:
             f"fd levels: {fd['fd_levels']}\n"
             f"fd shift estimate: {fd['shift']!r} max deviation: {fd['max_deviation']!r}\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv,bound",
+        [
+            (SEXTIC_GOLDEN["w0"], None),  # the particle in a box: FD ground state 0.034
+            ([*SHG_COUPLINGS, "--k", "1"], 1e-4),  # level 1 + w2 is the second FD level
+        ],
+    )
+    def test_one_level_fd_match_uses_the_gauge_shift(self, capsys, argv, bound):
+        # one block level fixes no shift (anchored on any FD level it matches
+        # exactly), so the shift is the exact gauge shift w2 and the deviation
+        # is that level's distance from the FD spectrum under it
+        code, out, err = run(capsys, "sextic", *argv, "--fd", "--fd-grid", "2000", "--output", "json")
+        assert (code, err) == (0, "")
+        fd = json.loads(out)["fd"]
+        w2 = float(argv[argv.index("--w2") + 1])
+        (level,) = fd["block_levels"]
+        assert fd["shift"] == w2
+        assert fd["max_deviation"] == min(abs(e - (level + w2)) for e in fd["fd_levels"])
+        assert fd["max_deviation"] > 0.03 if bound is None else fd["max_deviation"] <= bound
 
     @pytest.mark.parametrize("flag", ["--w1", "--w2", "--kre", "--kim", "--kbre", "--kbim"])
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])

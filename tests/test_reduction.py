@@ -5,6 +5,8 @@ from math import factorial, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_conserving_hamiltonian, spectral_deviation
 from qesboson import (
@@ -325,6 +327,58 @@ class TestEnergyPolynomialTable:
             BandStructureUnsupported, match=r"^superdiagonal entry \(0,1\) vanishes$"
         ):
             energy_polynomial_table(h, shg_charge(), 4)
+
+
+fractions = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+nonzero_fractions = fractions.filter(bool)
+real_coefficients = st.builds(RationalComplex, fractions)
+coefficients = real_coefficients | st.builds(RationalComplex, fractions, nonzero_fractions)
+nonzero_coefficients = st.builds(RationalComplex, nonzero_fractions) | st.builds(
+    RationalComplex, fractions, nonzero_fractions
+)
+
+
+@st.composite
+def recurrence_models(draw):
+    """A conserving n-th harmonic model (n = 2 or 3) whose recurrence has one
+    nonvanishing superdiagonal: both couplings are nonzero, real or complex,
+    so the superdiagonal is complex whenever its coupling is.  Some models
+    get a weight-zero a1+ a1 a2+ a2 term, and some one or two terms
+    (a1+)^(k n) (a2)^k, k = 2 or 3, which put bands k below the recurrence
+    diagonal (a lower-Hessenberg recurrence)."""
+    order = draw(st.sampled_from((2, 3)))
+    h = build_nth_harmonic(
+        draw(coefficients), draw(coefficients),
+        draw(nonzero_coefficients), draw(nonzero_coefficients), order,
+    )
+    if draw(st.booleans()):
+        h = h + monomial(draw(coefficients), 1, 1, 1, 1)
+    for k in draw(st.lists(st.sampled_from((2, 3)), max_size=2, unique=True)):
+        h = h + monomial(draw(nonzero_coefficients), k * order, 0, 0, k)
+    return h, ConservedCharge(1, order), draw(st.integers(0, 30))
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=recurrence_models())
+def test_energy_polynomials_satisfy_every_recurrence_row(model):
+    # row m of the recurrence matrix A[d-1-j][d-1-i] = R[i, j], exactly in
+    # RationalComplex on the block's own entries:
+    # E P_m - sum_{j<=m} A[m][j] P_j = A[m][m+1] P_{m+1}, and P_d on the last row
+    h, charge, kappa = model
+    table = energy_polynomial_table(h, charge, kappa)
+    d = table.dimension
+    a = {(d - 1 - j, d - 1 - i): value for (i, j), value in table.block.entries.items()}
+    polys = table.polys
+    assert len(polys) == d + 1 and polys[0] == Polynomial.one()
+    assert [poly.degree for poly in polys] == list(range(d + 1))
+    for m in range(d):
+        lhs = polys[m].shifted()
+        for j in range(m + 1):
+            if (m, j) in a:
+                lhs = lhs - polys[j] * a[(m, j)]
+        rhs = polys[d] if m == d - 1 else polys[m + 1] * a[(m, m + 1)]
+        assert lhs == rhs
+    assert table.termination == polys[d]
 
 
 class TestQesSpectrum:
