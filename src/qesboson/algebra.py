@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from math import comb, factorial, perm
+from math import comb, factorial, gcd, perm
 from operator import or_
 from typing import Iterable, Mapping, Sequence
 
@@ -58,8 +58,6 @@ class ConservedCharge:
     def __post_init__(self) -> None:
         if self.s < 1 or self.p < 1:
             raise ValueError(f"charge weights must be positive, got ({self.s}, {self.p})")
-        from math import gcd
-
         g = gcd(self.s, self.p)
         if g > 1:
             object.__setattr__(self, "s", self.s // g)
@@ -294,13 +292,26 @@ PAIR_LIMIT = 12  # the largest weight s or p that conserving_pairs tries
 
 
 def conserving_pairs(h: OperatorPolynomial) -> list[tuple[int, int]]:
-    """All raw (s, p) with 1 <= s, p <= PAIR_LIMIT under which h conserves."""
-    out = []
-    for s in range(1, PAIR_LIMIT + 1):
-        for p in range(1, PAIR_LIMIT + 1):
-            if all(s * (k[0] - k[1]) + p * (k[2] - k[3]) == 0 for k, _ in h.items()):
-                out.append((s, p))
-    return out
+    """All raw (s, p) with 1 <= s, p <= PAIR_LIMIT under which h conserves,
+    s ascending.
+
+    A term of shift (d1, d2) = (m1 - m2, m3 - m4) conserves s*N1 + p*N2 iff
+    s*d1 + p*d2 = 0.  With no nonzero shift every pair conserves.  Otherwise
+    any one nonzero shift admits no pair unless d1 and d2 have opposite
+    signs, and then only the multiples of s : p = |d2| : |d1| in lowest
+    terms, which every other shift is checked against once.
+    """
+    shifts = {(m1 - m2, m3 - m4) for (m1, m2, m3, m4), _ in h.items()} - {(0, 0)}
+    if not shifts:
+        return [(s, p) for s in range(1, PAIR_LIMIT + 1) for p in range(1, PAIR_LIMIT + 1)]
+    d1, d2 = next(iter(shifts))
+    if d1 * d2 >= 0:
+        return []
+    g = gcd(d1, d2)
+    s, p = abs(d2) // g, abs(d1) // g
+    if any(s * e1 + p * e2 for e1, e2 in shifts):
+        return []
+    return [(k * s, k * p) for k in range(1, PAIR_LIMIT // max(s, p) + 1)]
 
 
 def is_hermitian(h: OperatorPolynomial) -> bool:
@@ -321,9 +332,9 @@ def is_hermitian(h: OperatorPolynomial) -> bool:
 class FockAmplitude:
     """Exact amplitude coeff * sqrt(radicand).
 
-    Ladder amplitudes between |src> and |tgt> all share the radicand
-    tgt_factorials / src_factorials (in lowest terms), so sums of
-    contributions to one target state stay in this closed form and compare
+    Every ladder amplitude from |src> to |tgt> has the radicand
+    tgt_factorials / src_factorials (in lowest terms), so apply_to_fock sums
+    the contributions to one target in coeff alone, and amplitudes compare
     exactly.
     """
 
@@ -333,27 +344,6 @@ class FockAmplitude:
     @property
     def is_zero(self) -> bool:
         return self.coeff.is_zero
-
-    def __add__(self, other: "FockAmplitude") -> "FockAmplitude":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        if self.radicand != other.radicand:
-            raise ValueError("cannot add amplitudes with different radicands")
-        return FockAmplitude(self.coeff + other.coeff, self.radicand)
-
-    def __mul__(self, other) -> "FockAmplitude":
-        if isinstance(other, FockAmplitude):
-            return FockAmplitude(
-                self.coeff * other.coeff, self.radicand * other.radicand
-            )
-        return FockAmplitude(self.coeff * RationalComplex.coerce(other), self.radicand)
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "FockAmplitude":
-        return FockAmplitude(self.coeff.conjugate(), self.radicand)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FockAmplitude):

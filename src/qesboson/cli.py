@@ -3,7 +3,8 @@
 Exit codes are a stable contract: 0 success, 1 usage error, 2 model file
 unreadable as UTF-8 text or unparsable, 3 declared charge not conserved
 (NonConservingHamiltonian, which each block route raises before it reads
-kappa), 4 numerical failure or tolerance exceeded.  Output is
+kappa), 4 numerical failure or tolerance exceeded; a closed output pipe
+(the reader of stdout has gone) ends with exit 1 and no traceback.  Output is
 deterministic: fixed key order, fixed sort orders, floats serialized with
 full double precision.
 """
@@ -12,12 +13,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .algebra import (
+    PAIR_LIMIT,
     OperatorPolynomial,
     _charge_commutator,
     conserves,
@@ -231,7 +234,7 @@ def _cmd_check(args) -> int:
         print(f"conserves: {yn} ({model.charge.s},{model.charge.p})")
         print(f"hermitian: {'yes' if herm else 'no'}")
         charges = " ".join(f"({s},{p})" for s, p in pairs)
-        print(f"conserving charges (s,p <= 12): {charges if charges else 'none'}")
+        print(f"conserving charges (s,p <= {PAIR_LIMIT}): {charges if charges else 'none'}")
         if comm is not None:
             print(f"[K,H] = {comm}")
     return 0 if ok else 3
@@ -434,7 +437,16 @@ def main(argv: list[str] | None = None) -> int:
             "polys": _cmd_polys,
             "sextic": _cmd_sextic,
         }[args.command]
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: point it at /dev/null so that the
+        # interpreter's final flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (_UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,4 @@
-"""Exact scalar and polynomial arithmetic used throughout the package.
+"""Exact scalars and polynomials used throughout the package.
 
 All algebraic identities (conservation, hermiticity, vanishing commutators,
 recurrence coefficients) are checked in exact rational arithmetic; floating
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 from math import lcm
 from typing import Iterable, Union
 
@@ -140,7 +139,8 @@ def integer_numerators(
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Univariate polynomial with RationalComplex coefficients (ascending)."""
+    """Univariate polynomial with RationalComplex coefficients (ascending):
+    a value built by from_coeffs and read through degree, is_zero and render."""
 
     coeffs: tuple[RationalComplex, ...] = ()
 
@@ -151,10 +151,6 @@ class Polynomial:
             coeffs.pop()
         return Polynomial(tuple(coeffs))
 
-    @staticmethod
-    def one() -> "Polynomial":
-        return Polynomial.from_coeffs([1])
-
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial assigned -1."""
@@ -164,17 +160,7 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=ZERO)
-        return Polynomial.from_coeffs(a + b for a, b in pairs)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=ZERO)
-        return Polynomial.from_coeffs(a - b for a, b in pairs)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
-
+    # __mul__ and __call__ have no package caller; perfbench/spans.py counts them
     def __mul__(self, other: Union["Polynomial", Rationalish]) -> "Polynomial":
         if not isinstance(other, Polynomial):
             s = RationalComplex.coerce(other)
@@ -184,15 +170,6 @@ class Polynomial:
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
         return Polynomial.from_coeffs(out)
-
-    def __rmul__(self, other: Rationalish) -> "Polynomial":
-        return self * other
-
-    def shifted(self) -> "Polynomial":
-        """Multiply by the variable (degree raised by one)."""
-        if self.is_zero:
-            return self
-        return Polynomial((ZERO,) + self.coeffs)
 
     def __call__(self, value: Rationalish) -> RationalComplex:
         """Exact Horner evaluation."""

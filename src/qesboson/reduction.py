@@ -37,9 +37,7 @@ The dense float matrix and the Jacobi data are formed straight from those
 integers, each float by one correctly rounded integer division.  The
 energy polynomials are too: their recurrence runs fraction-free on the
 nonzero numerators, in Gaussian integers, and forms each coefficient's
-reduced Fractions once, at the end (energy_polynomial_table).  The exact
-RationalComplex entries (ReducedBlock.entries) are built only when asked
-for, and only the tests ask.
+reduced Fractions once, at the end (energy_polynomial_table).
 
 Closure is conservation, as on the oracle route: ReducedOperator, which
 matrix_element_reduction builds, refuses terms that do not conserve the
@@ -83,12 +81,7 @@ from .errors import (
     NumericalFailure,
     ZeroVector,
 )
-from .exact import (
-    ZERO,
-    Polynomial,
-    Rationalish,
-    RationalComplex,
-)
+from .exact import Polynomial, Rationalish, RationalComplex
 from .oracle import (
     SpectrumReport,
     _block_run,
@@ -209,9 +202,8 @@ def _unrepresentable() -> NumericalFailure:
 class ReducedBlock:
     """Finite single-variable block: admissible degrees and the nonzero
     entries (row, col) -> (re, im) as integer numerators over one common
-    denominator.  entries (exact RationalComplex values) and matrix (dense
-    float form, straight from the integers) are built on first use; every
-    package path reads the numerators, so entries has only test callers."""
+    denominator.  matrix (dense float form, straight from the integers) is
+    built on first use."""
 
     kappa: int
     degrees: tuple[int, ...]
@@ -221,14 +213,6 @@ class ReducedBlock:
     @property
     def dimension(self) -> int:
         return len(self.degrees)
-
-    @cached_property
-    def entries(self) -> dict[tuple[int, int], RationalComplex]:
-        d = self.denominator
-        return {
-            k: RationalComplex(Fraction(re, d), Fraction(im, d))
-            for k, (re, im) in self.numerators.items()
-        }
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -622,27 +606,6 @@ class OdeCoefficients:
     c1: Polynomial
     c0: Polynomial
     k: int
-
-    def recurrence_exact(self, dim: int) -> tuple[tuple[RationalComplex, ...], ...]:
-        """Exact matrix B of the coefficient recurrence on z^0 .. z^(dim-1).
-
-        Row m collects the coefficient of z^m after inserting a power
-        series, so B is the transpose of the energy-polynomial recurrence
-        matrix of the same block and shares its spectrum.
-        """
-        b = [[ZERO] * dim for _ in range(dim)]
-        for m in range(dim):
-            if 1 <= m and m - 1 < dim:
-                b[m][m - 1] = b[m][m - 1] + self.c3 * ((m - 1) * (m - 2))
-            for r, f in enumerate(self.c1.coeffs):
-                j = m + 1 - r
-                if 0 <= j < dim:
-                    b[m][j] = b[m][j] + f * j
-            for r, g in enumerate(self.c0.coeffs):
-                j = m - r
-                if 0 <= j < dim:
-                    b[m][j] = b[m][j] + g
-        return tuple(tuple(row) for row in b)
 
 
 def shg_ode(

@@ -36,6 +36,16 @@ def spectral_deviation(a, b) -> float:
     return float(cost[rows, cols].max())
 
 
+def exact_entries(block) -> dict[tuple[int, int], RationalComplex]:
+    """A reduced block's nonzero entries as exact values: each integer
+    numerator pair (re, im) over the block's common denominator."""
+    d = block.denominator
+    return {
+        k: RationalComplex(Fraction(re, d), Fraction(im, d))
+        for k, (re, im) in block.numerators.items()
+    }
+
+
 def random_rational(rng: random.Random, span: int = 3, den: int = 4) -> Fraction:
     return Fraction(rng.randint(-span * den, span * den), den)
 

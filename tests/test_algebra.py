@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -25,6 +25,7 @@ from qesboson import (
     charge_weight,
     commutator,
     conserves,
+    conserving_pairs,
     create,
     identity,
     is_hermitian,
@@ -32,7 +33,8 @@ from qesboson import (
     monomial_product,
     number,
 )
-from qesboson.algebra import _charge_commutator
+from qesboson.algebra import PAIR_LIMIT, _charge_commutator
+from qesboson.exact import ZERO
 
 
 def mono(coeff, m1, m2, m3, m4) -> BosonMonomial:
@@ -138,6 +140,52 @@ def test_charge_commutator_is_the_operator_commutator(h, charge):
     assert got.is_zero == conserves(h, charge)
 
 
+def reference_pairs(h: OperatorPolynomial) -> list[tuple[int, int]]:
+    """The 144-pair loop: every (s, p) with 1 <= s, p <= PAIR_LIMIT, in that
+    order, kept when s (m1 - m2) + p (m3 - m4) vanishes on every term."""
+    return [
+        (s, p)
+        for s in range(1, PAIR_LIMIT + 1)
+        for p in range(1, PAIR_LIMIT + 1)
+        if all(s * (k[0] - k[1]) + p * (k[2] - k[3]) == 0 for k, _ in h.items())
+    ]
+
+
+exponent_keys = st.tuples(*(st.integers(0, 3) for _ in range(4)))
+
+
+def unit_terms(keys) -> OperatorPolynomial:
+    """The sum of the terms with these exponents, each with coefficient 1:
+    which pairs conserve depends on the exponents alone."""
+    return OperatorPolynomial(dict.fromkeys(keys, RationalComplex(Fraction(1))))
+
+
+@st.composite
+def shift_models(draw):
+    """Operators whose terms mostly share one ratio of shifts: terms of shift
+    k (p, -s) for one drawn s, p <= PAIR_LIMIT + 1 and k in -2..2, k = 0
+    being a weight-zero term, and sometimes terms of any shift."""
+    s, p = draw(st.integers(1, PAIR_LIMIT + 1)), draw(st.integers(1, PAIR_LIMIT + 1))
+    keys = []
+    for k in draw(st.lists(st.integers(-2, 2), max_size=4)):
+        b1, b2 = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        d1, d2 = k * p, -k * s
+        keys.append((max(d1, 0) + b1, max(-d1, 0) + b1, max(d2, 0) + b2, max(-d2, 0) + b2))
+    return unit_terms(keys + draw(st.lists(exponent_keys, max_size=2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=st.one_of(st.lists(exponent_keys, max_size=6).map(unit_terms), shift_models()))
+@example(h=number(1) + number(2) + identity(3))  # all 144 pairs
+@example(h=monomial(1, 1, 0, 1, 0))  # shift (1, 1): same signs
+@example(h=monomial(1, 0, 2, 0, 0))  # shift (-2, 0): one zero component
+@example(h=monomial(1, 6, 0, 0, 1) + number(1))  # shift (6, -1): (1, 6) and (2, 12)
+@example(h=build_shg(1, 2, 1, 1) + monomial(1, 3, 0, 0, 1))  # ratios 1:2 and 1:3
+@example(h=OperatorPolynomial())
+def test_conserving_pairs_match_the_full_loop(h):
+    assert conserving_pairs(h) == reference_pairs(h)
+
+
 class TestConservation:
     def test_shg_conserves_1_2(self, shg):
         h, charge = shg
@@ -236,13 +284,19 @@ class TestFockAction:
             q = OperatorPolynomial.from_monomials([random_monomial(rng)])
             state = FockState(rng.randint(0, 6), rng.randint(0, 6))
             combined = apply_to_fock(p * q, state)
+            # coeff and radicand of every path into one target: the
+            # radicands of a path's two hops multiply, and all paths into
+            # one target share the radicand
             chained = {}
             for middle, amp in apply_to_fock(q, state).items():
                 for target, hop in apply_to_fock(p, middle).items():
-                    contrib = hop * amp
-                    prev = chained.get(target)
-                    chained[target] = contrib if prev is None else prev + contrib
-            assert combined == {t: a for t, a in chained.items() if not a.is_zero}
+                    radicand = hop.radicand * amp.radicand
+                    coeff, prev_radicand = chained.get(target, (ZERO, radicand))
+                    assert prev_radicand == radicand
+                    chained[target] = (coeff + hop.coeff * amp.coeff, radicand)
+            assert combined == {
+                t: FockAmplitude(c, r) for t, (c, r) in chained.items() if not c.is_zero
+            }
 
 
 class TestChargeNormalization:
@@ -257,12 +311,3 @@ class TestChargeNormalization:
     def test_negative_occupation_rejected(self):
         with pytest.raises(ValueError):
             FockState(-1, 0)
-
-
-def test_fock_amplitude_addition_rules():
-    one_half = FockAmplitude(RationalComplex.coerce(1), Fraction(1, 2))
-    assert complex(one_half + one_half) == pytest.approx(2**0.5)
-    with pytest.raises(ValueError):
-        one_half + FockAmplitude(RationalComplex.coerce(1), Fraction(1, 3))
-    zero = FockAmplitude(RationalComplex.coerce(0), Fraction(1, 5))
-    assert zero + one_half == one_half

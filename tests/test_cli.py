@@ -548,6 +548,35 @@ def test_stdout_independent_of_blas_threads(model, kappa):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("argv", [
+    # 7 KB of JSON, which fit the 8 KB stdout buffer: the pipe sees them
+    # only when stdout is flushed
+    ["spectrum", SHG, "--kappa", "100", "--method", "both"],
+    # 22 KB of CSV, which a print writes while the command runs
+    ["scan", SHG, "--kappa-max", "40"],
+    # 122 bytes, which stay buffered after the failed flush: the
+    # interpreter's exit flush passes only with stdout on /dev/null
+    ["check", SHG],
+])
+def test_closed_stdout_pipe_exits_1_without_traceback(argv):
+    """A stdout pipe whose reader has gone (its read end is closed before
+    the command starts) ends the command with exit 1 and nothing on stderr."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    # stdout block-buffered, as it is on a pipe by default
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qesboson.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
 # a coupling at 1.5e308: single, or with its adjoint (a Hermitian pair);
 # some block entry of each case overflows a double on both routes
 HUGE_MODELS = {

@@ -51,13 +51,12 @@ def test_integer_numerators_of_nothing():
     assert integer_numerators([]) == ([], 1)
 
 
-def test_polynomial_ops_and_eval():
+def test_polynomial_product_and_eval():
     p = Polynomial.from_coeffs([1, -2, 1])  # (E-1)^2
     q = Polynomial.from_coeffs([-1, 1])
-    assert q * q == p + Polynomial.from_coeffs([0, 0, 0])
+    assert q * q == p
     assert p(1) == RationalComplex.coerce(0)
     assert p(3) == RationalComplex.coerce(4)
-    assert p.shifted() == Polynomial.from_coeffs([0, 1, -2, 1])
 
 
 def test_polynomial_trims_leading_zeros():

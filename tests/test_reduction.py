@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_conserving_hamiltonian, spectral_deviation
+from conftest import exact_entries, random_conserving_hamiltonian, spectral_deviation
 from qesboson import (
     BandStructureUnsupported,
     ConservedCharge,
@@ -42,7 +42,7 @@ from qesboson import (
 )
 from qesboson import oracle
 from qesboson.algebra import _integer_terms
-from qesboson.exact import ZERO
+from qesboson.exact import ONE, ZERO
 from qesboson.oracle import block_spectrum
 
 
@@ -104,7 +104,7 @@ class TestReduceViaS:
         op = matrix_element_reduction(h, charge)
         for kappa in range(12):
             block = ReducedBlock(kappa, *op.block_entries(kappa))
-            degrees, entries = block.degrees, block.entries
+            degrees, entries = block.degrees, exact_entries(block)
             pos = {n: i for i, n in enumerate(degrees)}
             basis = enumerate_block(charge, kappa)
             defining = {
@@ -206,7 +206,7 @@ class TestEnergyPolynomialTable:
         h, charge = shg
         table = energy_polynomial_table(h, charge, 2)
         assert table.dimension == 2
-        assert table.polys[0] == Polynomial.one()
+        assert table.polys[0] == Polynomial.from_coeffs([1])
         assert table.polys[1] == Polynomial.from_coeffs([-2, 1])
         # termination: (E-2)^2 - 1/2, up to sign convention it is monic here
         assert table.termination == Polynomial.from_coeffs([Fraction(7, 2), -4, 1])
@@ -358,6 +358,17 @@ def recurrence_models(draw):
     return h, ConservedCharge(1, order), draw(st.integers(0, 30))
 
 
+def combination(*terms) -> Polynomial:
+    """The sum of c * E^k * P over the (c, k, P) in terms, coefficient by
+    coefficient."""
+    out = []
+    for c, k, poly in terms:
+        for i, x in enumerate(poly.coeffs, start=k):
+            out.extend([ZERO] * (i + 1 - len(out)))
+            out[i] = out[i] + c * x
+    return Polynomial.from_coeffs(out)
+
+
 @settings(max_examples=60, deadline=None)
 @given(model=recurrence_models())
 def test_energy_polynomials_satisfy_every_recurrence_row(model):
@@ -367,16 +378,15 @@ def test_energy_polynomials_satisfy_every_recurrence_row(model):
     h, charge, kappa = model
     table = energy_polynomial_table(h, charge, kappa)
     d = table.dimension
-    a = {(d - 1 - j, d - 1 - i): value for (i, j), value in table.block.entries.items()}
+    a = {(d - 1 - j, d - 1 - i): value for (i, j), value in exact_entries(table.block).items()}
     polys = table.polys
-    assert len(polys) == d + 1 and polys[0] == Polynomial.one()
+    assert len(polys) == d + 1 and polys[0] == Polynomial.from_coeffs([1])
     assert [poly.degree for poly in polys] == list(range(d + 1))
     for m in range(d):
-        lhs = polys[m].shifted()
-        for j in range(m + 1):
-            if (m, j) in a:
-                lhs = lhs - polys[j] * a[(m, j)]
-        rhs = polys[d] if m == d - 1 else polys[m + 1] * a[(m, m + 1)]
+        lhs = combination(
+            (ONE, 1, polys[m]), *((-a[(m, j)], 0, polys[j]) for j in range(m + 1) if (m, j) in a)
+        )
+        rhs = polys[d] if m == d - 1 else combination((a[(m, m + 1)], 0, polys[m + 1]))
         assert lhs == rhs
     assert table.termination == polys[d]
 
@@ -555,6 +565,26 @@ class TestEigenvectorToFock:
                 assert overlap >= 1 - 1e-8
 
 
+def ode_recurrence(ode, dim: int) -> list[list[RationalComplex]]:
+    """Dense exact matrix B of the ODE's coefficient recurrence on
+    z^0 .. z^(dim-1): row m collects the coefficient of z^m after inserting
+    a power series, so B is the transpose of the energy-polynomial
+    recurrence matrix of the same block and shares its spectrum."""
+    b = [[ZERO] * dim for _ in range(dim)]
+    for m in range(dim):
+        if m >= 1:
+            b[m][m - 1] = b[m][m - 1] + ode.c3 * ((m - 1) * (m - 2))
+        for r, f in enumerate(ode.c1.coeffs):
+            j = m + 1 - r
+            if 0 <= j < dim:
+                b[m][j] = b[m][j] + f * j
+        for r, g in enumerate(ode.c0.coeffs):
+            j = m - r
+            if 0 <= j < dim:
+                b[m][j] = b[m][j] + g
+    return b
+
+
 class TestShgOde:
     def test_corrected_coefficients(self):
         ode = shg_ode(1, 2, Fraction(1, 2), Fraction(1, 2), 2)
@@ -572,10 +602,11 @@ class TestShgOde:
             table = energy_polynomial_table(h, charge, kappa)
             ode = shg_ode(1, 2, Fraction(1, 2), Fraction(1, 2), kappa)
             d = table.dimension
-            b = ode.recurrence_exact(d)
+            b = ode_recurrence(ode, d)
+            entries = exact_entries(table.block)
             for i in range(d):
                 for j in range(d):
-                    expected = table.block.entries.get((d - 1 - i, d - 1 - j), ZERO)
+                    expected = entries.get((d - 1 - i, d - 1 - j), ZERO)
                     assert b[i][j] == expected
 
     def test_ode_recurrence_roots_match_oracle(self, shg):
@@ -583,7 +614,7 @@ class TestShgOde:
         for kappa in (2, 5, 9):
             dim = len(physical_degrees(charge, kappa))
             ode = shg_ode(1, 2, Fraction(1, 2), Fraction(1, 2), kappa)
-            vals = np.linalg.eigvals(np.array(ode.recurrence_exact(dim), dtype=complex))
+            vals = np.linalg.eigvals(np.array(ode_recurrence(ode, dim), dtype=complex))
             oracle = np.array(block_spectrum(h, charge, kappa).eigenvalues)
             assert np.allclose(sorted_reals(vals), sorted_reals(oracle), atol=1e-9)
 
