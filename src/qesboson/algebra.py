@@ -19,7 +19,8 @@ coefficients as integer numerators over one common denominator
 (_integer_terms), summed band by band over a run of a block's states with
 integer falling factorials (_block_bands).  Conservation is the only
 closure check either route makes: a conserving term maps every state of a
-block, where it does not vanish, to a state of the same block.
+block, where it does not vanish, to a state of the same block.  The exact
+image of one state, apply_to_fock, stays in plain exact rationals.
 """
 
 from __future__ import annotations
@@ -356,12 +357,12 @@ class FockAmplitude:
         return complex(self.coeff) * float(self.radicand) ** 0.5
 
 
-def _ladder_ratio(state: FockState, target: FockState) -> tuple[int, int]:
-    """t1! t2! / (n1! n2!) for |n1, n2> -> |t1, t2> as (numerator, denominator).
+def ladder_radicand(state: FockState, target: FockState) -> Fraction:
+    """t1! t2! / (n1! n2!) for |n1, n2> -> |t1, t2>, in lowest terms.
 
     Per mode, t!/n! is the product of the |t - n| factors between the two
     occupations, the falling factorial math.perm, so the full factorials are
-    never formed.  The pair is not reduced.
+    never formed.
     """
     num = den = 1
     for n, t in ((state.n1, target.n1), (state.n2, target.n2)):
@@ -369,12 +370,7 @@ def _ladder_ratio(state: FockState, target: FockState) -> tuple[int, int]:
             num *= perm(t, t - n)
         else:
             den *= perm(n, n - t)
-    return num, den
-
-
-def ladder_radicand(state: FockState, target: FockState) -> Fraction:
-    """t1! t2! / (n1! n2!) for |n1, n2> -> |t1, t2>, in lowest terms."""
-    return Fraction(*_ladder_ratio(state, target))
+    return Fraction(num, den)
 
 
 _IntegerTerms = tuple[tuple[ExponentKey, int, int], ...]
@@ -386,29 +382,6 @@ def _integer_terms(h: OperatorPolynomial) -> tuple[_IntegerTerms, int]:
     items = tuple(h.items())
     pairs, denom = integer_numerators(coeff for _, coeff in items)
     return tuple((key, *pair) for (key, _), pair in zip(items, pairs)), denom
-
-
-def _integer_image(
-    terms: _IntegerTerms, n1: int, n2: int
-) -> dict[tuple[int, int], tuple[int, int]]:
-    """Image of |n1, n2> under h given by _integer_terms, as (t1, t2) ->
-    (real, imaginary) numerators over D of the coefficient of the ladder
-    amplitude, nonzero targets only.
-
-    Terms requiring more annihilations than the occupation contribute
-    nothing; each other term contributes its numerators times the falling
-    factorials of its annihilations.
-    """
-    sums: dict[tuple[int, int], tuple[int, int]] = {}
-    for (m1, m2, m3, m4), re, im in terms:
-        if n1 < m2 or n2 < m4:
-            continue
-        weight = perm(n1, m2) * perm(n2, m4)
-        re, im = re * weight, im * weight
-        target = (n1 - m2 + m1, n2 - m4 + m3)
-        prev = sums.get(target)
-        sums[target] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
-    return {target: value for target, value in sums.items() if value[0] or value[1]}
 
 
 def _block_bands(
@@ -482,23 +455,22 @@ def _accumulate(acc: list[int] | None, c: int, weights: list[int]) -> list[int]:
 def apply_to_fock(
     h: OperatorPolynomial, state: FockState
 ) -> dict[FockState, FockAmplitude]:
-    """Exact image of |n1, n2> under h as target -> amplitude.
-
-    Terms requiring more annihilations than the occupation contribute
-    nothing.  Amplitudes carry the exact ladder factors
-    sqrt(n!/(n-m)!) * sqrt((n-m+r)!/(n-m)!) per mode.
-
-    All contributions to one target share its radicand, so the rational
-    coefficients are accumulated as integer numerators over one common
-    denominator of h's coefficients and become one Fraction pair per target.
-    """
-    terms, denom = _integer_terms(h)
-    out: dict[FockState, FockAmplitude] = {}
-    for (t1, t2), (re, im) in _integer_image(terms, state.n1, state.n2).items():
-        target = FockState(t1, t2)
-        out[target] = FockAmplitude(
-            RationalComplex(Fraction(re, denom), Fraction(im, denom)),
-            ladder_radicand(state, target),
-        )
-    return out
-
+    """Exact image of |n1, n2> under h as target -> amplitude, targets in
+    the order h's terms first reach them.  A term adds coeff * (n1)_m2 *
+    (n2)_m4 (falling factorials) to its target's sum, or nothing where it
+    needs more annihilations than the occupation holds; each nonzero sum
+    times sqrt(ladder_radicand(state, target)) is an amplitude."""
+    n1, n2 = state.n1, state.n2
+    sums: dict[FockState, RationalComplex] = {}
+    for (m1, m2, m3, m4), coeff in h.items():
+        if n1 < m2 or n2 < m4:
+            continue
+        target = FockState(n1 - m2 + m1, n2 - m4 + m3)
+        term = coeff * (perm(n1, m2) * perm(n2, m4))
+        prev = sums.get(target)
+        sums[target] = term if prev is None else prev + term
+    return {
+        target: FockAmplitude(coeff, ladder_radicand(state, target))
+        for target, coeff in sums.items()
+        if not coeff.is_zero
+    }

@@ -50,10 +50,6 @@ class RationalComplex:
         return RationalComplex(self.re, -self.im)
 
     def __add__(self, other: Rationalish) -> "RationalComplex":
-        # exact fast paths for the int and RationalComplex operands of block
-        # assembly; other operands go through coerce
-        if isinstance(other, int):
-            return RationalComplex(self.re + other, self.im)
         o = other if isinstance(other, RationalComplex) else RationalComplex._try_coerce(other)
         if o is None:
             return NotImplemented
@@ -77,13 +73,12 @@ class RationalComplex:
         return RationalComplex(-self.re, -self.im)
 
     def __mul__(self, other: Rationalish) -> "RationalComplex":
+        # int scales: apply_to_fock's falling factorials, the charge weights
         if isinstance(other, int):
             return RationalComplex(self.re * other, self.im * other)
         o = other if isinstance(other, RationalComplex) else RationalComplex._try_coerce(other)
         if o is None:
             return NotImplemented
-        if not self.im and not o.im:
-            return RationalComplex(self.re * o.re, self.im)
         return RationalComplex(
             self.re * o.re - self.im * o.im,
             self.re * o.im + self.im * o.re,

@@ -18,8 +18,8 @@ over math.perm (the falling factorial, in C); block_matrix divides each by
 the denominator and multiplies it by the square root of its ladder ratio,
 one correctly rounded operation per entry on exact Python integers of any
 size, and fills the dense matrix with one fancy-index assignment.  No exact
-rational object is formed; the exact amplitudes themselves come from
-block_amplitudes, entry by entry.
+rational object is formed; block_amplitudes gives the exact amplitudes,
+entry by entry, and names the first that overflows a double (_first_overflow).
 
 Closure is conservation, which block_matrix alone decides on this route:
 it refuses a Hamiltonian that does not conserve the charge
@@ -73,10 +73,7 @@ from .algebra import (
     FockState,
     OperatorPolynomial,
     _block_bands,
-    _integer_image,
-    _IntegerTerms,
     _integer_terms,
-    _ladder_ratio,
     apply_to_fock,
     conserves,
     is_hermitian,
@@ -119,11 +116,15 @@ def block_amplitudes(
 ) -> dict[tuple[int, int], FockAmplitude]:
     """Exact block entries as (row, col) -> amplitude of basis[row] in h|basis[col]>.
 
-    basis may be any tuple of states.  Raises BlockClosureViolation if h
-    maps one of them outside it, which a conserving h never does on a whole
-    block.
+    basis may be any tuple of distinct states (ValueError names a repeated
+    one); entries run column by column, in apply_to_fock's target order.
+    Raises BlockClosureViolation if h maps a state outside the basis, which
+    a conserving h never does on a whole block.
     """
     index = {state: i for i, state in enumerate(basis)}
+    if len(index) < len(basis):
+        repeated = next(state for i, state in enumerate(basis) if index[state] != i)
+        raise ValueError(f"the basis holds {repeated} more than once")
     entries: dict[tuple[int, int], FockAmplitude] = {}
     for col, state in enumerate(basis):
         for target, amp in apply_to_fock(h, state).items():
@@ -178,7 +179,7 @@ def block_matrix(h: OperatorPolynomial, charge: ConservedCharge, kappa: int) -> 
             rows += [j + k for j in nz]
             cols += nz
     except OverflowError:
-        raise _first_overflow(terms, denom, n1s, n2s) from None
+        raise _first_overflow(h, charge, kappa) from None
     values = np.array(values, dtype=matrix.dtype)
     matrix[rows, cols] = values
     if not np.isfinite(values).all():
@@ -188,19 +189,17 @@ def block_matrix(h: OperatorPolynomial, charge: ConservedCharge, kappa: int) -> 
 
 
 def _first_overflow(
-    terms: _IntegerTerms, denom: int, n1s: list[int], n2s: list[int]
+    h: OperatorPolynomial, charge: ConservedCharge, kappa: int
 ) -> NumericalFailure:
-    """The overflow that assembling the block entry by entry meets first,
-    column by column and in term order within a column; block_matrix calls
-    it only once it has met one, so that it names the same entry."""
-    for state in map(FockState, n1s, n2s):
-        for target, (re, im) in _integer_image(terms, state.n1, state.n2).items():
-            target = FockState(*target)
-            num, den = _ladder_ratio(state, target)
-            try:
-                re / denom, im / denom, num / den
-            except OverflowError:
-                return _unrepresentable(state, target)
+    """The first amplitude of block_amplitudes (column by column, in term
+    order within a column) whose complex(amp) overflows; it and block_matrix
+    round correctly, so both overflow on the same entries."""
+    basis = enumerate_block(charge, kappa)
+    for (row, col), amp in block_amplitudes(h, basis).items():
+        try:
+            complex(amp)
+        except OverflowError:
+            return _unrepresentable(basis[col], basis[row])
     raise AssertionError("block_matrix met no overflow")
 
 

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -311,3 +315,16 @@ class TestChargeNormalization:
     def test_negative_occupation_rejected(self):
         with pytest.raises(ValueError):
             FockState(-1, 0)
+
+
+def test_operator_algebra_demo_matches_golden():
+    """demos/operator_algebra.py, the one caller of apply_to_fock outside
+    the tests, prints tests/golden/demo_operator_algebra.txt byte for byte."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(root / "demos" / "operator_algebra.py")],
+        capture_output=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (root / "tests" / "golden" / "demo_operator_algebra.txt").read_bytes()

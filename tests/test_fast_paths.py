@@ -2,8 +2,8 @@
 
 Every fast path is compared for exact equality against the general formula
 it short-cuts: RationalComplex arithmetic, Polynomial Horner evaluation at
-an integer, the oracle's ladder-ratio radicand and its integer accumulation
-over one common denominator, operator products, the term-by-term
+an integer, the oracle's ladder-ratio radicand and the exact image of a
+state (apply_to_fock), operator products, the term-by-term
 hermiticity check, the reduced route's integer entries and the energy
 polynomials' sparse recurrence (against the dense one over every entry).
 The float blocks and Jacobi data formed straight from integer numerators
@@ -754,6 +754,13 @@ NOT_CONSERVED = "Hamiltonian does not commute with 1*N1 + 2*N2"
      " does not fit in double precision"),
     (monomial(RationalComplex(Fraction(1), Fraction(10**308)), 2, 0, 0, 1), 8, NumericalFailure,
      "h maps FockState(n1=4, n2=2) to FockState(n1=6, n2=1) with an amplitude that"
+     " does not fit in double precision"),
+    # two entries of the column |8,0> overflow: the earlier term names its target
+    (monomial(10**308, 1, 1, 0, 0) + monomial(10**308, 0, 2, 1, 0), 8, NumericalFailure,
+     "h maps FockState(n1=8, n2=0) to FockState(n1=8, n2=0) with an amplitude that"
+     " does not fit in double precision"),
+    (monomial(10**308, 0, 2, 1, 0) + monomial(10**308, 1, 1, 0, 0), 8, NumericalFailure,
+     "h maps FockState(n1=8, n2=0) to FockState(n1=6, n2=1) with an amplitude that"
      " does not fit in double precision"),
 ])
 def test_block_matrix_refusal_messages(h, kappa, error, message):

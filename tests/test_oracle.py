@@ -151,6 +151,19 @@ class TestBlockMatrix:
                 mirror = entries[(j, i)]
                 assert amp.coeff * amp.radicand == mirror.coeff.conjugate()
 
+    @pytest.mark.parametrize("picks, repeated", [
+        ((0, 1, 0), FockState(2, 0)),
+        ((1, 0, 0, 1), FockState(0, 1)),
+    ])
+    def test_block_amplitudes_refuses_a_repeated_state(self, shg, picks, repeated):
+        # with a state twice, one of its rows would never be filled and both
+        # copies' columns would write into the other
+        h, _ = shg
+        states = (FockState(2, 0), FockState(0, 1))
+        with pytest.raises(ValueError) as info:
+            block_amplitudes(h, tuple(states[i] for i in picks))
+        assert str(info.value) == f"the basis holds {repeated} more than once"
+
     def test_non_conserving_rejected(self, shg):
         h, _ = shg
         with pytest.raises(NonConservingHamiltonian):
