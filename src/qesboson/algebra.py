@@ -374,6 +374,7 @@ def ladder_radicand(state: FockState, target: FockState) -> Fraction:
 
 
 _IntegerTerms = tuple[tuple[ExponentKey, int, int], ...]
+_Bands = dict[int, tuple[list[int], list[int], list[int] | None]]
 
 
 def _integer_terms(h: OperatorPolynomial) -> tuple[_IntegerTerms, int]:
@@ -384,9 +385,7 @@ def _integer_terms(h: OperatorPolynomial) -> tuple[_IntegerTerms, int]:
     return tuple((key, *pair) for (key, _), pair in zip(items, pairs)), denom
 
 
-def _block_bands(
-    terms: _IntegerTerms, n1s: Sequence[int], n2s: Sequence[int]
-) -> dict[int, tuple[list[int], list[int], list[int] | None]]:
+def _block_bands(terms: _IntegerTerms, n1s: Sequence[int], n2s: Sequence[int]) -> _Bands:
     """The nonzero bands of the block of a conserving h, given by
     _integer_terms, over the run of its states (n1s[j], n2s[j]), as
     shift -> (columns, real numerators, imaginary numerators or None): the

@@ -18,8 +18,8 @@ over math.perm (the falling factorial, in C); block_matrix divides each by
 the denominator and multiplies it by the square root of its ladder ratio,
 one correctly rounded operation per entry on exact Python integers of any
 size, and fills the dense matrix with one fancy-index assignment.  No exact
-rational object is formed; block_amplitudes gives the exact amplitudes,
-entry by entry, and names the first that overflows a double (_first_overflow).
+rational object is formed; _first_overflow walks the exact amplitudes
+column by column to name the first that overflows a double.
 
 Closure is conservation, which block_matrix alone decides on this route:
 it refuses a Hamiltonian that does not conserve the charge
@@ -150,7 +150,10 @@ def block_matrix(h: OperatorPolynomial, charge: ConservedCharge, kappa: int) -> 
     bit.  Integer true division is correctly rounded, so this is bit for bit
     complex(amp) (its real part for real h) of the exact amplitude that
     block_amplitudes returns.  Raises NumericalFailure when an entry does
-    not fit in a double, naming the first such entry column by column.
+    not fit in a double, naming the first whose integer ratio overflows on
+    conversion, column by column (_first_overflow), even where an earlier
+    column holds a product that overflowed to inf; if none does, the first
+    non-finite entry in row-major order.
     """
     if not conserves(h, charge):
         raise _non_conserving(charge)
@@ -191,15 +194,16 @@ def block_matrix(h: OperatorPolynomial, charge: ConservedCharge, kappa: int) -> 
 def _first_overflow(
     h: OperatorPolynomial, charge: ConservedCharge, kappa: int
 ) -> NumericalFailure:
-    """The first amplitude of block_amplitudes (column by column, in term
-    order within a column) whose complex(amp) overflows; it and block_matrix
-    round correctly, so both overflow on the same entries."""
-    basis = enumerate_block(charge, kappa)
-    for (row, col), amp in block_amplitudes(h, basis).items():
-        try:
-            complex(amp)
-        except OverflowError:
-            return _unrepresentable(basis[col], basis[row])
+    """The first amplitude in block_amplitudes' order (column by column, in
+    term order within a column) whose complex(amp) overflows, walked one
+    column at a time; it and block_matrix round correctly, so both overflow
+    on the same entries."""
+    for state in enumerate_block(charge, kappa):
+        for target, amp in apply_to_fock(h, state).items():
+            try:
+                complex(amp)
+            except OverflowError:
+                return _unrepresentable(state, target)
     raise AssertionError("block_matrix met no overflow")
 
 

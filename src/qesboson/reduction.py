@@ -33,11 +33,12 @@ common denominator (algebra._integer_terms, the oracle's own integer form
 of h) times two integer falling factorials, band by band: each band's
 numerators come from one pass over the degrees (algebra._block_bands, the
 oracle's own band assembly, read over the block's states in degree order).
-The dense float matrix and the Jacobi data are formed straight from those
+The block keeps that band form from assembly to solve (ReducedBlock.bands).
+The dense float matrix and the Jacobi data are formed straight from its
 integers, each float by one correctly rounded integer division.  The
-energy polynomials are too: their recurrence runs fraction-free on the
-nonzero numerators, in Gaussian integers, and forms each coefficient's
-reduced Fractions once, at the end (energy_polynomial_table).
+energy polynomials read their rows off the bands: their recurrence runs
+fraction-free on the numerators, in Gaussian integers, and forms each
+coefficient's reduced Fractions once, at the end (energy_polynomial_table).
 
 Closure is conservation, as on the oracle route: ReducedOperator, which
 matrix_element_reduction builds, refuses terms that do not conserve the
@@ -68,6 +69,7 @@ from .algebra import (
     ConservedCharge,
     FockState,
     OperatorPolynomial,
+    _Bands,
     _block_bands,
     _IntegerTerms,
     _integer_terms,
@@ -147,26 +149,21 @@ class ReducedOperator:
         if any(charge_weight(self.charge, *key) for key, _, _ in self.terms):
             raise _non_conserving(self.charge)
 
-    def block_entries(
-        self, kappa: int
-    ) -> tuple[tuple[int, ...], dict[tuple[int, int], tuple[int, int]], int]:
-        """Exact matrix entries over the physical degrees (ascending), as
-        (degrees, numerators, D): numerators[(i, j)] = (re, im) holds the
-        nonzero entry (re + i*im) / D as integers.
+    def block_entries(self, kappa: int) -> tuple[tuple[int, ...], _Bands, int]:
+        """The block over the physical degrees (ascending) in band form, as
+        (degrees, bands, D): algebra._block_bands over the block's states in
+        degree order, shift -> (columns, real numerators, imaginary
+        numerators or None), the entry in row column + shift being
+        (re + i*im) / D.
 
-        The entries are read band by band from algebra._block_bands, over
-        the block's states in degree order: each is the terms' integer
-        numerators times the two integer falling factorials (n)_m2 (n2)_m4,
-        summed over the terms that shift the degree by the same m1 - m2; a
-        term with n < m2 or n2 < m4 contributes nothing, and entries that
-        sum to zero are dropped.
+        Each numerator is the terms' integer numerators times the two
+        integer falling factorials (n)_m2 (n2)_m4, summed over the terms that
+        shift the degree by the same m1 - m2; a term with n < m2 or n2 < m4
+        contributes nothing, and entries that sum to zero are not listed.
         """
         n1s, n2s = _block_run(self.charge, kappa)
         degrees = n1s[::-1]
-        numerators: dict[tuple[int, int], tuple[int, int]] = {}
-        for shift, (nz, res, ims) in _block_bands(self.terms, degrees, n2s[::-1]).items():
-            numerators.update(zip(zip([j + shift for j in nz], nz), zip(res, ims or repeat(0))))
-        return tuple(degrees), numerators, self.denominator
+        return tuple(degrees), _block_bands(self.terms, degrees, n2s[::-1]), self.denominator
 
 
 def matrix_element_reduction(
@@ -189,9 +186,6 @@ def matrix_element_reduction(
     return ReducedOperator(*_integer_terms(h), charge=charge)
 
 
-_Numerators = Mapping[tuple[int, int], tuple[int, int]]
-
-
 def _unrepresentable() -> NumericalFailure:
     return NumericalFailure(
         "a reduced block entry does not fit in double precision", math.inf
@@ -200,14 +194,14 @@ def _unrepresentable() -> NumericalFailure:
 
 @dataclass(frozen=True, eq=False)
 class ReducedBlock:
-    """Finite single-variable block: admissible degrees and the nonzero
-    entries (row, col) -> (re, im) as integer numerators over one common
-    denominator.  matrix (dense float form, straight from the integers) is
-    built on first use."""
+    """Finite single-variable block: admissible degrees and the block in
+    band form, bands as ReducedOperator.block_entries returns them, with
+    integer numerators over one common denominator.  matrix (dense float
+    form, straight from the integers) is built on first use."""
 
     kappa: int
     degrees: tuple[int, ...]
-    numerators: _Numerators
+    bands: _Bands
     denominator: int
 
     @property
@@ -216,19 +210,18 @@ class ReducedBlock:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """Complex matrix of the entries.  Integer true division is
-        correctly rounded, so each float equals the conversion of the exact
-        rational entry.  Raises NumericalFailure when an entry does not fit
-        in a double."""
+        """Complex matrix of the entries, filled band by band.  Integer true
+        division is correctly rounded, so each float equals the conversion
+        of the exact rational entry.  Raises NumericalFailure when an entry
+        does not fit in a double."""
         d = self.denominator
         matrix = np.zeros((self.dimension, self.dimension), dtype=complex)
         try:
-            values = [complex(re / d, im / d) for re, im in self.numerators.values()]
+            for k, (cols, res, ims) in self.bands.items():
+                values = [complex(re / d, im / d) for re, im in zip(res, ims or repeat(0))]
+                matrix[[j + k for j in cols], cols] = values
         except OverflowError:
             raise _unrepresentable() from None
-        if values:
-            rows, cols = zip(*self.numerators)
-            matrix[rows, cols] = values
         return matrix
 
 
@@ -237,7 +230,7 @@ def reduced_block_matrix(
 ) -> ReducedBlock:
     """Square matrix of the reduced operator of the conserving h over the
     physical degrees of block kappa, isospectral to the Fock block.  Its
-    integer numerators come from ReducedOperator.block_entries.
+    bands come from ReducedOperator.block_entries.
     """
     return ReducedBlock(kappa, *matrix_element_reduction(h, charge).block_entries(kappa))
 
@@ -314,30 +307,28 @@ class _JacobiForm:
         return out / np.linalg.norm(out, axis=0)
 
 
-def _jacobi_form(numerators: _Numerators, denom: int, dim: int) -> _JacobiForm | None:
-    """Jacobi form of a block given by the integer numerators of its
-    nonzero entries over denom, or None.
+def _jacobi_form(bands: _Bands, denom: int, dim: int) -> _JacobiForm | None:
+    """Jacobi form of a block of dimension dim in band form (as
+    ReducedBlock.bands, numerators over denom), or None.
 
-    Applies when the block is nonempty and tridiagonal, its diagonal is
-    real and every product b_i c_i of paired off-diagonals is real and
-    positive, all decided exactly on the integers of its three central
-    bands, read whole before any float is formed; each float of J comes
-    from one correctly rounded integer division.  Raises NumericalFailure
-    when a float of J does not fit in a double.
+    Applies when the block is nonempty and has no band but -1, 0 and 1, its
+    diagonal is real and every product b_i c_i of paired off-diagonals (b_i
+    in band -1, c_i in band 1, each listing all dim - 1 columns, or some
+    product is 0) is real and positive, all decided exactly on the bands'
+    integers before any float is formed; each float of J comes from one
+    correctly rounded integer division.  Raises NumericalFailure when a
+    float of J does not fit in a double.
     """
-    get = numerators.get
-    diag = list(map(get, zip(range(dim), range(dim))))
-    upper = list(map(get, zip(range(dim - 1), range(1, dim))))
-    lower = list(map(get, zip(range(1, dim), range(dim - 1))))
-    present = sum(len(band) - band.count(None) for band in (diag, upper, lower))
-    if not dim or present != len(numerators):  # empty, or an entry off the three bands
+    if not dim or not bands.keys() <= {-1, 0, 1}:
         return None
-    zero = (0, 0)
-    diag = [entry or zero for entry in diag]
-    if any(im for _, im in diag):
+    empty = [], [], None
+    cols, res, ims = bands.get(0, empty)
+    _, b_res, b_ims = bands.get(-1, empty)
+    _, c_res, c_ims = bands.get(1, empty)
+    if any(ims or ()) or not len(b_res) == len(c_res) == dim - 1:
         return None
-    upper = [entry or zero for entry in upper]
-    lower = [entry or zero for entry in lower]
+    upper = list(zip(b_res, b_ims or repeat(0)))
+    lower = list(zip(c_res, c_ims or repeat(0)))
     # b_i c_i = (product + cross i) / denom^2
     products = [br * cr - bi * ci for (br, bi), (cr, ci) in zip(upper, lower)]
     if min(products, default=1) <= 0 or any(
@@ -347,7 +338,8 @@ def _jacobi_form(numerators: _Numerators, denom: int, dim: int) -> _JacobiForm |
     denom2 = denom * denom
     try:
         off = [math.sqrt(product / denom2) for product in products]
-        diagonal = np.array([re / denom for re, _ in diag])
+        diagonal = np.zeros(dim)
+        diagonal[cols] = [re / denom for re in res]
     except OverflowError:
         raise _unrepresentable() from None
     return _JacobiForm(diagonal, np.array(off), upper, products, denom)
@@ -365,7 +357,7 @@ def _solve(
     (Jacobi form None), the empty one included, passes its dense matrix as
     a general, non-Hermitian block.
     """
-    jacobi = _jacobi_form(block.numerators, block.denominator, block.dimension)
+    jacobi = _jacobi_form(block.bands, block.denominator, block.dimension)
     if jacobi is None:
         return (*_solve_block(name, block.matrix, False), None)
     band = jacobi.diagonal, jacobi.off, jacobi.off
@@ -424,7 +416,8 @@ def energy_polynomial_table(
     entries of each row enter the recurrence.
 
     The recurrence runs fraction-free on the block's integer numerators
-    a_mj = A[m][j] * D (block.numerators over block.denominator D), with
+    a_mj = A[m][j] * D (band k, column j of block.bands is row d-1-j,
+    column d-1-j-k, over block.denominator D), with
     u_m = a_{m,m+1} and U_m = u_0 ... u_{m-1}: Q_m = U_m P_m has
     Gaussian-integer coefficients,
 
@@ -436,11 +429,12 @@ def energy_polynomial_table(
     """
     block = reduced_block_matrix(h, charge, kappa)
     d = block.dimension
-    # nonzero numerators of each recurrence row: reverse the degree order
-    # (slaved occupation ascending) and transpose
+    # numerators of each recurrence row: reverse the degree order (slaved
+    # occupation ascending) and transpose
     rows: list[dict[int, tuple[int, int]]] = [{} for _ in range(d)]
-    for (i, j), value in block.numerators.items():
-        rows[d - 1 - j][d - 1 - i] = value
+    for k, (cols, res, ims) in block.bands.items():
+        for j, value in zip(cols, zip(res, ims or repeat(0))):
+            rows[d - 1 - j][d - 1 - j - k] = value
     for m, row in enumerate(rows):
         above = [mp for mp in row if mp > m + 1]
         if above:

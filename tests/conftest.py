@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -37,12 +38,14 @@ def spectral_deviation(a, b) -> float:
 
 
 def exact_entries(block) -> dict[tuple[int, int], RationalComplex]:
-    """A reduced block's nonzero entries as exact values: each integer
-    numerator pair (re, im) over the block's common denominator."""
+    """A reduced block's nonzero entries as (row, col) -> exact value: band
+    k, column j is the entry (j + k, j), each integer numerator pair
+    (re, im) over the block's common denominator."""
     d = block.denominator
     return {
-        k: RationalComplex(Fraction(re, d), Fraction(im, d))
-        for k, (re, im) in block.numerators.items()
+        (j + k, j): RationalComplex(Fraction(re, d), Fraction(im, d))
+        for k, (cols, res, ims) in block.bands.items()
+        for j, re, im in zip(cols, res, ims or repeat(0))
     }
 
 

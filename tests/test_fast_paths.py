@@ -13,8 +13,9 @@ d = 600 and with numerators beyond 2^63, and the oracle's real solve of those
 blocks against the complex solve of the same matrix.  The band assembly of
 both routes is also compared with the entry-by-entry loop it replaced,
 overflow refusals included: the same exception type and message, naming the
-same entry.  Both routes refuse a Hamiltonian exactly when it does not
-conserve the charge.
+same entry.  That one band assembly reads a block either way along it, as
+the two routes do, to the same bands reflected.  Both routes refuse a
+Hamiltonian exactly when it does not conserve the charge.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from qesboson import (
 )
 from qesboson import oracle
 from qesboson.algebra import (
+    _block_bands,
     _integer_terms,
     apply_to_fock,
     conserves,
@@ -62,6 +64,7 @@ from qesboson.algebra import (
 from qesboson.exact import ONE, ZERO
 from qesboson.models import build_nth_harmonic
 from qesboson.oracle import (
+    _block_run,
     block_amplitudes,
     block_matrix,
     diagonalize_block,
@@ -310,6 +313,34 @@ def test_block_entries_match_polynomial_evaluation(model):
     assert (degrees, entries) == reference_block_entries(h, charge, kappa)
     for value in entries.values():
         assert type(value.re) is Fraction and type(value.im) is Fraction
+
+
+def _band_entries(bands):
+    """(shift, column) -> (re, im) of every listed numerator, and the shifts
+    whose imaginary numerators are listed."""
+    entries = {
+        (k, j): (re, im)
+        for k, (cols, res, ims) in bands.items()
+        for j, re, im in zip(cols, res, ims or [0] * len(cols))
+    }
+    return entries, {k for k, (_, _, ims) in bands.items() if ims is not None}
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=conserving_models())
+def test_block_bands_read_the_run_either_way(model):
+    # the oracle reads the block n2 ascending, the reduced route n1
+    # ascending: band k, column j of the one is band -k, column d-1-j of
+    # the other, with the same numerators
+    h, charge, kappa = model
+    terms, _ = _integer_terms(h)
+    n1s, n2s = _block_run(charge, kappa)
+    d = len(n1s)
+    by_n2, complex_n2 = _band_entries(_block_bands(terms, n1s, n2s))
+    by_n1, complex_n1 = _band_entries(_block_bands(terms, n1s[::-1], n2s[::-1]))
+    assert by_n2 == {(-k, d - 1 - j): value for (k, j), value in by_n1.items()}
+    assert complex_n2 == {-k for k in complex_n1}
+    assert all(re or im for re, im in by_n2.values())
 
 
 @st.composite
@@ -578,7 +609,7 @@ def test_reduced_float_data_bits_match_exact_entries(mode, model):
         dense[i, j] = complex(value)
     assert block.matrix.tobytes() == dense.tobytes()
 
-    jacobi = _jacobi_form(block.numerators, block.denominator, block.dimension)
+    jacobi = _jacobi_form(block.bands, block.denominator, block.dimension)
     expected = reference_jacobi_form(entries, len(degrees))
     assert (jacobi is None) == (expected is None)
     if expected is not None:
@@ -721,7 +752,7 @@ def test_large_block_entries_and_jacobi_data_match_exact_entries(name):
     block = ReducedBlock(kappa, *op.block_entries(kappa))
     degrees, entries = reference_block_entries(h, charge, kappa)
     assert (block.degrees, exact_entries(block)) == (degrees, entries)
-    jacobi = _jacobi_form(block.numerators, block.denominator, block.dimension)
+    jacobi = _jacobi_form(block.bands, block.denominator, block.dimension)
     for key, value in reference_jacobi_form(entries, len(degrees)).items():
         got = getattr(jacobi, key)
         assert got.dtype == value.dtype and got.tobytes() == value.tobytes(), key
@@ -748,7 +779,13 @@ NOT_CONSERVED = "Hamiltonian does not commute with 1*N1 + 2*N2"
     (monomial(HUGE, 2, 0, 0, 1), 4, NumericalFailure,
      "h maps FockState(n1=0, n2=2) to FockState(n1=2, n2=1) with an amplitude that"
      " does not fit in double precision"),
-    # re / D fits, times the ladder factor it does not
+    # only the product with the ladder factor sqrt(2) overflows, to inf: the
+    # first non-finite entry in row-major order is named
+    (monomial(HUGE, 2, 0, 0, 1), 2, NumericalFailure,
+     "h maps FockState(n1=0, n2=1) to FockState(n1=2, n2=0) with an amplitude that"
+     " does not fit in double precision"),
+    # re / D = 2e308 overflows on |4,2> -> |6,1>, named before the inf
+    # products of earlier columns
     (monomial(Fraction(10**308), 2, 0, 0, 1) + monomial(1, 0, 2, 1, 0), 8, NumericalFailure,
      "h maps FockState(n1=4, n2=2) to FockState(n1=6, n2=1) with an amplitude that"
      " does not fit in double precision"),
@@ -767,6 +804,27 @@ def test_block_matrix_refusal_messages(h, kappa, error, message):
     with pytest.raises(error) as info:
         block_matrix(h, C12, kappa)
     assert str(info.value) == message
+
+
+def test_block_matrix_overflow_walk_stops_at_its_column(monkeypatch):
+    # the overflow sits in column 0 of the d = 600 block: one exact column
+    # names it, where the whole block's 600 were walked before
+    h, charge = _shipped("shg")
+    h = h + monomial(10**306, 1, 1, 0, 0)
+    calls = []
+
+    def counted(h, state):
+        calls.append(state)
+        return apply_to_fock(h, state)
+
+    monkeypatch.setattr(oracle, "apply_to_fock", counted)
+    with pytest.raises(NumericalFailure) as info:
+        block_matrix(h, charge, 1198)
+    assert str(info.value) == (
+        "h maps FockState(n1=1198, n2=0) to FockState(n1=1198, n2=0) with an"
+        " amplitude that does not fit in double precision"
+    )
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("terms", [
@@ -799,11 +857,11 @@ def test_conservation_is_the_one_closure_rule(model, extra):
         lambda: ReducedOperator(*_integer_terms(h), charge=charge).block_entries(kappa),
     )
     if conserves(h, charge):
-        degrees, numerators, denom = routes[2]()
-        block = ReducedBlock(kappa, degrees, numerators, denom)
+        degrees, bands, denom = routes[2]()
+        block = ReducedBlock(kappa, degrees, bands, denom)
         assert (block.degrees, exact_entries(block)) == reference_block_entries(h, charge, kappa)
         assert block_matrix(h, charge, kappa).shape == (len(degrees),) * 2
-        assert reduced_block_matrix(h, charge, kappa).numerators == numerators
+        assert reduced_block_matrix(h, charge, kappa).bands == bands
         return
     for route in routes:
         with pytest.raises(NonConservingHamiltonian) as info:

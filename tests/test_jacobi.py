@@ -96,7 +96,7 @@ def test_complex_couplings_roundtrip():
     h = build_shg(1, 2, Fraction(1, 3) + Fraction(1, 2) * 1j, Fraction(1, 3) - Fraction(1, 2) * 1j)
     charge = shg_charge()
     block = reduced_block_matrix(h, charge, 60)
-    jacobi = _jacobi_form(block.numerators, block.denominator, block.dimension)
+    jacobi = _jacobi_form(block.bands, block.denominator, block.dimension)
     assert jacobi is not None and np.any(jacobi.phase.imag != 0.0)
     assert_roundtrip(h, charge, 60)
 
@@ -170,7 +170,7 @@ def test_non_hermitian_shg_keeps_dense_eig(kappa):
     h = build_shg(1, 2, Fraction(1, 2), Fraction(-1, 2))
     charge = shg_charge()
     block = reduced_block_matrix(h, charge, kappa)
-    assert _jacobi_form(block.numerators, block.denominator, block.dimension) is None
+    assert _jacobi_form(block.bands, block.denominator, block.dimension) is None
     oracle = np.array(block_spectrum(h, charge, kappa).eigenvalues)
     reduced = np.array(qes_spectrum(h, charge, kappa).eigenvalues)
     assert spectral_deviation(oracle, reduced) <= 1e-9 * max(1.0, np.max(np.abs(oracle)))
@@ -199,7 +199,7 @@ def test_random_pentadiagonal_models_keep_dense_eig(hermitian):
             h = h + h.adjoint()
         for kappa in (3, 8, 14):
             block = reduced_block_matrix(h, charge, kappa)
-            assert _jacobi_form(block.numerators, block.denominator, block.dimension) is None
+            assert _jacobi_form(block.bands, block.denominator, block.dimension) is None
             oracle = np.array(block_spectrum(h, charge, kappa).eigenvalues)
             reduced = np.array(qes_spectrum(h, charge, kappa).eigenvalues)
             scale = max(1.0, float(np.max(np.abs(oracle))))
@@ -215,7 +215,14 @@ def test_jacobi_residuals_match_dense_residuals():
         entries[(i, i + 1)] = RationalComplex(Fraction(e) * 3)
         entries[(i + 1, i)] = RationalComplex(Fraction(e) / 3)
     pairs, denom = integer_numerators(entries.values())
-    jacobi = _jacobi_form(dict(zip(entries, pairs)), denom, len(diagonal))
+    # band k = row - col holds column col, in column order
+    bands = {}
+    for (row, col), (re, im) in sorted(zip(entries, pairs), key=lambda item: item[0][1]):
+        cols, res, ims = bands.setdefault(row - col, ([], [], []))
+        cols.append(col)
+        res.append(re)
+        ims.append(im)
+    jacobi = _jacobi_form(bands, denom, len(diagonal))
     assert np.allclose(jacobi.off, off, rtol=1e-15, atol=0)
     values, vectors = eigh_tridiagonal(jacobi.diagonal, jacobi.off)
     dense = np.diag(jacobi.diagonal) + np.diag(jacobi.off, 1) + np.diag(jacobi.off, -1)

@@ -95,7 +95,7 @@ class TestReduceViaS:
         op = matrix_element_reduction(5 * number(2), ConservedCharge(1, 2))
         assert op.terms == (((0, 0, 1, 1), 5, 0),)
         # degrees 0, 2, 4 of kappa = 4 slave n2 = 2, 1, 0
-        assert op.block_entries(4) == ((0, 2, 4), {(0, 0): (10, 0), (1, 1): (5, 0)}, 1)
+        assert op.block_entries(4) == ((0, 2, 4), {0: ([0, 1], [10, 5], None)}, 1)
 
     def test_matches_defining_matrix_exactly(self, shg):
         # R = D^-1 M D entry by entry: the Fock amplitude coeff*sqrt(t!/n!)
@@ -173,8 +173,8 @@ class TestReducedBlockMatrix:
         # at degree 2 of block 4 the diagonal w1*n1 + w2*n2 + w2 = 2 - 1 - 1
         # vanishes, so the block stores no entry there
         block = reduced_block_matrix(paper_literal(build_shg(1, -1, 1, 1)), shg_charge(), 4)
-        assert (1, 1) not in block.numerators
-        assert all(re or im for re, im in block.numerators.values())
+        assert 1 not in block.bands[0][0]  # band 0 has no column 1
+        assert not any(value.is_zero for value in exact_entries(block).values())
 
     def test_paper_literal_adds_mode2_frequency(self, shg):
         h, _ = shg
