@@ -87,6 +87,11 @@ class RationalComplex:
     __rmul__ = __mul__
 
     def __truediv__(self, other: Rationalish) -> "RationalComplex":
+        # int divisors: the sextic coefficients' /4, /8 and /16
+        if isinstance(other, int):
+            if not other:
+                raise ZeroDivisionError("division by zero RationalComplex")
+            return RationalComplex(self.re / other, self.im / other)
         o = RationalComplex.coerce(other)
         denom = o.re * o.re + o.im * o.im
         if not denom:

@@ -18,13 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (
-    BosonMonomial,
-    ConservedCharge,
-    OperatorPolynomial,
-    monomial,
-    number,
-)
+from .algebra import BosonMonomial, ConservedCharge, OperatorPolynomial
 from .errors import InvalidOrder, ParseError
 from .exact import Rationalish, RationalComplex
 
@@ -58,12 +52,12 @@ def build_nth_harmonic(
     """
     if not isinstance(n, int) or n < 1:
         raise InvalidOrder(f"order must be a positive integer, got {n!r}")
-    return (
-        RationalComplex.coerce(omega1) * number(1)
-        + RationalComplex.coerce(omega2) * number(2)
-        + monomial(kappa_c, n, 0, 0, 1)
-        + monomial(kappa_bar, 0, n, 1, 0)
-    )
+    return OperatorPolynomial({
+        (1, 1, 0, 0): RationalComplex.coerce(omega1),
+        (0, 0, 1, 1): RationalComplex.coerce(omega2),
+        (n, 0, 0, 1): RationalComplex.coerce(kappa_c),
+        (0, n, 1, 0): RationalComplex.coerce(kappa_bar),
+    })
 
 
 def shg_charge() -> ConservedCharge:

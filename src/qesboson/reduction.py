@@ -210,18 +210,21 @@ class ReducedBlock:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """Complex matrix of the entries, filled band by band.  Integer true
-        division is correctly rounded, so each float equals the conversion
-        of the exact rational entry.  Raises NumericalFailure when an entry
-        does not fit in a double."""
+        """Complex matrix of the entries, gathered band by band and assigned
+        at once.  Integer true division is correctly rounded, so each float
+        equals the conversion of the exact rational entry.  Raises
+        NumericalFailure when an entry does not fit in a double."""
         d = self.denominator
         matrix = np.zeros((self.dimension, self.dimension), dtype=complex)
+        rows, cols, values = [], [], []
         try:
-            for k, (cols, res, ims) in self.bands.items():
-                values = [complex(re / d, im / d) for re, im in zip(res, ims or repeat(0))]
-                matrix[[j + k for j in cols], cols] = values
+            for k, (nz, res, ims) in self.bands.items():
+                values += [complex(re / d, im / d) for re, im in zip(res, ims or repeat(0))]
+                rows += [j + k for j in nz]
+                cols += nz
         except OverflowError:
             raise _unrepresentable() from None
+        matrix[rows, cols] = values
         return matrix
 
 

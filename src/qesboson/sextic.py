@@ -12,7 +12,10 @@ coefficients, with the sign and normalization freedoms of the construction
 searched explicitly: the identity holds for kinetic term -d^2/dy^2 (not
 the halved form the potential is usually quoted with) and the quoted
 constant term sits exactly one mode-2 frequency w2 above the conjugated
-operator.  Both findings are derived per call, not assumed.
+operator.  Both findings are derived per call, not assumed.  The search
+stops each convention at the first of its three identities that fails,
+and W and V are formed once per argument set, so one `sextic` request
+builds each once for its output and its gauge check.
 
 A deliberately simple finite-difference solver (three-point Laplacian,
 Dirichlet box, the lowest levels of the tridiagonal matrix by LAPACK's
@@ -28,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,16 +68,23 @@ def gauge_superpotential(
     kappa_bar: Rationalish,
     k: int,
 ) -> Superpotential:
-    """Coefficients (k of 1/y, (w2-2w1)/4 of y, -kc*kb/4 of y^3)."""
+    """Coefficients (k of 1/y, (w2-2w1)/4 of y, -kc*kb/4 of y^3).
+
+    Built once per exact argument set: the CLI and check_gauge_identity
+    share the same instance within a request."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    w1 = RationalComplex.coerce(omega1)
-    w2 = RationalComplex.coerce(omega2)
-    kk = RationalComplex.coerce(kappa_c) * RationalComplex.coerce(kappa_bar)
+    return _superpotential(*map(RationalComplex.coerce, (omega1, omega2, kappa_c, kappa_bar)), k)
+
+
+@lru_cache(maxsize=8, typed=True)
+def _superpotential(
+    w1: RationalComplex, w2: RationalComplex, kc: RationalComplex, kb: RationalComplex, k: int
+) -> Superpotential:
     return Superpotential(
         inverse_coeff=RationalComplex.coerce(k),
         linear_coeff=(w2 - w1 * 2) / 4,
-        cubic_coeff=-kk / 4,
+        cubic_coeff=-(kc * kb) / 4,
     )
 
 
@@ -140,12 +151,18 @@ def sextic_potential(
     kappa_bar: Rationalish,
     k: int,
 ) -> SexticPotential:
-    """Exact sextic potential coefficients for level parameter k."""
+    """Exact sextic potential coefficients for level parameter k, built once
+    per exact argument set like gauge_superpotential's."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    w1 = RationalComplex.coerce(omega1)
-    w2 = RationalComplex.coerce(omega2)
-    kk = RationalComplex.coerce(kappa_c) * RationalComplex.coerce(kappa_bar)
+    return _sextic_potential(*map(RationalComplex.coerce, (omega1, omega2, kappa_c, kappa_bar)), k)
+
+
+@lru_cache(maxsize=8, typed=True)
+def _sextic_potential(
+    w1: RationalComplex, w2: RationalComplex, kc: RationalComplex, kb: RationalComplex, k: int
+) -> SexticPotential:
+    kk = kc * kb
     delta = w2 - w1 * 2
     return SexticPotential(
         c0=(w2 * (2 * k + 5) - w1 * 2) / 4,
@@ -247,15 +264,18 @@ def check_gauge_identity(
     dw, w_sq = _derivative(sup), _product(sup, sup)
     c1, c0 = _in_y(ode.c1, z_coeff), _in_y(ode.c0, z_coeff)
 
-    # each identity depends on the convention only through (s, kin)
-    shifts: dict[tuple[int, float], Fraction] = {}  # the identities that hold
-    for sign in (1, -1):
-        for kinetic in (1.0, 0.5):
-            kin = Fraction(kinetic)
-            f2 = _combination((-kin, dz_sq), (-1, c3_z3))
-            f1 = _combination((-kin, d2z), (-2 * sign * kin, w_dz), (-1, c1))
+    # each identity depends on the convention only through (s, kin), f2 on kin
+    # alone; a convention fails at its first identity that does not hold
+    shifts: dict[tuple[int, float], Fraction] = {}  # the conventions that hold
+    for kinetic in (1.0, 0.5):
+        kin = Fraction(kinetic)
+        if _combination((-kin, dz_sq), (-1, c3_z3)):
+            continue
+        for sign in (1, -1):
+            if _combination((-kin, d2z), (-2 * sign * kin, w_dz), (-1, c1)):
+                continue
             f0 = _combination((1, potential), (-sign * kin, dw), (-kin, w_sq), (-1, c0))
-            if not f2 and not f1 and f0.keys() <= {0}:
+            if f0.keys() <= {0}:
                 shifts[(sign, kinetic)] = f0.get(0, Fraction(0))
 
     tried = {
@@ -343,20 +363,19 @@ def constant_shift_match(
     """Best constant shift placing every reference level on a candidate.
 
     Tries anchoring the lowest reference level to each candidate level and
-    returns (shift, max deviation) for the anchoring that fits best.  Used
-    to locate the block energies inside a finite-difference spectrum when
-    the two operators are known to differ by a constant.
+    returns (shift, max deviation) for the anchoring that fits best, the
+    first such candidate on ties.  Used to locate the block energies inside
+    a finite-difference spectrum when the two operators are known to differ
+    by a constant.  Both sides are finite levels.
     """
     candidates = np.asarray(candidates, dtype=float)
     reference = np.sort(np.asarray(reference, dtype=float))
     if candidates.size == 0 or reference.size == 0:
         raise ValueError("need at least one level on both sides")
-    best: tuple[float, float] | None = None
-    for anchor in candidates:
-        shift = float(anchor - reference[0])
-        dev = float(
-            max(np.min(np.abs(candidates - (r + shift))) for r in reference)
-        )
-        if best is None or dev < best[1]:
-            best = (shift, dev)
-    return best
+    shifts = candidates - reference[0]
+    # [anchor, reference level, candidate]: each shifted level's distance to
+    # its nearest candidate, then the worst level of each anchoring
+    placed = reference + shifts[:, None]
+    devs = np.abs(candidates - placed[:, :, None]).min(axis=2).max(axis=1)
+    best = int(np.argmin(devs))
+    return float(shifts[best]), float(devs[best])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qesboson import SpectrumReport, cli, oracle
+from qesboson import SpectrumReport, cli, oracle, sextic
 from qesboson.cli import main
 
 SAMPLE_DIR = Path(__file__).resolve().parent.parent / "models"
@@ -24,6 +25,8 @@ SEXTIC_GOLDEN = {
                 "--kbre", "0.5", "--kbim", "-0.25", "--k", "2"],
     "w0": ["--w1", "0", "--w2", "0", "--kre", "0", "--kbre", "1", "--k", "0"],  # W(y) = 0
 }
+# the sextic --fd request whose output tests/golden/sextic_fd_k7.{txt,json} pins
+SEXTIC_FD_K7 = ["--w1", "0.75", "--w2", "1.5", "--kre", "0.25", "--kbre", "0.875", "--k", "7"]
 # model files written by the polys and check golden tests: complex couplings on
 # both off-diagonals, and a model whose terms have charge weights 0, 1, 4 and -1
 COMPLEX_MODEL = (
@@ -44,6 +47,15 @@ POLYS_GOLDEN = {
     ),
     "complex_k20": (None, ["--kappa", "20"]),
 }
+
+
+def sextic_fd_lines(fd):
+    """The text lines sextic --fd prints for the JSON "fd" payload fd."""
+    return (
+        f"block levels: {fd['block_levels']}\n"
+        f"fd levels: {fd['fd_levels']}\n"
+        f"fd shift estimate: {fd['shift']!r} max deviation: {fd['max_deviation']!r}\n"
+    )
 
 
 def run(capsys, *argv):
@@ -272,6 +284,52 @@ class TestSextic:
         suffix = "txt" if output == "text" else "json"
         assert out == (GOLDEN / f"sextic_{name}.{suffix}").read_text(encoding="utf-8")
 
+    def test_fd_k7_golden(self, capsys):
+        # the analytic benchmark's slowest request class: 9 FD levels and 4
+        # block levels.  The exact part is pinned byte for byte; the FD floats,
+        # which depend on the LAPACK build, to 1e-9 (the grid's discretization
+        # error is 1e-5), and the text lines to this run's JSON
+        argv = ["sextic", *SEXTIC_FD_K7, "--fd"]
+        code, out, err = run(capsys, *argv, "--output", "json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        golden = json.loads((GOLDEN / "sextic_fd_k7.json").read_text(encoding="utf-8"))
+        assert list(payload) == list(golden)
+        assert {**payload, "fd": None} == {**golden, "fd": None}
+        fd, golden_fd = payload["fd"], golden["fd"]
+        assert list(fd) == list(golden_fd)
+        for key in fd:
+            np.testing.assert_allclose(fd[key], golden_fd[key], rtol=0, atol=1e-9)
+        assert (len(fd["block_levels"]), len(fd["fd_levels"])) == (4, 9)
+        golden_text = (GOLDEN / "sextic_fd_k7.txt").read_text(encoding="utf-8").splitlines(True)
+        exact_lines, fd_lines = "".join(golden_text[:3]), "".join(golden_text[3:])
+        assert fd_lines == sextic_fd_lines(golden_fd)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == exact_lines + sextic_fd_lines(fd)
+
+    def test_fd_request_builds_w_and_v_once(self, capsys, monkeypatch):
+        built = []
+
+        @dataclasses.dataclass(frozen=True)
+        class CountedW(sextic.Superpotential):
+            def __post_init__(self):
+                built.append("W")
+
+        @dataclasses.dataclass(frozen=True)
+        class CountedV(sextic.SexticPotential):
+            def __post_init__(self):
+                built.append("V")
+
+        monkeypatch.setattr(sextic, "Superpotential", CountedW)
+        monkeypatch.setattr(sextic, "SexticPotential", CountedV)
+        # couplings no other test uses, so no earlier call has built W or V
+        argv = ["--w1", "0.625", "--w2", "1.375", "--kre", "0.375", "--kbre", "0.625", "--k", "4"]
+        code, out, err = run(capsys, "sextic", *argv, "--fd", "--fd-grid", "1000", "--output", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["gauge_identity"]["shift"] == 1.375
+        assert sorted(built) == ["V", "W"]
+
     @pytest.mark.parametrize("name", sorted(SEXTIC_GOLDEN))
     def test_fd_output_extends_golden(self, capsys, name):
         # the FD floats depend on the LAPACK build: pin the keys, the exact
@@ -287,11 +345,7 @@ class TestSextic:
         fd = payload["fd"]
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
-        assert out == (GOLDEN / f"sextic_{name}.txt").read_text(encoding="utf-8") + (
-            f"block levels: {fd['block_levels']}\n"
-            f"fd levels: {fd['fd_levels']}\n"
-            f"fd shift estimate: {fd['shift']!r} max deviation: {fd['max_deviation']!r}\n"
-        )
+        assert out == (GOLDEN / f"sextic_{name}.txt").read_text(encoding="utf-8") + sextic_fd_lines(fd)
 
     @pytest.mark.parametrize(
         "argv,bound",

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import sys
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -26,6 +27,7 @@ from qesboson import (
 )
 from qesboson import sextic
 from qesboson._lapack import lowest_eigenvalues
+from qesboson.reduction import shg_ode
 
 RESOLVED = (1, 1, 1.0)  # (w_sign, exponent_sign, kinetic) the check reports
 
@@ -179,6 +181,90 @@ class TestGaugeIdentity:
             check_gauge_identity(1, 2, 0.5, 0, 1)
 
 
+def full_convention_search(w1, w2, kc, kb, k):
+    """check_gauge_identity's (tried, exact shift per (s, kin) that holds),
+    with f2, f1 and f0 evaluated in full under all four (sign, kinetic)
+    conventions; W and V come from the module's builders, patched or not."""
+    ode = shg_ode(w1, w2, kc, kb, k)
+    w = sextic.gauge_superpotential(w1, w2, kc, kb, k)
+    pot = sextic.sextic_potential(w1, w2, kc, kb, k)
+    z_coeff = -1 / Fraction(kb)
+    dz = sextic._derivative({-2: z_coeff})
+    sup = {-1: w.inverse_coeff.re, 1: w.linear_coeff.re, 3: w.cubic_coeff.re}
+    c3_z3 = {-6: ode.c3.re * z_coeff**3}
+    potential = {0: pot.c0.re, 2: pot.c2.re, 4: pot.c4.re, 6: pot.c6.re}
+    c1, c0 = sextic._in_y(ode.c1, z_coeff), sextic._in_y(ode.c0, z_coeff)
+    shifts = {}
+    for sign in (1, -1):
+        for kinetic in (1.0, 0.5):
+            kin = Fraction(kinetic)
+            f2 = sextic._combination((-kin, sextic._product(dz, dz)), (-1, c3_z3))
+            f1 = sextic._combination(
+                (-kin, sextic._derivative(dz)), (-2 * sign * kin, sextic._product(sup, dz)), (-1, c1)
+            )
+            f0 = sextic._combination(
+                (1, potential), (-sign * kin, sextic._derivative(sup)),
+                (-kin, sextic._product(sup, sup)), (-1, c0),
+            )
+            if not f2 and not f1 and f0.keys() <= {0}:
+                shifts[(sign, kinetic)] = f0.get(0, Fraction(0))
+    tried = {
+        (w_sign, exp_sign, kinetic): 0.0 if (w_sign * exp_sign, kinetic) in shifts else math.inf
+        for w_sign in (1, -1)
+        for exp_sign in (1, -1)
+        for kinetic in (1.0, 0.5)
+    }
+    return tried, shifts
+
+
+# real rationals: zero, negative, 1/7-scaled and 1e308-scale
+gauge_reals = st.builds(
+    lambda q, scale: q * scale, rationals, st.sampled_from([1, Fraction(1, 7), 10**308])
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    w1=gauge_reals,
+    w2=gauge_reals,
+    kc=gauge_reals,
+    kb=gauge_reals.filter(lambda q: q != 0),
+    k=st.integers(min_value=0, max_value=600),
+    perturb=st.sampled_from([None, "c0", "c2"]),
+)
+@example(w1=Fraction(1), w2=Fraction(2), kc=Fraction(0), kb=Fraction(1), k=0, perturb=None)  # W = 0
+@example(w1=Fraction(1), w2=Fraction(2), kc=Fraction(-1, 2), kb=Fraction(-3, 4), k=600, perturb=None)
+@example(w1=Fraction(1), w2=Fraction(3 * 10**308), kc=Fraction(1), kb=Fraction(1), k=1, perturb=None)
+def test_gauge_search_matches_the_full_four_convention_search(w1, w2, kc, kb, k, perturb):
+    # c0 + 1 moves the exact shift; c2 + 1 leaves a y^2 remainder under every convention
+    real_potential = sextic.sextic_potential
+
+    def potential(*args):
+        pot = real_potential(*args)
+        return pot if perturb is None else dataclasses.replace(pot, **{perturb: getattr(pot, perturb) + 1})
+
+    with patch.object(sextic, "sextic_potential", potential):
+        tried, shifts = full_convention_search(w1, w2, kc, kb, k)
+        winner = next((key for key, r in tried.items() if not r), None)
+        if winner is None:
+            with pytest.raises(ConventionMismatch) as err:
+                check_gauge_identity(w1, w2, kc, kb, k)
+            assert err.value.residuals == tried
+            return
+        shift = shifts[(winner[0] * winner[1], winner[2])]
+        assert shift == w2 + (perturb == "c0")
+        if abs(shift) > sys.float_info.max:
+            with pytest.raises(NumericalFailure, match="exceeds double range"):
+                check_gauge_identity(w1, w2, kc, kb, k)
+            return
+        result = check_gauge_identity(w1, w2, kc, kb, k)
+    conv = result.convention
+    assert result.residual == 0.0
+    assert result.tried == tried
+    assert (conv.w_sign, conv.exponent_sign, conv.kinetic) == winner
+    assert conv.shift == float(shift)
+
+
 def unfolded_matrix(potential, halfwidth, grid):
     """The three-point matrix fd_spectrum builds, before any fold."""
     v = potential.grid_potential() if isinstance(potential, sextic.SexticPotential) else potential
@@ -280,6 +366,43 @@ class TestFdSpectrum:
         for halfwidth in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="halfwidth must be finite and positive"):
                 fd_spectrum(lambda y: y**2, halfwidth, 100)
+
+
+def anchor_loop_shift_match(candidates, reference):
+    """constant_shift_match as one Python pass over the anchors: the best
+    (shift, max deviation), the first anchor on ties."""
+    candidates = np.asarray(candidates, dtype=float)
+    reference = np.sort(np.asarray(reference, dtype=float))
+    best = None
+    for anchor in candidates:
+        shift = float(anchor - reference[0])
+        dev = float(max(np.min(np.abs(candidates - (r + shift))) for r in reference))
+        if best is None or dev < best[1]:
+            best = (shift, dev)
+    return best
+
+
+# quarter steps make tied anchorings common; wide floats make them rare
+levels = st.one_of(
+    st.integers(min_value=-12, max_value=12).map(lambda i: i / 4),
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+)
+
+
+@given(
+    candidates=st.lists(levels, min_size=1, max_size=12),
+    reference=st.lists(levels, min_size=1, max_size=8),
+)
+def test_shift_match_equals_the_anchor_loop(candidates, reference):
+    got = constant_shift_match(candidates, reference)
+    assert tuple(map(type, got)) == (float, float)
+    assert list(map(repr, got)) == list(map(repr, anchor_loop_shift_match(candidates, reference)))
+
+
+def test_shift_match_ties_go_to_the_first_anchor():
+    # three exact anchorings each
+    assert constant_shift_match([0.0, 1.0, 2.0, 3.0], [1.0, 0.0]) == (0.0, 0.0)
+    assert constant_shift_match([3.0, 2.0, 1.0, 0.0], [0.0, 1.0]) == (2.0, 0.0)
 
 
 def test_block_levels_inside_sextic_spectrum():
