@@ -6,39 +6,35 @@ restricts to an exactly finite matrix on each block.  There is no
 truncation error anywhere: this is the central testing asset of the
 package, and every reduced-route result is validated against it.
 
-Matrix elements are assembled in exact arithmetic, each as a rational
-coefficient times the square root of a ladder ratio t1! t2! / (n1! n2!)
-built from the few integer factors between source and target occupations.
-The coefficients are integer numerators over one common denominator of the
-Hamiltonian's coefficients.  Every term moves a basis state by the same
-number of places along the block, so block_matrix assembles the block band
-by band: algebra._block_bands, which the reduced route reads as well, forms
-each band's numerators for all its columns at once with list comprehensions
-over math.perm (the falling factorial, in C); block_matrix divides each by
-the denominator and multiplies it by the square root of its ladder ratio,
-one correctly rounded operation per entry on exact Python integers of any
-size, and fills the dense matrix with one fancy-index assignment.  No exact
-rational object is formed; _first_overflow walks the exact amplitudes
-column by column to name the first that overflows a double.
+Every entry is exact until its one rounding: an integer numerator over one
+common denominator of h's coefficients, times the square root of a ladder
+ratio t1! t2! / (n1! n2!).  Every term moves a basis state by the same
+number of places along the block, so build_block assembles it band by
+band: algebra._block_bands, which the reduced route reads as well, forms
+each band's numerators for all its columns at once (math.perm, the falling
+factorial, in C), and build_block makes each entry a float by one correctly
+rounded operation on exact integers of any size; _first_overflow walks the
+exact amplitudes column by column to name the first that overflows a
+double.  The block keeps that band form (FockBlock.bands: shift -> columns
+and float values) and fills a dense matrix (_dense, the reduced route's
+fill too) or enumerates its basis only on first use of either.
 
-Closure is conservation, which block_matrix alone decides on this route:
+Closure is conservation, which build_block alone decides on this route:
 it refuses a Hamiltonian that does not conserve the charge
 (NonConservingHamiltonian) before it reads kappa, and a conserving one maps
 the block into itself, so no entry is checked for leaving it.  Only
 block_amplitudes, which takes any basis, reports a state that leaves its
-basis (BlockClosureViolation).  FockBlock builds its basis on first use.
+basis (BlockClosureViolation).
 
-A Hamiltonian whose coefficients are all real has real blocks: block_matrix
-returns them as float64, and they are diagonalized and checked in real
-arithmetic (real symmetric eigh, or real eig for non-Hermitian h).  Complex
-coefficients give complex blocks and a complex solve.  A real Hermitian
-block that is exactly tridiagonal, as every block of a single-exchange
-model such as SHG is (decided on the few diagonals h's terms can fill),
-goes straight to LAPACK's tridiagonal divide-and-conquer solver dstevd
-(Gu & Eisenstat 1995), called through scipy's compiled wrapper by
-qesboson._lapack.  That is the solver dense eigh runs after its
-Householder reduction, which on such a block is the identity, so it
-skips two O(n^3) no-op steps.
+Real coefficients give real (float64) blocks, solved and checked in real
+arithmetic (eigh, or eig for non-Hermitian h); complex ones a complex
+block and solve.  A real Hermitian block with no band key but -1, 0 and 1
+is exactly tridiagonal, as every block of a single-exchange model such as
+SHG is: its three bands go straight to LAPACK's tridiagonal
+divide-and-conquer solver dstevd (Gu & Eisenstat 1995), through scipy's
+compiled wrapper (qesboson._lapack), and no dense matrix is formed.  That
+is the solver dense eigh runs after its Householder reduction, which on
+such a block is the identity, so it skips two O(n^3) no-op steps.
 
 Such a block also takes its residual on its band: d*v - lambda*v plus the
 sub- and superdiagonal terms, elementwise.  That is every nonzero entry the
@@ -48,11 +44,10 @@ and no second thread pool wakes up right after stevd's.  Every other block
 takes its residual on the full dense matrix.
 
 Both routes share this one solve, _solve_block, and its one residual gate,
-RESIDUAL_TOL: the oracle hands it the band of its tridiagonal blocks or the
-dense Fock block, the reduced route the band of its Jacobi matrix, built
-from the reduced entries alone, or the dense reduced block.  The two
-routes differ in the matrix or band they pass, not in the solver or the
-checks.
+RESIDUAL_TOL: the oracle hands it its three bands or the dense Fock block,
+the reduced route the band of its Jacobi matrix, built from the reduced
+entries alone, or the dense reduced block.  The two routes differ in the
+matrix or band they pass, not in the solver or the checks.
 """
 
 from __future__ import annotations
@@ -139,56 +134,9 @@ def block_amplitudes(
 
 def block_matrix(h: OperatorPolynomial, charge: ConservedCharge, kappa: int) -> np.ndarray:
     """Dense matrix of h restricted to the block kappa, over the
-    enumerate_block basis: float64 when every coefficient of h is real,
-    complex otherwise.  Raises NonConservingHamiltonian unless h conserves
-    the charge.
-
-    Each entry is formed straight from its integer numerators re, im over
-    h's common denominator D and its unreduced ladder ratio num/den as
-    complex(re / D, im / D) * (num / den) ** 0.5, or for real h as
-    re / D * (num / den) ** 0.5, the real part of that product bit for
-    bit.  Integer true division is correctly rounded, so this is bit for bit
-    complex(amp) (its real part for real h) of the exact amplitude that
-    block_amplitudes returns.  Raises NumericalFailure when an entry does
-    not fit in a double, naming the first whose integer ratio overflows on
-    conversion, column by column (_first_overflow), even where an earlier
-    column holds a product that overflowed to inf; if none does, the first
-    non-finite entry in row-major order.
-    """
-    if not conserves(h, charge):
-        raise _non_conserving(charge)
-    n1s, n2s = _block_run(charge, kappa)
-    dim = len(n2s)
-    terms, denom = _integer_terms(h)
-    real = not any(im for _, _, im in terms)
-    matrix = np.zeros((dim, dim), dtype=float if real else complex)
-    s, p = charge.s, charge.p
-    rows, cols, values = [], [], []
-    try:
-        for k, (nz, res, ims) in _block_bands(terms, n1s, n2s).items():
-            # ladder ratio per mode: the rising occupation over the falling one
-            if k >= 0:
-                rise, fall, ups, downs = s * k, p * k, n2s, n1s
-            else:
-                rise, fall, ups, downs = -p * k, -s * k, n1s, n2s
-            scales = [(perm(ups[j] + rise, rise) / perm(downs[j], fall)) ** 0.5 for j in nz]
-            if real:
-                values += [re / denom * x for re, x in zip(res, scales)]
-            else:
-                values += [
-                    complex(re / denom, im / denom) * x
-                    for re, im, x in zip(res, ims or repeat(0), scales)
-                ]
-            rows += [j + k for j in nz]
-            cols += nz
-    except OverflowError:
-        raise _first_overflow(h, charge, kappa) from None
-    values = np.array(values, dtype=matrix.dtype)
-    matrix[rows, cols] = values
-    if not np.isfinite(values).all():
-        row, col = np.argwhere(~np.isfinite(matrix))[0]
-        raise _unrepresentable(FockState(n1s[col], n2s[col]), FockState(n1s[row], n2s[row]))
-    return matrix
+    enumerate_block basis: build_block's bands filled in on first use of
+    FockBlock.matrix, with build_block's dtype, entry bits and refusals."""
+    return build_block(h, charge, kappa).matrix
 
 
 def _first_overflow(
@@ -196,7 +144,7 @@ def _first_overflow(
 ) -> NumericalFailure:
     """The first amplitude in block_amplitudes' order (column by column, in
     term order within a column) whose complex(amp) overflows, walked one
-    column at a time; it and block_matrix round correctly, so both overflow
+    column at a time; it and build_block round correctly, so both overflow
     on the same entries."""
     for state in enumerate_block(charge, kappa):
         for target, amp in apply_to_fock(h, state).items():
@@ -204,7 +152,7 @@ def _first_overflow(
                 complex(amp)
             except OverflowError:
                 return _unrepresentable(state, target)
-    raise AssertionError("block_matrix met no overflow")
+    raise AssertionError("build_block met no overflow")
 
 
 def _non_conserving(charge: ConservedCharge) -> NonConservingHamiltonian:
@@ -221,18 +169,32 @@ def _unrepresentable(state: FockState, target: FockState) -> NumericalFailure:
     )
 
 
+def _dense(bands: dict[int, tuple[list[int], list | np.ndarray]], dim: int, dtype) -> np.ndarray:
+    """The dim x dim matrix of dtype with band k's values at (column + k,
+    column), zero elsewhere, in one assignment: both routes' dense fill."""
+    matrix = np.zeros((dim, dim), dtype=dtype)
+    rows = [j + k for k, (nz, _) in bands.items() for j in nz]
+    cols = [j for nz, _ in bands.values() for j in nz]
+    matrix[rows, cols] = np.concatenate([np.zeros(0, dtype), *(v for _, v in bands.values())])
+    return matrix
+
+
 @dataclass(frozen=True, eq=False)
 class FockBlock:
-    """A charge block: its kappa, exact restriction of h (float64 when h
-    has real coefficients, complex otherwise) and, on first use, basis."""
+    """A charge block: kappa, dimension and h's exact restriction in band
+    form as build_block assembles it, shift -> (columns, values of dtype:
+    float64 when h has real coefficients, complex otherwise), the entry in
+    row column + shift.  matrix and basis are formed on first use."""
 
     charge: ConservedCharge
     kappa: int
-    matrix: np.ndarray
+    dimension: int
+    bands: dict[int, tuple[list[int], np.ndarray]]
+    dtype: type
 
-    @property
-    def dimension(self) -> int:
-        return len(self.matrix)
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return _dense(self.bands, self.dimension, self.dtype)
 
     @cached_property
     def basis(self) -> tuple[FockState, ...]:
@@ -242,8 +204,49 @@ class FockBlock:
 def build_block(
     h: OperatorPolynomial, charge: ConservedCharge, kappa: int
 ) -> FockBlock:
-    """Restrict h to the block; requires conservation."""
-    return FockBlock(charge, kappa, block_matrix(h, charge, kappa))
+    """h restricted to the block kappa, over the enumerate_block basis, in
+    band form: each band of algebra._block_bands with its ladder scales
+    applied.  Raises NonConservingHamiltonian, before any entry is formed,
+    unless h conserves the charge.
+
+    Each entry is formed from its integer numerators re, im over h's common
+    denominator D and its unreduced ladder ratio num/den as
+    complex(re / D, im / D) * (num / den) ** 0.5, or for real h as
+    re / D * (num / den) ** 0.5, the real part of that product bit for
+    bit.  Integer true division is correctly rounded, so this is bit for bit
+    complex(amp) (its real part for real h) of the exact amplitude that
+    block_amplitudes returns.  Raises NumericalFailure when an entry does
+    not fit in a double, naming the first whose integer ratio overflows on
+    conversion, column by column (_first_overflow), even where an earlier
+    column holds a product that overflowed to inf; if none does, the first
+    non-finite entry in row-major order.
+    """
+    if not conserves(h, charge):
+        raise _non_conserving(charge)
+    n1s, n2s = _block_run(charge, kappa)
+    terms, denom = _integer_terms(h)
+    dtype = complex if any(im for _, _, im in terms) else float
+    s, p = charge.s, charge.p
+    bands = {}
+    try:
+        for k, (nz, res, ims) in _block_bands(terms, n1s, n2s).items():
+            # ladder ratio per mode: the rising occupation over the falling one
+            if k >= 0:
+                rise, fall, ups, downs = s * k, p * k, n2s, n1s
+            else:
+                rise, fall, ups, downs = -p * k, -s * k, n1s, n2s
+            scales = [(perm(ups[j] + rise, rise) / perm(downs[j], fall)) ** 0.5 for j in nz]
+            values = [re / denom * x for re, x in zip(res, scales)] if dtype is float else [
+                complex(re / denom, im / denom) * x
+                for re, im, x in zip(res, ims or repeat(0), scales)
+            ]
+            bands[k] = nz, np.array(values, dtype=dtype)
+    except OverflowError:
+        raise _first_overflow(h, charge, kappa) from None
+    if not all(np.isfinite(values).all() for _, values in bands.values()):
+        row, col = np.argwhere(~np.isfinite(_dense(bands, len(n2s), dtype)))[0]
+        raise _unrepresentable(FockState(n1s[col], n2s[col]), FockState(n1s[row], n2s[row]))
+    return FockBlock(charge, kappa, len(n2s), bands, dtype)
 
 
 @dataclass(frozen=True)
@@ -327,24 +330,23 @@ def diagonalize_block(
     Uses the Hermitian eigensolver when h is exactly Hermitian (real
     eigenvalues, orthonormal eigenvectors) and the general dense solver
     otherwise, in real arithmetic when the block is real.  A real Hermitian
-    block that is zero outside its diagonal, subdiagonal and superdiagonal
-    goes to _solve_block as that band, every other block as its dense
-    matrix.  Returns (block, values, vectors, method, max_residual) with
+    block with no band key but -1, 0 and 1 goes to _solve_block as those
+    three bands, with no dense matrix formed, every other block as its
+    dense matrix.  Returns (block, values, vectors, method, max_residual) with
     the eigenpairs sorted ascending by (real, imag); values are complex,
     vectors have the dtype the solver returns (float64 for a real Hermitian
     block).  Raises NumericalFailure when _solve_block refuses the solve.
     """
     block = build_block(h, charge, kappa)
     hermitian = is_hermitian(h)
-    matrix = block.matrix
-    # the diagonals h's terms can fill: a term moves a state (m3 - m4) / s
-    # places along the basis
-    offsets = {(m4 - m3) // charge.s for (_, _, m3, m4), _ in h.items()}
-    form = matrix
-    if hermitian and matrix.dtype == float and not any(
-        np.diagonal(matrix, k).any() for k in offsets if abs(k) > 1
-    ):
-        form = np.diag(matrix), np.diag(matrix, -1), np.diag(matrix, 1)
+    if hermitian and block.dtype is float and block.bands.keys() <= {-1, 0, 1}:
+        # row k % 3 holds band k: diagonal, subdiagonal (from column 0), superdiagonal (from 1)
+        rows = np.zeros((3, block.dimension))
+        for k, (cols, values) in block.bands.items():
+            rows[k, cols] = values
+        form = rows[0], rows[1, :-1], rows[2, 1:]
+    else:
+        form = block.matrix
     values, vectors, max_residual = _solve_block(f"block kappa={kappa}", form, hermitian)
     return block, values, vectors, "hermitian" if hermitian else "general", max_residual
 

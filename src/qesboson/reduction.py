@@ -87,6 +87,7 @@ from .exact import Polynomial, Rationalish, RationalComplex
 from .oracle import (
     SpectrumReport,
     _block_run,
+    _dense,
     _non_conserving,
     _solve_block,
     eigen_residual,  # unused here; perfbench/spans.py looks it up in this module
@@ -210,22 +211,19 @@ class ReducedBlock:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """Complex matrix of the entries, gathered band by band and assigned
-        at once.  Integer true division is correctly rounded, so each float
-        equals the conversion of the exact rational entry.  Raises
-        NumericalFailure when an entry does not fit in a double."""
+        """Complex matrix of the entries complex(re / D, im / D), filled by the
+        oracle's dense fill (oracle._dense).  Integer true division is
+        correctly rounded, so each float is the exact entry converted.
+        Raises NumericalFailure when an entry does not fit in a double."""
         d = self.denominator
-        matrix = np.zeros((self.dimension, self.dimension), dtype=complex)
-        rows, cols, values = [], [], []
         try:
-            for k, (nz, res, ims) in self.bands.items():
-                values += [complex(re / d, im / d) for re, im in zip(res, ims or repeat(0))]
-                rows += [j + k for j in nz]
-                cols += nz
+            bands = {
+                k: (cols, [complex(re / d, im / d) for re, im in zip(res, ims or repeat(0))])
+                for k, (cols, res, ims) in self.bands.items()
+            }
         except OverflowError:
             raise _unrepresentable() from None
-        matrix[rows, cols] = values
-        return matrix
+        return _dense(bands, self.dimension, complex)
 
 
 def reduced_block_matrix(

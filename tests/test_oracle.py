@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import sqrt
 from pathlib import Path
@@ -463,3 +466,131 @@ class TestBandResidual:
         [(matrix, residuals)] = dense
         assert matrix is block.matrix
         assert max_residual == residuals.max()
+
+
+# charge N1 + N2 with bands +-1 and +-2 where both modes allow them; the CI
+# smoke run scans the same model
+PENTADIAGONAL = parse_model_file(
+    "charge 1 1\n"
+    "term 1 0 1 1 0 0\n"
+    "term 2 0 0 0 1 1\n"
+    "term 1/3 0 1 0 0 1\n"
+    "term 1/3 0 0 1 1 0\n"
+    "term 1/5 0 2 0 0 2\n"
+    "term 1/5 0 0 2 2 0\n"
+)
+
+
+def _zero_coupling_model():
+    # the factor N2 - 2 makes the coupling of n2 = 2 to n2 = 1 exactly 0
+    up = monomial(1, 2, 0, 0, 1) * (number(2) - identity(2))
+    return number(1) + number(2) + up + up.adjoint(), shg_charge()
+
+
+class TestBandForm:
+    """The oracle keeps its block as bands: a real Hermitian block whose
+    band keys are among -1, 0 and 1 is solved from them with no dense
+    matrix formed, and the three arrays it solves are the diagonals of the
+    dense matrix the block forms on first use."""
+
+    @staticmethod
+    def solve_spied(monkeypatch, h, charge, kappa):
+        forms = []
+        solve = oracle._solve_block
+
+        def spy(name, form, hermitian):
+            forms.append(form)
+            return solve(name, form, hermitian)
+
+        monkeypatch.setattr(oracle, "_solve_block", spy)
+        block, *_ = diagonalize_block(h, charge, kappa)
+        [form] = forms
+        return block, form
+
+    @pytest.mark.parametrize(
+        "name, kappa, dim",
+        [
+            ("shg", 0, 1),
+            ("shg", 2, 2),
+            ("shg", 41, 21),
+            ("shg", 598, 300),
+            ("shg", 1198, 600),
+            ("trilinear3", 1, 1),
+            ("trilinear3", 3, 2),
+            ("trilinear3", 62, 21),
+            ("trilinear3", 897, 300),
+            ("trilinear3", 1797, 600),
+            ("zero coupling", 10, 6),
+        ],
+    )
+    def test_tridiagonal_solve_reads_the_bands(self, monkeypatch, name, kappa, dim):
+        if name == "zero coupling":
+            h, charge = _zero_coupling_model()
+        else:
+            model = parse_model_file((MODELS / f"{name}.qesb").read_text(encoding="utf-8"))
+            h, charge = model.hamiltonian(), model.charge
+        block, form = self.solve_spied(monkeypatch, h, charge, kappa)
+        assert block.dimension == dim
+        assert "matrix" not in vars(block)
+        diagonal, lower, upper = form
+        matrix = block.matrix
+        for array, k in (diagonal, 0), (lower, -1), (upper, 1):
+            expected = np.diag(matrix, k)
+            assert array.dtype == expected.dtype == float
+            assert array.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kappa, keys", [(0, set()), (1, {-1, 0, 1})])
+    def test_bands_within_one_go_to_stevd(self, monkeypatch, kappa, keys):
+        # kappa = 1 has no +-2 band: both terms that would fill it vanish on
+        # |1,0> and |0,1>
+        monkeypatch.setattr(np.linalg, "eigh", _refuse("eigh"))
+        block, form = self.solve_spied(
+            monkeypatch, PENTADIAGONAL.hamiltonian(), PENTADIAGONAL.charge, kappa
+        )
+        assert block.bands.keys() == keys
+        assert isinstance(form, tuple)
+        assert "matrix" not in vars(block)
+        if kappa == 0:
+            assert [a.tolist() for a in form] == [[0.0], [], []]
+
+    @pytest.mark.parametrize("kappa", [2, 6])
+    def test_bands_beyond_one_keep_dense_eigh(self, monkeypatch, kappa):
+        monkeypatch.setattr(oracle, "stevd", _refuse("stevd"))
+        eigh, calls = np.linalg.eigh, []
+
+        def spy(matrix):
+            calls.append(matrix)
+            return eigh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        block, form = self.solve_spied(
+            monkeypatch, PENTADIAGONAL.hamiltonian(), PENTADIAGONAL.charge, kappa
+        )
+        assert block.bands.keys() == {-2, -1, 0, 1, 2}
+        assert form is block.matrix
+        assert [m is block.matrix for m in calls] == [True]
+
+
+def test_block_spectra_demo_matches_golden():
+    """demos/block_spectra.py prints tests/golden/demo_block_spectra.txt: the
+    block structure, the kappa = 4 Fock and reduced matrices and the
+    spectra table's eigenvalue columns byte for byte, and each deviation,
+    which rests on LAPACK's last bits, within 1e-12."""
+    root = MODELS.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(root / "demos" / "block_spectra.py")],
+        capture_output=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = proc.stdout.decode().splitlines()
+    want = (root / "tests" / "golden" / "demo_block_spectra.txt").read_text().splitlines()
+    # the first table row: after its title and its column header
+    table = want.index("== spectra agree block by block ==") + 2
+    assert got[:table] == want[:table]
+    assert len(got) == len(want)
+    for line, expected in zip(got[table:], want[table:]):
+        head, _, deviation = line.rpartition(" ")
+        want_head, _, want_deviation = expected.rpartition(" ")
+        assert head == want_head
+        assert abs(float(deviation) - float(want_deviation)) <= 1e-12
