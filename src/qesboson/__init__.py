@@ -84,9 +84,9 @@ from .sextic import (
     SexticPotential,
     Superpotential,
     check_gauge_identity,
-    constant_shift_match,
     fd_spectrum,
     gauge_superpotential,
+    oscillator_levels,
     sextic_potential,
 )
 

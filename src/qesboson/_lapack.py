@@ -1,9 +1,12 @@
-"""LAPACK's real symmetric tridiagonal eigensolvers, dstevd and dstebz.
+"""LAPACK's real symmetric tridiagonal and band eigensolvers: dstevd, dstebz
+and dsbevd.
 
-Every real symmetric tridiagonal solve of the package runs one of them: the
-oracle's tridiagonal blocks, the reduced Jacobi matrices, the energy
-polynomials and the sextic grid.  Dense blocks go to numpy's eigh and eig,
-so these routines are all the package needs from scipy.  They are called
+Every real symmetric tridiagonal solve of the package runs dstevd or
+dstebz: the oracle's tridiagonal blocks, the reduced Jacobi matrices, the
+energy polynomials and the finite-difference grid.  The sextic levels of
+`sextic --fd` run dsbevd on the seven-diagonal parity sectors of the
+oscillator basis.  Dense blocks go to numpy's eigh and eig, so these
+routines are all the package needs from scipy.  They are called
 through scipy's compiled f2py wrapper, scipy.linalg._flapack, which this
 module loads by itself: it finds the extension file inside scipy's installed
 package directory and executes it, without running the `scipy` or
@@ -14,10 +17,11 @@ its own name in sys.modules, so an `import scipy.linalg` later in the same
 process reuses it, and one imported before is reused here.  scipy >= 1.10
 always ships it; if it is missing, importing this module raises ImportError.
 
-Both functions keep the checks scipy.linalg.eigh_tridiagonal makes and raise
-its errors with its texts, so callers see the same failures: ValueError for
-a non-finite entry, a malformed input or an illegal LAPACK argument, and
-np.linalg.LinAlgError when LAPACK does not converge.
+The functions keep the checks scipy.linalg.eigh_tridiagonal and eig_banded
+make and raise their errors with their texts, so callers see the same
+failures: ValueError for a non-finite entry, a malformed input or an
+illegal LAPACK argument, and np.linalg.LinAlgError when LAPACK does not
+converge.
 """
 
 from __future__ import annotations
@@ -95,3 +99,17 @@ def lowest_eigenvalues(d, e, count: int) -> np.ndarray:
     found, values, _, _, info = _flapack.dstebz(d, e, 2, 0.0, 1.0, 1, count, 0.0, "E")
     _check_info(info, "stebz (eigh_tridiagonal)")
     return values[:found]
+
+
+def band_eigenvalues(bands) -> np.ndarray:
+    """All eigenvalues, ascending, of the real symmetric band matrix whose
+    lower band storage is bands: bands[r, j] is the entry (j + r, j), and
+    the last r entries of row r are not read.  By dsbevd without
+    eigenvectors: what eig_banded(bands, lower=True, eigvals_only=True)
+    returns.  bands is left unchanged."""
+    bands = np.asarray_chkfinite(bands, dtype=np.float64)
+    if bands.ndim != 2:
+        raise ValueError("expected a 2-D array")
+    values, _, info = _flapack.dsbevd(bands, compute_v=0, lower=1, overwrite_ab=0)
+    _check_info(info, "sbevd")
+    return values

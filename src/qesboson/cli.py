@@ -37,11 +37,11 @@ from .models import ModelFile, build_shg, parse_model_file, shg_charge
 from .oracle import SpectrumReport, block_spectrum, enumerate_block
 from .reduction import energy_polynomial_table, paper_literal, qes_spectrum
 from .sextic import (
-    _check_grid,
+    LEVEL_TOL,
     check_gauge_identity,
-    constant_shift_match,
-    fd_spectrum,
+    fd_spectrum,  # noqa: F401 - not called here; perfbench/spans.py wraps cli.fd_spectrum
     gauge_superpotential,
+    oscillator_levels,
     sextic_potential,
 )
 
@@ -123,9 +123,12 @@ def _build_parser() -> _Parser:
     sextic.add_argument("--kbre", type=_finite, required=True)
     sextic.add_argument("--kbim", type=_finite, default=0.0)
     sextic.add_argument("--k", type=int, required=True)
-    sextic.add_argument("--fd", action="store_true", help="run the finite-difference comparison")
-    sextic.add_argument("--fd-halfwidth", type=_finite, default=6.0)
-    sextic.add_argument("--fd-grid", type=int, default=4000)
+    sextic.add_argument(
+        "--fd",
+        action="store_true",
+        help="match the block levels + w2 to the sextic levels of an oscillator basis; exit 4"
+        " when a level differs by more than 1e-9*max(1, |E|) plus its error estimate",
+    )
     sextic.add_argument("--output", choices=("text", "json"), default="text")
 
     return parser
@@ -349,39 +352,33 @@ def _cmd_sextic(args) -> int:
     if args.fd:
         block_levels = qes_spectrum(build_shg(args.w1, args.w2, kc, kb), shg_charge(), args.k)
         if any(v.imag for v in block_levels.eigenvalues):
-            # the FD levels of the sextic potential are real
+            # the levels of the sextic oscillator are real
             raise NumericalFailure(
                 f"block kappa={args.k} has non-real levels, which no"
-                " finite-difference level can match",
+                " sextic level can match",
                 block_levels.max_residual,
             )
         reference = np.array([v.real for v in block_levels.eigenvalues])
-        # above the potential at the box edge the Dirichlet walls, not V, set
-        # a level: refining the grid cannot show that error, so refuse the box
-        _check_grid(args.fd_halfwidth, args.fd_grid)
-        with np.errstate(all="ignore"):  # inf or nan at the edge: fd_spectrum refuses
-            margin = float(pot.grid_potential()(args.fd_halfwidth) - (reference.max() + args.w2))
-        if margin < 0:
+        # by the gauge identity block level j + w2 is exactly sextic level j
+        # of the parity (-1)^k sector
+        levels, moved = oscillator_levels(pot, len(reference), float(reference.max()) + args.w2)
+        expected = reference + args.w2
+        deviations = np.abs(expected - levels)
+        gate = LEVEL_TOL * np.maximum(1.0, np.abs(expected)) + moved
+        if not (deviations <= gate).all():
+            j = int(np.argmax(deviations - gate))
+            level, block, dev, bound = map(float, (levels[j], expected[j], deviations[j], gate[j]))
             raise NumericalFailure(
-                f"finite-difference box --fd-halfwidth {args.fd_halfwidth!r} cannot hold block"
-                f" kappa={args.k}: edge margin {margin!r} (grid potential at the edge minus"
-                " the highest block level + w2) is negative; widen --fd-halfwidth",
-                block_levels.max_residual,
+                f"sextic level {j} at k={args.k} is {level!r} and block level + w2 is"
+                f" {block!r}: they differ by {dev!r}, more than {bound!r}",
+                dev,
             )
-        fd_levels = fd_spectrum(pot, args.fd_halfwidth, args.fd_grid)
-        if len(reference) == 1:
-            # one level fixes no shift (any anchor matches it exactly): report
-            # the exact gauge shift w2 and the level's distance from the FD
-            # spectrum under it
-            shift = args.w2
-            max_dev = float(np.abs(fd_levels - (reference[0] + args.w2)).min())
-        else:
-            shift, max_dev = constant_shift_match(fd_levels, reference)
         fd_payload = {
             "block_levels": [float(v) for v in reference],
-            "fd_levels": [float(v) for v in fd_levels],
-            "shift": shift,
-            "max_deviation": max_dev,
+            "fd_levels": [float(v) for v in levels],
+            "shift": args.w2,
+            "max_deviation": float(deviations.max()),
+            "error_estimate": float(moved.max()),
         }
     if args.output == "json":
         _dump_json(
@@ -421,8 +418,9 @@ def _cmd_sextic(args) -> int:
         print(f"block levels: {fd_payload['block_levels']}")
         print(f"fd levels: {fd_payload['fd_levels']}")
         print(
-            f"fd shift estimate: {fd_payload['shift']!r}"
+            f"fd shift: {fd_payload['shift']!r}"
             f" max deviation: {fd_payload['max_deviation']!r}"
+            f" error estimate: {fd_payload['error_estimate']!r}"
         )
     return 0
 

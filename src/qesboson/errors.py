@@ -22,8 +22,8 @@ class NumericalFailure(QesBosonError):
     """An eigensolve residual exceeded oracle.RESIDUAL_TOL, its
     eigenvectors cannot be represented in double precision (residual inf),
     the LAPACK solver did not converge (residual nan), a spectrum that
-    must be real to be compared is not, or a finite-difference box is too
-    narrow for the block levels it must hold (both: the solve's residual)."""
+    must be real to be compared is not (the solve's residual), or a sextic
+    level misses its block level + w2 (the deviation)."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)

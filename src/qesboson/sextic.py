@@ -17,13 +17,18 @@ stops each convention at the first of its three identities that fails,
 and W and V are formed once per argument set, so one `sextic` request
 builds each once for its output and its gauge check.
 
+The sextic levels that `sextic --fd` matches come from Rayleigh-Ritz in
+the harmonic-oscillator basis (MacDonald 1933; Turbiner 1988): x is
+tridiagonal there, so x^2, x^4 and x^6 are built band by band, and each
+parity sector is a seven-diagonal band matrix solved by LAPACK's dsbevd.
+The basis scale follows a WKB rule from the highest level wanted, and the
+basis doubles until two solves agree to LEVEL_TOL.  By the gauge identity,
+block level j + w2 is level j of the parity (-1)^k sector.
+
 A deliberately simple finite-difference solver (three-point Laplacian,
 Dirichlet box, the lowest levels of the tridiagonal matrix by LAPACK's
-bisection dstebz) provides desk-scale spectra
-for cross-checking the block energies inside the sextic spectrum.  Its
-nodes are mirror-symmetric, so an even potential (every sextic one) is
-solved as the direct sum of its even and odd sectors: each level is
-bisected on half the rows.
+bisection dstebz) provides desk-scale spectra of any potential for
+cross-checks.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._lapack import lowest_eigenvalues
+from ._lapack import band_eigenvalues, lowest_eigenvalues
 from .errors import ConventionMismatch, NumericalFailure
 from .exact import Polynomial, Rationalish, RationalComplex
 from .oracle import checked_solve
@@ -112,15 +117,23 @@ class SexticPotential:
 
     def real_coeffs(self) -> tuple[float, float, float, float]:
         """The coefficients as floats; raises ValueError for one that is not
-        real and NumericalFailure when one does not fit in a double."""
+        real and NumericalFailure when one does not fit in a double: too
+        large, or nonzero but rounded to 0.0, which would change the shape
+        of the potential."""
         named = {"c0": self.c0, "c2": self.c2, "c4": self.c4, "c6": self.c6}
         for name, c in named.items():
             if not c.is_real:
                 raise ValueError(f"{name} is not real: {c}")
         try:
-            return tuple(float(c.re) for c in named.values())
+            floats = tuple(float(c.re) for c in named.values())
         except OverflowError:
             raise NumericalFailure("one of c0, c2, c4, c6 exceeds double range", math.inf) from None
+        for (name, c), f in zip(named.items(), floats):
+            if f == 0.0 and not c.is_zero:
+                raise NumericalFailure(
+                    f"{name} underflows double range: nonzero, it rounds to 0.0", math.inf
+                )
+        return floats
 
     def __call__(self, y):
         c0, c2, c4, c6 = self.real_coeffs()
@@ -299,40 +312,23 @@ def check_gauge_identity(
     return GaugeIdentityResult(residual=0.0, convention=convention, tried=tried)
 
 
-def _check_grid(halfwidth: float, grid_points: int) -> None:
-    """Raises ValueError unless fd_spectrum can lay out this grid."""
-    if grid_points < 3:
-        raise ValueError("grid_points must be at least 3")
-    if not 0 < halfwidth < math.inf:
-        raise ValueError("halfwidth must be finite and positive")
-
-
 def fd_spectrum(potential, halfwidth: float, grid_points: int) -> np.ndarray:
     """Lowest Dirichlet eigenvalues of -1/2 psi'' + V psi on [-L, L].
 
     Second-order central differences on grid_points interior nodes; the
-    matrix is tridiagonal and solved exactly for the lowest levels: 5, or
-    max(5, k + 2) for a SexticPotential of level k, which is solved through
-    its spectrum-preserving grid form.  Any other potential is a callable
-    V(y).  The halfwidth L must be finite and positive.  Raises
+    matrix is tridiagonal and solved exactly for its 5 lowest levels.  A
+    SexticPotential is solved through its spectrum-preserving grid form,
+    any other potential is a callable V(y).  The halfwidth L must be
+    finite and positive.  Raises
     NumericalFailure when a matrix entry does not fit in double precision
     (residual inf) or, with residual NaN, when the solver does not converge.
-
-    The nodes h (i - (N + 1)/2), i = 1..N, are mirror-symmetric.  When the
-    diagonal equals its own reverse, as for any even V, the matrix is the
-    direct sum of the even and odd sectors, and that direct sum is solved:
-    the same N rows with the coupling between the two halves set to 0.  For
-    even N = 2m the two nodes next to the centre get d_m + e (even) and
-    d_m - e (odd) on the diagonal; for odd N the centre node joins the even
-    sector with coupling sqrt(2) e.  Any other V is solved unfolded.
     """
-    _check_grid(halfwidth, grid_points)
-    if isinstance(potential, SexticPotential):
-        vfun, levels = potential.grid_potential(), max(5, potential.k + 2)
-    else:
-        vfun, levels = potential, 5
+    if grid_points < 3:
+        raise ValueError("grid_points must be at least 3")
+    if not 0 < halfwidth < math.inf:
+        raise ValueError("halfwidth must be finite and positive")
+    vfun = potential.grid_potential() if isinstance(potential, SexticPotential) else potential
     h = 2 * halfwidth / (grid_points + 1)
-    # mirror-symmetric nodes: an even V gives a bit-for-bit symmetric diagonal
     nodes = h * (np.arange(1, grid_points + 1) - (grid_points + 1) / 2)
     h2 = np.float64(h**2)  # numpy division: 1 / 0 is inf, refused below
     with np.errstate(all="ignore"):
@@ -342,40 +338,200 @@ def fd_spectrum(potential, halfwidth: float, grid_points: int) -> np.ndarray:
         raise NumericalFailure(
             f"finite-difference matrix at halfwidth {halfwidth!r} exceeds double range", math.inf
         )
-    if np.array_equal(diag, diag[::-1]):
-        # the direct sum of the even sector (first rows) and the odd sector
-        # (last rows): dstebz splits at the zero and bisects each half alone
-        m = grid_points // 2
-        if grid_points % 2:  # the centre node m joins the even sector
-            off[m - 1] *= math.sqrt(2)
-            off[m] = 0.0
-        else:
-            diag[m - 1] += off[m - 1]
-            diag[m] -= off[m - 1]
-            off[m - 1] = 0.0
     with checked_solve("finite-difference"):
-        return lowest_eigenvalues(diag, off, min(levels, grid_points))
+        return lowest_eigenvalues(diag, off, min(5, grid_points))
 
 
-def constant_shift_match(
-    candidates: np.ndarray, reference: np.ndarray
-) -> tuple[float, float]:
-    """Best constant shift placing every reference level on a candidate.
+# two oscillator-basis solves whose levels differ by at most LEVEL_TOL *
+# max(1, |level|) have settled: the package's 1e-9 agreement bound
+LEVEL_TOL = 1e-9
+# the first basis holds max(_MIN_BASIS, 4 * count) states; it doubles up to _MAX_BASIS
+_MIN_BASIS, _MAX_BASIS = 40, 8192
+# the basis reaches where the WKB exponent past the outer turning point is 40
+_WKB_DECAY = 40.0
+_WKB_CELLS = 256
 
-    Tries anchoring the lowest reference level to each candidate level and
-    returns (shift, max deviation) for the anchoring that fits best, the
-    first such candidate on ties.  Used to locate the block energies inside
-    a finite-difference spectrum when the two operators are known to differ
-    by a constant.  Both sides are finite levels.
+
+def _turning_point(a: tuple[float, float, float, float]) -> float:
+    """The largest u >= 0 where p(u) = a0 + a1 u + a2 u^2 + a3 u^3 vanishes,
+    or 0.0 when p > 0 on u >= 0; the highest nonzero of a3, a2, a1 is
+    positive.
+
+    u = scale * w turns p into a monic q whose other coefficients lie in
+    [-1, 1], so that no step overflows and every root has |w| <= 2
+    (Fujiwara's bound).  Past its last critical point q rises, so its
+    largest root lies there when q <= 0 at that point (or at 0, when the
+    point is negative), and otherwise below it, on the rising stretch that
+    starts at w = 0 when q(0) < 0.  Either way one sign change is bisected.
     """
-    candidates = np.asarray(candidates, dtype=float)
-    reference = np.sort(np.asarray(reference, dtype=float))
-    if candidates.size == 0 or reference.size == 0:
-        raise ValueError("need at least one level on both sides")
-    shifts = candidates - reference[0]
-    # [anchor, reference level, candidate]: each shifted level's distance to
-    # its nearest candidate, then the worst level of each anchoring
-    placed = reference + shifts[:, None]
-    devs = np.abs(candidates - placed[:, :, None]).min(axis=2).max(axis=1)
-    best = int(np.argmin(devs))
-    return float(shifts[best]), float(devs[best])
+    degree = max(i for i in (1, 2, 3) if a[i])
+    lead = a[degree]
+    scale = max((abs(a[i]) / lead) ** (1 / (degree - i)) for i in range(degree)) or 1.0
+    b0, b1, b2, b3 = (a[i] / lead / scale ** (degree - i) if i <= degree else 0.0 for i in range(4))
+
+    def q(w: float) -> float:
+        return ((b3 * w + b2) * w + b1) * w + b0
+
+    crit = -math.inf
+    if b3 and b2 * b2 > 3 * b1:
+        crit = (math.sqrt(b2 * b2 - 3 * b1) - b2) / 3
+    elif not b3 and b2:
+        crit = -b1 / 2
+    lo = max(crit, 0.0)
+    if q(lo) <= 0:
+        hi = 2.0
+    elif q(0.0) < 0:
+        lo, hi = 0.0, crit
+    else:
+        return 0.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if q(mid) <= 0:
+            lo = mid
+        else:
+            hi = mid
+    return scale * hi
+
+
+def _basis_range(coeffs: tuple[float, float, float, float], energy: float) -> float:
+    """x_max, where the WKB exponent int sqrt(2 (v - energy)) dx, taken from
+    the outer turning point x_t of the grid potential v, reaches _WKB_DECAY.
+
+    With x = x_t + s^2 the integrand 2 s sqrt(2 (v - energy)) is smooth at
+    the turning point; it is summed by the trapezoid rule on _WKB_CELLS
+    cells of s, over a span of x that starts at the linear-slope estimate
+    and grows fourfold until the sum reaches _WKB_DECAY."""
+    c0, c2, c4, c6 = coeffs
+    with np.errstate(all="ignore"):
+        u_t = _turning_point((c0 - energy, 2 * c2, 4 * c4, 8 * c6))
+        x_t = math.sqrt(u_t)
+        slope = 2 * x_t * ((24 * c6 * u_t + 8 * c4) * u_t + 2 * c2)  # v'(x_t)
+        # v - energy ~ slope (x - x_t) reaches the decay at this span
+        span = (1.5 * _WKB_DECAY / math.sqrt(2 * slope)) ** (2 / 3) if slope > 0 else 0.0
+        if not 0 < span < math.inf:
+            span = x_t or 1.0
+        t = np.linspace(0.0, 1.0, _WKB_CELLS + 1)
+        x_max = math.nan
+        while span < math.inf:
+            s = math.sqrt(span) * t
+            u = (x_t + s * s) ** 2
+            gap = np.maximum((((8 * c6 * u + 4 * c4) * u + 2 * c2) * u + c0) - energy, 0.0)
+            f = 2 * s * np.sqrt(2 * gap)
+            total = np.concatenate(([0.0], np.cumsum(f[1:] + f[:-1]) * (0.5 * s[1])))
+            if total[-1] >= _WKB_DECAY:
+                i = int(np.searchsorted(total, _WKB_DECAY))
+                end = s[i - 1] + s[1] * (_WKB_DECAY - total[i - 1]) / (total[i] - total[i - 1])
+                x_max = x_t + end * end
+                break
+            span *= 4
+    if not 0 < x_max < math.inf:
+        raise NumericalFailure(
+            f"no oscillator basis reaches the WKB range of level {energy!r}", math.inf
+        )
+    return x_max
+
+
+def _x2_bands(size: int, omega: float) -> np.ndarray:
+    """x^2 = (a^2 + a+^2 + 2n + 1) / (2 omega) on size oscillator states, as
+    band rows in _band_product's layout: offsets -2, 0, 2."""
+    n = np.arange(size, dtype=float)
+    bands = np.zeros((3, size))
+    bands[1] = (2 * n + 1) / (2 * omega)
+    bands[2, :-2] = np.sqrt((n[:-2] + 1) * (n[:-2] + 2)) / (2 * omega)
+    bands[0, 2:] = bands[2, :-2]
+    return bands
+
+
+def _band_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product of two band matrices that couple only states an even
+    distance apart.  Row k + i of a (2k + 1)-row array holds the diagonal at
+    offset 2i: entry n is <n|M|n + 2i>, 0 where n + 2i is out of range.
+    Then (AB)[n, n + 2(i + j)] gathers A[n, n + 2i] B[n + 2i, n + 2(i + j)]."""
+    ka, kb = a.shape[0] // 2, b.shape[0] // 2
+    size = a.shape[1]
+    out = np.zeros((2 * (ka + kb) + 1, size))
+    for i in range(-ka, ka + 1):
+        t = 2 * i
+        lo, hi = max(0, -t), min(size, size - t)
+        out[ka + i : ka + i + 2 * kb + 1, lo:hi] += a[ka + i, lo:hi] * b[:, lo + t : hi + t]
+    return out
+
+
+def _sector_levels(
+    coeffs: tuple[float, float, float, float], size: int, x_max: float, parity: int, count: int
+) -> np.ndarray:
+    """The count lowest Rayleigh-Ritz levels of -1/2 d^2/dx^2 + v(x), v the
+    grid potential, on the parity sector of size oscillator states whose
+    frequency omega = (2 size + 1) / x_max^2 makes them reach x_max.
+
+    H = omega (n + 1/2) + c0 + (2 c2 - omega^2 / 2) x^2 + 4 c4 x^4 + 8 c6 x^6,
+    with x^4 and x^6 multiplied out band by band on size + 8 states and
+    cut to size, so every kept entry is exact up to rounding.  A parity
+    sector keeps every other state, so its matrix has three diagonals
+    below the main one."""
+    c0, c2, c4, c6 = coeffs
+    omega = (2 * size + 1) / (x_max * x_max)
+    with np.errstate(all="ignore"):
+        x2 = _x2_bands(size + 8, omega)
+        x4 = _band_product(x2, x2)
+        x6 = _band_product(x4, x2)
+        # the diagonals at offsets 0, 2, 4, 6; the sector's lower band storage
+        upper = 8 * c6 * x6[3:]
+        upper[:3] += 4 * c4 * x4[2:]
+        upper[:2] += (2 * c2 - omega * omega / 2) * x2[1:]
+        upper[0] += omega * (np.arange(size + 8) + 0.5) + c0
+        bands = upper[:, parity:size:2]
+    if not np.isfinite(bands).all():
+        raise NumericalFailure(
+            f"oscillator-basis matrix on {size} states exceeds double range", math.inf
+        )
+    with checked_solve("oscillator-basis"):
+        return band_eigenvalues(bands)[:count]
+
+
+def oscillator_levels(
+    potential: SexticPotential, count: int, highest: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The count lowest levels of the parity (-1)^k sector of the sextic
+    oscillator -d^2/dy^2 + V(y), with the last doubling difference of each.
+
+    Rayleigh-Ritz in the harmonic-oscillator basis (MacDonald 1933), on the
+    spectrum-preserving grid form -1/2 d^2/dx^2 + v(x).  The basis scale
+    follows from highest, the highest level wanted: it makes N states reach
+    x_max, where the WKB exponent past that level's outer turning point is
+    _WKB_DECAY.  N starts at max(_MIN_BASIS, 4 count) and doubles until two
+    solves agree to LEVEL_TOL * max(1, |level|) on every level; the finer
+    solve's levels are returned with their distance from the coarser one.
+    By the gauge identity, block level j + w2 of the same k is level j.
+
+    Raises NumericalFailure when V does not confine (no bound states), when
+    an entry does not fit in a double, with residual NaN when LAPACK does
+    not converge, and when the levels have not settled at _MAX_BASIS states.
+    """
+    coeffs = potential.real_coeffs()
+    _, c2, c4, c6 = coeffs
+    # the highest nonzero of c6, c4, c2 sets the sign of v far out
+    if not next((c for c in (c6, c4, c2) if c), 0.0) > 0:
+        raise NumericalFailure(
+            f"sextic potential at k={potential.k} does not confine"
+            f" (c2={c2!r}, c4={c4!r}, c6={c6!r}): it has no bound states",
+            math.inf,
+        )
+    x_max = _basis_range(coeffs, highest)
+    parity = potential.k % 2
+    size = max(_MIN_BASIS, 4 * count)
+    levels, worst = None, math.inf
+    while size <= _MAX_BASIS:
+        finer = _sector_levels(coeffs, size, x_max, parity, count)
+        if levels is not None:
+            moved = np.abs(finer - levels)
+            if (moved <= LEVEL_TOL * np.maximum(1.0, np.abs(finer))).all():
+                return finer, moved
+            worst = float(moved.max())
+        levels = finer
+        size *= 2
+    raise NumericalFailure(
+        f"sextic levels at k={potential.k} do not settle within {_MAX_BASIS} oscillator"
+        f" states (last move {worst!r})",
+        worst,
+    )

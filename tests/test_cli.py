@@ -54,7 +54,8 @@ def sextic_fd_lines(fd):
     return (
         f"block levels: {fd['block_levels']}\n"
         f"fd levels: {fd['fd_levels']}\n"
-        f"fd shift estimate: {fd['shift']!r} max deviation: {fd['max_deviation']!r}\n"
+        f"fd shift: {fd['shift']!r} max deviation: {fd['max_deviation']!r}"
+        f" error estimate: {fd['error_estimate']!r}\n"
     )
 
 
@@ -262,7 +263,7 @@ class TestSextic:
         code, out, _ = run(
             capsys, "sextic", "--w1", "1", "--w2", "2",
             "--kre", "0.5", "--kbre", "0.5", "--k", "2",
-            "--fd", "--fd-grid", "2000", "--output", "json",
+            "--fd", "--output", "json",
         )
         assert code == 0
         payload = json.loads(out)
@@ -270,10 +271,13 @@ class TestSextic:
         assert payload["gauge_identity"]["residual"] == 0.0
         assert payload["gauge_identity"]["kinetic"] == 1.0
         assert payload["gauge_identity"]["shift"] == 2.0
-        assert payload["fd"]["shift"] == pytest.approx(2.0, abs=5e-3)
+        assert payload["fd"]["shift"] == 2.0
         assert payload["fd"]["max_deviation"] <= 5e-3
         assert payload["fd"]["block_levels"] == pytest.approx(
             [1.2928932188134525, 2.7071067811865475]
+        )
+        np.testing.assert_allclose(
+            payload["fd"]["fd_levels"], np.add(payload["fd"]["block_levels"], 2.0), rtol=1e-12
         )
 
     @pytest.mark.parametrize("output", ["text", "json"])
@@ -285,10 +289,10 @@ class TestSextic:
         assert out == (GOLDEN / f"sextic_{name}.{suffix}").read_text(encoding="utf-8")
 
     def test_fd_k7_golden(self, capsys):
-        # the analytic benchmark's slowest request class: 9 FD levels and 4
-        # block levels.  The exact part is pinned byte for byte; the FD floats,
-        # which depend on the LAPACK build, to 1e-9 (the grid's discretization
-        # error is 1e-5), and the text lines to this run's JSON
+        # the analytic benchmark's largest request class: 4 block levels and
+        # the 4 sector levels they match.  The exact part is pinned byte for
+        # byte; the floats, which depend on the LAPACK build, to 1e-9, and
+        # the text lines to this run's JSON
         argv = ["sextic", *SEXTIC_FD_K7, "--fd"]
         code, out, err = run(capsys, *argv, "--output", "json")
         assert (code, err) == (0, "")
@@ -300,7 +304,9 @@ class TestSextic:
         assert list(fd) == list(golden_fd)
         for key in fd:
             np.testing.assert_allclose(fd[key], golden_fd[key], rtol=0, atol=1e-9)
-        assert (len(fd["block_levels"]), len(fd["fd_levels"])) == (4, 9)
+        assert (len(fd["block_levels"]), len(fd["fd_levels"])) == (4, 4)
+        # the gauge identity, independent of the golden file
+        np.testing.assert_allclose(fd["fd_levels"], np.add(fd["block_levels"], 1.5), rtol=1e-12)
         golden_text = (GOLDEN / "sextic_fd_k7.txt").read_text(encoding="utf-8").splitlines(True)
         exact_lines, fd_lines = "".join(golden_text[:3]), "".join(golden_text[3:])
         assert fd_lines == sextic_fd_lines(golden_fd)
@@ -325,47 +331,65 @@ class TestSextic:
         monkeypatch.setattr(sextic, "SexticPotential", CountedV)
         # couplings no other test uses, so no earlier call has built W or V
         argv = ["--w1", "0.625", "--w2", "1.375", "--kre", "0.375", "--kbre", "0.625", "--k", "4"]
-        code, out, err = run(capsys, "sextic", *argv, "--fd", "--fd-grid", "1000", "--output", "json")
+        code, out, err = run(capsys, "sextic", *argv, "--fd", "--output", "json")
         assert (code, err) == (0, "")
         assert json.loads(out)["gauge_identity"]["shift"] == 1.375
         assert sorted(built) == ["V", "W"]
 
-    @pytest.mark.parametrize("name", sorted(SEXTIC_GOLDEN))
+    @pytest.mark.parametrize("name", ["complex", "real"])
     def test_fd_output_extends_golden(self, capsys, name):
-        # the FD floats depend on the LAPACK build: pin the keys, the exact
-        # part, and the text lines as formatted from the same run's JSON
-        argv = ["sextic", *SEXTIC_GOLDEN[name], "--fd", "--fd-grid", "2000"]
+        # the sextic floats depend on the LAPACK build: pin the keys, the
+        # exact part, and the text lines as formatted from the same run's JSON
+        argv = ["sextic", *SEXTIC_GOLDEN[name], "--fd"]
         code, out, err = run(capsys, *argv, "--output", "json")
         assert (code, err) == (0, "")
         payload = json.loads(out)
         golden = json.loads((GOLDEN / f"sextic_{name}.json").read_text(encoding="utf-8"))
         assert list(payload) == list(golden) == ["superpotential", "potential", "gauge_identity", "fd"]
-        assert list(payload["fd"]) == ["block_levels", "fd_levels", "shift", "max_deviation"]
+        assert list(payload["fd"]) == [
+            "block_levels", "fd_levels", "shift", "max_deviation", "error_estimate"
+        ]
         assert {**payload, "fd": None} == golden
         fd = payload["fd"]
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
         assert out == (GOLDEN / f"sextic_{name}.txt").read_text(encoding="utf-8") + sextic_fd_lines(fd)
 
-    @pytest.mark.parametrize(
-        "argv,bound",
-        [
-            (SEXTIC_GOLDEN["w0"], None),  # the particle in a box: FD ground state 0.034
-            ([*SHG_COUPLINGS, "--k", "1"], 1e-4),  # level 1 + w2 is the second FD level
-        ],
-    )
-    def test_one_level_fd_match_uses_the_gauge_shift(self, capsys, argv, bound):
-        # one block level fixes no shift (anchored on any FD level it matches
-        # exactly), so the shift is the exact gauge shift w2 and the deviation
-        # is that level's distance from the FD spectrum under it
-        code, out, err = run(capsys, "sextic", *argv, "--fd", "--fd-grid", "2000", "--output", "json")
+    @pytest.mark.parametrize("k", ["0", "1"])
+    def test_one_level_fd_match_uses_the_gauge_shift(self, capsys, k):
+        # one block level is matched like any other: to sector level 0 under
+        # the exact gauge shift w2
+        code, out, err = run(capsys, "sextic", *SHG_COUPLINGS, "--k", k, "--fd", "--output", "json")
         assert (code, err) == (0, "")
         fd = json.loads(out)["fd"]
-        w2 = float(argv[argv.index("--w2") + 1])
         (level,) = fd["block_levels"]
-        assert fd["shift"] == w2
-        assert fd["max_deviation"] == min(abs(e - (level + w2)) for e in fd["fd_levels"])
-        assert fd["max_deviation"] > 0.03 if bound is None else fd["max_deviation"] <= bound
+        assert fd["shift"] == 2.0
+        assert fd["max_deviation"] == abs(fd["fd_levels"][0] - (level + 2.0))
+        assert fd["max_deviation"] <= 1e-9 * max(1.0, abs(level + 2.0))
+
+    def test_non_confining_potential_is_refused(self, capsys):
+        # W = 0 and V = 0: used to exit 0 with the box's ground state 0.034
+        # as a level of a potential that has none
+        code, out, err = run(capsys, "sextic", *SEXTIC_GOLDEN["w0"], "--fd")
+        assert (code, out) == (4, "")
+        assert err == (
+            "numerical failure: sextic potential at k=0 does not confine"
+            " (c2=0.0, c4=0.0, c6=0.0): it has no bound states\n"
+        )
+
+    def test_fd_request_calls_no_numpy_linalg(self, capsys, monkeypatch):
+        # numpy's threaded eigensolvers can stall a fresh process; the block
+        # levels and the sextic levels go through qesboson._lapack alone
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg called")
+
+        for name in np.linalg.__all__:
+            if name != "LinAlgError":
+                monkeypatch.setattr(np.linalg, name, refuse)
+        argv = ["--w1", "0.875", "--w2", "1.625", "--kre", "0.375", "--kbre", "0.75", "--k", "6"]
+        code, out, err = run(capsys, "sextic", *argv, "--fd", "--output", "json")
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["fd"]["fd_levels"]) == 4
 
     @pytest.mark.parametrize("flag", ["--w1", "--w2", "--kre", "--kim", "--kbre", "--kbim"])
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
@@ -386,22 +410,11 @@ class TestSextic:
             )
             assert (code, out, err) == (1, "", "usage error: k must be non-negative\n")
 
-    @pytest.mark.parametrize("halfwidth", ["nan", "inf"])
-    def test_fd_halfwidth_must_be_finite(self, capsys, halfwidth):
-        # used to report scipy's "array must not contain infs or NaNs"
-        code, out, err = run(
-            capsys, "sextic", "--w1", "1", "--w2", "2", "--kre", "0.5", "--kbre", "0.5",
-            "--k", "2", "--fd", "--fd-halfwidth", halfwidth,
-        )
+    @pytest.mark.parametrize("option", ["--fd-halfwidth", "--fd-grid"])
+    def test_finite_difference_box_options_are_gone(self, capsys, option):
+        code, out, err = run(capsys, "sextic", *SHG_COUPLINGS, "--k", "2", "--fd", option, "6")
         assert (code, out) == (1, "")
-        assert err == (
-            f"usage error: argument --fd-halfwidth: must be a finite number, got '{halfwidth}'\n"
-        )
-        code, out, err = run(
-            capsys, "sextic", "--w1", "1", "--w2", "2", "--kre", "0.5", "--kbre", "0.5",
-            "--k", "2", "--fd", "--fd-halfwidth", "-1",
-        )
-        assert (code, out, err) == (1, "", "usage error: halfwidth must be finite and positive\n")
+        assert err == f"usage error: unrecognized arguments: {option} 6\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -409,7 +422,7 @@ class TestSextic:
             # the gauge identity is algebraic: large levels need no double
             *([*SHG_COUPLINGS, "--k", k] for k in
               ("100", "200", "300", "500", "514", "515", "600", "1000", "1500", "2000", "100000")),
-            # the exact coefficients need no double; only the FD solve does
+            # the exact coefficients need no double; only the sextic levels do
             [*HUGE_COUPLINGS, "--k", "1"],
         ],
         ids=" ".join,
@@ -428,14 +441,12 @@ class TestSextic:
         [
             # a potential coefficient beyond double range: OverflowError traceback
             [*HUGE_COUPLINGS, "--k", "1", "--fd"],
-            # grid step squared underflows to 0: ZeroDivisionError traceback;
-            # now refused by the box check before the solve, as is 1e-150,
-            # where stebz did not converge (test_sextic keeps both guards)
-            *([*SHG_COUPLINGS, "--k", "3", "--fd", "--fd-halfwidth", w] for w in ("1e-300", "1e-160")),
-            # infinite potential samples: scipy's "array must not contain infs"
-            [*SHG_COUPLINGS, "--k", "3", "--fd", "--fd-halfwidth", "1e100"],
-            # stebz does not converge: reported as a usage error
-            [*SHG_COUPLINGS, "--k", "3", "--fd", "--fd-halfwidth", "1e-150"],
+            # c6 = (kc kb)^2 / 16 underflows to 0.0: used to exit 0 with the
+            # levels of a quartic, 7.5e-100 off block levels of size 5e-100
+            ["--w1", "1e-100", "--w2", "1e-100", "--kre", "1e-100", "--kbre", "1e-100", "--k", "3", "--fd"],
+            # a constant V (kc kb = 0 and w2 = 2 w1): no bound states
+            [*SEXTIC_GOLDEN["w0"], "--fd"],
+            ["--w1", "1", "--w2", "2", "--kre", "0", "--kbre", "0.5", "--k", "3", "--fd"],
             # block levels not real (5, 5 +- 2.83i for kc*kb < 0): their real
             # parts were all "located" on one FD level with exit 0
             ["--w1", "1", "--w2", "2", "--kre", "0.5", "--kbre", "-0.5", "--k", "5", "--fd"],
@@ -449,21 +460,32 @@ class TestSextic:
         assert (code, out) == (4, "")
         assert err.startswith("numerical failure: ")
 
-    @pytest.mark.parametrize(
-        ("argv", "margin"),
-        [
-            ([*SHG_COUPLINGS, "--k", "30", "--fd", "--fd-halfwidth", "4"], -42.2),
-            ([*SHG_COUPLINGS, "--k", "200", "--fd"], -1124.0),
-        ],
-        ids=["k30-halfwidth4", "k200"],
-    )
-    def test_box_that_cannot_hold_the_levels_is_refused(self, capsys, argv, margin):
-        # both used to exit 0, with max deviation 2.05 and 5.61
-        code, out, err = run(capsys, "sextic", *argv)
+    @pytest.mark.parametrize("k", ["30", "100", "200"])
+    def test_large_k_levels_match(self, capsys, k):
+        # the 4000-node box used to exit 0 with max deviation 2.05 at k = 30
+        # in a box of halfwidth 4 and 0.218 at k = 100, and could not hold k = 200
+        code, out, err = run(capsys, "sextic", *SHG_COUPLINGS, "--k", k, "--fd", "--output", "json")
+        assert (code, err) == (0, "")
+        fd = json.loads(out)["fd"]
+        expected = np.add(fd["block_levels"], 2.0)
+        assert len(expected) == int(k) // 2 + 1
+        deviations = np.abs(np.subtract(fd["fd_levels"], expected))
+        assert fd["max_deviation"] == deviations.max()
+        assert (deviations <= 1e-9 * np.maximum(1.0, np.abs(expected))).all()
+
+    def test_gate_failure_is_numerical_failure(self, capsys, monkeypatch):
+        # a sextic level off its block level + w2 by more than the gate
+        levels = cli.oscillator_levels
+
+        def shifted(*args):
+            found, moved = levels(*args)
+            return found + np.where(np.arange(found.size) == 1, 1e-6, 0.0), moved
+
+        monkeypatch.setattr(cli, "oscillator_levels", shifted)
+        code, out, err = run(capsys, "sextic", *SHG_COUPLINGS, "--k", "3", "--fd")
         assert (code, out) == (4, "")
-        assert err.count("\n") == 1 and err.startswith("numerical failure: finite-difference box")
-        assert err.endswith("is negative; widen --fd-halfwidth\n")
-        assert float(err.split("edge margin ")[1].split()[0]) == pytest.approx(margin, abs=0.1)
+        assert err.startswith("numerical failure: sextic level 1 at k=3 is ")
+        assert err.count("\n") == 1 and " more than " in err
 
 
 class TestExitCodes:

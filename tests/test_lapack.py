@@ -1,5 +1,6 @@
-"""The package's LAPACK wrapper against scipy.linalg.eigh_tridiagonal, and
-the import guard: no CLI command loads the scipy.linalg package."""
+"""The package's LAPACK wrapper against scipy.linalg.eigh_tridiagonal and
+eig_banded, and the import guard: no CLI command loads the scipy.linalg
+package."""
 
 import os
 import subprocess
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qesboson import _lapack
-from qesboson._lapack import lowest_eigenvalues, stevd
+from qesboson._lapack import band_eigenvalues, lowest_eigenvalues, stevd
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
@@ -61,6 +62,31 @@ def test_bit_identical_to_eigh_tridiagonal(matrix, count):
     assert lowest.tobytes() == expected.tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 300),
+    st.integers(0, 3),
+    st.integers(-150, 150),
+    st.integers(0, 2**32 - 1),
+)
+def test_band_bit_identical_to_eig_banded(n, below, exponent, seed):
+    bands = np.random.default_rng(seed).uniform(-1.0, 1.0, (below + 1, n)) * 10.0**exponent
+    before = bands.copy()
+    values = band_eigenvalues(bands)
+    expected = scipy.linalg.eig_banded(bands, lower=True, eigvals_only=True)
+    assert values.tobytes() == expected.tobytes()
+    assert np.array_equal(bands, before)
+
+
+def test_band_rows_past_the_matrix_are_not_read():
+    # row r's last r entries lie outside the matrix
+    bands = np.array([[2.0, 2.0, 2.0], [1.0, 1.0, 0.0]])
+    unread = bands.copy()
+    unread[1, 2] = 7.0
+    assert np.array_equal(band_eigenvalues(unread), band_eigenvalues(bands))
+    np.testing.assert_allclose(band_eigenvalues(bands), [2 - np.sqrt(2), 2.0, 2 + np.sqrt(2)])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_entries_are_refused(bad):
     for d, e in (([1.0, bad], [0.5]), ([1.0, 2.0], [bad])):
@@ -70,6 +96,8 @@ def test_non_finite_entries_are_refused(bad):
             lowest_eigenvalues(d, e, 1)
     with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
         stevd([bad], [])
+    with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+        band_eigenvalues([[1.0, bad], [0.5, 0.0]])
 
 
 def test_malformed_input_is_refused():
@@ -79,10 +107,12 @@ def test_malformed_input_is_refused():
         stevd(np.eye(2), [1.0])
     with pytest.raises(ValueError, match="select_range out of bounds"):
         lowest_eigenvalues([1.0, 2.0], [1.0], 3)
+    with pytest.raises(ValueError, match="expected a 2-D array"):
+        band_eigenvalues([1.0, 2.0])
 
 
 class _FailingLapack:
-    """dstevd and dstebz as they return when LAPACK reports info."""
+    """dstevd, dstebz and dsbevd as they return when LAPACK reports info."""
 
     def __init__(self, info):
         self.info = info
@@ -93,6 +123,9 @@ class _FailingLapack:
     def dstebz(self, d, e, *args):
         return d.size, d, None, None, self.info
 
+    def dsbevd(self, ab, **kwargs):
+        return ab[0], None, self.info
+
 
 def test_no_convergence_is_linalg_error(monkeypatch):
     monkeypatch.setattr(_lapack, "_flapack", _FailingLapack(3))
@@ -102,6 +135,9 @@ def test_no_convergence_is_linalg_error(monkeypatch):
     with pytest.raises(np.linalg.LinAlgError) as info:
         lowest_eigenvalues([1.0, 2.0], [1.0], 1)
     assert str(info.value) == "stebz (eigh_tridiagonal) did not converge (LAPACK info=3)"
+    with pytest.raises(np.linalg.LinAlgError) as info:
+        band_eigenvalues([[1.0, 2.0], [1.0, 0.0]])
+    assert str(info.value) == "sbevd did not converge (LAPACK info=3)"
 
 
 def test_illegal_argument_is_value_error(monkeypatch):
@@ -138,7 +174,7 @@ def test_scipy_linalg_imported_after():
 
 def test_cli_does_not_import_scipy_packages(tmp_path):
     """Every kind of solve the CLI runs (stevd on both routes, dense eig on
-    a non-Hermitian block, dstebz in sextic --fd) goes through the wrapper,
+    a non-Hermitian block, dsbevd in sextic --fd) goes through the wrapper,
     so no command loads scipy.linalg, scipy.optimize or scipy.sparse."""
     non_hermitian = tmp_path / "non_hermitian.qesb"
     # b_i c_i < 0 on every block: both routes take a dense general eig
