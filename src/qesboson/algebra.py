@@ -18,13 +18,14 @@ Both block routes read a conserving h through one integer form: its
 coefficients as integer numerators over one common denominator
 (_integer_terms), summed band by band over a run of a block's states with
 integer falling factorials (_block_bands).  Conservation is the only
-closure check either route makes: a conserving term maps every state of a
-block, where it does not vanish, to a state of the same block.  The exact
-image of one state, apply_to_fock, stays in plain exact rationals.
+closure check either route makes, and _band_shape, exact on the band
+keys and columns, the only decision on a block's shape.  The exact image
+of one state, apply_to_fock, stays in plain exact rationals.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -415,6 +416,26 @@ def _block_bands(terms: _IntegerTerms, n1s: Sequence[int], n2s: Sequence[int]) -
                 None if ims is None else [ims[j] for j in cols],
             )
     return bands
+
+
+_BandShape = namedtuple("_BandShape", "tridiagonal full above gap")
+
+
+def _band_shape(bands: Mapping[int, tuple], dim: int) -> _BandShape:
+    """The exact shape of a block of dimension dim in band form, shift ->
+    (ascending columns, ...) as _block_bands, FockBlock.bands and
+    ReducedBlock.bands hold it, read off the keys and columns: tridiagonal,
+    no key but -1, 0, 1; full, bands -1 and 1 list all dim - 1 columns.  In
+    the energy recurrence's rows m = dim - 1 - column, above = (m, column) is
+    the first entry right of a superdiagonal (a key below -1) and gap the
+    first m whose superdiagonal entry is missing from band -1, or None."""
+    lower, upper = (bands[k][0] if k in bands else () for k in (-1, 1))
+    # the last column listed under a key below -1 and the largest such key; (dim, 0) if none
+    last, k = max(((bands[k][0][-1], k) for k in bands if k < -1), default=(dim, 0))
+    above = (dim - 1 - last, dim - 1 - last - k) if last < dim else None
+    gap = dim - 1 - max(set(range(1, dim)).difference(lower)) if len(lower) < dim - 1 else None
+    full = gap is None and len(upper) == max(dim - 1, 0)
+    return _BandShape(bands.keys() <= {-1, 0, 1}, full, above, gap)
 
 
 def _band_numerators(

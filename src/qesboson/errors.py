@@ -22,8 +22,9 @@ class NumericalFailure(QesBosonError):
     """An eigensolve residual exceeded oracle.RESIDUAL_TOL, its
     eigenvectors cannot be represented in double precision (residual inf),
     the LAPACK solver did not converge (residual nan), a spectrum that
-    must be real to be compared is not (the solve's residual), or a sextic
-    level misses its block level + w2 (the deviation)."""
+    must be real to be compared is not (the solve's residual), a sextic
+    level misses its block level + w2 (the deviation), or a block has more
+    than oracle.MAX_DIMENSION states (residual inf)."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)

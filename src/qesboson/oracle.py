@@ -28,25 +28,23 @@ basis (BlockClosureViolation).
 
 Real coefficients give real (float64) blocks, solved and checked in real
 arithmetic (eigh, or eig for non-Hermitian h); complex ones a complex
-block and solve.  A real Hermitian block with no band key but -1, 0 and 1
-is exactly tridiagonal, as every block of a single-exchange model such as
-SHG is: its three bands go straight to LAPACK's tridiagonal
-divide-and-conquer solver dstevd (Gu & Eisenstat 1995), through scipy's
-compiled wrapper (qesboson._lapack), and no dense matrix is formed.  That
-is the solver dense eigh runs after its Householder reduction, which on
-such a block is the identity, so it skips two O(n^3) no-op steps.
+block and solve.  A real Hermitian block that algebra._band_shape, the
+package's one decision on a block's shape, finds tridiagonal (every block
+of a single-exchange model such as SHG) goes as its three bands straight
+to LAPACK's divide-and-conquer solver dstevd (Gu & Eisenstat 1995, through
+qesboson._lapack), the solver dense eigh runs after its Householder
+reduction, which is the identity there: two O(n^3) no-op steps and the
+dense matrix are skipped.
 
-Such a block also takes its residual on its band: d*v - lambda*v plus the
-sub- and superdiagonal terms, elementwise.  That is every nonzero entry the
-dense product M @ v would multiply, in O(n^2) instead of O(n^3), and with
-no BLAS call, so the residual has the same bits at any BLAS thread count
-and no second thread pool wakes up right after stevd's.  Every other block
-takes its residual on the full dense matrix.
+Such a block also takes its residual on its band, elementwise: every
+nonzero entry the dense M @ v would multiply, in O(n^2) rather than
+O(n^3), with no BLAS call, so the residual has the same bits at any BLAS
+thread count.  Every other block takes its residual on the dense matrix.
 
 Both routes share this one solve, _solve_block, and its one residual gate,
 RESIDUAL_TOL: the oracle hands it its three bands or the dense Fock block,
 the reduced route the band of its Jacobi matrix, built from the reduced
-entries alone, or the dense reduced block.  The two routes differ in the
+entries alone, or the dense reduced block, so the routes differ in the
 matrix or band they pass, not in the solver or the checks.
 """
 
@@ -67,6 +65,7 @@ from .algebra import (
     FockAmplitude,
     FockState,
     OperatorPolynomial,
+    _band_shape,
     _block_bands,
     _integer_terms,
     apply_to_fock,
@@ -81,18 +80,27 @@ from .errors import (
 )
 
 RESIDUAL_TOL = 1e-8  # the largest residual a block solve may have; see _solve_block
+MAX_DIMENSION = 8192  # the most states a block may have: a dense complex one takes 1 GiB
 
 
 def _block_run(charge: ConservedCharge, kappa: int) -> tuple[list[int], list[int]]:
     """The n1 and the n2 of every state with s*n1 + p*n2 = kappa, ordered by
     increasing n2 (so n1 falls by p and n2 rises by s from state to state).
     Lists, not ranges: the band assembly indexes them entry by entry, and a
-    range forms a new int at every index."""
+    range forms a new int at every index.  Raises NumericalFailure, before
+    any list is built, when there are more than MAX_DIMENSION states."""
     if kappa < 0:
         raise ValueError("kappa must be non-negative")
     s, p = charge.s, charge.p
     # the smallest n2 >= 0 with p*n2 = kappa (mod s); the rest follow every s
     first = kappa * pow(p, -1, s) % s
+    dim = (kappa // p - first) // s + 1
+    if dim > MAX_DIMENSION:
+        raise NumericalFailure(
+            f"block kappa={kappa} has {dim} states, more than the {MAX_DIMENSION} a block"
+            " may have",
+            math.inf,
+        )
     n2s = range(first, kappa // p + 1, s)
     top = (kappa - p * first) // s
     return list(range(top, top - p * len(n2s), -p)), list(n2s)
@@ -102,6 +110,7 @@ def enumerate_block(charge: ConservedCharge, kappa: int) -> tuple[FockState, ...
     """All states with s*n1 + p*n2 = kappa, ordered by increasing n2.
 
     The list may be empty; ties are impossible because gcd(s, p) = 1.
+    Raises NumericalFailure above MAX_DIMENSION states, as both routes do.
     """
     return tuple(map(FockState, *_block_run(charge, kappa)))
 
@@ -207,7 +216,8 @@ def build_block(
     """h restricted to the block kappa, over the enumerate_block basis, in
     band form: each band of algebra._block_bands with its ladder scales
     applied.  Raises NonConservingHamiltonian, before any entry is formed,
-    unless h conserves the charge.
+    unless h conserves the charge, then NumericalFailure for a block of
+    more than MAX_DIMENSION states (_block_run).
 
     Each entry is formed from its integer numerators re, im over h's common
     denominator D and its unreduced ladder ratio num/den as
@@ -332,16 +342,16 @@ def diagonalize_block(
     Uses the Hermitian eigensolver when h is exactly Hermitian (real
     eigenvalues, orthonormal eigenvectors) and the general dense solver
     otherwise, in real arithmetic when the block is real.  A real Hermitian
-    block with no band key but -1, 0 and 1 goes to _solve_block as those
-    three bands, with no dense matrix formed, every other block as its
-    dense matrix.  Returns (block, values, vectors, method, max_residual) with
+    block that algebra._band_shape finds tridiagonal goes to _solve_block
+    as its three bands, with no dense matrix formed, every other block as
+    its dense matrix.  Returns (block, values, vectors, method, max_residual) with
     the eigenpairs sorted ascending by (real, imag); values are complex,
     vectors have the dtype the solver returns (float64 for a real Hermitian
     block).  Raises NumericalFailure when _solve_block refuses the solve.
     """
     block = build_block(h, charge, kappa)
     hermitian = is_hermitian(h)
-    if hermitian and block.dtype is float and block.bands.keys() <= {-1, 0, 1}:
+    if hermitian and block.dtype is float and _band_shape(block.bands, block.dimension).tridiagonal:
         # row k % 3 holds band k: diagonal, subdiagonal (from column 0), superdiagonal (from 1)
         rows = np.zeros((3, block.dimension))
         for k, (cols, values) in block.bands.items():

@@ -16,17 +16,15 @@ in the energy terminate at the block dimension; the roots of the
 terminating member are the block spectrum.
 
 R is far from normal (D spans hundreds of decades on large blocks), so a
-small residual of R does not bound its eigenvalue error.  Three-term
-blocks whose paired off-diagonals b_i = R[i, i+1], c_i = R[i+1, i] have
-b_i c_i > 0 and whose diagonal is real are therefore solved as the
-symmetric Jacobi matrix with off-diagonals sqrt(b_i c_i), a diagonal
-similarity of R built from the recurrence coefficients alone (Golub &
-Welsch 1969); every other block keeps a dense general eigensolve of R.
-The solve itself is the oracle's (oracle._solve_block), with its one
-residual gate: this route hands it the band of J or the dense R where the
-oracle hands it the Fock block, so the two routes differ in the matrix or
-band they pass, not in the solver or the checks.  qes_spectrum,
-reduced_eigensystem and the energy polynomials' spectrum all run it.
+small residual of R does not bound its eigenvalue error.  A block that
+algebra._band_shape, the one exact decision on the band keys and columns,
+finds tridiagonal with full off-diagonals b_i = R[i, i+1], c_i = R[i+1, i],
+whose products b_i c_i are positive and whose diagonal is real, is therefore
+solved as the symmetric Jacobi matrix with off-diagonals sqrt(b_i c_i), a
+diagonal similarity of R (Golub & Welsch 1969); every other block keeps a
+dense eig of R.  The solve is the oracle's (oracle._solve_block), with
+its one residual gate, so the routes differ in the band or matrix they
+pass, not in the solver or the checks.
 
 A block is assembled from h's coefficients as integer numerators over one
 common denominator (algebra._integer_terms, the oracle's own integer form
@@ -36,9 +34,9 @@ oracle's own band assembly, read over the block's states in degree order).
 The block keeps that band form from assembly to solve (ReducedBlock.bands).
 The dense float matrix and the Jacobi data are formed straight from its
 integers, each float by one correctly rounded integer division.  The
-energy polynomials read their rows off the bands: their recurrence runs
-fraction-free on the numerators, in Gaussian integers, and forms each
-coefficient's reduced Fractions once, at the end (energy_polynomial_table).
+energy polynomials exist where _band_shape finds no entry right of the
+recurrence's superdiagonal and none vanishing on it; their recurrence runs
+fraction-free on the numerators, in Gaussian integers (energy_polynomial_table).
 
 Closure is conservation, as on the oracle route: ReducedOperator, which
 matrix_element_reduction builds, refuses terms that do not conserve the
@@ -70,6 +68,7 @@ from .algebra import (
     FockState,
     OperatorPolynomial,
     _Bands,
+    _band_shape,
     _block_bands,
     _IntegerTerms,
     _integer_terms,
@@ -312,22 +311,20 @@ def _jacobi_form(bands: _Bands, denom: int, dim: int) -> _JacobiForm | None:
     """Jacobi form of a block of dimension dim in band form (as
     ReducedBlock.bands, numerators over denom), or None.
 
-    Applies when the block is nonempty and has no band but -1, 0 and 1, its
-    diagonal is real and every product b_i c_i of paired off-diagonals (b_i
-    in band -1, c_i in band 1, each listing all dim - 1 columns, or some
-    product is 0) is real and positive, all decided exactly on the bands'
-    integers before any float is formed; each float of J comes from one
-    correctly rounded integer division.  Raises NumericalFailure when a
-    float of J does not fit in a double.
+    Applies when the block is nonempty, algebra._band_shape finds it
+    tridiagonal with full bands -1 (b_i) and 1 (c_i), its diagonal is
+    real and every product b_i c_i is real and positive, all decided
+    exactly on the integers before any float is formed; each float of J
+    comes from one correctly rounded integer division.  Raises
+    NumericalFailure when a float of J does not fit in a double.
     """
-    if not dim or not bands.keys() <= {-1, 0, 1}:
-        return None
+    shape = _band_shape(bands, dim)
     empty = [], [], None
     cols, res, ims = bands.get(0, empty)
+    if not (dim and shape.tridiagonal and shape.full) or any(ims or ()):
+        return None
     _, b_res, b_ims = bands.get(-1, empty)
     _, c_res, c_ims = bands.get(1, empty)
-    if any(ims or ()) or not len(b_res) == len(c_res) == dim - 1:
-        return None
     upper = list(zip(b_res, b_ims or repeat(0)))
     lower = list(zip(c_res, c_ims or repeat(0)))
     # b_i c_i = (product + cross i) / denom^2
@@ -353,10 +350,9 @@ def _solve(
     reduced block, by the oracle's block solve (oracle._solve_block); name
     names the block in its messages.
 
-    A block with a Jacobi form (see the module docstring) passes the band
-    of J, and the eigenvectors returned are those of J; any other block
-    (Jacobi form None), the empty one included, passes its dense matrix as
-    a general, non-Hermitian block.
+    A block with a Jacobi form (_jacobi_form) passes the band of J, and
+    the eigenvectors returned are those of J; any other block, the empty
+    one included, passes its dense matrix as a non-Hermitian block.
     """
     jacobi = _jacobi_form(block.bands, block.denominator, block.dimension)
     if jacobi is None:
@@ -408,13 +404,13 @@ def energy_polynomial_table(
 ) -> EnergyPolynomialTable:
     """Generate the energy polynomials P_m(E) of the block recurrence.
 
-    P_0 = 1 and each P_{m+1} is solved from row m of the recurrence,
-    which requires the matrix (indexed by the slaved occupation) to have
-    exactly one superdiagonal band with nonvanishing entries; models with
-    a single interaction term are of this three-term kind.  Raises
-    BandStructureUnsupported otherwise, in which case the characteristic
-    polynomial of the reduced block is the fallback.  Only the nonzero
-    entries of each row enter the recurrence.
+    P_0 = 1 and each P_{m+1} is solved from row m of the recurrence
+    matrix (indexed by the slaved occupation), which must have no entry
+    right of its superdiagonal and none vanishing on it; models with a
+    single interaction term are of this three-term kind.  Otherwise raises
+    BandStructureUnsupported, naming the first entry that algebra._band_shape
+    finds breaking it; the characteristic polynomial of the reduced block is
+    then the fallback.  Only the nonzero entries of each row enter.
 
     The recurrence runs fraction-free on the block's integer numerators
     a_mj = A[m][j] * D (band k, column j of block.bands is row d-1-j,
@@ -430,23 +426,18 @@ def energy_polynomial_table(
     """
     block = reduced_block_matrix(h, charge, kappa)
     d = block.dimension
+    _, _, above, gap = _band_shape(block.bands, d)
+    if above or gap is not None:
+        raise BandStructureUnsupported(
+            "entry (%d,%d) above the first superdiagonal is nonzero" % above if above
+            else f"superdiagonal entry ({gap},{gap + 1}) vanishes"
+        )
     # numerators of each recurrence row: reverse the degree order (slaved
     # occupation ascending) and transpose
     rows: list[dict[int, tuple[int, int]]] = [{} for _ in range(d)]
     for k, (cols, res, ims) in block.bands.items():
         for j, value in zip(cols, zip(res, ims or repeat(0))):
             rows[d - 1 - j][d - 1 - j - k] = value
-    for m, row in enumerate(rows):
-        above = [mp for mp in row if mp > m + 1]
-        if above:
-            raise BandStructureUnsupported(
-                f"entry ({m},{min(above)}) above the first superdiagonal is nonzero"
-            )
-    for m in range(d - 1):
-        if m + 1 not in rows[m]:
-            raise BandStructureUnsupported(
-                f"superdiagonal entry ({m},{m + 1}) vanishes"
-            )
     denom = block.denominator
     upper = [rows[m][m + 1] for m in range(d - 1)]
     qs = [([1], [0])]  # Q_m as (real, imaginary) integer coefficients, ascending
@@ -501,15 +492,11 @@ def _divided(re: list[int], im: list[int], sr: int, si: int) -> Polynomial:
 def reduced_eigensystem(
     h: OperatorPolynomial, charge: ConservedCharge, kappa: int
 ) -> tuple[ReducedBlock, np.ndarray, np.ndarray, float]:
-    """Eigenvalues and right eigenvectors of the reduced block matrix.
-
-    Jacobi-form blocks (see the module docstring) are solved by LAPACK's
-    dstevd, with the residual taken on the Jacobi matrix, and their
-    eigenvectors mapped back through the diagonal similarity; other blocks
-    by a dense eig.  Raises NumericalFailure if the oracle's block solve
-    refuses the residual or if the eigenvectors do not fit in double
-    precision.
-    """
+    """Eigenvalues and right eigenvectors of the reduced block matrix: the
+    Jacobi matrix by dstevd where _jacobi_form applies, its eigenvectors
+    mapped back through the diagonal similarity, else a dense eig.  Raises
+    NumericalFailure if the oracle's block solve refuses the residual or if
+    the eigenvectors do not fit in double precision."""
     block = reduced_block_matrix(h, charge, kappa)
     values, vectors, worst, jacobi = _solve(block, f"reduced block kappa={kappa}")
     if jacobi is not None:
@@ -520,16 +507,10 @@ def reduced_eigensystem(
 def qes_spectrum(
     h: OperatorPolynomial, charge: ConservedCharge, kappa: int
 ) -> SpectrumReport:
-    """Block spectrum from the reduced single-variable matrix.
-
-    Three-term blocks with positive off-diagonal products and a real
-    diagonal are solved as their symmetric Jacobi matrix by LAPACK's
-    dstevd; every other block by a dense eig of the reduced
-    matrix.  Either is numerically preferable to isolating roots of the
-    terminating energy polynomial, which remain available for inspection
-    via energy_polynomial_table.  Eigenvectors are not formed, so this
-    never fails for want of double range in them.
-    """
+    """Block spectrum from the reduced single-variable matrix: the Jacobi
+    matrix by dstevd where _jacobi_form applies, else a dense eig, both
+    better conditioned than the terminating energy polynomial's roots.
+    Eigenvectors are not formed, so no lack of double range fails it."""
     block = reduced_block_matrix(h, charge, kappa)
     values, _, worst, _ = _solve(block, f"reduced block kappa={kappa}")
     return SpectrumReport(

@@ -106,7 +106,7 @@ class SexticPotential:
 
     c6 >= 0 whenever kc*kb is real, so the potential confines.  The
     natural kinetic normalization of this potential is -d^2/dy^2; see
-    grid_potential for the form matched to the -1/2 d^2/dx^2 solver.
+    _grid for the form matched to the -1/2 d^2/dx^2 solvers.
     """
 
     c0: RationalComplex
@@ -141,20 +141,21 @@ class SexticPotential:
         return c0 + c2 * y2 + c4 * y2**2 + c6 * y2**3
 
     def grid_potential(self):
-        """Potential rescaled for the -1/2 d^2/dx^2 kinetic convention.
-
-        Substituting y = sqrt(2) x maps -d^2/dy^2 + V(y) onto
-        -1/2 d^2/dx^2 + V(sqrt(2) x) with an identical spectrum, so the
-        finite-difference solver can be reused without changing its
-        kinetic term.
-        """
-        c0, c2, c4, c6 = self.real_coeffs()
+        """The grid form v(x) = V(sqrt(2) x) as a function (see _grid)."""
+        g0, g2, g4, g6 = _grid(self.real_coeffs())
 
         def v(x):
             x2 = np.asarray(x) ** 2
-            return c0 + 2 * c2 * x2 + 4 * c4 * x2**2 + 8 * c6 * x2**3
+            return g0 + g2 * x2 + g4 * x2**2 + g6 * x2**3
 
         return v
+
+
+def _grid(coeffs: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
+    """V's real_coeffs() as those of v(x) = V(sqrt(2) x), c0, 2 c2, 4 c4, 8 c6:
+    -1/2 d^2/dx^2 + v(x) has the spectrum of -d^2/dy^2 + V(y)."""
+    c0, c2, c4, c6 = coeffs
+    return c0, 2 * c2, 4 * c4, 8 * c6
 
 
 def sextic_potential(
@@ -393,19 +394,19 @@ def _turning_point(a: tuple[float, float, float, float]) -> float:
     return scale * hi
 
 
-def _basis_range(coeffs: tuple[float, float, float, float], energy: float) -> float:
+def _basis_range(grid: tuple[float, float, float, float], energy: float) -> float:
     """x_max, where the WKB exponent int sqrt(2 (v - energy)) dx, taken from
-    the outer turning point x_t of the grid potential v, reaches _WKB_DECAY.
+    the outer turning point x_t of the grid potential v (_grid), reaches _WKB_DECAY.
 
     With x = x_t + s^2 the integrand 2 s sqrt(2 (v - energy)) is smooth at
     the turning point; it is summed by the trapezoid rule on _WKB_CELLS
     cells of s, over a span of x that starts at the linear-slope estimate
     and grows fourfold until the sum reaches _WKB_DECAY."""
-    c0, c2, c4, c6 = coeffs
+    g0, g2, g4, g6 = grid
     with np.errstate(all="ignore"):
-        u_t = _turning_point((c0 - energy, 2 * c2, 4 * c4, 8 * c6))
+        u_t = _turning_point((g0 - energy, g2, g4, g6))
         x_t = math.sqrt(u_t)
-        slope = 2 * x_t * ((24 * c6 * u_t + 8 * c4) * u_t + 2 * c2)  # v'(x_t)
+        slope = 2 * x_t * ((3 * g6 * u_t + 2 * g4) * u_t + g2)  # v'(x_t)
         # v - energy ~ slope (x - x_t) reaches the decay at this span
         span = (1.5 * _WKB_DECAY / math.sqrt(2 * slope)) ** (2 / 3) if slope > 0 else 0.0
         if not 0 < span < math.inf:
@@ -415,7 +416,7 @@ def _basis_range(coeffs: tuple[float, float, float, float], energy: float) -> fl
         while span < math.inf:
             s = math.sqrt(span) * t
             u = (x_t + s * s) ** 2
-            gap = np.maximum((((8 * c6 * u + 4 * c4) * u + 2 * c2) * u + c0) - energy, 0.0)
+            gap = np.maximum((((g6 * u + g4) * u + g2) * u + g0) - energy, 0.0)
             f = 2 * s * np.sqrt(2 * gap)
             total = np.concatenate(([0.0], np.cumsum(f[1:] + f[:-1]) * (0.5 * s[1])))
             if total[-1] >= _WKB_DECAY:
@@ -458,28 +459,28 @@ def _band_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _sector_levels(
-    coeffs: tuple[float, float, float, float], size: int, x_max: float, parity: int, count: int
+    grid: tuple[float, float, float, float], size: int, x_max: float, parity: int, count: int
 ) -> np.ndarray:
     """The count lowest Rayleigh-Ritz levels of -1/2 d^2/dx^2 + v(x), v the
-    grid potential, on the parity sector of size oscillator states whose
-    frequency omega = (2 size + 1) / x_max^2 makes them reach x_max.
+    grid potential (_grid), on the parity sector of size oscillator states
+    whose frequency omega = (2 size + 1) / x_max^2 makes them reach x_max.
 
-    H = omega (n + 1/2) + c0 + (2 c2 - omega^2 / 2) x^2 + 4 c4 x^4 + 8 c6 x^6,
+    H = omega (n + 1/2) + g0 + (g2 - omega^2 / 2) x^2 + g4 x^4 + g6 x^6,
     with x^4 and x^6 multiplied out band by band on size + 8 states and
     cut to size, so every kept entry is exact up to rounding.  A parity
     sector keeps every other state, so its matrix has three diagonals
     below the main one."""
-    c0, c2, c4, c6 = coeffs
+    g0, g2, g4, g6 = grid
     omega = (2 * size + 1) / (x_max * x_max)
     with np.errstate(all="ignore"):
         x2 = _x2_bands(size + 8, omega)
         x4 = _band_product(x2, x2)
         x6 = _band_product(x4, x2)
         # the diagonals at offsets 0, 2, 4, 6; the sector's lower band storage
-        upper = 8 * c6 * x6[3:]
-        upper[:3] += 4 * c4 * x4[2:]
-        upper[:2] += (2 * c2 - omega * omega / 2) * x2[1:]
-        upper[0] += omega * (np.arange(size + 8) + 0.5) + c0
+        upper = g6 * x6[3:]
+        upper[:3] += g4 * x4[2:]
+        upper[:2] += (g2 - omega * omega / 2) * x2[1:]
+        upper[0] += omega * (np.arange(size + 8) + 0.5) + g0
         bands = upper[:, parity:size:2]
     if not np.isfinite(bands).all():
         raise NumericalFailure(
@@ -517,12 +518,13 @@ def oscillator_levels(
             f" (c2={c2!r}, c4={c4!r}, c6={c6!r}): it has no bound states",
             math.inf,
         )
-    x_max = _basis_range(coeffs, highest)
+    grid = _grid(coeffs)
+    x_max = _basis_range(grid, highest)
     parity = potential.k % 2
     size = max(_MIN_BASIS, 4 * count)
     levels, worst = None, math.inf
     while size <= _MAX_BASIS:
-        finer = _sector_levels(coeffs, size, x_max, parity, count)
+        finer = _sector_levels(grid, size, x_max, parity, count)
         if levels is not None:
             moved = np.abs(finer - levels)
             if (moved <= LEVEL_TOL * np.maximum(1.0, np.abs(finer))).all():

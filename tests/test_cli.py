@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -486,6 +487,42 @@ class TestSextic:
         assert (code, out) == (4, "")
         assert err.startswith("numerical failure: sextic level 1 at k=3 is ")
         assert err.count("\n") == 1 and " more than " in err
+
+
+HUGE_BLOCK = (
+    "numerical failure: block kappa=10000000000 has 5000000001 states, more than the 8192"
+    " a block may have\n"
+)
+
+
+class TestSizeGuard:
+    """A block of more than oracle.MAX_DIMENSION states is refused with exit
+    4 and one stderr line, before any of it is built."""
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", SHG, "--kappa", "10000000000", "--method", "both"],
+        ["spectrum", SHG, "--kappa", "10000000000", "--method", "oracle"],
+        ["spectrum", SHG, "--kappa", "10000000000", "--method", "reduced"],
+        ["polys", SHG, "--kappa", "10000000000"],
+        ["sextic", *SHG_COUPLINGS, "--k", "10000000000", "--fd"],
+    ])
+    def test_huge_block_is_refused_before_allocating(self, capsys, argv):
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, *capsys.readouterr()) == (4, "", HUGE_BLOCK)
+        assert peak < 2**20
+
+    def test_scan_is_refused_at_the_first_block_above(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_DIMENSION", 5)
+        code, out, err = run(capsys, "scan", SHG, "--kappa-max", "20")
+        assert (code, out) == (4, "")
+        assert err == (
+            "numerical failure: block kappa=10 has 6 states, more than the 5 a block may have\n"
+        )
 
 
 class TestExitCodes:

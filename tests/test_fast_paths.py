@@ -15,7 +15,9 @@ both routes is also compared with the entry-by-entry loop it replaced,
 overflow refusals included: the same exception type and message, naming the
 same entry.  That one band assembly reads a block either way along it, as
 the two routes do, to the same bands reflected.  Both routes refuse a
-Hamiltonian exactly when it does not conserve the charge.
+Hamiltonian exactly when it does not conserve the charge.  The one
+band-shape decision both routes read gives, on either route's bands, the
+facts of the nonzero pattern of the exact entries.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from qesboson import (
 )
 from qesboson import oracle
 from qesboson.algebra import (
+    _band_shape,
     _block_bands,
     _integer_terms,
     apply_to_fock,
@@ -876,3 +879,52 @@ def test_unrepresentable_reduced_entry_message():
         qes_spectrum(monomial(HUGE, 2, 0, 0, 1), C12, 4)
     assert str(info.value) == "a reduced block entry does not fit in double precision"
     assert info.value.residual == math.inf
+
+
+# ---------------------------------------------------------------------------
+# The one band-shape decision both routes read (algebra._band_shape): its
+# facts are the nonzero pattern of the exact entries, on either route's bands.
+
+
+def reference_band_shape(pattern, dim):
+    """algebra._band_shape's facts read entry by entry off the set of
+    (row, col) positions of a block's nonzero exact entries: the offsets
+    row - col, both off-diagonals position by position, and the two
+    recurrence guards scanned row by row over A[dim-1-col][dim-1-row], as
+    reference_energy_polynomials scans them."""
+    rows = [set() for _ in range(dim)]
+    for i, j in pattern:
+        rows[dim - 1 - j].add(dim - 1 - i)
+    wide = [(m, min(c for c in row if c > m + 1)) for m, row in enumerate(rows)
+            if any(c > m + 1 for c in row)]
+    return (
+        all(abs(i - j) <= 1 for i, j in pattern),
+        all({(i, i + 1), (i + 1, i)} <= pattern for i in range(dim - 1)),
+        wide[0] if wide else None,
+        next((m for m in range(dim - 1) if m + 1 not in rows[m]), None),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(model=st.one_of(three_term_models(), banded_models(), conserving_models()))
+# a coupling that is exactly zero: one off-diagonal band is missing entirely
+@example(model=(build_nth_harmonic(1, 2, 0, Fraction(1, 2), 2), C12, 9))
+@example(model=(build_nth_harmonic(1, 2, Fraction(1, 2), 0, 2), C12, 9))
+# kb/2 + c' n2 vanishes at n2 = 3: band -1 of the reduced block (band 1 of
+# the Fock block) misses one column
+@example(model=(SHG + monomial(Fraction(-1, 6), 0, 2, 2, 1), C12, 10))
+# reduced bands {-2, -1, 0, 1}: the Fock block holds the mirror, {-1, 0, 1, 2}
+@example(model=(SHG + monomial(Fraction(1, 3), 0, 4, 2, 0), C12, 12))
+@example(model=(SHG + monomial(Fraction(1, 3), 4, 0, 0, 2), C12, 12))
+def test_band_shape_is_the_exact_nonzero_pattern(model):
+    h, charge, kappa = model
+    reduced = reduced_block_matrix(h, charge, kappa)
+    fock = oracle.build_block(h, charge, kappa)
+    amplitudes = block_amplitudes(h, enumerate_block(charge, kappa))
+    for bands, pattern in (
+        (reduced.bands, set(exact_entries(reduced))),
+        (fock.bands, {key for key, amp in amplitudes.items() if not amp.is_zero}),
+    ):
+        assert _band_shape(bands, reduced.dimension) == reference_band_shape(
+            pattern, reduced.dimension
+        )

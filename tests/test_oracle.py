@@ -30,6 +30,7 @@ from qesboson import (
     build_nth_harmonic,
     build_shg,
     charge_operator,
+    energy_polynomial_table,
     diagonalize_block,
     eigen_residual,
     enumerate_block,
@@ -38,6 +39,7 @@ from qesboson import (
     monomial,
     number,
     parse_model_file,
+    reduced_block_matrix,
     shg_charge,
 )
 from qesboson import oracle
@@ -109,6 +111,47 @@ class TestEnumerateBlock:
                 if 2 * n1 + 3 * n2 == kappa
             }
             assert {(st.n1, st.n2) for st in basis} == brute
+
+
+class TestSizeGuard:
+    """A block of more than MAX_DIMENSION states is refused from its charge
+    and kappa alone, before any list of its states is built."""
+
+    @pytest.mark.parametrize("s,p", [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (1, 4)])
+    def test_refused_exactly_above_the_limit(self, monkeypatch, s, p):
+        monkeypatch.setattr(oracle, "MAX_DIMENSION", 7)
+        charge = ConservedCharge(s, p)
+        for kappa in range(120):
+            # brute-force count of the states with s*n1 + p*n2 = kappa
+            dim = sum(1 for n2 in range(kappa // p + 1) if (kappa - p * n2) % s == 0)
+            if dim > 7:
+                with pytest.raises(NumericalFailure, match=f"kappa={kappa} has {dim} states"):
+                    oracle._block_run(charge, kappa)
+            else:
+                assert len(enumerate_block(charge, kappa)) == dim
+
+    def test_the_limit_itself(self):
+        assert oracle.MAX_DIMENSION == 8192
+        charge = ConservedCharge(1, 2)
+        n1s, n2s = oracle._block_run(charge, 2 * 8191)
+        assert len(n1s) == len(n2s) == 8192
+        with pytest.raises(NumericalFailure, match="has 8193 states, more than the 8192"):
+            oracle._block_run(charge, 2 * 8192)
+
+    @pytest.mark.parametrize("kappa", [10**10, 10**30])
+    def test_huge_kappa_is_refused_by_both_routes(self, kappa):
+        # the dimension is computed, never enumerated: 10**30 states would not fit anywhere
+        h, charge = build_shg(1, 2, Fraction(1, 2), Fraction(1, 2)), shg_charge()
+        message = f"block kappa={kappa} has {kappa // 2 + 1} states, more than the 8192"
+        for build in (build_block, reduced_block_matrix, energy_polynomial_table, enumerate_block):
+            args = (charge, kappa) if build is enumerate_block else (h, charge, kappa)
+            with pytest.raises(NumericalFailure, match=message) as refused:
+                build(*args)
+            assert refused.value.residual == math.inf
+
+    def test_conservation_is_decided_first(self):
+        with pytest.raises(NonConservingHamiltonian):
+            build_block(monomial(1, 0, 0, 1, 0), shg_charge(), 10**10)
 
 
 class TestBlockMatrix:

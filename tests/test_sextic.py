@@ -419,7 +419,7 @@ class TestOscillatorLevels:
 
     def test_matrix_beyond_double_range_is_refused(self):
         with pytest.raises(NumericalFailure, match="exceeds double range"):
-            sextic._sector_levels((0.0, 0.5, 0.0, 1e300), 40, 1e10, 0, 1)
+            sextic._sector_levels(sextic._grid((0.0, 0.5, 0.0, 1e300)), 40, 1e10, 0, 1)
 
     @pytest.mark.parametrize("size", [40, 41])
     def test_sector_matrix_is_the_dense_product(self, size):
@@ -436,7 +436,7 @@ class TestOscillatorLevels:
         for parity in (0, 1):
             keep = np.arange(parity, size, 2)
             dense = np.linalg.eigvalsh(h[np.ix_(keep, keep)])[:6]
-            got = sextic._sector_levels(coeffs, size, x_max, parity, 6)
+            got = sextic._sector_levels(sextic._grid(coeffs), size, x_max, parity, 6)
             np.testing.assert_allclose(got, dense, rtol=1e-13)
 
 
