@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -34,7 +35,13 @@ from .errors import (
     QesBosonError,
 )
 from .models import ModelFile, build_shg, parse_model_file, shg_charge
-from .oracle import SpectrumReport, block_spectrum, enumerate_block
+from .oracle import (
+    SpectrumReport,
+    _non_conserving,
+    block_spectrum,
+    enumerate_block,
+    oversized_block,
+)
 from .reduction import energy_polynomial_table, paper_literal, qes_spectrum
 from .sextic import (
     LEVEL_TOL,
@@ -145,24 +152,24 @@ def _load_model(path: str) -> ModelFile:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:  # the latter is a ValueError
         raise _UnreadableModel(exc) from None
-    model = parse_model_file(text)
-    return ModelFile(charge=model.charge, terms=model.terms, name=Path(path).name)
+    return parse_model_file(text, name=Path(path).name)
+
+
+_CONTAINERS = (list, tuple, dict)  # what json writes as an array or an object
 
 
 def _pair_list_json(value) -> str | None:
     """json.dumps(value, indent=2) at depth 1 of an object when value is a
-    list of two-element lists of numbers (or None), else None.
+    nonempty list of two-element lists of numbers (or None), else None.
 
     The numbers go through one C-encoded dump of the flat list and are
     laid out in the fixed indent-2 form; a string, list or object among
     them shows as a quote or bracket in that dump.
     """
-    if not isinstance(value, list) or not all(
+    if not isinstance(value, list) or not value or not all(
         isinstance(pair, list) and len(pair) == 2 for pair in value
     ):
         return None
-    if not value:
-        return "[]"
     flat = json.dumps([x for pair in value for x in pair])[1:-1]
     if "[" in flat or "{" in flat or '"' in flat:
         return None
@@ -173,28 +180,79 @@ def _pair_list_json(value) -> str | None:
     return f"[\n    {rows}\n  ]"
 
 
-def _json_text(payload) -> str:
-    """Exactly json.dumps(payload, indent=2).
+def _scalar_json(value) -> str:
+    """json.dumps(value) for a value json writes as one token: an int or a
+    finite float is its repr, as json's encoder writes it, without the
+    encoder that json.dumps builds for it on every call."""
+    if type(value) is int or type(value) is float and math.isfinite(value):
+        return repr(value)
+    return json.dumps(value)
 
-    The encoder behind indent is pure Python; the long lists of number
-    pairs (basis states, eigenvalues, charges) at the top level of an
-    object are written through the C encoder instead.
+
+def _json_text(value, pad: str = "") -> str:
+    """Exactly json.dumps(value, indent=2), its lines after the first
+    indented by pad, for a value at that depth.
+
+    The encoder behind indent is pure Python and is built anew on each
+    call, so containers are laid out here item by item and every scalar
+    goes through _scalar_json, which gives it the same bytes.  A list of
+    numbers (levels, a charge) goes through one C-encoded dump, as does a
+    list of number pairs (basis states, eigenvalues, charges) at the top
+    level of an object (_pair_list_json).  An object with a key that is
+    not a string, which json converts, is left to json.dumps.
     """
-    if not isinstance(payload, dict) or not payload or not all(
-        isinstance(key, str) for key in payload
-    ):
-        return json.dumps(payload, indent=2)
-    items = []
-    for key, value in payload.items():
-        text = _pair_list_json(value)
-        if text is None:
-            text = json.dumps(value, indent=2).replace("\n", "\n  ")
-        items.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(items) + "\n}"
+    if not isinstance(value, _CONTAINERS) or not value:
+        return _scalar_json(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+        items = []
+        for key, item in value.items():
+            # _pair_list_json lays out depth 1 only, the top level of an object
+            text = _pair_list_json(item) if not pad else None
+            items.append(f"{json.dumps(key)}: {text or _json_text(item, inner)}")
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
+    if not isinstance(value[0], (str, *_CONTAINERS)):
+        # numbers, bools and None hold no ", ": a quote or bracket shows any other item
+        text = json.dumps(value)
+        if not ('"' in text or "{" in text or "[" in text[1:]):
+            return f"[\n{inner}" + text[1:-1].replace(", ", f",\n{inner}") + f"\n{pad}]"
+    items = [
+        _json_text(item, inner) if isinstance(item, _CONTAINERS) else _scalar_json(item)
+        for item in value
+    ]
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
 
 
 def _dump_json(payload) -> None:
     print(_json_text(payload))
+
+
+def _fraction_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for a nonzero den: lowest terms, the sign on
+    the numerator, and no "/1"."""
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    den //= g
+    return str(num // g) if den == 1 else f"{num // g}/{den}"
+
+
+def _polys_json(members) -> str:
+    """json.dumps(polys, indent=2) at depth 1 of an object, for polys the
+    list over EnergyPolynomialTable.members of each member's coefficients
+    as [real, imaginary] strings, each part its numerator over the
+    member's scale in _fraction_text's form.  Those strings hold only
+    digits, "-" and "/", which JSON does not escape."""
+    rows = []
+    for re, im, scale in members:
+        coeffs = ",\n      ".join(
+            f'[\n        "{_fraction_text(x, scale)}",\n        "{_fraction_text(y, scale)}"\n      ]'
+            for x, y in zip(re, im)
+        )
+        rows.append(f"[\n      {coeffs}\n    ]")
+    return "[\n    " + ",\n    ".join(rows) + "\n  ]"
 
 
 def _eig_pairs(values) -> list[list[float]]:
@@ -279,6 +337,13 @@ def _cmd_spectrum(args) -> int:
 def _cmd_scan(args) -> int:
     model = _load_model(args.model)
     h = model.hamiltonian()
+    refusal = oversized_block(model.charge, args.kappa_max)
+    if refusal is not None:
+        # refused before any block is solved; as the routes do, a
+        # non-conserving h is refused first
+        if not conserves(h, model.charge):
+            raise _non_conserving(model.charge)
+        raise refusal
     reduced_h = _reduced_hamiltonian(h, args.mode)
     lines = ["kappa,dim,index,eig_re,eig_im,deviation"]
     code = 0
@@ -308,16 +373,10 @@ def _cmd_polys(args) -> int:
         _reduced_hamiltonian(model.hamiltonian(), args.mode), model.charge, args.kappa
     )
     if args.output == "json":
-        _dump_json(
-            {
-                "kappa": table.kappa,
-                "mode": args.mode,
-                "dimension": table.dimension,
-                "termination_degree": table.dimension,
-                "polys": [
-                    [_render_rational(c) for c in poly.coeffs] for poly in table.polys
-                ],
-            }
+        print(
+            f'{{\n  "kappa": {table.kappa},\n  "mode": {json.dumps(args.mode)},\n'
+            f'  "dimension": {table.dimension},\n  "termination_degree": {table.dimension},\n'
+            f'  "polys": {_polys_json(table.members)}\n}}'
         )
     else:
         print(

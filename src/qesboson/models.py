@@ -15,7 +15,7 @@ by exponent tuple with zero coefficients omitted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import BosonMonomial, ConservedCharge, OperatorPolynomial
@@ -69,14 +69,20 @@ class ModelFile:
     """Parsed model: charge plus canonical term list.
 
     The optional name is an in-memory label only; the file format carries
-    no name directive.
+    no name directive.  parse_model_file keeps the Hamiltonian it sums the
+    terms into, which hamiltonian() then returns; it takes no part in
+    equality, hash or repr, and a model built any other way (or by
+    dataclasses.replace) sums its terms on each call.
     """
 
     charge: ConservedCharge
     terms: tuple[BosonMonomial, ...]
     name: str | None = None
+    _h: OperatorPolynomial | None = field(default=None, init=False, repr=False, compare=False)
 
     def hamiltonian(self) -> OperatorPolynomial:
+        if self._h is not None:
+            return self._h
         return OperatorPolynomial.from_monomials(self.terms)
 
 
@@ -97,8 +103,9 @@ def _parse_exponent(token: str, line_no: int) -> int:
     return value
 
 
-def parse_model_file(text: str) -> ModelFile:
-    """Parse the line format; unknown directives are rejected."""
+def parse_model_file(text: str, name: str | None = None) -> ModelFile:
+    """Parse the line format, labelling the model name; unknown directives
+    are rejected."""
     charge: ConservedCharge | None = None
     terms: dict[tuple[int, int, int, int], RationalComplex] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -134,8 +141,11 @@ def parse_model_file(text: str) -> ModelFile:
             raise ParseError(line_no, f"unknown directive {directive!r}")
     if charge is None:
         raise ParseError(0, "missing charge line")
-    h = OperatorPolynomial(terms)
-    return ModelFile(charge=charge, terms=h.monomials(), name=None)
+    # in canonical term order, as OperatorPolynomial.from_monomials(model.terms) builds it
+    h = OperatorPolynomial(dict(sorted(terms.items())))
+    model = ModelFile(charge=charge, terms=h.monomials(), name=name)
+    object.__setattr__(model, "_h", h)  # the dataclass is frozen
+    return model
 
 
 def write_model_file(model: ModelFile) -> str:

@@ -83,6 +83,22 @@ RESIDUAL_TOL = 1e-8  # the largest residual a block solve may have; see _solve_b
 MAX_DIMENSION = 8192  # the most states a block may have: a dense complex one takes 1 GiB
 
 
+def _block_size(charge: ConservedCharge, kappa: int) -> tuple[int, int]:
+    """The least n2 of block kappa >= 0 and its number of states, in O(1):
+    n2 runs every s from the smallest n2 >= 0 with p*n2 = kappa (mod s) up
+    to kappa // p."""
+    s, p = charge.s, charge.p
+    first = kappa * pow(p, -1, s) % s
+    return first, (kappa // p - first) // s + 1
+
+
+def _size_refusal(kappa: int, dim: int) -> NumericalFailure:
+    return NumericalFailure(
+        f"block kappa={kappa} has {dim} states, more than the {MAX_DIMENSION} a block may have",
+        math.inf,
+    )
+
+
 def _block_run(charge: ConservedCharge, kappa: int) -> tuple[list[int], list[int]]:
     """The n1 and the n2 of every state with s*n1 + p*n2 = kappa, ordered by
     increasing n2 (so n1 falls by p and n2 rises by s from state to state).
@@ -91,19 +107,25 @@ def _block_run(charge: ConservedCharge, kappa: int) -> tuple[list[int], list[int
     any list is built, when there are more than MAX_DIMENSION states."""
     if kappa < 0:
         raise ValueError("kappa must be non-negative")
-    s, p = charge.s, charge.p
-    # the smallest n2 >= 0 with p*n2 = kappa (mod s); the rest follow every s
-    first = kappa * pow(p, -1, s) % s
-    dim = (kappa // p - first) // s + 1
+    first, dim = _block_size(charge, kappa)
     if dim > MAX_DIMENSION:
-        raise NumericalFailure(
-            f"block kappa={kappa} has {dim} states, more than the {MAX_DIMENSION} a block"
-            " may have",
-            math.inf,
-        )
+        raise _size_refusal(kappa, dim)
+    s, p = charge.s, charge.p
     n2s = range(first, kappa // p + 1, s)
     top = (kappa - p * first) // s
     return list(range(top, top - p * len(n2s), -p)), list(n2s)
+
+
+def oversized_block(charge: ConservedCharge, kappa_max: int) -> NumericalFailure | None:
+    """The refusal _block_run raises for the least kappa <= kappa_max whose
+    block has more than MAX_DIMENSION states, or None if there is none.
+
+    That kappa is p * s * MAX_DIMENSION: below it kappa // p < s *
+    MAX_DIMENSION leaves at most MAX_DIMENSION values of n2 a step s
+    apart, and at it n2 runs from 0 to s * MAX_DIMENSION (_block_size).
+    """
+    kappa = charge.p * charge.s * MAX_DIMENSION
+    return _size_refusal(kappa, _block_size(charge, kappa)[1]) if kappa <= kappa_max else None
 
 
 def enumerate_block(charge: ConservedCharge, kappa: int) -> tuple[FockState, ...]:
@@ -292,6 +314,9 @@ def eigen_residual(matrix, values, vectors):
     return residuals if vectors.ndim == 2 else float(residuals)
 
 
+_RESIDUAL_COLUMNS = 64  # eigenvector columns per _band_residuals step
+
+
 def _band_residuals(
     diagonal: np.ndarray,
     lower: np.ndarray,
@@ -304,11 +329,21 @@ def _band_residuals(
     without forming the matrix: elementwise on the band, with no BLAS call.
     The column norms are the sums numpy.linalg.norm(…, axis=0) forms, bit
     for bit, without a numpy.linalg call.
+
+    The columns go _RESIDUAL_COLUMNS at a time, so that each step's
+    temporaries stay in cache on large blocks; every column takes the same
+    operations and the same reduction in any step, so the result does not
+    depend on the step.
     """
-    r = diagonal[:, None] * vectors - vectors * values
-    r[:-1] += upper[:, None] * vectors[1:]
-    r[1:] += lower[:, None] * vectors[:-1]
-    return np.sqrt(np.add.reduce(r * r, axis=0)) / np.sqrt(np.add.reduce(vectors * vectors, axis=0))
+    out = np.empty(vectors.shape[1])
+    for start in range(0, vectors.shape[1], _RESIDUAL_COLUMNS):
+        cols = slice(start, start + _RESIDUAL_COLUMNS)
+        v = vectors[:, cols]
+        r = diagonal[:, None] * v - v * values[cols]
+        r[:-1] += upper[:, None] * v[1:]
+        r[1:] += lower[:, None] * v[:-1]
+        out[cols] = np.sqrt(np.add.reduce(r * r, axis=0)) / np.sqrt(np.add.reduce(v * v, axis=0))
+    return out
 
 
 @contextmanager

@@ -365,21 +365,34 @@ def _solve(
 class EnergyPolynomialTable:
     """Energy polynomials of one block's scalar recurrence.
 
-    polys[m] has exact coefficients and degree m; the last entry is the
-    terminating member, whose roots are the block spectrum.  block is the
-    reduced block R the polynomials were read from.  The recurrence matrix
-    A, indexed by the slaved occupation ascending, is its order-reversing
-    transpose, A[d-1-j][d-1-i] = R[i, j], so both share one spectrum, and
-    spectrum() solves R itself.
+    members[m] holds P_m in the integer form the recurrence gives it,
+    (real numerators, imaginary numerators, scale): coefficient i of P_m is
+    (re[i] + i*im[i]) / scale exactly, with scale a nonzero integer and
+    degree exactly m.  polys[m] is P_m as an exact Polynomial, formed from
+    members on first read; the last entry is the terminating member, whose
+    roots are the block spectrum.  block is the reduced block R the
+    polynomials were read from.  The recurrence matrix A, indexed by the
+    slaved occupation ascending, is its order-reversing transpose,
+    A[d-1-j][d-1-i] = R[i, j], so both share one spectrum, and spectrum()
+    solves R itself.
     """
 
     kappa: int
-    polys: tuple[Polynomial, ...]
+    members: tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]
     block: ReducedBlock
 
     @property
     def dimension(self) -> int:
         return self.block.dimension
+
+    @cached_property
+    def polys(self) -> tuple[Polynomial, ...]:
+        return tuple(
+            Polynomial.from_coeffs(
+                RationalComplex(Fraction(x, scale), Fraction(y, scale)) for x, y in zip(re, im)
+            )
+            for re, im, scale in self.members
+        )
 
     @property
     def termination(self) -> Polynomial:
@@ -420,9 +433,11 @@ def energy_polynomial_table(
 
         Q_{m+1} = D E Q_m - sum_{j<=m} a_mj (u_j ... u_{m-1}) Q_j,
 
-    and the terminating member is P_d = Q_d / (D U_{d-1}).  Each
-    coefficient becomes its two reduced Fractions once, when Q_m is divided
-    by its scale, so no gcd is taken inside the recurrence.
+    and the terminating member is P_d = Q_d / (D U_{d-1}).  The table keeps
+    each member as Q_m's integers over one integer scale (a complex scale
+    is folded in by multiplying with its conjugate), so no gcd is taken and
+    no Fraction formed here; EnergyPolynomialTable.polys reduces them on
+    first read.
     """
     block = reduced_block_matrix(h, charge, kappa)
     d = block.dimension
@@ -460,8 +475,8 @@ def energy_polynomial_table(
     if d:
         sr, si = scales[-1]
         scales.append((denom * sr, denom * si))
-    polys = tuple(_divided(*q, *scale) for q, scale in zip(qs, scales))
-    return EnergyPolynomialTable(kappa=kappa, polys=polys, block=block)
+    members = tuple(_over_integer(*q, *scale) for q, scale in zip(qs, scales))
+    return EnergyPolynomialTable(kappa=kappa, members=members, block=block)
 
 
 def _subtract_multiple(
@@ -474,18 +489,18 @@ def _subtract_multiple(
     acc_im[:n] = [a - cr * y - ci * x for a, x, y in zip(acc_im, re, im)]
 
 
-def _divided(re: list[int], im: list[int], sr: int, si: int) -> Polynomial:
-    """The polynomial with coefficients (re + i*im) / (sr + i*si), each
-    part one reduced Fraction; a complex scale is divided by multiplying
-    with its conjugate over its squared modulus."""
-    if si:
-        re, im, sr = (
-            [x * sr + y * si for x, y in zip(re, im)],
-            [y * sr - x * si for x, y in zip(re, im)],
-            sr * sr + si * si,
-        )
-    return Polynomial.from_coeffs(
-        RationalComplex(Fraction(x, sr), Fraction(y, sr)) for x, y in zip(re, im)
+def _over_integer(
+    re: list[int], im: list[int], sr: int, si: int
+) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """(re + i*im) / (sr + i*si) as numerators over one integer scale: a
+    complex scale is divided by multiplying with its conjugate over its
+    squared modulus."""
+    if not si:
+        return tuple(re), tuple(im), sr
+    return (
+        tuple(x * sr + y * si for x, y in zip(re, im)),
+        tuple(y * sr - x * si for x, y in zip(re, im)),
+        sr * sr + si * si,
     )
 
 

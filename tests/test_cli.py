@@ -4,14 +4,15 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qesboson import SpectrumReport, cli, oracle, sextic
+from qesboson import SpectrumReport, cli, energy_polynomial_table, oracle, parse_model_file, sextic
 from qesboson.cli import main
 
 SAMPLE_DIR = Path(__file__).resolve().parent.parent / "models"
@@ -517,12 +518,32 @@ class TestSizeGuard:
         assert peak < 2**20
 
     def test_scan_is_refused_at_the_first_block_above(self, capsys, monkeypatch):
+        # refused before any block is solved
         monkeypatch.setattr(oracle, "MAX_DIMENSION", 5)
+        solves = []
+        monkeypatch.setattr(cli, "block_spectrum", lambda *a: solves.append(a))
         code, out, err = run(capsys, "scan", SHG, "--kappa-max", "20")
-        assert (code, out) == (4, "")
+        assert (code, out, solves) == (4, "", [])
         assert err == (
             "numerical failure: block kappa=10 has 6 states, more than the 5 a block may have\n"
         )
+
+    def test_scan_refuses_a_huge_kappa_max_at_once(self, capsys, monkeypatch):
+        solves = []
+        monkeypatch.setattr(cli, "block_spectrum", lambda *a: solves.append(a))
+        code, out, err = run(capsys, "scan", SHG, "--kappa-max", "10000000000")
+        assert (code, out, solves) == (4, "", [])
+        assert err == (
+            "numerical failure: block kappa=16384 has 8193 states,"
+            " more than the 8192 a block may have\n"
+        )
+
+    def test_scan_refuses_a_non_conserving_model_first(self, capsys, tmp_path):
+        bad = tmp_path / "bad.qesb"
+        bad.write_text(Path(SHG).read_text().replace("charge 1 2", "charge 1 1"))
+        code, out, err = run(capsys, "scan", str(bad), "--kappa-max", "10000000000")
+        assert (code, out) == (3, "")
+        assert err == "non-conserving model: Hamiltonian does not commute with 1*N1 + 1*N2\n"
 
 
 class TestExitCodes:
@@ -812,11 +833,19 @@ class TestSolverFailure:
         )
 
 
-numbers = st.one_of(st.floats(), st.integers(-(10**30), 10**30), st.booleans(), st.none())
+numbers = st.one_of(
+    st.floats(), st.sampled_from([-0.0, float("nan"), float("inf"), -float("inf")]),
+    st.integers(-(10**30), 10**30), st.integers(), st.booleans(), st.none(),
+)
+# strings JSON escapes, or that look like its separators and brackets
+texts = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(["", '"', "\\", ", ", ",\n", "é", "\u2028", '"a", "b"', "[1, 2]", "{", "\x00"]),
+)
 json_values = st.recursive(
-    st.one_of(numbers, st.text(max_size=6)),
+    st.one_of(numbers, texts),
     lambda inner: st.one_of(
-        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=6), inner, max_size=4)
+        st.lists(inner, max_size=4), st.dictionaries(texts, inner, max_size=4)
     ),
     max_leaves=16,
 )
@@ -827,11 +856,63 @@ pair_lists = st.lists(
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(
-    st.dictionaries(st.text(max_size=8), st.one_of(pair_lists, json_values), max_size=6),
+    st.dictionaries(texts, st.one_of(pair_lists, json_values), max_size=6),
+    st.lists(st.dictionaries(texts, pair_lists, max_size=3), max_size=3),
     json_values,
 ))
 def test_json_writer_matches_indent_2_dumps(payload):
-    """Byte for byte json.dumps(payload, indent=2): NaN, +-inf, ints, bools,
-    None, empty and ragged lists, pairs holding strings, lists or objects,
-    and nested objects included."""
+    """Byte for byte json.dumps(payload, indent=2): NaN, +-inf, -0.0, ints
+    of any size, bools, None, strings JSON escapes, empty and ragged lists,
+    pairs holding strings, lists or objects, pair lists below depth 1, and
+    nested objects included."""
     assert cli._json_text(payload) == json.dumps(payload, indent=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.integers(), st.integers(-(10**60), 10**60), st.just(0)),
+    st.one_of(st.integers(-(10**40), 10**40), st.integers(-3, 3)).filter(bool),
+)
+def test_fraction_text_is_str_of_fraction(num, den):
+    assert cli._fraction_text(num, den) == str(Fraction(num, den))
+
+
+coupling_parts = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    order=st.sampled_from((1, 2, 3)),
+    w=st.tuples(coupling_parts, coupling_parts),
+    kc=st.tuples(coupling_parts.filter(bool), coupling_parts),
+    kb=st.tuples(coupling_parts.filter(bool), coupling_parts),
+    real=st.booleans(),
+    kappa=st.integers(0, 60),
+    mode=st.sampled_from(["corrected", "paper-literal"]),
+)
+def test_polys_json_is_the_fraction_rendered_table(
+    capsys, tmp_path, order, w, kc, kb, real, kappa, mode
+):
+    """polys --output json of a random three-term model, real or complex, is
+    json.dumps of its table with every coefficient part a reduced Fraction."""
+    if real:
+        kc, kb = (kc[0], 0), (kb[0], 0)
+    path = tmp_path / "three_term.qesb"
+    path.write_text(
+        f"charge 1 {order}\nterm {w[0]} 0 1 1 0 0\nterm {w[1]} 0 0 0 1 1\n"
+        f"term {kc[0]} {kc[1]} {order} 0 0 1\nterm {kb[0]} {kb[1]} 0 {order} 1 0\n"
+    )
+    model = parse_model_file(path.read_text())
+    h = cli._reduced_hamiltonian(model.hamiltonian(), mode)
+    table = energy_polynomial_table(h, model.charge, kappa)
+    expected = {
+        "kappa": kappa,
+        "mode": mode,
+        "dimension": table.dimension,
+        "termination_degree": table.dimension,
+        "polys": [[[str(c.re), str(c.im)] for c in poly.coeffs] for poly in table.polys],
+    }
+    code, out, err = run(capsys, "polys", str(path), "--kappa", str(kappa), "--output", "json",
+                         "--mode", mode)
+    assert (code, err) == (0, "")
+    assert out == json.dumps(expected, indent=2) + "\n"

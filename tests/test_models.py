@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +12,7 @@ from qesboson import (
     ConservedCharge,
     InvalidOrder,
     ModelFile,
+    OperatorPolynomial,
     ParseError,
     RationalComplex,
     block_spectrum,
@@ -132,6 +134,41 @@ class TestParsing:
         )
         coeff = model.terms[0].coeff
         assert coeff == RationalComplex(Fraction(1, 3), Fraction(-1, 4))
+
+
+class TestParsedHamiltonian:
+    """parse_model_file keeps the Hamiltonian it sums the terms into."""
+
+    MODELS = (
+        (SAMPLE_DIR / "shg.qesb").read_text(),
+        (SAMPLE_DIR / "trilinear3.qesb").read_text(),
+        "charge 1 2\nterm 1/3 -1/7 2 0 0 1\nterm 2 1/3 0 0 1 1\nterm 1 0 1 1 0 0\n"
+        "term 1/2 1/5 0 2 1 0\nterm 1/4 0 0 0 1 1\nterm 5 0 3 3 0 0\nterm -5 0 3 3 0 0\n",
+    )
+
+    @pytest.mark.parametrize("text", MODELS)
+    def test_hamiltonian_is_the_sum_of_the_terms(self, text):
+        model = parse_model_file(text, name="m.qesb")
+        h = model.hamiltonian()
+        summed = OperatorPolynomial.from_monomials(model.terms)
+        assert h == summed and str(h) == str(summed)
+        # the same canonical term order, which the integer form reads
+        assert list(h.items()) == list(summed.items())
+        assert model.hamiltonian() is h
+
+    @pytest.mark.parametrize("text", MODELS)
+    def test_equality_hash_and_repr_ignore_it(self, text):
+        parsed = parse_model_file(text, name="m.qesb")
+        built = ModelFile(parsed.charge, parsed.terms, "m.qesb")
+        assert parsed == built and hash(parsed) == hash(built)
+        assert repr(parsed) == repr(built)
+        assert parse_model_file(write_model_file(parsed)) == ModelFile(parsed.charge, parsed.terms)
+        assert built.hamiltonian() == parsed.hamiltonian()
+
+    def test_replace_does_not_carry_it(self):
+        parsed = parse_model_file(self.MODELS[0])
+        other = dataclasses.replace(parsed, terms=parsed.terms[:1])
+        assert other.hamiltonian() == OperatorPolynomial.from_monomials(parsed.terms[:1])
 
 
 class TestSerialization:

@@ -153,6 +153,34 @@ class TestSizeGuard:
         with pytest.raises(NonConservingHamiltonian):
             build_block(monomial(1, 0, 0, 1, 0), shg_charge(), 10**10)
 
+    @pytest.mark.parametrize("s,p", [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (1, 4), (5, 3)])
+    def test_oversized_block_is_the_least_above_the_limit(self, monkeypatch, s, p):
+        monkeypatch.setattr(oracle, "MAX_DIMENSION", 7)
+        charge = ConservedCharge(s, p)
+        sizes = [
+            sum(1 for n2 in range(kappa // p + 1) if (kappa - p * n2) % s == 0)
+            for kappa in range(400)
+        ]
+        first = next(kappa for kappa, dim in enumerate(sizes) if dim > 7)
+        for kappa_max in (-1, 0, first - 1):
+            assert oracle.oversized_block(charge, kappa_max) is None
+        for kappa_max in (first, first + 1, 399, 10**30):
+            refusal = oracle.oversized_block(charge, kappa_max)
+            assert str(refusal) == (
+                f"block kappa={first} has {sizes[first]} states, more than the 7 a block may have"
+            )
+            assert refusal.residual == math.inf
+
+    def test_oversized_block_of_large_weights_at_once(self):
+        # sized in O(1), never searched kappa by kappa
+        s, p = 10**6, 10**6 - 1
+        kappa = s * p * 8192
+        assert oracle.oversized_block(ConservedCharge(s, p), kappa - 1) is None
+        refusal = oracle.oversized_block(ConservedCharge(s, p), 10**30)
+        assert str(refusal) == (
+            f"block kappa={kappa} has 8193 states, more than the 8192 a block may have"
+        )
+
 
 class TestBlockMatrix:
     def test_shg_kappa_two(self, shg):
@@ -494,6 +522,22 @@ class TestBandResidual:
         assert max_residual == band.max()
         bound = 4 * np.finfo(float).eps * max(1.0, np.linalg.norm(matrix))
         assert np.abs(band - eigen_residual(matrix, values, vectors)).max() <= bound
+
+    @pytest.mark.parametrize("dim", [1, 2, 63, 64, 65, 129, 600])
+    def test_column_blocks_match_the_whole_formula(self, dim):
+        # the formula on all columns at once, as before the columns went in
+        # steps: bit for bit the same on stevd's F-ordered eigenvectors
+        rng = np.random.default_rng(dim)
+        diagonal, off = rng.standard_normal(dim), rng.standard_normal(dim - 1)
+        values, vectors = oracle.stevd(diagonal, off)
+        assert vectors.flags.f_contiguous
+        r = diagonal[:, None] * vectors - vectors * values
+        r[:-1] += off[:, None] * vectors[1:]
+        r[1:] += off[:, None] * vectors[:-1]
+        whole = np.sqrt(np.add.reduce(r * r, axis=0)) / np.sqrt(
+            np.add.reduce(vectors * vectors, axis=0)
+        )
+        assert np.array_equal(_band_residuals(diagonal, off, off, values, vectors), whole)
 
     def test_pentadiagonal_block_keeps_dense_residual(self, monkeypatch):
         dense = []
