@@ -155,78 +155,19 @@ def _load_model(path: str) -> ModelFile:
     return parse_model_file(text, name=Path(path).name)
 
 
-_CONTAINERS = (list, tuple, dict)  # what json writes as an array or an object
-
-
-def _pair_list_json(value) -> str | None:
-    """json.dumps(value, indent=2) at depth 1 of an object when value is a
-    nonempty list of two-element lists of numbers (or None), else None.
+def _pairs_json(pairs) -> str:
+    """json.dumps(pairs, indent=2) at depth 1 of an object, for pairs None,
+    [] or a list of [number, number] lists (basis states, eigenvalues).
 
     The numbers go through one C-encoded dump of the flat list and are
-    laid out in the fixed indent-2 form; a string, list or object among
-    them shows as a quote or bracket in that dump.
+    laid out in the fixed indent-2 form, without json's pure-Python
+    indent encoder.
     """
-    if not isinstance(value, list) or not value or not all(
-        isinstance(pair, list) and len(pair) == 2 for pair in value
-    ):
-        return None
-    flat = json.dumps([x for pair in value for x in pair])[1:-1]
-    if "[" in flat or "{" in flat or '"' in flat:
-        return None
-    numbers = iter(flat.split(", "))
-    rows = ",\n    ".join(
-        f"[\n      {a},\n      {b}\n    ]" for a, b in zip(numbers, numbers)
-    )
+    if not pairs:
+        return json.dumps(pairs)
+    numbers = iter(json.dumps([x for pair in pairs for x in pair])[1:-1].split(", "))
+    rows = ",\n    ".join(f"[\n      {a},\n      {b}\n    ]" for a, b in zip(numbers, numbers))
     return f"[\n    {rows}\n  ]"
-
-
-def _scalar_json(value) -> str:
-    """json.dumps(value) for a value json writes as one token: an int or a
-    finite float is its repr, as json's encoder writes it, without the
-    encoder that json.dumps builds for it on every call."""
-    if type(value) is int or type(value) is float and math.isfinite(value):
-        return repr(value)
-    return json.dumps(value)
-
-
-def _json_text(value, pad: str = "") -> str:
-    """Exactly json.dumps(value, indent=2), its lines after the first
-    indented by pad, for a value at that depth.
-
-    The encoder behind indent is pure Python and is built anew on each
-    call, so containers are laid out here item by item and every scalar
-    goes through _scalar_json, which gives it the same bytes.  A list of
-    numbers (levels, a charge) goes through one C-encoded dump, as does a
-    list of number pairs (basis states, eigenvalues, charges) at the top
-    level of an object (_pair_list_json).  An object with a key that is
-    not a string, which json converts, is left to json.dumps.
-    """
-    if not isinstance(value, _CONTAINERS) or not value:
-        return _scalar_json(value)
-    inner = pad + "  "
-    if isinstance(value, dict):
-        if not all(isinstance(key, str) for key in value):
-            return json.dumps(value, indent=2).replace("\n", "\n" + pad)
-        items = []
-        for key, item in value.items():
-            # _pair_list_json lays out depth 1 only, the top level of an object
-            text = _pair_list_json(item) if not pad else None
-            items.append(f"{json.dumps(key)}: {text or _json_text(item, inner)}")
-        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
-    if not isinstance(value[0], (str, *_CONTAINERS)):
-        # numbers, bools and None hold no ", ": a quote or bracket shows any other item
-        text = json.dumps(value)
-        if not ('"' in text or "{" in text or "[" in text[1:]):
-            return f"[\n{inner}" + text[1:-1].replace(", ", f",\n{inner}") + f"\n{pad}]"
-    items = [
-        _json_text(item, inner) if isinstance(item, _CONTAINERS) else _scalar_json(item)
-        for item in value
-    ]
-    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
-
-
-def _dump_json(payload) -> None:
-    print(_json_text(payload))
 
 
 def _fraction_text(num: int, den: int) -> str:
@@ -255,10 +196,6 @@ def _polys_json(members) -> str:
     return "[\n    " + ",\n    ".join(rows) + "\n  ]"
 
 
-def _eig_pairs(values) -> list[list[float]]:
-    return [[float(v.real), float(v.imag)] for v in values]
-
-
 def _compare_routes(
     oracle: SpectrumReport, reduced: SpectrumReport, tol: float
 ) -> tuple[np.ndarray, bool]:
@@ -279,16 +216,14 @@ def _cmd_check(args) -> int:
     if not ok:
         comm = str(_charge_commutator(h, model.charge))
     if args.output == "json":
-        _dump_json(
-            {
-                "model": model.name,
-                "charge": [model.charge.s, model.charge.p],
-                "conserves": ok,
-                "hermitian": herm,
-                "conserving_charges": [list(pair) for pair in pairs],
-                "commutator": comm,
-            }
-        )
+        print(json.dumps({
+            "model": model.name,
+            "charge": [model.charge.s, model.charge.p],
+            "conserves": ok,
+            "hermitian": herm,
+            "conserving_charges": [list(pair) for pair in pairs],
+            "commutator": comm,
+        }, indent=2))
     else:
         print(f"model: {model.name}")
         yn = "yes" if ok else "no"
@@ -312,25 +247,27 @@ def _cmd_spectrum(args) -> int:
         reduced_h = _reduced_hamiltonian(h, args.mode)
         reports["reduced"] = qes_spectrum(reduced_h, model.charge, args.kappa)
     basis = enumerate_block(model.charge, args.kappa)
-    payload = {
-        "kappa": args.kappa,
-        "dimension": len(basis),
-        "basis": [[st.n1, st.n2] for st in basis],
-        "oracle": None,
-        "reduced": None,
-        "max_deviation": None,
-        "residuals": {"oracle": None, "reduced": None},
-    }
-    for name, report in reports.items():
-        if report is not None:
-            payload[name] = _eig_pairs(report.eigenvalues)
-            payload["residuals"][name] = report.max_residual
-    code = 0
+    max_deviation, code = None, 0
     if args.method == "both":
         deviations, within = _compare_routes(reports["oracle"], reports["reduced"], args.tol)
-        payload["max_deviation"] = float(deviations.max(initial=0.0))
+        max_deviation = float(deviations.max(initial=0.0))
         code = 0 if within else 4
-    _dump_json(payload)
+    pairs = {
+        name: None if report is None else [[v.real, v.imag] for v in report.eigenvalues]
+        for name, report in reports.items()
+    }
+    residuals = {
+        name: None if report is None else report.max_residual for name, report in reports.items()
+    }
+    print(
+        f'{{\n  "kappa": {args.kappa},\n  "dimension": {len(basis)},\n'
+        f'  "basis": {_pairs_json([[st.n1, st.n2] for st in basis])},\n'
+        f'  "oracle": {_pairs_json(pairs["oracle"])},\n'
+        f'  "reduced": {_pairs_json(pairs["reduced"])},\n'
+        f'  "max_deviation": {json.dumps(max_deviation)},\n'
+        f'  "residuals": {{\n    "oracle": {json.dumps(residuals["oracle"])},\n'
+        f'    "reduced": {json.dumps(residuals["reduced"])}\n  }}\n}}'
+    )
     return code
 
 
@@ -440,23 +377,21 @@ def _cmd_sextic(args) -> int:
             "error_estimate": float(moved.max()),
         }
     if args.output == "json":
-        _dump_json(
-            {
-                "superpotential": {
-                    "inverse": _render_rational(w.inverse_coeff),
-                    "linear": _render_rational(w.linear_coeff),
-                    "cubic": _render_rational(w.cubic_coeff),
-                },
-                "potential": {
-                    "c0": _render_rational(pot.c0),
-                    "c2": _render_rational(pot.c2),
-                    "c4": _render_rational(pot.c4),
-                    "c6": _render_rational(pot.c6),
-                },
-                "gauge_identity": gauge_payload,
-                "fd": fd_payload,
-            }
-        )
+        print(json.dumps({
+            "superpotential": {
+                "inverse": _render_rational(w.inverse_coeff),
+                "linear": _render_rational(w.linear_coeff),
+                "cubic": _render_rational(w.cubic_coeff),
+            },
+            "potential": {
+                "c0": _render_rational(pot.c0),
+                "c2": _render_rational(pot.c2),
+                "c4": _render_rational(pot.c4),
+                "c6": _render_rational(pot.c6),
+            },
+            "gauge_identity": gauge_payload,
+            "fd": fd_payload,
+        }, indent=2))
         return 0
     print(
         f"superpotential: W(y) = ({w.inverse_coeff})/y"

@@ -1,6 +1,7 @@
 """Catalog Hamiltonians and the line-oriented model file format.
 
-File format (UTF-8, '#' comments and blank lines ignored):
+File format (UTF-8, '#' comments, blank lines and a leading byte-order
+mark ignored):
 
     # qesb v1
     charge <s:int> <p:int>
@@ -104,11 +105,11 @@ def _parse_exponent(token: str, line_no: int) -> int:
 
 
 def parse_model_file(text: str, name: str | None = None) -> ModelFile:
-    """Parse the line format, labelling the model name; unknown directives
-    are rejected."""
+    """Parse the line format, labelling the model name; one leading
+    byte-order mark is dropped, and unknown directives are rejected."""
     charge: ConservedCharge | None = None
     terms: dict[tuple[int, int, int, int], RationalComplex] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

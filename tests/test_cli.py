@@ -92,6 +92,18 @@ class TestCheck:
         assert "conserves: no" in out
         assert "[K,H] =" in out and "a1+^2 a2" in out
 
+    def test_byte_order_mark_is_ignored(self, capsys, tmp_path):
+        """A model file saved with a UTF-8 byte-order mark checks as the
+        plain file of the same name does."""
+        text = Path(SHG).read_bytes()
+        for folder, data in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+            (tmp_path / folder).mkdir()
+            (tmp_path / folder / "shg.qesb").write_bytes(data)
+        plain = run(capsys, "check", str(tmp_path / "plain" / "shg.qesb"), "--output", "json")
+        bom = run(capsys, "check", str(tmp_path / "bom" / "shg.qesb"), "--output", "json")
+        assert plain[0] == 0
+        assert bom == plain
+
     def test_diagonal_model_conserves_everything(self, capsys, tmp_path):
         path = tmp_path / "diag.qesb"
         path.write_text("charge 1 2\nterm 1 0 1 1 0 0\nterm 2 0 0 0 1 1\n")
@@ -113,6 +125,22 @@ class TestCheck:
 
 
 class TestSpectrum:
+    def test_golden_output(self, capsys):
+        """spectrum prints tests/golden/spectrum_shg_k12.json: all before
+        max_deviation byte for byte, and max_deviation and the residuals,
+        which rest on LAPACK's last bits, within 1e-12."""
+        code, out, err = run(capsys, "spectrum", SHG, "--kappa", "12", "--method", "both")
+        assert (code, err) == (0, "")
+        golden = (GOLDEN / "spectrum_shg_k12.json").read_text(encoding="utf-8")
+        assert out.partition('  "max_deviation"')[0] == golden.partition('  "max_deviation"')[0]
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+        def lapack_scalars(text):
+            payload = json.loads(text)
+            return [payload["max_deviation"], *payload["residuals"].values()]
+
+        np.testing.assert_allclose(lapack_scalars(out), lapack_scalars(golden), rtol=0, atol=1e-12)
+
     def test_kappa_two_both_methods(self, capsys):
         code, out, _ = run(capsys, "spectrum", SHG, "--kappa", "2")
         assert code == 0
@@ -833,39 +861,57 @@ class TestSolverFailure:
         )
 
 
-numbers = st.one_of(
-    st.floats(), st.sampled_from([-0.0, float("nan"), float("inf"), -float("inf")]),
-    st.integers(-(10**30), 10**30), st.integers(), st.booleans(), st.none(),
-)
-# strings JSON escapes, or that look like its separators and brackets
-texts = st.one_of(
-    st.text(max_size=6),
-    st.sampled_from(["", '"', "\\", ", ", ",\n", "é", "\u2028", '"a", "b"', "[1, 2]", "{", "\x00"]),
-)
-json_values = st.recursive(
-    st.one_of(numbers, texts),
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4), st.dictionaries(texts, inner, max_size=4)
+pair_numbers = st.one_of(
+    st.integers(-(10**30), 10**30),
+    st.integers(),
+    st.floats(),
+    st.sampled_from(
+        [-0.0, 5e-324, 1.7976931348623157e308, float("nan"), float("inf"), -float("inf")]
     ),
-    max_leaves=16,
-)
-pair_lists = st.lists(
-    st.lists(st.one_of(numbers, numbers, json_values), min_size=2, max_size=2), max_size=6
 )
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(
-    st.dictionaries(texts, st.one_of(pair_lists, json_values), max_size=6),
-    st.lists(st.dictionaries(texts, pair_lists, max_size=3), max_size=3),
-    json_values,
+    st.none(), st.lists(st.lists(pair_numbers, min_size=2, max_size=2), max_size=6)
 ))
-def test_json_writer_matches_indent_2_dumps(payload):
-    """Byte for byte json.dumps(payload, indent=2): NaN, +-inf, -0.0, ints
-    of any size, bools, None, strings JSON escapes, empty and ragged lists,
-    pairs holding strings, lists or objects, pair lists below depth 1, and
-    nested objects included."""
-    assert cli._json_text(payload) == json.dumps(payload, indent=2)
+def test_pair_writer_matches_indent_2_dumps(pairs):
+    """The pair writer gives pairs' slot in json.dumps({"k": pairs}, indent=2)
+    byte for byte: None, [], ints beyond 2**63, -0.0, subnormal and largest
+    floats, NaN and +-inf included."""
+    assert '{\n  "k": ' + cli._pairs_json(pairs) + "\n}" == json.dumps({"k": pairs}, indent=2)
+
+
+# JSON requests, with their exit codes, whose output must be exactly
+# json.dumps(payload, indent=2); the relative model paths are written by the test
+JSON_LAYOUT_CASES = {
+    "spectrum_shg_k1198": (0, ["spectrum", SHG, "--kappa", "1198", "--method", "both"]),
+    "spectrum_trilinear3_k30_oracle": (
+        0, ["spectrum", str(SAMPLE_DIR / "trilinear3.qesb"), "--kappa", "30", "--method", "oracle"]
+    ),
+    "spectrum_trilinear3_k30_reduced": (
+        0, ["spectrum", str(SAMPLE_DIR / "trilinear3.qesb"), "--kappa", "30", "--method", "reduced"]
+    ),
+    "spectrum_empty_block": (0, ["spectrum", "empty.qesb", "--kappa", "1"]),
+    # oracle and reduced agree as multisets but not in their sorted order: exit 4
+    "spectrum_non_hermitian_k8": (4, ["spectrum", "non_hermitian.qesb", "--kappa", "8"]),
+    "check": (0, ["check", SHG, "--output", "json"]),
+    "sextic_fd": (0, ["sextic", *SHG_COUPLINGS, "--k", "3", "--fd", "--output", "json"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JSON_LAYOUT_CASES))
+def test_json_output_is_indent_2_dumps(capsys, tmp_path, monkeypatch, name):
+    code, argv = JSON_LAYOUT_CASES[name]
+    (tmp_path / "empty.qesb").write_text("charge 2 3\nterm 1 0 1 1 0 0\n")
+    # models/shg.qesb with one coupling negated: not Hermitian, complex-conjugate levels
+    (tmp_path / "non_hermitian.qesb").write_text(
+        Path(SHG).read_text().replace("term 1/2 0 0 2 1 0", "term -1/2 0 0 2 1 0")
+    )
+    monkeypatch.chdir(tmp_path)
+    got, out, _ = run(capsys, *argv)
+    assert got == code
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 @settings(max_examples=300, deadline=None)

@@ -128,6 +128,22 @@ class TestParsing:
             parse_model_file("charge 1 2\nfrobnicate 1\n")
         assert "unknown directive" in err.value.reason
 
+    def test_leading_byte_order_mark_dropped(self):
+        text = (SAMPLE_DIR / "shg.qesb").read_text(encoding="utf-8")
+        model = parse_model_file("\ufeff" + text, name="shg.qesb")
+        assert model == parse_model_file(text, name="shg.qesb")
+        assert model.hamiltonian() == parse_model_file(text).hamiltonian()
+
+    @pytest.mark.parametrize("text", [
+        "\ufeff\ufeffcharge 1 2\n",  # only one mark is dropped
+        "charge 1 2\n\ufeffterm 1 0 1 1 0 0\n",  # and only at the start of the file
+        " \ufeffcharge 1 2\n",
+    ])
+    def test_other_byte_order_marks_refused(self, text):
+        with pytest.raises(ParseError) as err:
+            parse_model_file(text)
+        assert "unknown directive" in err.value.reason
+
     def test_rational_and_decimal_literals(self):
         model = parse_model_file(
             "charge 1 2\nterm 1/3 -0.25 1 1 0 0\n"
