@@ -71,12 +71,10 @@ from .reduction import (
     energy_polynomial_table,
     matrix_element_reduction,
     paper_literal,
-    physical_degrees,
     qes_spectrum,
     reduced_block_matrix,
     reduced_eigensystem,
     shg_ode,
-    slaved_occupation,
 )
 from .sextic import (
     GaugeConvention,

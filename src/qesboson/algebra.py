@@ -108,10 +108,6 @@ class OperatorPolynomial:
         self._terms = clean
 
     @staticmethod
-    def zero() -> "OperatorPolynomial":
-        return OperatorPolynomial()
-
-    @staticmethod
     def from_monomials(monomials: Iterable[BosonMonomial]) -> "OperatorPolynomial":
         terms: dict[ExponentKey, RationalComplex] = {}
         for mono in monomials:
@@ -122,10 +118,6 @@ class OperatorPolynomial:
     @property
     def is_zero(self) -> bool:
         return not self._terms
-
-    @property
-    def n_terms(self) -> int:
-        return len(self._terms)
 
     def coefficient(self, m1: int, m2: int, m3: int, m4: int) -> RationalComplex:
         return self._terms.get((m1, m2, m3, m4), ZERO)
@@ -336,23 +328,12 @@ class FockAmplitude:
 
     Every ladder amplitude from |src> to |tgt> has the radicand
     tgt_factorials / src_factorials (in lowest terms), so apply_to_fock sums
-    the contributions to one target in coeff alone, and amplitudes compare
-    exactly.
+    the contributions to one target in coeff alone.  Equality and hash read
+    both fields, exactly; apply_to_fock returns no zero amplitude.
     """
 
     coeff: RationalComplex
     radicand: Fraction = Fraction(1)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeff.is_zero
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FockAmplitude):
-            return NotImplemented
-        if self.is_zero and other.is_zero:
-            return True
-        return self.coeff == other.coeff and self.radicand == other.radicand
 
     def __complex__(self) -> complex:
         return complex(self.coeff) * float(self.radicand) ** 0.5

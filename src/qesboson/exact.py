@@ -140,7 +140,7 @@ def integer_numerators(
 @dataclass(frozen=True)
 class Polynomial:
     """Univariate polynomial with RationalComplex coefficients (ascending):
-    a value built by from_coeffs and read through degree, is_zero and render."""
+    a value built by from_coeffs and read through coeffs, is_zero and render."""
 
     coeffs: tuple[RationalComplex, ...] = ()
 
@@ -150,11 +150,6 @@ class Polynomial:
         while coeffs and coeffs[-1].is_zero:
             coeffs.pop()
         return Polynomial(tuple(coeffs))
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial assigned -1."""
-        return len(self.coeffs) - 1
 
     @property
     def is_zero(self) -> bool:

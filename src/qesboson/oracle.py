@@ -215,7 +215,7 @@ class FockBlock:
     """A charge block: kappa, dimension and h's exact restriction in band
     form as build_block assembles it, shift -> (columns, values of dtype:
     float64 when h has real coefficients, complex otherwise), the entry in
-    row column + shift.  matrix and basis are formed on first use."""
+    row column + shift.  matrix is formed on first use."""
 
     charge: ConservedCharge
     kappa: int
@@ -226,10 +226,6 @@ class FockBlock:
     @cached_property
     def matrix(self) -> np.ndarray:
         return _dense(self.bands, self.dimension, self.dtype)
-
-    @cached_property
-    def basis(self) -> tuple[FockState, ...]:
-        return enumerate_block(self.charge, self.kappa)
 
 
 def build_block(

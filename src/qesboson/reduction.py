@@ -94,27 +94,6 @@ from .oracle import (
 )
 
 
-def physical_degrees(charge: ConservedCharge, kappa: int) -> tuple[int, ...]:
-    """Monomial degrees n >= 0 with s*n <= kappa and p | (kappa - s*n).
-
-    These are exactly the mode-1 occupations occurring in the block, so
-    the degree list is in bijection with the Fock block basis via n = n1.
-    Raises ValueError for a negative kappa, as the oracle's enumerate_block
-    does.
-    """
-    return tuple(_block_run(charge, kappa)[0][::-1])
-
-
-def slaved_occupation(charge: ConservedCharge, kappa: int, degree: int) -> int:
-    """The mode-2 occupation (kappa - s*n)/p forced by the block."""
-    rest = kappa - charge.s * degree
-    if rest < 0 or rest % charge.p != 0:
-        raise DegreeOutsidePhysicalSector(
-            f"degree {degree} is not in the block kappa={kappa}"
-        )
-    return rest // charge.p
-
-
 def mode2_frequency(h: OperatorPolynomial) -> RationalComplex:
     """Coefficient of the a2+ a2 term (zero if absent)."""
     return h.coefficient(0, 0, 1, 1)
@@ -393,10 +372,6 @@ class EnergyPolynomialTable:
             )
             for re, im, scale in self.members
         )
-
-    @property
-    def termination(self) -> Polynomial:
-        return self.polys[-1]
 
     def spectrum(self) -> np.ndarray:
         """Recurrence eigenvalues, sorted ascending by (real, imag): the

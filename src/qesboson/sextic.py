@@ -135,11 +135,6 @@ class SexticPotential:
                 )
         return floats
 
-    def __call__(self, y):
-        c0, c2, c4, c6 = self.real_coeffs()
-        y2 = np.asarray(y) ** 2
-        return c0 + c2 * y2 + c4 * y2**2 + c6 * y2**3
-
     def grid_potential(self):
         """The grid form v(x) = V(sqrt(2) x) as a function (see _grid)."""
         g0, g2, g4, g6 = _grid(self.real_coeffs())

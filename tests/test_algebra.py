@@ -303,6 +303,27 @@ class TestFockAction:
             }
 
 
+# few distinct values, so that equal coefficients, zero coefficients and
+# unequal radicands all come up often
+small_fractions = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+amplitudes = st.builds(
+    FockAmplitude,
+    st.one_of(st.just(ZERO), st.builds(RationalComplex, small_fractions, small_fractions)),
+    st.fractions(min_value=1, max_value=3, max_denominator=2),
+)
+
+
+@settings(deadline=None)
+@given(amplitudes, amplitudes)
+@example(FockAmplitude(ZERO, Fraction(1)), FockAmplitude(ZERO, Fraction(2)))
+def test_fock_amplitude_equality_agrees_with_hash(a, b):
+    # equal amplitudes hash equal, so a set or dict key holds one of them
+    if a == b:
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+    assert (a == b) == ((a.coeff, a.radicand) == (b.coeff, b.radicand))
+
+
 class TestChargeNormalization:
     def test_gcd_divided_out(self):
         charge = ConservedCharge(2, 4)

@@ -61,7 +61,7 @@ def test_polynomial_product_and_eval():
 
 def test_polynomial_trims_leading_zeros():
     p = Polynomial.from_coeffs([1, 2, 0, 0])
-    assert p.degree == 1
+    assert p.coeffs == (RationalComplex.coerce(1), RationalComplex.coerce(2))
     assert Polynomial.from_coeffs([0, 0]).is_zero
 
 

@@ -35,7 +35,7 @@ class TestBuilders:
         assert h.coefficient(0, 0, 1, 1) == RationalComplex.coerce(2)
         assert h.coefficient(2, 0, 0, 1) == RationalComplex.coerce(Fraction(1, 2))
         assert h.coefficient(0, 2, 1, 0) == RationalComplex.coerce(Fraction(1, 2))
-        assert h.n_terms == 4
+        assert len(h.monomials()) == 4
 
     def test_shg_conserves_its_charge(self):
         h = build_shg(1, 2, Fraction(1, 2), Fraction(1, 2))

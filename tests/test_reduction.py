@@ -1,7 +1,11 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial, sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,13 +36,11 @@ from qesboson import (
     monomial,
     number,
     paper_literal,
-    physical_degrees,
     qes_spectrum,
     reduced_block_matrix,
     reduced_eigensystem,
     shg_charge,
     shg_ode,
-    slaved_occupation,
 )
 from qesboson import oracle
 from qesboson.algebra import _integer_terms
@@ -53,19 +55,15 @@ def sorted_reals(values) -> np.ndarray:
 
 class TestPhysicalSector:
     def test_degrees_bijective_with_block(self):
+        # the reduced block's degrees are the Fock block's mode-1
+        # occupations, ascending, one per basis state
         for s, p in [(1, 2), (1, 3), (2, 3), (3, 4)]:
             charge = ConservedCharge(s, p)
+            h = number(1) + number(2)
             for kappa in range(30):
-                degrees = physical_degrees(charge, kappa)
+                degrees = reduced_block_matrix(h, charge, kappa).degrees
                 basis = enumerate_block(charge, kappa)
                 assert sorted(st.n1 for st in basis) == list(degrees)
-                for n in degrees:
-                    n2 = slaved_occupation(charge, kappa, n)
-                    assert charge.s * n + charge.p * n2 == kappa
-
-    def test_slaved_occupation_guard(self):
-        with pytest.raises(DegreeOutsidePhysicalSector):
-            slaved_occupation(ConservedCharge(1, 2), 4, 3)
 
 
 class TestReduceViaS:
@@ -110,7 +108,7 @@ class TestReduceViaS:
             defining = {
                 (pos[basis[row].n1], pos[basis[col].n1]): amp.coeff
                 for (row, col), amp in block_amplitudes(h, basis).items()
-                if not amp.is_zero
+                if not amp.coeff.is_zero
             }
             assert entries == defining
 
@@ -152,9 +150,8 @@ class TestReducedBlockMatrix:
 
             m = block_matrix(h, charge, kappa)
             d = {}
-            for n in block.degrees:
-                n2 = slaved_occupation(charge, kappa, n)
-                d[n] = sqrt(factorial(n) * factorial(n2))
+            for state in basis:
+                d[state.n1] = sqrt(factorial(state.n1) * factorial(state.n2))
             for i, ni in enumerate(block.degrees):
                 for j, nj in enumerate(block.degrees):
                     fi = fock[(ni, (kappa - ni) // charge.p)]
@@ -188,17 +185,18 @@ class TestReducedBlockMatrix:
 
 class TestTerminationDegree:
     def test_shg_examples(self, shg):
-        _, charge = shg
-        assert len(physical_degrees(charge, 2)) == 2
-        assert len(physical_degrees(charge, 5)) == 3
+        h, charge = shg
+        assert reduced_block_matrix(h, charge, 2).dimension == 2
+        assert reduced_block_matrix(h, charge, 5).dimension == 3
 
     def test_matches_floor_rule(self, shg):
-        _, charge = shg
+        h, charge = shg
         for kappa in range(30):
-            assert len(physical_degrees(charge, kappa)) == kappa // 2 + 1
+            assert reduced_block_matrix(h, charge, kappa).dimension == kappa // 2 + 1
 
     def test_trilinear(self):
-        assert len(physical_degrees(ConservedCharge(1, 3), 3)) == 2
+        h = number(1) + number(2)
+        assert reduced_block_matrix(h, ConservedCharge(1, 3), 3).dimension == 2
 
 
 class TestEnergyPolynomialTable:
@@ -209,7 +207,7 @@ class TestEnergyPolynomialTable:
         assert table.polys[0] == Polynomial.from_coeffs([1])
         assert table.polys[1] == Polynomial.from_coeffs([-2, 1])
         # termination: (E-2)^2 - 1/2, up to sign convention it is monic here
-        assert table.termination == Polynomial.from_coeffs([Fraction(7, 2), -4, 1])
+        assert table.polys[-1] == Polynomial.from_coeffs([Fraction(7, 2), -4, 1])
         roots = np.sort(table.spectrum().real)
         assert np.allclose(roots, [2 - sqrt(0.5), 2 + sqrt(0.5)], atol=1e-12)
 
@@ -225,15 +223,15 @@ class TestEnergyPolynomialTable:
             table = energy_polynomial_table(h, charge, kappa)
             assert len(table.polys) == table.dimension + 1
             for m, poly in enumerate(table.polys):
-                assert poly.degree == m
-            assert table.termination.degree == table.dimension
+                assert len(poly.coeffs) - 1 == m
+            assert len(table.polys[-1].coeffs) - 1 == table.dimension
 
     def test_dimension_one_block(self, shg):
         h, charge = shg
         table = energy_polynomial_table(h, charge, 1)
         assert table.dimension == 1
         # linear termination with root at the single diagonal entry
-        assert table.termination.degree == 1
+        assert len(table.polys[-1].coeffs) - 1 == 1
         assert np.allclose(table.spectrum(), [1.0])
 
     def test_solver_failure_is_numerical_failure(self, shg, monkeypatch):
@@ -286,7 +284,7 @@ class TestEnergyPolynomialTable:
         h, charge = shg
         for kappa in range(0, 13, 2):
             table = energy_polynomial_table(h, charge, kappa)
-            coeffs = [complex(c) for c in table.termination.coeffs]
+            coeffs = [complex(c) for c in table.polys[-1].coeffs]
             for value in table.spectrum():
                 terms = [c * value**i for i, c in enumerate(coeffs)]
                 assert abs(sum(terms)) <= 1e-12 * sum(abs(t) for t in terms)
@@ -381,14 +379,13 @@ def test_energy_polynomials_satisfy_every_recurrence_row(model):
     a = {(d - 1 - j, d - 1 - i): value for (i, j), value in exact_entries(table.block).items()}
     polys = table.polys
     assert len(polys) == d + 1 and polys[0] == Polynomial.from_coeffs([1])
-    assert [poly.degree for poly in polys] == list(range(d + 1))
+    assert [len(poly.coeffs) - 1 for poly in polys] == list(range(d + 1))
     for m in range(d):
         lhs = combination(
             (ONE, 1, polys[m]), *((-a[(m, j)], 0, polys[j]) for j in range(m + 1) if (m, j) in a)
         )
         rhs = polys[d] if m == d - 1 else combination((a[(m, m + 1)], 0, polys[m + 1]))
         assert lhs == rhs
-    assert table.termination == polys[d]
 
 
 class TestQesSpectrum:
@@ -475,9 +472,9 @@ class TestNegativeKappa:
     """The reduced route refuses kappa < 0 as the oracle does."""
 
     def test_physical_degrees(self, shg):
-        _, charge = shg
+        h, charge = shg
         with pytest.raises(ValueError, match="kappa must be non-negative"):
-            physical_degrees(charge, -1)
+            reduced_block_matrix(h, charge, -1).degrees
 
     def test_qes_spectrum(self, shg):
         h, charge = shg
@@ -612,7 +609,7 @@ class TestShgOde:
     def test_ode_recurrence_roots_match_oracle(self, shg):
         h, charge = shg
         for kappa in (2, 5, 9):
-            dim = len(physical_degrees(charge, kappa))
+            dim = reduced_block_matrix(h, charge, kappa).dimension
             ode = shg_ode(1, 2, Fraction(1, 2), Fraction(1, 2), kappa)
             vals = np.linalg.eigvals(np.array(ode_recurrence(ode, dim), dtype=complex))
             oracle = np.array(block_spectrum(h, charge, kappa).eigenvalues)
@@ -631,3 +628,17 @@ def test_reduced_operator_refuses_non_conserving_terms():
             denominator=1,
             charge=ConservedCharge(1, 2),
         )
+
+
+def test_energy_polynomials_demo_matches_golden():
+    """demos/energy_polynomials.py prints
+    tests/golden/demo_energy_polynomials.txt byte for byte: its polynomials
+    are exact and every float it prints is rounded to at most 9 digits."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(root / "demos" / "energy_polynomials.py")],
+        capture_output=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (root / "tests" / "golden" / "demo_energy_polynomials.txt").read_bytes()
