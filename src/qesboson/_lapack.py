@@ -1,5 +1,5 @@
 """LAPACK's real symmetric tridiagonal and band eigensolvers: dstevd, dstebz
-and dsbevd.
+and dsbevd; and the min-cost pairing of two spectra.
 
 Every real symmetric tridiagonal solve of the package runs dstevd or
 dstebz: the oracle's tridiagonal blocks, the reduced Jacobi matrices, the
@@ -17,6 +17,10 @@ its own name in sys.modules, so an `import scipy.linalg` later in the same
 process reuses it, and one imported before is reused here.  scipy >= 1.10
 always ships it; if it is missing, importing this module raises ImportError.
 
+Two complex spectra are paired by minimum-cost assignment through
+scipy.optimize._lsap, loaded the same way on first use, so that neither the
+scipy.optimize package nor its imports (scipy.linalg, scipy.sparse) load.
+
 The functions keep the checks scipy.linalg.eigh_tridiagonal and eig_banded
 make and raise their errors with their texts, so callers see the same
 failures: ValueError for a non-finite entry, a malformed input or an
@@ -33,27 +37,29 @@ from importlib.util import find_spec, module_from_spec
 
 import numpy as np
 
-_FLAPACK = "scipy.linalg._flapack"
-
-
-def _load_flapack():
-    module = sys.modules.get(_FLAPACK)
+def _load(name: str):
+    """The compiled extension scipy.<package>.<module>, executed without its
+    package's code and registered in sys.modules under name; one already
+    there is reused."""
+    module = sys.modules.get(name)
     if module is not None:
         return module
     scipy = find_spec("scipy")
     if scipy is None:
-        raise ImportError("qesboson needs scipy for its LAPACK wrapper")
-    linalg = [os.path.join(location, "linalg") for location in scipy.submodule_search_locations]
-    spec = PathFinder.find_spec(_FLAPACK, linalg)
+        raise ImportError(f"qesboson needs scipy for {name}")
+    package = name.split(".")[1]
+    spec = PathFinder.find_spec(
+        name, [os.path.join(location, package) for location in scipy.submodule_search_locations]
+    )
     if spec is None:
-        raise ImportError(f"scipy {scipy.origin} has no compiled LAPACK wrapper {_FLAPACK}")
+        raise ImportError(f"scipy {scipy.origin} has no compiled extension {name}")
     module = module_from_spec(spec)
     spec.loader.exec_module(module)
-    sys.modules[_FLAPACK] = module
+    sys.modules[name] = module
     return module
 
 
-_flapack = _load_flapack()
+_flapack = _load("scipy.linalg._flapack")
 
 
 def _validated(d, e) -> tuple[np.ndarray, np.ndarray]:
@@ -113,3 +119,13 @@ def band_eigenvalues(bands) -> np.ndarray:
     values, _, info = _flapack.dsbevd(bands, compute_v=0, lower=1, overwrite_ab=0)
     _check_info(info, "sbevd")
     return values
+
+
+def paired_distances(a, b) -> np.ndarray:
+    """|a[i] - b[j]| for every i, with j the partner of a[i] in the pairing
+    of the two equally long spectra that minimizes the summed distance
+    (scipy.optimize.linear_sum_assignment).  Raises ValueError, as that
+    does, for a NaN distance or when no pairing has a finite sum."""
+    cost = np.abs(np.asarray(a, dtype=complex)[:, None] - np.asarray(b, dtype=complex)[None, :])
+    rows, cols = _load("scipy.optimize._lsap").linear_sum_assignment(cost)
+    return cost[rows, cols]

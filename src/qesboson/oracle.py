@@ -212,13 +212,11 @@ def _dense(bands: dict[int, tuple[list[int], list | np.ndarray]], dim: int, dtyp
 
 @dataclass(frozen=True, eq=False)
 class FockBlock:
-    """A charge block: kappa, dimension and h's exact restriction in band
-    form as build_block assembles it, shift -> (columns, values of dtype:
+    """A charge block: its dimension and h's exact restriction in band form
+    as build_block assembles it, shift -> (columns, values of dtype:
     float64 when h has real coefficients, complex otherwise), the entry in
     row column + shift.  matrix is formed on first use."""
 
-    charge: ConservedCharge
-    kappa: int
     dimension: int
     bands: dict[int, tuple[list[int], np.ndarray]]
     dtype: type
@@ -274,7 +272,7 @@ def build_block(
     if not all(np.isfinite(values).all() for _, values in bands.values()):
         row, col = np.argwhere(~np.isfinite(_dense(bands, len(n2s), dtype)))[0]
         raise _unrepresentable(FockState(n1s[col], n2s[col]), FockState(n1s[row], n2s[row]))
-    return FockBlock(charge, kappa, len(n2s), bands, dtype)
+    return FockBlock(len(n2s), bands, dtype)
 
 
 @dataclass(frozen=True)

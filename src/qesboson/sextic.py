@@ -13,9 +13,9 @@ searched explicitly: the identity holds for kinetic term -d^2/dy^2 (not
 the halved form the potential is usually quoted with) and the quoted
 constant term sits exactly one mode-2 frequency w2 above the conjugated
 operator.  Both findings are derived per call, not assumed.  The search
-stops each convention at the first of its three identities that fails,
-and W and V are formed once per argument set, so one `sextic` request
-builds each once for its output and its gauge check.
+stops each convention at the first of its three identities that fails.
+The check returns the W and V it builds, so one `sextic` request with real
+couplings prints those and builds each once.
 
 The sextic levels that `sextic --fd` matches come from Rayleigh-Ritz in
 the harmonic-oscillator basis (MacDonald 1933; Turbiner 1988): x is
@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -73,19 +72,10 @@ def gauge_superpotential(
     kappa_bar: Rationalish,
     k: int,
 ) -> Superpotential:
-    """Coefficients (k of 1/y, (w2-2w1)/4 of y, -kc*kb/4 of y^3).
-
-    Built once per exact argument set: the CLI and check_gauge_identity
-    share the same instance within a request."""
+    """Coefficients (k of 1/y, (w2-2w1)/4 of y, -kc*kb/4 of y^3)."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    return _superpotential(*map(RationalComplex.coerce, (omega1, omega2, kappa_c, kappa_bar)), k)
-
-
-@lru_cache(maxsize=8, typed=True)
-def _superpotential(
-    w1: RationalComplex, w2: RationalComplex, kc: RationalComplex, kb: RationalComplex, k: int
-) -> Superpotential:
+    w1, w2, kc, kb = map(RationalComplex.coerce, (omega1, omega2, kappa_c, kappa_bar))
     return Superpotential(
         inverse_coeff=RationalComplex.coerce(k),
         linear_coeff=(w2 - w1 * 2) / 4,
@@ -160,17 +150,10 @@ def sextic_potential(
     kappa_bar: Rationalish,
     k: int,
 ) -> SexticPotential:
-    """Exact sextic potential coefficients for level parameter k, built once
-    per exact argument set like gauge_superpotential's."""
+    """Exact sextic potential coefficients for level parameter k."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    return _sextic_potential(*map(RationalComplex.coerce, (omega1, omega2, kappa_c, kappa_bar)), k)
-
-
-@lru_cache(maxsize=8, typed=True)
-def _sextic_potential(
-    w1: RationalComplex, w2: RationalComplex, kc: RationalComplex, kb: RationalComplex, k: int
-) -> SexticPotential:
+    w1, w2, kc, kb = map(RationalComplex.coerce, (omega1, omega2, kappa_c, kappa_bar))
     kk = kc * kb
     delta = w2 - w1 * 2
     return SexticPotential(
@@ -194,11 +177,14 @@ class GaugeConvention:
 
 @dataclass(frozen=True)
 class GaugeIdentityResult:
-    """Winning convention and its residual, plus the residual of every try."""
+    """Winning convention and its residual, plus the residual of every try,
+    and the W and V the identity was checked with."""
 
     residual: float
     convention: GaugeConvention
     tried: dict[tuple[int, int, float], float]
+    superpotential: Superpotential
+    potential: SexticPotential
 
 
 def _product(p: Laurent, q: Laurent) -> Laurent:
@@ -251,19 +237,21 @@ def check_gauge_identity(
     term sits one mode-2 frequency above the conjugated operator.  `tried`
     maps every convention to 0.0 if it holds and to inf if not.
 
-    Raises ConventionMismatch with those residuals when no convention holds,
-    and NumericalFailure when the shift does not fit in a double.
+    Raises ValueError for a non-real argument, then for k < 0, then for
+    kappa_bar = 0; ConventionMismatch with those residuals when no
+    convention holds, and NumericalFailure when the shift does not fit in a
+    double.
     """
     w1 = _as_real(omega1, "omega1")
     w2 = _as_real(omega2, "omega2")
     kc = _as_real(kappa_c, "kappa_c")
     kb = _as_real(kappa_bar, "kappa_bar")
+    w = gauge_superpotential(w1, w2, kc, kb, k)
+    pot = sextic_potential(w1, w2, kc, kb, k)
     if kb.is_zero:
         raise ValueError("kappa_bar must be nonzero: the change of variable is z = -1/(kb y^2)")
 
     ode = shg_ode(w1, w2, kc, kb, k)
-    w = gauge_superpotential(w1, w2, kc, kb, k)
-    pot = sextic_potential(w1, w2, kc, kb, k)
     z_coeff = -1 / kb.re
     dz = _derivative({-2: z_coeff})
     sup = {-1: w.inverse_coeff.re, 1: w.linear_coeff.re, 3: w.cubic_coeff.re}
@@ -305,7 +293,7 @@ def check_gauge_identity(
         convention = GaugeConvention(w_sign, exp_sign, kinetic, shift)
     except OverflowError:
         raise NumericalFailure(f"gauge shift at k={k} exceeds double range", math.inf) from None
-    return GaugeIdentityResult(residual=0.0, convention=convention, tried=tried)
+    return GaugeIdentityResult(0.0, convention, tried, w, pot)
 
 
 def fd_spectrum(potential, halfwidth: float, grid_points: int) -> np.ndarray:

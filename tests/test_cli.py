@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qesboson import SpectrumReport, cli, energy_polynomial_table, oracle, parse_model_file, sextic
+from qesboson._lapack import paired_distances
 from qesboson.cli import main
 
 SAMPLE_DIR = Path(__file__).resolve().parent.parent / "models"
@@ -29,6 +30,13 @@ SEXTIC_GOLDEN = {
 }
 # the sextic --fd request whose output tests/golden/sextic_fd_k7.{txt,json} pins
 SEXTIC_FD_K7 = ["--w1", "0.75", "--w2", "1.5", "--kre", "0.25", "--kbre", "0.875", "--k", "7"]
+# SHG with the a1^2 a2+ coefficient -1/2: complex-conjugate pairs from kappa = 4 on
+SHG_NEGATIVE = Path(SHG).read_text().replace("term 1/2 0 0 2 1 0", "term -1/2 0 0 2 1 0")
+# SHG with w2 - 2 w1 = 1 and coupling product -1/8: the kappa = 2 block is a 2x2
+# Jordan block at 5/2 (an exceptional point), larger blocks have conjugate pairs
+EXCEPTIONAL_POINT = (
+    "charge 1 2\nterm 1 0 1 1 0 0\nterm 3 0 0 0 1 1\nterm 1/2 0 2 0 0 1\nterm -1/4 0 0 2 1 0\n"
+)
 # model files written by the polys and check golden tests: complex couplings on
 # both off-diagonals, and a model whose terms have charge weights 0, 1, 4 and -1
 COMPLEX_MODEL = (
@@ -227,6 +235,89 @@ class TestScan:
         assert any(v.imag for v in oracle_vals)
         assert column == np.abs(oracle_vals - reduced_vals).tolist()
         assert max(column) == payload["max_deviation"]
+
+
+def spectrum_pair(payload):
+    """The oracle's and the reduced route's eigenvalues of a spectrum payload."""
+    return [np.array([complex(*pair) for pair in payload[name]]) for name in ("oracle", "reduced")]
+
+
+class TestComplexSpectra:
+    """Conjugate pairs whose real parts differ by rounding sort differently
+    on the two routes; the routes are compared by min-cost pairing there."""
+
+    @pytest.mark.parametrize(
+        "model, kappa",
+        [(SHG_NEGATIVE, 6), (SHG_NEGATIVE, 8)]
+        + [(EXCEPTIONAL_POINT, kappa) for kappa in (4, 5, 6, 8, 10)],
+    )
+    def test_conjugate_pairs_exit_0(self, capsys, tmp_path, model, kappa):
+        path = tmp_path / "complex.qesb"
+        path.write_text(model)
+        code, out, err = run(capsys, "spectrum", str(path), "--kappa", str(kappa), "--method", "both")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        oracle_vals, reduced_vals = spectrum_pair(payload)
+        assert oracle_vals.imag.any()
+        assert np.abs(oracle_vals - reduced_vals).max() > 1.0
+        assert payload["max_deviation"] <= 1e-13
+
+    def test_defective_block_still_exits_4(self, capsys, tmp_path):
+        # a 2x2 Jordan block: the reduced route's 5/2 +- 1.8e-8 is the sqrt(eps)
+        # a backward-stable solver may give, and no pairing brings it within 1e-9
+        path = tmp_path / "exceptional.qesb"
+        path.write_text(EXCEPTIONAL_POINT)
+        code, out, err = run(capsys, "spectrum", str(path), "--kappa", "2", "--method", "both")
+        assert (code, err) == (4, "")
+        assert 1e-9 < json.loads(out)["max_deviation"] < 1e-7
+
+    def test_scan_deviations_are_paired_distances(self, capsys, tmp_path):
+        path = tmp_path / "negative.qesb"
+        path.write_text(SHG_NEGATIVE)
+        code, scan, err = run(capsys, "scan", str(path), "--kappa-max", "10")
+        assert (code, err) == (0, "")
+        rows = [row.split(",") for row in scan.split()[1:]]
+        for kappa in range(6, 11):
+            column = [float(row[5]) for row in rows if row[0] == str(kappa)]
+            _, out, _ = run(capsys, "spectrum", str(path), "--kappa", str(kappa), "--method", "both")
+            oracle_vals, reduced_vals = spectrum_pair(json.loads(out))
+            assert column == paired_distances(oracle_vals, reduced_vals).tolist()
+            assert max(column) <= 1e-13
+
+
+@st.composite
+def route_spectra(draw):
+    """Two equally long spectra in the routes' shared (real, imag) order: the
+    second a permutation of the first, perturbed; real or with conjugate pairs."""
+    parts = st.integers(-8, 8).map(lambda n: n / 4)
+    real = draw(st.booleans())
+    half = draw(st.lists(st.tuples(parts, parts), max_size=5))
+    first = [complex(x, 0.0) for x, _ in half] if real else [
+        complex(x, s * y) for x, y in half for s in (1, -1)
+    ]
+    noise = st.sampled_from([0.0, 1e-15, -1e-15, 1e-9, 0.5])
+    order = draw(st.permutations(range(len(first))))
+    second = [
+        first[i] + complex(draw(noise), 0.0 if real else draw(noise)) for i in order
+    ]
+    key = lambda v: (v.real, v.imag)  # noqa: E731
+    return sorted(first, key=key), sorted(second, key=key)
+
+
+@settings(max_examples=200, deadline=None)
+@given(route_spectra(), st.sampled_from([0.0, 1e-9, 0.3]))
+def test_paired_deviation_never_exceeds_positional(spectra, tol):
+    first, second = spectra
+
+    def report(values):
+        return SpectrumReport(0, len(values), tuple(values), "test", 0.0)
+
+    deviations, within = cli._compare_routes(report(first), report(second), tol)
+    positional = np.abs(np.array(tuple(first)) - np.array(tuple(second)))
+    assert deviations.max(initial=0.0) <= positional.max(initial=0.0)
+    assert within == bool((deviations <= tol).all())
+    if not any(v.imag for v in first + second):
+        assert deviations.tobytes() == positional.tobytes()
 
 
 class TestPolys:
@@ -432,11 +523,12 @@ class TestSextic:
 
     def test_negative_level_with_complex_couplings(self, capsys):
         # used to print W(y) = (-1)/y ... and exit 0, although real couplings
-        # refused the same level
-        for kim in ("0", "1"):
+        # refused the same level; the gauge check, which needs kappa_bar != 0,
+        # refuses k < 0 first
+        for kim, kbre in (("0", "1"), ("1", "1"), ("0", "0")):
             code, out, err = run(
                 capsys, "sextic", "--w1", "1", "--w2", "2",
-                "--kre", "1", "--kim", kim, "--kbre", "1", "--k", "-1",
+                "--kre", "1", "--kim", kim, "--kbre", kbre, "--k", "-1",
             )
             assert (code, out, err) == (1, "", "usage error: k must be non-negative\n")
 
@@ -893,8 +985,9 @@ JSON_LAYOUT_CASES = {
         0, ["spectrum", str(SAMPLE_DIR / "trilinear3.qesb"), "--kappa", "30", "--method", "reduced"]
     ),
     "spectrum_empty_block": (0, ["spectrum", "empty.qesb", "--kappa", "1"]),
-    # oracle and reduced agree as multisets but not in their sorted order: exit 4
-    "spectrum_non_hermitian_k8": (4, ["spectrum", "non_hermitian.qesb", "--kappa", "8"]),
+    # oracle and reduced agree as multisets but not in their sorted order; min-cost
+    # pairing matches them: exit 0
+    "spectrum_non_hermitian_k8": (0, ["spectrum", "non_hermitian.qesb", "--kappa", "8"]),
     "check": (0, ["check", SHG, "--output", "json"]),
     "sextic_fd": (0, ["sextic", *SHG_COUPLINGS, "--k", "3", "--fd", "--output", "json"]),
 }

@@ -172,6 +172,33 @@ def test_scipy_linalg_imported_after():
     )
 
 
+CHECK_SAME_PAIRING = """
+import numpy as np
+a, b = np.array([1 + 2j, 1 - 2j, 3.0]), np.array([1 - 2j, 3.0, 1 + 2j + 1e-9])
+from scipy.optimize import _lsap, linear_sum_assignment
+assert _lsap is sys.modules["scipy.optimize._lsap"]
+cost = np.abs(a[:, None] - b[None, :])
+rows, cols = linear_sum_assignment(cost)
+assert _lapack.paired_distances(a, b).tobytes() == cost[rows, cols].tobytes()
+assert _lapack._load("scipy.optimize._lsap") is _lsap
+"""
+
+
+def test_scipy_optimize_imported_first():
+    run_python("import sys, scipy.optimize\nfrom qesboson import _lapack\n" + CHECK_SAME_PAIRING)
+
+
+def test_scipy_optimize_imported_after():
+    run_python(
+        "import sys\nfrom qesboson import _lapack\n"
+        'assert "scipy.optimize._lsap" not in sys.modules\n'  # loaded on first use
+        "_lapack.paired_distances([1j], [-1j])\n"
+        'assert "scipy" not in sys.modules\n'
+        'assert "scipy.optimize._lsap" in sys.modules\n'
+        "import scipy.optimize\n" + CHECK_SAME_PAIRING
+    )
+
+
 def test_cli_does_not_import_scipy_packages(tmp_path):
     """Every kind of solve the CLI runs (stevd on both routes, dense eig on
     a non-Hermitian block, dsbevd in sextic --fd) goes through the wrapper,

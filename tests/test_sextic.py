@@ -48,9 +48,10 @@ class TestSuperpotential:
         assert not w.cubic_coeff.is_zero
 
     def test_negative_level_rejected(self):
-        for build in (gauge_superpotential, sextic_potential):
+        # the gauge check, which needs kappa_bar != 0, refuses k < 0 first
+        for build in (gauge_superpotential, sextic_potential, check_gauge_identity):
             with pytest.raises(ValueError, match="k must be non-negative"):
-                build(1, 2, Fraction(1, 2), Fraction(1, 2), -1)
+                build(1, 2, Fraction(1, 2), 0, -1)
 
     def test_no_cubic_without_both_couplings(self):
         w = gauge_superpotential(1, 3, 0, Fraction(1, 2), 2)
@@ -124,6 +125,9 @@ def assert_exact_shift(w1, w2, kc, kb, k):
     else:
         assert exact == [RESOLVED, (-1, -1, 1.0)]
     assert all(r in (0.0, math.inf) for r in result.tried.values())
+    # the W and V the identity holds for are the public builders'
+    assert result.superpotential == gauge_superpotential(w1, w2, kc, kb, k)
+    assert result.potential == sextic_potential(w1, w2, kc, kb, k)
 
 
 class TestGaugeIdentity:
@@ -262,6 +266,7 @@ def test_gauge_search_matches_the_full_four_convention_search(w1, w2, kc, kb, k,
     conv = result.convention
     assert result.residual == 0.0
     assert result.tried == tried
+    assert result.potential == potential(w1, w2, kc, kb, k)  # the patched builder's V
     assert (conv.w_sign, conv.exponent_sign, conv.kinetic) == winner
     assert conv.shift == float(shift)
 
