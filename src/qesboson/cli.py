@@ -174,6 +174,8 @@ def _pairs_json(pairs) -> str:
 def _fraction_text(num: int, den: int) -> str:
     """str(Fraction(num, den)) for a nonzero den: lowest terms, the sign on
     the numerator, and no "/1"."""
+    if not num:
+        return "0"
     g = math.gcd(num, den)
     if den < 0:
         g = -g

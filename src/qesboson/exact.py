@@ -73,12 +73,17 @@ class RationalComplex:
         return RationalComplex(-self.re, -self.im)
 
     def __mul__(self, other: Rationalish) -> "RationalComplex":
-        # int scales: apply_to_fock's falling factorials, the charge weights
+        # int scales: apply_to_fock's falling factorials, the charge weights;
+        # real operands (the sextic builders') skip the imaginary arithmetic
         if isinstance(other, int):
+            if not self.im:
+                return RationalComplex(self.re * other)
             return RationalComplex(self.re * other, self.im * other)
         o = other if isinstance(other, RationalComplex) else RationalComplex._try_coerce(other)
         if o is None:
             return NotImplemented
+        if not self.im and not o.im:
+            return RationalComplex(self.re * o.re)
         return RationalComplex(
             self.re * o.re - self.im * o.im,
             self.re * o.im + self.im * o.re,
@@ -91,6 +96,8 @@ class RationalComplex:
         if isinstance(other, int):
             if not other:
                 raise ZeroDivisionError("division by zero RationalComplex")
+            if not self.im:
+                return RationalComplex(self.re / other)
             return RationalComplex(self.re / other, self.im / other)
         o = RationalComplex.coerce(other)
         denom = o.re * o.re + o.im * o.im

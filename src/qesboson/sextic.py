@@ -7,22 +7,22 @@ superpotential
 
 turns the reduced second-order operator into a one-dimensional
 Schroedinger operator with a sextic polynomial potential.  The conjugation
-is checked here exactly, in Laurent polynomials of y with rational
-coefficients, with the sign and normalization freedoms of the construction
-searched explicitly: the identity holds for kinetic term -d^2/dy^2 (not
-the halved form the potential is usually quoted with) and the quoted
-constant term sits exactly one mode-2 frequency w2 above the conjugated
-operator.  Both findings are derived per call, not assumed.  The search
-stops each convention at the first of its three identities that fails.
-The check returns the W and V it builds, so one `sextic` request with real
-couplings prints those and builds each once.
+is checked here exactly, in Laurent polynomials of y held as integer
+numerators over one denominator, with the sign and normalization freedoms
+of the construction searched explicitly: the identity holds for kinetic
+term -d^2/dy^2 (not the halved form the potential is usually quoted with)
+and the quoted constant term sits exactly one mode-2 frequency w2 above
+the conjugated operator.  Both findings are derived per call, not
+assumed.  The search stops each convention at the first of its three
+identities that fails.  The check returns the W and V it builds, so one
+`sextic` request with real couplings prints those and builds each once.
 
 The sextic levels that `sextic --fd` matches come from Rayleigh-Ritz in
-the harmonic-oscillator basis (MacDonald 1933; Turbiner 1988): x is
-tridiagonal there, so x^2, x^4 and x^6 are built band by band, and each
-parity sector is a seven-diagonal band matrix solved by LAPACK's dsbevd.
-The basis scale follows a WKB rule from the highest level wanted, and the
-basis doubles until two solves agree to LEVEL_TOL.  By the gauge identity,
+the harmonic-oscillator basis (MacDonald 1933; Turbiner 1988): x^2, x^4
+and x^6 have closed-form matrix elements there, and each parity sector
+is a seven-diagonal band matrix solved by LAPACK's dsbevd.  The basis
+scale follows a WKB rule from the highest level wanted, and the basis
+doubles until two solves agree to LEVEL_TOL.  By the gauge identity,
 block level j + w2 is level j of the parity (-1)^k sector.
 
 A deliberately simple finite-difference solver (three-point Laplacian,
@@ -45,8 +45,8 @@ from .exact import Polynomial, Rationalish, RationalComplex
 from .oracle import checked_solve
 from .reduction import shg_ode
 
-# a Laurent polynomial in y: exponent -> nonzero rational coefficient
-Laurent = dict[int, Fraction]
+# a Laurent polynomial in y: integer numerators by exponent over one positive denominator
+Laurent = tuple[dict[int, int], int]
 
 
 def _as_real(value: Rationalish, what: str) -> RationalComplex:
@@ -187,30 +187,38 @@ class GaugeIdentityResult:
     potential: SexticPotential
 
 
+def _laurent(coeffs: dict[int, Fraction]) -> Laurent:
+    """The rational coefficients by exponent over their least common denominator."""
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    return {e: c.numerator * (den // c.denominator) for e, c in coeffs.items() if c}, den
+
+
 def _product(p: Laurent, q: Laurent) -> Laurent:
-    out: Laurent = {}
-    for i, a in p.items():
-        for j, b in q.items():
+    out: dict[int, int] = {}
+    for i, a in p[0].items():
+        for j, b in q[0].items():
             out[i + j] = out.get(i + j, 0) + a * b
-    return out
+    return out, p[1] * q[1]
 
 
 def _derivative(p: Laurent) -> Laurent:
-    return {e - 1: e * c for e, c in p.items() if e}
+    return {e - 1: e * c for e, c in p[0].items() if e}, p[1]
 
 
-def _combination(*terms: tuple[Fraction, Laurent]) -> Laurent:
-    """sum of scale * p over the (scale, p) terms, zero coefficients dropped."""
-    out: Laurent = {}
-    for scale, p in terms:
-        for e, c in p.items():
-            out[e] = out.get(e, 0) + scale * c
-    return {e: c for e, c in out.items() if c}
+def _combination(*terms: tuple[int, Laurent]) -> Laurent:
+    """sum of scale * p over the (int scale, p) terms over their lcm denominator, zeros dropped."""
+    den = math.lcm(*(d for _, (_, d) in terms))
+    out: dict[int, int] = {}
+    for scale, (num, d) in terms:
+        factor = scale * (den // d)
+        for e, c in num.items():
+            out[e] = out.get(e, 0) + factor * c
+    return {e: c for e, c in out.items() if c}, den
 
 
 def _in_y(poly: Polynomial, z_coeff: Fraction) -> Laurent:
     """poly(z) at z = z_coeff / y^2, for a polynomial with real coefficients."""
-    return {-2 * j: c.re * z_coeff**j for j, c in enumerate(poly.coeffs)}
+    return _laurent({-2 * j: c.re * z_coeff**j for j, c in enumerate(poly.coeffs)})
 
 
 def check_gauge_identity(
@@ -253,27 +261,26 @@ def check_gauge_identity(
 
     ode = shg_ode(w1, w2, kc, kb, k)
     z_coeff = -1 / kb.re
-    dz = _derivative({-2: z_coeff})
-    sup = {-1: w.inverse_coeff.re, 1: w.linear_coeff.re, 3: w.cubic_coeff.re}
-    c3_z3 = {-6: ode.c3.re * z_coeff**3}
-    potential = {0: pot.c0.re, 2: pot.c2.re, 4: pot.c4.re, 6: pot.c6.re}
+    dz = _derivative(_laurent({-2: z_coeff}))
+    sup = _laurent({-1: w.inverse_coeff.re, 1: w.linear_coeff.re, 3: w.cubic_coeff.re})
+    c3_z3 = _laurent({-6: ode.c3.re * z_coeff**3})
+    potential = _laurent({0: pot.c0.re, 2: pot.c2.re, 4: pot.c4.re, 6: pot.c6.re})
     dz_sq, d2z, w_dz = _product(dz, dz), _derivative(dz), _product(sup, dz)
     dw, w_sq = _derivative(sup), _product(sup, sup)
     c1, c0 = _in_y(ode.c1, z_coeff), _in_y(ode.c0, z_coeff)
 
-    # each identity depends on the convention only through (s, kin), f2 on kin
-    # alone; a convention fails at its first identity that does not hold
+    # each identity, taken times m = 1/kin so every scale is an integer, depends on the
+    # convention only through (s, kin), f2 on kin alone; a convention stops at its first miss
     shifts: dict[tuple[int, float], Fraction] = {}  # the conventions that hold
-    for kinetic in (1.0, 0.5):
-        kin = Fraction(kinetic)
-        if _combination((-kin, dz_sq), (-1, c3_z3)):
+    for kinetic, m in ((1.0, 1), (0.5, 2)):
+        if _combination((-1, dz_sq), (-m, c3_z3))[0]:
             continue
         for sign in (1, -1):
-            if _combination((-kin, d2z), (-2 * sign * kin, w_dz), (-1, c1)):
+            if _combination((-1, d2z), (-2 * sign, w_dz), (-m, c1))[0]:
                 continue
-            f0 = _combination((1, potential), (-sign * kin, dw), (-kin, w_sq), (-1, c0))
+            f0, den = _combination((m, potential), (-sign, dw), (-1, w_sq), (-m, c0))
             if f0.keys() <= {0}:
-                shifts[(sign, kinetic)] = f0.get(0, Fraction(0))
+                shifts[(sign, kinetic)] = Fraction(f0.get(0, 0), m * den)
 
     tried = {
         (w_sign, exp_sign, kinetic): 0.0 if (w_sign * exp_sign, kinetic) in shifts else math.inf
@@ -370,6 +377,8 @@ def _turning_point(a: tuple[float, float, float, float]) -> float:
         return 0.0
     for _ in range(100):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # the bracket holds no float between its ends
+            break
         if q(mid) <= 0:
             lo = mid
         else:
@@ -415,32 +424,6 @@ def _basis_range(grid: tuple[float, float, float, float], energy: float) -> floa
     return x_max
 
 
-def _x2_bands(size: int, omega: float) -> np.ndarray:
-    """x^2 = (a^2 + a+^2 + 2n + 1) / (2 omega) on size oscillator states, as
-    band rows in _band_product's layout: offsets -2, 0, 2."""
-    n = np.arange(size, dtype=float)
-    bands = np.zeros((3, size))
-    bands[1] = (2 * n + 1) / (2 * omega)
-    bands[2, :-2] = np.sqrt((n[:-2] + 1) * (n[:-2] + 2)) / (2 * omega)
-    bands[0, 2:] = bands[2, :-2]
-    return bands
-
-
-def _band_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The product of two band matrices that couple only states an even
-    distance apart.  Row k + i of a (2k + 1)-row array holds the diagonal at
-    offset 2i: entry n is <n|M|n + 2i>, 0 where n + 2i is out of range.
-    Then (AB)[n, n + 2(i + j)] gathers A[n, n + 2i] B[n + 2i, n + 2(i + j)]."""
-    ka, kb = a.shape[0] // 2, b.shape[0] // 2
-    size = a.shape[1]
-    out = np.zeros((2 * (ka + kb) + 1, size))
-    for i in range(-ka, ka + 1):
-        t = 2 * i
-        lo, hi = max(0, -t), min(size, size - t)
-        out[ka + i : ka + i + 2 * kb + 1, lo:hi] += a[ka + i, lo:hi] * b[:, lo + t : hi + t]
-    return out
-
-
 def _sector_levels(
     grid: tuple[float, float, float, float], size: int, x_max: float, parity: int, count: int
 ) -> np.ndarray:
@@ -449,22 +432,32 @@ def _sector_levels(
     whose frequency omega = (2 size + 1) / x_max^2 makes them reach x_max.
 
     H = omega (n + 1/2) + g0 + (g2 - omega^2 / 2) x^2 + g4 x^4 + g6 x^6,
-    with x^4 and x^6 multiplied out band by band on size + 8 states and
-    cut to size, so every kept entry is exact up to rounding.  A parity
-    sector keeps every other state, so its matrix has three diagonals
-    below the main one."""
+    with x = X / sqrt(2 omega) and X = a + a+.  The powers of X have closed
+    matrix elements <n|X^p|n + 2i>, with r_m = sqrt((n + 1) ... (n + m)):
+
+        X^2: 2n + 1, r_2
+        X^4: 6n^2 + 6n + 3, (4n + 6) r_2, r_4
+        X^6: 20n^3 + 30n^2 + 40n + 15, (15n^2 + 45n + 45) r_2, (6n + 15) r_4, r_6
+
+    so every entry is that of the infinite matrix up to rounding.  A parity
+    sector keeps every other state, so its matrix has three diagonals below
+    the main one."""
     g0, g2, g4, g6 = grid
     omega = (2 * size + 1) / (x_max * x_max)
+    n = np.arange(parity, size, 2, dtype=float)
     with np.errstate(all="ignore"):
-        x2 = _x2_bands(size + 8, omega)
-        x4 = _band_product(x2, x2)
-        x6 = _band_product(x4, x2)
-        # the diagonals at offsets 0, 2, 4, 6; the sector's lower band storage
-        upper = g6 * x6[3:]
-        upper[:3] += g4 * x4[2:]
-        upper[:2] += (g2 - omega * omega / 2) * x2[1:]
-        upper[0] += omega * (np.arange(size + 8) + 0.5) + g0
-        bands = upper[:, parity:size:2]
+        unit = 2 * omega  # x^2 = X^2 / unit
+        a2, a4, a6 = (g2 - omega * omega / 2) / unit, g4 / unit**2, g6 / unit**3
+        r2 = np.sqrt((n + 1) * (n + 2))
+        r4 = r2 * np.sqrt((n + 3) * (n + 4))
+        # the diagonals at offsets 0, 2, 4, 6 of the full basis: the sector's lower band storage
+        bands = np.array([
+            omega * (n + 0.5) + g0 + a2 * (2 * n + 1) + a4 * ((6 * n + 6) * n + 3)
+            + a6 * (((20 * n + 30) * n + 40) * n + 15),
+            (a2 + a4 * (4 * n + 6) + a6 * ((15 * n + 45) * n + 45)) * r2,
+            (a4 + a6 * (6 * n + 15)) * r4,
+            a6 * r4 * np.sqrt((n + 5) * (n + 6)),
+        ])
     if not np.isfinite(bands).all():
         raise NumericalFailure(
             f"oscillator-basis matrix on {size} states exceeds double range", math.inf
@@ -488,10 +481,17 @@ def oscillator_levels(
     solve's levels are returned with their distance from the coarser one.
     By the gauge identity, block level j + w2 of the same k is level j.
 
-    Raises NumericalFailure when V does not confine (no bound states), when
-    an entry does not fit in a double, with residual NaN when LAPACK does
-    not converge, and when the levels have not settled at _MAX_BASIS states.
+    Raises NumericalFailure when 2N > _MAX_BASIS, when V does not confine (no
+    bound states), when an entry does not fit in a double, with residual NaN
+    when LAPACK does not converge, and when levels still move at _MAX_BASIS.
     """
+    size = max(_MIN_BASIS, 4 * count)
+    if 2 * size > _MAX_BASIS:
+        raise NumericalFailure(
+            f"{count} sextic levels at k={potential.k} need a basis of {2 * size} oscillator"
+            f" states to settle, more than {_MAX_BASIS}",
+            math.inf,
+        )
     coeffs = potential.real_coeffs()
     _, c2, c4, c6 = coeffs
     # the highest nonzero of c6, c4, c2 sets the sign of v far out
@@ -504,17 +504,15 @@ def oscillator_levels(
     grid = _grid(coeffs)
     x_max = _basis_range(grid, highest)
     parity = potential.k % 2
-    size = max(_MIN_BASIS, 4 * count)
-    levels, worst = None, math.inf
-    while size <= _MAX_BASIS:
-        finer = _sector_levels(grid, size, x_max, parity, count)
-        if levels is not None:
-            moved = np.abs(finer - levels)
-            if (moved <= LEVEL_TOL * np.maximum(1.0, np.abs(finer))).all():
-                return finer, moved
-            worst = float(moved.max())
-        levels = finer
+    levels = _sector_levels(grid, size, x_max, parity, count)
+    while 2 * size <= _MAX_BASIS:  # at least once, by the refusal above
         size *= 2
+        finer = _sector_levels(grid, size, x_max, parity, count)
+        moved = np.abs(finer - levels)
+        if (moved <= LEVEL_TOL * np.maximum(1.0, np.abs(finer))).all():
+            return finer, moved
+        levels = finer
+    worst = float(moved.max())
     raise NumericalFailure(
         f"sextic levels at k={potential.k} do not settle within {_MAX_BASIS} oscillator"
         f" states (last move {worst!r})",

@@ -498,6 +498,24 @@ class TestSextic:
             " (c2=0.0, c4=0.0, c6=0.0): it has no bound states\n"
         )
 
+    @pytest.mark.parametrize(("k", "count", "basis"), [(2048, 1025, 8200), (4096, 2049, 16392)])
+    def test_too_many_levels_are_refused_before_any_basis_solve(
+        self, capsys, monkeypatch, k, count, basis
+    ):
+        # the second basis of 2 * 4 * count states exceeds the 8192 cap: this
+        # used to solve one futile 8192-state sector (k < 4096) or none, and
+        # then claim the levels "do not settle (last move inf)"
+        def refuse(*args):
+            raise AssertionError("an oscillator basis was solved")
+
+        monkeypatch.setattr(sextic, "_sector_levels", refuse)
+        code, out, err = run(capsys, "sextic", *SHG_COUPLINGS, "--k", str(k), "--fd")
+        assert (code, out) == (4, "")
+        assert err == (
+            f"numerical failure: {count} sextic levels at k={k} need a basis of {basis}"
+            " oscillator states to settle, more than 8192\n"
+        )
+
     def test_fd_request_calls_no_numpy_linalg(self, capsys, monkeypatch):
         # numpy's threaded eigensolvers can stall a fresh process; the block
         # levels and the sextic levels go through qesboson._lapack alone

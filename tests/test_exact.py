@@ -47,6 +47,28 @@ def test_integer_numerators_are_exact_over_the_lcm(values):
         assert Fraction(re, denom) == v.re and Fraction(im, denom) == v.im
 
 
+# real (im = 0) and complex operands, so both the fast and the general paths run
+rational_complexes = st.builds(
+    RationalComplex, st.fractions(), st.one_of(st.just(Fraction(0)), st.fractions())
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=rational_complexes,
+    b=rational_complexes,
+    n=st.integers(min_value=-(10**20), max_value=10**20),
+)
+def test_products_and_int_quotients_are_the_general_formulas(a, b, n):
+    def same(got, re, im):
+        return (type(got.re), type(got.im), got) == (Fraction, Fraction, RationalComplex(re, im))
+
+    assert same(a * b, a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
+    assert same(a * n, a.re * n, a.im * n) and same(n * a, a.re * n, a.im * n)
+    if n:
+        assert same(a / n, a.re / n, a.im / n)
+
+
 def test_integer_numerators_of_nothing():
     assert integer_numerators([]) == ([], 1)
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import struct
 import sys
 from fractions import Fraction
 from unittest.mock import patch
@@ -186,6 +187,34 @@ class TestGaugeIdentity:
             check_gauge_identity(1, 2, 0.5, 0, 1)
 
 
+# Laurent polynomials in y as {exponent: Fraction}, independent of the
+# integer-numerator arithmetic check_gauge_identity runs on
+def laurent_product(p, q):
+    out = {}
+    for i, a in p.items():
+        for j, b in q.items():
+            out[i + j] = out.get(i + j, 0) + a * b
+    return out
+
+
+def laurent_derivative(p):
+    return {e - 1: e * c for e, c in p.items() if e}
+
+
+def laurent_combination(*terms):
+    """sum of scale * p over the (scale, p) terms, zero coefficients dropped."""
+    out = {}
+    for scale, p in terms:
+        for e, c in p.items():
+            out[e] = out.get(e, 0) + scale * c
+    return {e: c for e, c in out.items() if c}
+
+
+def laurent_in_y(poly, z_coeff):
+    """poly(z) at z = z_coeff / y^2, for a polynomial with real coefficients."""
+    return {-2 * j: c.re * z_coeff**j for j, c in enumerate(poly.coeffs)}
+
+
 def full_convention_search(w1, w2, kc, kb, k):
     """check_gauge_identity's (tried, exact shift per (s, kin) that holds),
     with f2, f1 and f0 evaluated in full under all four (sign, kinetic)
@@ -194,22 +223,24 @@ def full_convention_search(w1, w2, kc, kb, k):
     w = sextic.gauge_superpotential(w1, w2, kc, kb, k)
     pot = sextic.sextic_potential(w1, w2, kc, kb, k)
     z_coeff = -1 / Fraction(kb)
-    dz = sextic._derivative({-2: z_coeff})
+    dz = laurent_derivative({-2: z_coeff})
     sup = {-1: w.inverse_coeff.re, 1: w.linear_coeff.re, 3: w.cubic_coeff.re}
     c3_z3 = {-6: ode.c3.re * z_coeff**3}
     potential = {0: pot.c0.re, 2: pot.c2.re, 4: pot.c4.re, 6: pot.c6.re}
-    c1, c0 = sextic._in_y(ode.c1, z_coeff), sextic._in_y(ode.c0, z_coeff)
+    c1, c0 = laurent_in_y(ode.c1, z_coeff), laurent_in_y(ode.c0, z_coeff)
     shifts = {}
     for sign in (1, -1):
         for kinetic in (1.0, 0.5):
             kin = Fraction(kinetic)
-            f2 = sextic._combination((-kin, sextic._product(dz, dz)), (-1, c3_z3))
-            f1 = sextic._combination(
-                (-kin, sextic._derivative(dz)), (-2 * sign * kin, sextic._product(sup, dz)), (-1, c1)
+            f2 = laurent_combination((-kin, laurent_product(dz, dz)), (-1, c3_z3))
+            f1 = laurent_combination(
+                (-kin, laurent_derivative(dz)),
+                (-2 * sign * kin, laurent_product(sup, dz)),
+                (-1, c1),
             )
-            f0 = sextic._combination(
-                (1, potential), (-sign * kin, sextic._derivative(sup)),
-                (-kin, sextic._product(sup, sup)), (-1, c0),
+            f0 = laurent_combination(
+                (1, potential), (-sign * kin, laurent_derivative(sup)),
+                (-kin, laurent_product(sup, sup)), (-1, c0),
             )
             if not f2 and not f1 and f0.keys() <= {0}:
                 shifts[(sign, kinetic)] = f0.get(0, Fraction(0))
@@ -380,6 +411,37 @@ def assert_levels_match(w1, w2, kc, kb, k):
 dyadics = st.integers(min_value=1, max_value=32).map(lambda i: Fraction(i, 8))
 
 
+def full_bisection_turning_point(a):
+    """_turning_point as it bisected before its early stop: all 100 steps."""
+    degree = max(i for i in (1, 2, 3) if a[i])
+    lead = a[degree]
+    scale = max((abs(a[i]) / lead) ** (1 / (degree - i)) for i in range(degree)) or 1.0
+    b0, b1, b2, b3 = (a[i] / lead / scale ** (degree - i) if i <= degree else 0.0 for i in range(4))
+
+    def q(w):
+        return ((b3 * w + b2) * w + b1) * w + b0
+
+    crit = -math.inf
+    if b3 and b2 * b2 > 3 * b1:
+        crit = (math.sqrt(b2 * b2 - 3 * b1) - b2) / 3
+    elif not b3 and b2:
+        crit = -b1 / 2
+    lo = max(crit, 0.0)
+    if q(lo) <= 0:
+        hi = 2.0
+    elif q(0.0) < 0:
+        lo, hi = 0.0, crit
+    else:
+        return 0.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if q(mid) <= 0:
+            lo = mid
+        else:
+            hi = mid
+    return scale * hi
+
+
 class TestOscillatorLevels:
     @settings(max_examples=40, deadline=None)
     @given(w1=dyadics, w2=dyadics, kc=dyadics, kb=dyadics, sign=st.sampled_from([1, -1]),
@@ -416,15 +478,85 @@ class TestOscillatorLevels:
         with pytest.raises(NumericalFailure, match="does not confine"):
             oscillator_levels(sextic_potential(0, 0, 0, 1, 0), 1, 1.0)
 
-    def test_levels_that_do_not_settle_are_refused(self, monkeypatch):
-        monkeypatch.setattr(sextic, "_MAX_BASIS", sextic._MIN_BASIS)
+    def test_levels_that_do_not_settle_are_refused(self):
+        # a basis stretched to the WKB range of a level at 1e20 is far too
+        # coarse for the two lowest levels, near 3.3 and 4.7: up to 8192
+        # states they still move by more than 1
         pot = sextic_potential(1, 2, Fraction(1, 2), Fraction(1, 2), 2)
-        with pytest.raises(NumericalFailure, match=r"do not settle within 40 oscillator states \(last move inf\)"):
-            oscillator_levels(pot, 2, 5.0)
+        message = "do not settle within 8192 oscillator states"
+        with pytest.raises(NumericalFailure, match=message) as err:
+            oscillator_levels(pot, 2, 1e20)
+        assert 1.0 < err.value.residual < math.inf
+
+    @pytest.mark.parametrize(("k", "count", "basis"), [(2048, 1025, 8200), (4096, 2049, 16392)])
+    def test_levels_whose_second_basis_exceeds_the_cap_are_refused_up_front(
+        self, monkeypatch, k, count, basis
+    ):
+        def refuse(*args):
+            raise AssertionError("an oscillator basis was solved")
+
+        monkeypatch.setattr(sextic, "_sector_levels", refuse)
+        pot = sextic_potential(1, 2, Fraction(1, 2), Fraction(1, 2), k)
+        message = (
+            f"^{count} sextic levels at k={k} need a basis of {basis} oscillator"
+            " states to settle, more than 8192$"
+        )
+        with pytest.raises(NumericalFailure, match=message) as err:
+            oscillator_levels(pot, count, 1e4)
+        assert err.value.residual == math.inf
+
+    def test_largest_level_count_solves_both_capped_bases(self, monkeypatch):
+        # 1024 levels start at 4096 states and settle at the 8192 cap
+        sizes = []
+
+        def constant_levels(grid, size, x_max, parity, count):
+            sizes.append(size)
+            return np.zeros(count)
+
+        monkeypatch.setattr(sextic, "_sector_levels", constant_levels)
+        pot = sextic_potential(1, 2, Fraction(1, 2), Fraction(1, 2), 2046)
+        levels, moved = oscillator_levels(pot, 1024, 1e4)
+        assert sizes == [4096, 8192] and levels.shape == moved.shape == (1024,)
 
     def test_matrix_beyond_double_range_is_refused(self):
         with pytest.raises(NumericalFailure, match="exceeds double range"):
             sextic._sector_levels(sextic._grid((0.0, 0.5, 0.0, 1e300)), 40, 1e10, 0, 1)
+
+    @pytest.mark.parametrize("omega", [0.5, 3.0], ids=["g2-above", "g2-below"])
+    @pytest.mark.parametrize("size", [40, 41, 80])
+    def test_sector_bands_are_the_dense_ladder_product(self, monkeypatch, size, omega):
+        # x = (a + a+) / sqrt(2 omega) as a dense ladder matrix on size + 8
+        # states, H multiplied out densely; g2 - omega^2 / 2 is 2.875 at
+        # omega = 0.5 and -1.5 at omega = 3
+        coeffs = (0.75, 1.5, 0.125, 0.5)
+        x_max = math.sqrt((2 * size + 1) / omega)
+        n = size + 8
+        x = np.diag(np.sqrt(np.arange(1, n) / (2 * omega)), 1)
+        x = x + x.T
+        x2 = x @ x
+        g0, g2, g4, g6 = sextic._grid(coeffs)
+        h = omega * np.diag(np.arange(n) + 0.5) + g0 * np.eye(n) + (g2 - omega**2 / 2) * x2
+        h += g4 * x2 @ x2 + g6 * x2 @ x2 @ x2
+        seen = []
+
+        def capture(bands):
+            seen.append(bands.copy())
+            return scipy.linalg.eig_banded(bands, lower=True, eigvals_only=True)
+
+        monkeypatch.setattr(sextic, "band_eigenvalues", capture)
+        for parity in (0, 1):
+            keep = np.arange(parity, size, 2)
+            sector = h[np.ix_(keep, keep)]
+            got = sextic._sector_levels(sextic._grid(coeffs), size, x_max, parity, 6)
+            bands = seen.pop()
+            assert bands.shape == (4, keep.size)
+            for r in range(4):
+                # row r holds the entries (j + r, j); LAPACK reads all but its last r
+                dense = np.diagonal(sector, -r)
+                np.testing.assert_allclose(bands[r, : dense.size], dense, rtol=1e-14)
+            # the levels to rounding in the largest entry, up to 4e7 at omega = 0.5
+            dense = np.linalg.eigvalsh(sector)[:6]
+            np.testing.assert_allclose(got, dense, rtol=0, atol=1e-14 * np.abs(sector).max())
 
     @pytest.mark.parametrize("size", [40, 41])
     def test_sector_matrix_is_the_dense_product(self, size):
@@ -443,6 +575,27 @@ class TestOscillatorLevels:
             dense = np.linalg.eigvalsh(h[np.ix_(keep, keep)])[:6]
             got = sextic._sector_levels(sextic._grid(coeffs), size, x_max, parity, 6)
             np.testing.assert_allclose(got, dense, rtol=1e-13)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        degree=st.sampled_from([1, 2, 3]),
+        lead=st.floats(min_value=1e-300, max_value=1e300),
+        lower=st.lists(
+            st.one_of(st.just(0.0), st.floats(min_value=-1e300, max_value=1e300)),
+            min_size=3,
+            max_size=3,
+        ),
+    )
+    def test_turning_point_is_the_full_bisection(self, degree, lead, lower):
+        # bit for bit, and the same exception where a scale overflows
+        def outcome(turning_point, a):
+            try:
+                return struct.pack("<d", turning_point(a))
+            except ArithmeticError as err:
+                return type(err)
+
+        a = (*lower[:degree], lead, *[0.0] * (3 - degree))
+        assert outcome(sextic._turning_point, a) == outcome(full_bisection_turning_point, a)
 
 
 def test_block_levels_inside_sextic_spectrum():
