@@ -135,7 +135,7 @@ def _build_parser() -> _Parser:
         "--fd",
         action="store_true",
         help="match the block levels + w2 to the sextic levels of an oscillator basis; exit 4"
-        " when a level differs by more than 1e-9*max(1, |E|) plus its error estimate",
+        f" when a level differs by more than {LEVEL_TOL:g}*max(1, |E|) plus its error estimate",
     )
     sextic.add_argument("--output", choices=("text", "json"), default="text")
 

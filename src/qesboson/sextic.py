@@ -20,10 +20,10 @@ identities that fails.  The check returns the W and V it builds, so one
 The sextic levels that `sextic --fd` matches come from Rayleigh-Ritz in
 the harmonic-oscillator basis (MacDonald 1933; Turbiner 1988): x^2, x^4
 and x^6 have closed-form matrix elements there, and each parity sector
-is a seven-diagonal band matrix solved by LAPACK's dsbevd.  The basis
-scale follows a WKB rule from the highest level wanted, and the basis
-doubles until two solves agree to LEVEL_TOL.  By the gauge identity,
-block level j + w2 is level j of the parity (-1)^k sector.
+is a seven-diagonal band matrix solved by LAPACK's dsbevd.  A WKB sum on
+a grid sets the basis scale, and the basis doubles until two solves agree
+to LEVEL_TOL.  By the gauge identity, block level j + w2 is level j of the
+parity (-1)^k sector.
 
 A deliberately simple finite-difference solver (three-point Laplacian,
 Dirichlet box, the lowest levels of the tridiagonal matrix by LAPACK's
@@ -338,85 +338,47 @@ def fd_spectrum(potential, halfwidth: float, grid_points: int) -> np.ndarray:
 LEVEL_TOL = 1e-9
 # the first basis holds max(_MIN_BASIS, 4 * count) states; it doubles up to _MAX_BASIS
 _MIN_BASIS, _MAX_BASIS = 40, 8192
-# the basis reaches where the WKB exponent past the outer turning point is 40
+# the basis reaches where the WKB exponent past the last allowed grid point is 40
 _WKB_DECAY = 40.0
 _WKB_CELLS = 256
 
 
-def _turning_point(a: tuple[float, float, float, float]) -> float:
-    """The largest u >= 0 where p(u) = a0 + a1 u + a2 u^2 + a3 u^3 vanishes,
-    or 0.0 when p > 0 on u >= 0; the highest nonzero of a3, a2, a1 is
-    positive.
-
-    u = scale * w turns p into a monic q whose other coefficients lie in
-    [-1, 1], so that no step overflows and every root has |w| <= 2
-    (Fujiwara's bound).  Past its last critical point q rises, so its
-    largest root lies there when q <= 0 at that point (or at 0, when the
-    point is negative), and otherwise below it, on the rising stretch that
-    starts at w = 0 when q(0) < 0.  Either way one sign change is bisected.
-    """
-    degree = max(i for i in (1, 2, 3) if a[i])
-    lead = a[degree]
-    scale = max((abs(a[i]) / lead) ** (1 / (degree - i)) for i in range(degree)) or 1.0
-    b0, b1, b2, b3 = (a[i] / lead / scale ** (degree - i) if i <= degree else 0.0 for i in range(4))
-
-    def q(w: float) -> float:
-        return ((b3 * w + b2) * w + b1) * w + b0
-
-    crit = -math.inf
-    if b3 and b2 * b2 > 3 * b1:
-        crit = (math.sqrt(b2 * b2 - 3 * b1) - b2) / 3
-    elif not b3 and b2:
-        crit = -b1 / 2
-    lo = max(crit, 0.0)
-    if q(lo) <= 0:
-        hi = 2.0
-    elif q(0.0) < 0:
-        lo, hi = 0.0, crit
-    else:
-        return 0.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # the bracket holds no float between its ends
-            break
-        if q(mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
-    return scale * hi
-
-
 def _basis_range(grid: tuple[float, float, float, float], energy: float) -> float:
-    """x_max, where the WKB exponent int sqrt(2 (v - energy)) dx, taken from
-    the outer turning point x_t of the grid potential v (_grid), reaches _WKB_DECAY.
+    """x_max, where the WKB exponent int sqrt(2 (v - energy)) dx of the grid
+    potential v (_grid), from the last grid point where v <= energy, reaches
+    _WKB_DECAY, so that every classically allowed region stays in the basis.
 
-    With x = x_t + s^2 the integrand 2 s sqrt(2 (v - energy)) is smooth at
-    the turning point; it is summed by the trapezoid rule on _WKB_CELLS
-    cells of s, over a span of x that starts at the linear-slope estimate
-    and grows fourfold until the sum reaches _WKB_DECAY."""
+    The exponent is a trapezoid sum on _WKB_CELLS equal cells of [0, span].
+    The span starts at sqrt(R), R Fujiwara's bound on the roots of
+    v(sqrt(u)) - energy, so it holds every turning point; it doubles until
+    the sum reaches _WKB_DECAY, then halves while x_max is in its lower
+    half.  A halved span never doubles: if its sum falls short, x_max = span."""
     g0, g2, g4, g6 = grid
+    squares = np.arange(_WKB_CELLS + 1.0) ** 2  # (x / h)^2 at the grid points, h the cell width
     with np.errstate(all="ignore"):
-        u_t = _turning_point((g0 - energy, g2, g4, g6))
-        x_t = math.sqrt(u_t)
-        slope = 2 * x_t * ((3 * g6 * u_t + 2 * g4) * u_t + g2)  # v'(x_t)
-        # v - energy ~ slope (x - x_t) reaches the decay at this span
-        span = (1.5 * _WKB_DECAY / math.sqrt(2 * slope)) ** (2 / 3) if slope > 0 else 0.0
-        if not 0 < span < math.inf:
-            span = x_t or 1.0
-        t = np.linspace(0.0, 1.0, _WKB_CELLS + 1)
-        x_max = math.nan
-        while span < math.inf:
-            s = math.sqrt(span) * t
-            u = (x_t + s * s) ** 2
-            gap = np.maximum((((g6 * u + g4) * u + g2) * u + g0) - energy, 0.0)
-            f = 2 * s * np.sqrt(2 * gap)
-            total = np.concatenate(([0.0], np.cumsum(f[1:] + f[:-1]) * (0.5 * s[1])))
+        a = np.array(((g0 - energy) / 2, g2, g4, g6))  # Fujiwara's bound halves the constant
+        degree = max(i for i in (1, 2, 3) if a[i])
+        bound = 2 * max(abs(a[i] / a[degree]) ** (1 / (degree - i)) for i in range(degree))
+        span, x_max = np.sqrt(bound) or np.float64(1.0), math.nan
+        while 0 < span < math.inf:
+            h = span / _WKB_CELLS
+            u = h * h * squares
+            gap = (((g6 * u + g4) * u + g2) * u + g0) - energy
+            f = np.sqrt(2 * np.maximum(gap, 0.0))
+            allowed = np.flatnonzero(gap <= 0)
+            f[: allowed[-1] if allowed.size else 0] = 0.0
+            total = np.concatenate(([0.0], np.cumsum(f[1:] + f[:-1]) * (0.5 * h)))
             if total[-1] >= _WKB_DECAY:
                 i = int(np.searchsorted(total, _WKB_DECAY))
-                end = s[i - 1] + s[1] * (_WKB_DECAY - total[i - 1]) / (total[i] - total[i - 1])
-                x_max = x_t + end * end
+                x_max = h * (i - 1 + (_WKB_DECAY - total[i - 1]) / (total[i] - total[i - 1]))
+                if x_max >= span / 2:
+                    break
+                span /= 2
+            elif math.isnan(x_max):  # no span has reached the decay yet
+                span *= 2
+            else:
+                x_max = span
                 break
-            span *= 4
     if not 0 < x_max < math.inf:
         raise NumericalFailure(
             f"no oscillator basis reaches the WKB range of level {energy!r}", math.inf
@@ -443,9 +405,9 @@ def _sector_levels(
     sector keeps every other state, so its matrix has three diagonals below
     the main one."""
     g0, g2, g4, g6 = grid
-    omega = (2 * size + 1) / (x_max * x_max)
     n = np.arange(parity, size, 2, dtype=float)
     with np.errstate(all="ignore"):
+        omega = (2 * size + 1) / np.square(x_max)  # a numpy float: its powers never raise
         unit = 2 * omega  # x^2 = X^2 / unit
         a2, a4, a6 = (g2 - omega * omega / 2) / unit, g4 / unit**2, g6 / unit**3
         r2 = np.sqrt((n + 1) * (n + 2))
@@ -474,11 +436,12 @@ def oscillator_levels(
 
     Rayleigh-Ritz in the harmonic-oscillator basis (MacDonald 1933), on the
     spectrum-preserving grid form -1/2 d^2/dx^2 + v(x).  The basis scale
-    follows from highest, the highest level wanted: it makes N states reach
-    x_max, where the WKB exponent past that level's outer turning point is
-    _WKB_DECAY.  N starts at max(_MIN_BASIS, 4 count) and doubles until two
-    solves agree to LEVEL_TOL * max(1, |level|) on every level; the finer
-    solve's levels are returned with their distance from the coarser one.
+    follows from highest, the highest level wanted: N states reach x_max
+    (_basis_range), where the WKB exponent past the last grid point below
+    that level is _WKB_DECAY.  N starts at max(_MIN_BASIS, 4 count) and
+    doubles until two solves agree to LEVEL_TOL * max(1, |level|) on every
+    level; the finer solve's levels come with their distance from the
+    coarser one.
     By the gauge identity, block level j + w2 of the same k is level j.
 
     Raises NumericalFailure when 2N > _MAX_BASIS, when V does not confine (no

@@ -516,6 +516,34 @@ class TestSextic:
             " oscillator states to settle, more than 8192\n"
         )
 
+    def test_coefficient_that_dwarfs_the_leading_one_is_refused(self, capsys):
+        # c4 / c6 = -2e120: the turning-point solver's scale ** 3 overflowed
+        # here, and the command ended in a traceback with exit 1
+        argv = ["--w1", "1", "--w2", "3", "--kre", "1e-60", "--kbre", "1e-60", "--k", "1", "--fd"]
+        code, out, err = run(capsys, "sextic", *argv)
+        assert (code, out) == (4, "")
+        assert err == "numerical failure: oscillator-basis matrix on 40 states exceeds double range\n"
+
+    @pytest.mark.parametrize(("k", "level"), [("1", "3.0"), ("0", "2.0")])
+    def test_opposite_couplings_are_refused_as_a_mismatch(self, capsys, monkeypatch, k, level):
+        # with kc kb < 0, e^{int W} is not normalizable: the block level + w2
+        # sits at V(0) and matches no sector level.  The turning-point
+        # bisection returned a subnormal root there, and bases up to 8192
+        # states were solved before a false "do not settle"
+        sizes, solve = [], sextic._sector_levels
+
+        def counted(grid, size, *args):
+            sizes.append(size)
+            return solve(grid, size, *args)
+
+        monkeypatch.setattr(sextic, "_sector_levels", counted)
+        argv = ["--w1", "1", "--w2", "2", "--kre", "-0.5", "--kbre", "0.5", "--k", k, "--fd"]
+        code, out, err = run(capsys, "sextic", *argv)
+        assert (code, out, sizes) == (4, "", [40, 80])
+        assert err.startswith(f"numerical failure: sextic level 0 at k={k} is ")
+        assert f" and block level + w2 is {level}: they differ by " in err
+        assert err.count("\n") == 1
+
     def test_fd_request_calls_no_numpy_linalg(self, capsys, monkeypatch):
         # numpy's threaded eigensolvers can stall a fresh process; the block
         # levels and the sextic levels go through qesboson._lapack alone

@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import random
-import struct
 import sys
 from fractions import Fraction
 from unittest.mock import patch
@@ -411,35 +410,51 @@ def assert_levels_match(w1, w2, kc, kb, k):
 dyadics = st.integers(min_value=1, max_value=32).map(lambda i: Fraction(i, 8))
 
 
-def full_bisection_turning_point(a):
-    """_turning_point as it bisected before its early stop: all 100 steps."""
-    degree = max(i for i in (1, 2, 3) if a[i])
-    lead = a[degree]
-    scale = max((abs(a[i]) / lead) ** (1 / (degree - i)) for i in range(degree)) or 1.0
-    b0, b1, b2, b3 = (a[i] / lead / scale ** (degree - i) if i <= degree else 0.0 for i in range(4))
+def fujiwara_root(grid, energy):
+    """sqrt(R) in doubles, R = 2 max |a_i / a_d|^(1 / (d - i)) Fujiwara's bound
+    on the roots of v(sqrt(u)) - energy = a_0 + ... + a_d u^d, a_0 halved."""
+    a = np.array(((grid[0] - energy) / 2, *grid[1:]))
+    d = max(i for i in (1, 2, 3) if a[i])
+    with np.errstate(all="ignore"):
+        return np.sqrt(2 * max(abs(a[i] / a[d]) ** (1 / (d - i)) for i in range(d))) or 1.0
 
-    def q(w):
-        return ((b3 * w + b2) * w + b1) * w + b0
 
-    crit = -math.inf
-    if b3 and b2 * b2 > 3 * b1:
-        crit = (math.sqrt(b2 * b2 - 3 * b1) - b2) / 3
-    elif not b3 and b2:
-        crit = -b1 / 2
-    lo = max(crit, 0.0)
-    if q(lo) <= 0:
-        hi = 2.0
-    elif q(0.0) < 0:
-        lo, hi = 0.0, crit
-    else:
-        return 0.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if q(mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
-    return scale * hi
+def wkb_reach(grid, energy, span):
+    """Where the trapezoid sum of sqrt(2 (v - energy)) over 256 equal cells of
+    [0, span], from the last grid point where v <= energy, reaches 40; None
+    when it falls short."""
+    g0, g2, g4, g6 = grid
+    h = span / 256
+    with np.errstate(all="ignore"):
+        u = h * h * np.arange(257.0) ** 2
+        gap = (((g6 * u + g4) * u + g2) * u + g0) - energy
+        f = np.sqrt(2 * np.maximum(gap, 0.0))
+    total = 0.0
+    for i in range(max(np.flatnonzero(gap <= 0), default=0), 256):
+        cell = (f[i] + f[i + 1]) * h / 2
+        if total + cell >= 40:
+            return h * (i + (40 - total) / cell)
+        total += cell
+    return None
+
+
+decades = st.builds(lambda m, e: m * 10.0**e, st.floats(1, 10), st.integers(-300, 300))
+signed = st.builds(lambda s, x: s * x, st.sampled_from([1, -1]), decades)
+signed_or_zero = st.one_of(st.just(0.0), signed)
+
+
+@st.composite
+def potentials_and_levels(draw):
+    """Sextic coefficients whose ratios span +-300 decades, and a level at,
+    below or above V(0)."""
+    c0, c2, c4 = (draw(signed_or_zero) for _ in range(3))
+    c6 = draw(st.one_of(st.just(0.0), decades))
+    return (c0, c2, c4, c6), c0 + draw(signed_or_zero)
+
+
+def cli_case(w1, w2, kc, kb, k, highest):
+    """The potential and highest level that sextic --fd hands to oscillator_levels."""
+    return sextic_potential(w1, w2, Fraction(kc), Fraction(kb), k).real_coeffs(), highest
 
 
 class TestOscillatorLevels:
@@ -576,26 +591,42 @@ class TestOscillatorLevels:
             got = sextic._sector_levels(sextic._grid(coeffs), size, x_max, parity, 6)
             np.testing.assert_allclose(got, dense, rtol=1e-13)
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        degree=st.sampled_from([1, 2, 3]),
-        lead=st.floats(min_value=1e-300, max_value=1e300),
-        lower=st.lists(
-            st.one_of(st.just(0.0), st.floats(min_value=-1e300, max_value=1e300)),
-            min_size=3,
-            max_size=3,
-        ),
-    )
-    def test_turning_point_is_the_full_bisection(self, degree, lead, lower):
-        # bit for bit, and the same exception where a scale overflows
-        def outcome(turning_point, a):
-            try:
-                return struct.pack("<d", turning_point(a))
-            except ArithmeticError as err:
-                return type(err)
+    @settings(max_examples=120, deadline=None)
+    @given(case=potentials_and_levels(), k=st.integers(0, 1), count=st.integers(1, 3))
+    @example(case=cli_case(1, 3, 1e-60, 1e-60, 1, 4.0), k=1, count=1)  # c4 / c6 = -2e120
+    @example(case=cli_case(1, 2, -0.5, 0.5, 1, 3.0), k=1, count=1)  # kc kb < 0, E = V(0)
+    @example(case=cli_case(1, 2, -0.5, 0.5, 0, 2.0), k=0, count=1)
+    @example(case=((0.0, -1.0, 0.0, 1.0), -0.1), k=0, count=2)  # a double well
+    @example(case=((0.0, 1.0, -3.0, 1.0), 0.05), k=0, count=2)  # a barrier, then an outer well
+    # E = V(0), where the halved span's sum falls short of the coarser one's crossing
+    @example(case=((0.0, 0.007318622200453623, 8.149736284549615e20, 569170129914901.6), 0.0), k=0, count=1)
+    def test_basis_reaches_the_wkb_range_on_every_scale(self, case, k, count):
+        # finite levels or NumericalFailure, never another exception; every
+        # basis reaches the WKB crossing on the grid of the span sqrt(R) 2^j
+        # whose upper half holds it, or that whole span when a halved span
+        # falls short
+        coeffs, energy = case
+        pot = sextic.SexticPotential(*map(RationalComplex.coerce, coeffs), k)
+        solve, ranges = sextic._sector_levels, []
 
-        a = (*lower[:degree], lead, *[0.0] * (3 - degree))
-        assert outcome(sextic._turning_point, a) == outcome(full_bisection_turning_point, a)
+        def recorded(grid, size, x_max, parity, count):
+            ranges.append((grid, x_max))
+            return solve(grid, size, x_max, parity, count)
+
+        with patch.object(sextic, "_sector_levels", recorded):
+            try:
+                levels, moved = oscillator_levels(pot, count, energy)
+                assert np.isfinite(levels).all() and np.isfinite(moved).all()
+            except NumericalFailure:
+                pass
+        for grid, x_max in ranges:
+            root, x_max = float(fujiwara_root(grid, energy)), float(x_max)
+            j = math.ceil(math.log2(x_max / root))
+            j += math.ldexp(root, j) < x_max
+            j -= math.ldexp(root, j - 1) >= x_max
+            span = math.ldexp(root, j)
+            reach = wkb_reach(grid, energy, span)
+            assert x_max == span if reach is None else math.isclose(reach, x_max, rel_tol=1e-9)
 
 
 def test_block_levels_inside_sextic_spectrum():
