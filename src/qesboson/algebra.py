@@ -136,6 +136,9 @@ class OperatorPolynomial:
             return NotImplemented
         return self._terms == other._terms
 
+    def __hash__(self) -> int:
+        return hash(frozenset(self._terms.items()))
+
     def __add__(self, other: "OperatorPolynomial") -> "OperatorPolynomial":
         terms = dict(self._terms)
         for key, coeff in other._terms.items():

@@ -16,10 +16,10 @@ by exponent tuple with zero coefficients omitted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import BosonMonomial, ConservedCharge, OperatorPolynomial
+from .algebra import ConservedCharge, OperatorPolynomial
 from .errors import InvalidOrder, ParseError
 from .exact import Rationalish, RationalComplex
 
@@ -67,24 +67,18 @@ def shg_charge() -> ConservedCharge:
 
 @dataclass(frozen=True)
 class ModelFile:
-    """Parsed model: charge plus canonical term list.
+    """Parsed model: charge plus the Hamiltonian its terms sum to.
 
     The optional name is an in-memory label only; the file format carries
-    no name directive.  parse_model_file keeps the Hamiltonian it sums the
-    terms into, which hamiltonian() then returns; it takes no part in
-    equality, hash or repr, and a model built any other way (or by
-    dataclasses.replace) sums its terms on each call.
+    no name directive.
     """
 
     charge: ConservedCharge
-    terms: tuple[BosonMonomial, ...]
+    h: OperatorPolynomial
     name: str | None = None
-    _h: OperatorPolynomial | None = field(default=None, init=False, repr=False, compare=False)
 
     def hamiltonian(self) -> OperatorPolynomial:
-        if self._h is not None:
-            return self._h
-        return OperatorPolynomial.from_monomials(self.terms)
+        return self.h
 
 
 def _parse_fraction(token: str, line_no: int, what: str) -> Fraction:
@@ -105,8 +99,9 @@ def _parse_exponent(token: str, line_no: int) -> int:
 
 
 def parse_model_file(text: str, name: str | None = None) -> ModelFile:
-    """Parse the line format, labelling the model name; one leading
-    byte-order mark is dropped, and unknown directives are rejected."""
+    """Parse the line format into the charge and the summed Hamiltonian,
+    labelling the model name; one leading byte-order mark is dropped, and
+    unknown directives are rejected."""
     charge: ConservedCharge | None = None
     terms: dict[tuple[int, int, int, int], RationalComplex] = {}
     for line_no, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
@@ -142,11 +137,8 @@ def parse_model_file(text: str, name: str | None = None) -> ModelFile:
             raise ParseError(line_no, f"unknown directive {directive!r}")
     if charge is None:
         raise ParseError(0, "missing charge line")
-    # in canonical term order, as OperatorPolynomial.from_monomials(model.terms) builds it
-    h = OperatorPolynomial(dict(sorted(terms.items())))
-    model = ModelFile(charge=charge, terms=h.monomials(), name=name)
-    object.__setattr__(model, "_h", h)  # the dataclass is frozen
-    return model
+    # canonical term order: the routes read h's terms in this order
+    return ModelFile(charge, OperatorPolynomial(dict(sorted(terms.items()))), name)
 
 
 def write_model_file(model: ModelFile) -> str:

@@ -178,7 +178,6 @@ class ReducedBlock:
     integer numerators over one common denominator.  matrix (dense float
     form, straight from the integers) is built on first use."""
 
-    kappa: int
     degrees: tuple[int, ...]
     bands: _Bands
     denominator: int
@@ -211,7 +210,7 @@ def reduced_block_matrix(
     physical degrees of block kappa, isospectral to the Fock block.  Its
     bands come from ReducedOperator.block_entries.
     """
-    return ReducedBlock(kappa, *matrix_element_reduction(h, charge).block_entries(kappa))
+    return ReducedBlock(*matrix_element_reduction(h, charge).block_entries(kappa))
 
 
 _LOG_TINY = math.log(sys.float_info.min)  # smallest normal double
@@ -571,7 +570,6 @@ class OdeCoefficients:
     c3: RationalComplex
     c1: Polynomial
     c0: Polynomial
-    k: int
 
 
 def shg_ode(
@@ -602,4 +600,4 @@ def shg_ode(
     c3 = kb * 4
     c1 = Polynomial.from_coeffs([kc, w2 - w1 * 2, kb * (2 * (3 - 2 * k))])
     c0 = Polynomial.from_coeffs([w1 * k, kb * (k * (k - 1))])
-    return OdeCoefficients(c3=c3, c1=c1, c0=c0, k=k)
+    return OdeCoefficients(c3=c3, c1=c1, c0=c0)

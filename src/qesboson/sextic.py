@@ -106,14 +106,14 @@ class SexticPotential:
     k: int
 
     def real_coeffs(self) -> tuple[float, float, float, float]:
-        """The coefficients as floats; raises ValueError for one that is not
-        real and NumericalFailure when one does not fit in a double: too
-        large, or nonzero but rounded to 0.0, which would change the shape
-        of the potential."""
+        """The coefficients as floats; raises NumericalFailure for one that
+        is not real, which the real solvers cannot take, and for one that
+        does not fit in a double: too large, or nonzero but rounded to 0.0,
+        which would change the shape of the potential."""
         named = {"c0": self.c0, "c2": self.c2, "c4": self.c4, "c6": self.c6}
         for name, c in named.items():
             if not c.is_real:
-                raise ValueError(f"{name} is not real: {c}")
+                raise NumericalFailure(f"sextic {name} at k={self.k} is not real: {c}", math.inf)
         try:
             floats = tuple(float(c.re) for c in named.values())
         except OverflowError:
@@ -347,6 +347,8 @@ def _basis_range(grid: tuple[float, float, float, float], energy: float) -> floa
     """x_max, where the WKB exponent int sqrt(2 (v - energy)) dx of the grid
     potential v (_grid), from the last grid point where v <= energy, reaches
     _WKB_DECAY, so that every classically allowed region stays in the basis.
+    A point is allowed only where v - energy < 0 beyond its rounding bound,
+    so terms of v that cancel open no forbidden point.
 
     The exponent is a trapezoid sum on _WKB_CELLS equal cells of [0, span].
     The span starts at sqrt(R), R Fujiwara's bound on the roots of
@@ -355,6 +357,10 @@ def _basis_range(grid: tuple[float, float, float, float], energy: float) -> floa
     half.  A halved span never doubles: if its sum falls short, x_max = span."""
     g0, g2, g4, g6 = grid
     squares = np.arange(_WKB_CELLS + 1.0) ** 2  # (x / h)^2 at the grid points, h the cell width
+    # v - energy by Horner errs by at most gamma_6 + u ~ 7 * 2^-53 times the
+    # sum of the terms' magnitudes (Higham, Accuracy and Stability, 2nd ed.,
+    # eq. 5.3); 8 * 2^-52 doubles that, for second-order terms and rounding
+    n0, n2, n4, n6 = (-8 * 2.0**-52 * abs(c) for c in (abs(g0) + abs(energy), g2, g4, g6))
     with np.errstate(all="ignore"):
         a = np.array(((g0 - energy) / 2, g2, g4, g6))  # Fujiwara's bound halves the constant
         degree = max(i for i in (1, 2, 3) if a[i])
@@ -365,7 +371,7 @@ def _basis_range(grid: tuple[float, float, float, float], energy: float) -> floa
             u = h * h * squares
             gap = (((g6 * u + g4) * u + g2) * u + g0) - energy
             f = np.sqrt(2 * np.maximum(gap, 0.0))
-            allowed = np.flatnonzero(gap <= 0)
+            allowed = np.flatnonzero(gap <= ((n6 * u + n4) * u + n2) * u + n0)
             f[: allowed[-1] if allowed.size else 0] = 0.0
             total = np.concatenate(([0.0], np.cumsum(f[1:] + f[:-1]) * (0.5 * h)))
             if total[-1] >= _WKB_DECAY:
@@ -444,9 +450,10 @@ def oscillator_levels(
     coarser one.
     By the gauge identity, block level j + w2 of the same k is level j.
 
-    Raises NumericalFailure when 2N > _MAX_BASIS, when V does not confine (no
-    bound states), when an entry does not fit in a double, with residual NaN
-    when LAPACK does not converge, and when levels still move at _MAX_BASIS.
+    Raises NumericalFailure when 2N > _MAX_BASIS, when a coefficient of V is
+    not real, when V does not confine (no bound states), when an entry does
+    not fit in a double, with residual NaN when LAPACK does not converge,
+    and when levels still move at _MAX_BASIS.
     """
     size = max(_MIN_BASIS, 4 * count)
     if 2 * size > _MAX_BASIS:

@@ -324,6 +324,36 @@ def test_fock_amplitude_equality_agrees_with_hash(a, b):
     assert (a == b) == ((a.coeff, a.radicand) == (b.coeff, b.radicand))
 
 
+# few keys and values, so that equal polynomials, terms that vanish and
+# terms entered in another order all come up often
+term_lists = st.lists(
+    st.tuples(
+        st.tuples(*(st.integers(0, 1) for _ in range(4))),
+        st.one_of(st.just(ZERO), st.builds(RationalComplex, small_fractions, small_fractions)),
+    ),
+    max_size=4,
+)
+
+
+@settings(deadline=None)
+@given(term_lists, term_lists)
+@example(  # equal, built in opposite orders, one with a vanishing term
+    [((1, 0, 0, 0), RationalComplex.coerce(1)), ((0, 1, 0, 0), RationalComplex.coerce(2))],
+    [((0, 0, 1, 0), ZERO), ((1, 0, 0, 0), RationalComplex.coerce(1)),
+     ((0, 1, 0, 0), RationalComplex.coerce(2))],
+)
+def test_operator_polynomial_equality_agrees_with_hash(a_terms, b_terms):
+    # equal polynomials hash equal whatever their term order, so a model
+    # holding one is a set or dict key
+    a, b = OperatorPolynomial(dict(a_terms)), OperatorPolynomial(dict(reversed(b_terms)))
+    if a == b:
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+    nonzero_a = {k: c for k, c in dict(a_terms).items() if not c.is_zero}
+    nonzero_b = {k: c for k, c in dict(reversed(b_terms)).items() if not c.is_zero}
+    assert (a == b) == (nonzero_a == nonzero_b)
+
+
 class TestChargeNormalization:
     def test_gcd_divided_out(self):
         charge = ConservedCharge(2, 4)

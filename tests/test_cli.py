@@ -518,11 +518,28 @@ class TestSextic:
 
     def test_coefficient_that_dwarfs_the_leading_one_is_refused(self, capsys):
         # c4 / c6 = -2e120: the turning-point solver's scale ** 3 overflowed
-        # here, and the command ended in a traceback with exit 1
+        # here, and the command ended in a traceback with exit 1; then a
+        # grid point that only rounding put below the level stretched the
+        # basis beyond double range.  The block level + w2 = 4.0 lies below
+        # min V = 4.75, so no sector level matches it
         argv = ["--w1", "1", "--w2", "3", "--kre", "1e-60", "--kbre", "1e-60", "--k", "1", "--fd"]
         code, out, err = run(capsys, "sextic", *argv)
         assert (code, out) == (4, "")
-        assert err == "numerical failure: oscillator-basis matrix on 40 states exceeds double range\n"
+        assert err.startswith("numerical failure: sextic level 0 at k=1 is 5.5 and block level + w2 is 4.0:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(("k", "message"), [
+        # the 1 x 1 block's level is real, the potential is not: these were
+        # usage errors with exit 1
+        ("0", "sextic c2 at k=0 is not real: -3/16-3/16i"),
+        ("1", "sextic c2 at k=1 is not real: -5/16-5/16i"),
+        # non-real block levels are refused first
+        ("2", "block kappa=2 has non-real levels, which no sextic level can match"),
+    ])
+    def test_complex_potential_is_refused(self, capsys, k, message):
+        argv = ["--w1", "1", "--w2", "2", "--kre", "0.5", "--kim", "0.5", "--kbre", "0.5", "--k", k]
+        code, out, err = run(capsys, "sextic", *argv, "--fd")
+        assert (code, out, err) == (4, "", f"numerical failure: {message}\n")
 
     @pytest.mark.parametrize(("k", "level"), [("1", "3.0"), ("0", "2.0")])
     def test_opposite_couplings_are_refused_as_a_mismatch(self, capsys, monkeypatch, k, level):

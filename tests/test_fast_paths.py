@@ -308,7 +308,7 @@ def reference_block_entries(h, charge, kappa):
 def test_block_entries_match_polynomial_evaluation(model):
     h, charge, kappa = model
     op = matrix_element_reduction(h, charge)
-    block = ReducedBlock(kappa, *op.block_entries(kappa))
+    block = ReducedBlock(*op.block_entries(kappa))
     degrees, entries = block.degrees, exact_entries(block)
     assert (degrees, entries) == reference_block_entries(h, charge, kappa)
     for value in entries.values():
@@ -749,7 +749,7 @@ def test_large_block_entries_and_jacobi_data_match_exact_entries(name):
     op = matrix_element_reduction(h, charge)
     if name.startswith("thirty-digit"):
         assert op.denominator > 2**63
-    block = ReducedBlock(kappa, *op.block_entries(kappa))
+    block = ReducedBlock(*op.block_entries(kappa))
     degrees, entries = reference_block_entries(h, charge, kappa)
     assert (block.degrees, exact_entries(block)) == (degrees, entries)
     jacobi = _jacobi_form(block.bands, block.denominator, block.dimension)
@@ -858,7 +858,7 @@ def test_conservation_is_the_one_closure_rule(model, extra):
     )
     if conserves(h, charge):
         degrees, bands, denom = routes[2]()
-        block = ReducedBlock(kappa, degrees, bands, denom)
+        block = ReducedBlock(degrees, bands, denom)
         assert (block.degrees, exact_entries(block)) == reference_block_entries(h, charge, kappa)
         assert block_matrix(h, charge, kappa).shape == (len(degrees),) * 2
         assert reduced_block_matrix(h, charge, kappa).bands == bands

@@ -101,7 +101,7 @@ class TestReduceViaS:
         h, charge = shg
         op = matrix_element_reduction(h, charge)
         for kappa in range(12):
-            block = ReducedBlock(kappa, *op.block_entries(kappa))
+            block = ReducedBlock(*op.block_entries(kappa))
             degrees, entries = block.degrees, exact_entries(block)
             pos = {n: i for i, n in enumerate(degrees)}
             basis = enumerate_block(charge, kappa)

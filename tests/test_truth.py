@@ -160,7 +160,7 @@ def test_exit_zero_means_correct_digits():
         @given(model=conserving_models())
         def check(model):
             h, charge, kappa = model
-            path.write_text(write_model_file(ModelFile(charge, h.monomials(), None)))
+            path.write_text(write_model_file(ModelFile(charge, h)))
             argv = ["spectrum", str(path), "--kappa", str(kappa), "--method", "both",
                     "--tol", repr(TOL)]
             out = io.StringIO()
