@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -96,7 +95,7 @@ def _reduced_hamiltonian(h: OperatorPolynomial, mode: str) -> OperatorPolynomial
     return paper_literal(h) if mode == "paper-literal" else h
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     parser = _Parser(prog="qesboson", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -139,21 +138,22 @@ def _build_parser() -> _Parser:
     )
     sextic.add_argument("--output", choices=("text", "json"), default="text")
 
-    return parser
+    return parser, sub.choices
 
 
 # parsing leaves the parser unchanged, so one per process serves every call;
 # it is built at import, together with argparse's one-time gettext set-up
 # (which imports locale), rather than inside the first call
-_PARSER = _build_parser()
+_PARSER, _COMMANDS = _build_parser()
 
 
 def _load_model(path: str) -> ModelFile:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
     except (OSError, UnicodeDecodeError) as exc:  # the latter is a ValueError
         raise _UnreadableModel(exc) from None
-    return parse_model_file(text, name=Path(path).name)
+    return parse_model_file(text, name=os.path.basename(path))
 
 
 def _pairs_json(pairs) -> str:
@@ -436,15 +436,15 @@ def _cmd_sextic(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _PARSER.parse_args(argv)
-        handler = {
-            "check": _cmd_check,
-            "spectrum": _cmd_spectrum,
-            "scan": _cmd_scan,
-            "polys": _cmd_polys,
-            "sextic": _cmd_sextic,
-        }[args.command]
+        # a command's own parser reads the rest in one pass, with the prog and
+        # error() it has under _PARSER; none, -h, -- or another word go to _PARSER
+        parser = _COMMANDS.get(argv[0]) if argv else None
+        args = (_PARSER.parse_args(argv) if parser is None
+                else parser.parse_args(argv[1:], argparse.Namespace(command=argv[0])))
+        handler = {"check": _cmd_check, "spectrum": _cmd_spectrum, "scan": _cmd_scan,
+                   "polys": _cmd_polys, "sextic": _cmd_sextic}[args.command]
         code = handler(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code

@@ -7,11 +7,12 @@ mark ignored):
     charge <s:int> <p:int>
     term <re> <im> <m1> <m2> <m3> <m4>
 
-Coefficients are decimal or rational literals ("1/3" is allowed) and are
-parsed exactly as rationals, so the algebraic checks downstream stay
-exact.  Duplicate exponent tuples are summed on load, and writing emits a
-canonical form: version header, charge line, then terms sorted ascending
-by exponent tuple with zero coefficients omitted.
+Coefficients are read exactly in Fraction's string grammar: integers
+("-3", "1_000"), ratios with an unsigned denominator ("1/3", not
+"1/-3") and decimals ("0.25", "1e-3").  Duplicate exponent tuples are
+summed on load, and writing emits a canonical form: version header,
+charge line, then terms sorted ascending by exponent tuple with zero
+coefficients omitted.
 """
 
 from __future__ import annotations
@@ -82,8 +83,16 @@ class ModelFile:
 
 
 def _parse_fraction(token: str, line_no: int, what: str) -> Fraction:
+    num, slash, den = token.partition("/")
     try:
-        return Fraction(token)
+        try:
+            # int reads what Fraction reads of an integer, and of each side of
+            # a slash between digits ("1 /2" and "1/-2" are Fraction's to refuse)
+            if slash and num[-1:].isdecimal() and den[:1].isdecimal():
+                return Fraction(int(num), int(den))
+            return Fraction(int(token))
+        except ValueError:  # decimals, exponents and every refusal
+            return Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError(line_no, f"non-numeric {what} {token!r}") from None
 
@@ -105,7 +114,7 @@ def parse_model_file(text: str, name: str | None = None) -> ModelFile:
     charge: ConservedCharge | None = None
     terms: dict[tuple[int, int, int, int], RationalComplex] = {}
     for line_no, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         fields = line.split()
@@ -129,7 +138,12 @@ def parse_model_file(text: str, name: str | None = None) -> ModelFile:
                 )
             re = _parse_fraction(fields[1], line_no, "real part")
             im = _parse_fraction(fields[2], line_no, "imaginary part")
-            exps = tuple(_parse_exponent(tok, line_no) for tok in fields[3:7])
+            try:
+                exps = tuple(map(int, fields[3:]))
+                if min(exps) < 0:
+                    raise ValueError
+            except ValueError:  # _parse_exponent words the first bad token
+                exps = tuple(_parse_exponent(tok, line_no) for tok in fields[3:])
             coeff = RationalComplex(re, im)
             prev = terms.get(exps)
             terms[exps] = coeff if prev is None else prev + coeff

@@ -131,6 +131,12 @@ class TestCheck:
         suffix = "txt" if output == "text" else "json"
         assert out == (GOLDEN / f"check_nonconserving.{suffix}").read_text(encoding="utf-8")
 
+    def test_every_literal_form_golden_output(self, capsys):
+        # the commutator prints the value each coefficient literal parsed to
+        code, out, err = run(capsys, "check", str(GOLDEN / "literals.qesb"), "--output", "json")
+        assert (code, err) == (3, "")
+        assert out == (GOLDEN / "check_literals.json").read_text(encoding="utf-8")
+
 
 class TestSpectrum:
     def test_golden_output(self, capsys):
@@ -755,6 +761,14 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("cannot read model file: ")
 
+    @pytest.mark.parametrize("path", ["", "./no-such.qesb", "no-such-dir//x.qesb"])
+    def test_unreadable_path_is_named_as_given(self, capsys, path):
+        # "" used to be read as the directory "." and named so; "a//b"
+        # and "./x" were normalized to "a/b" and "x"
+        code, out, err = run(capsys, "spectrum", path, "--kappa", "2")
+        assert (code, out) == (2, "")
+        assert err == f"cannot read model file: [Errno 2] No such file or directory: {path!r}\n"
+
     def test_non_utf8_file_is_2(self, capsys, tmp_path):
         path = tmp_path / "latin1.qesb"
         path.write_bytes("# mod\xe8le\ncharge 1 2\n".encode("latin-1"))
@@ -828,6 +842,56 @@ class TestExitCodes:
         code, _, err = run(capsys, "spectrum", SHG, "--kappa", "2", "--tol", "abc")
         assert code == 1
         assert "usage error: argument --tol: invalid float value: 'abc'" in err
+
+
+# argv that main hands to a command's own parser or, when the first argument
+# names no command, to the top-level parser
+DISPATCH_CORPUS = [
+    # every command, with options as separate words, as --opt=value and abbreviated
+    ["check", SHG], ["check", SHG, "--output", "json"], ["check", SHG, "--out=json"],
+    ["spectrum", SHG, "--kappa", "2"], ["spectrum", SHG, "--kap", "2", "--meth", "oracle"],
+    ["spectrum", SHG, "--kappa=3", "--method=reduced", "--mode=paper-literal", "--tol=1e-6"],
+    ["scan", SHG, "--kappa-max", "2"], ["scan", "--kappa-m=1", SHG],
+    ["polys", SHG, "--kappa", "2", "--output", "json"], ["polys", SHG, "--kappa", "-1"],
+    ["sextic", *SHG_COUPLINGS, "--k", "1"],
+    ["sextic", *SHG_COUPLINGS, "--k=0", "--fd", "--out", "json"],
+    # usage errors: a missing option or positional, a missing value, a bad
+    # choice, type or value, an ambiguous or unknown option, extra words
+    ["spectrum", SHG], ["check"], ["spectrum", SHG, "--kappa"],
+    ["spectrum", SHG, "--kappa", "2", "--method", "exact"], ["spectrum", SHG, "--kappa", "two"],
+    ["spectrum", SHG, "--kappa", "2", "--tol", "nan"],
+    ["sextic", *SHG_COUPLINGS, "--k", "1", "--w1", "inf"],
+    ["spectrum", SHG, "--kappa", "2", "--m", "oracle"], ["check", SHG, "--bogus"],
+    ["check", SHG, "extra", "words"], ["sextic", *SHG_COUPLINGS, "--k", "1", "--fd=yes"],
+    ["check", "--", SHG], ["check", "--", "--output"], ["scan", SHG],
+    # help at both levels, spelled out and abbreviated
+    ["-h"], ["--help"], ["--he"], ["check", "-h"], ["spectrum", "--help"],
+    ["sextic", "--he"], ["polys", SHG, "--kappa", "nan", "-h"],
+    # no command, an unknown or abbreviated one, or an option first
+    [], ["frobnicate"], ["chec", SHG], ["CHECK", SHG], ["--", "check", SHG],
+    ["--kappa", "2"], ["-x"], ["--output=json", "check", SHG],
+]
+
+
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv); help ends in SystemExit."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", DISPATCH_CORPUS, ids=" ".join)
+def test_dispatch_matches_the_top_level_parser(capsys, monkeypatch, argv):
+    direct = outcome(capsys, list(argv))
+    with monkeypatch.context() as patch:
+        # with no command to look up, every argv goes to _PARSER.parse_args
+        patch.setattr(cli, "_COMMANDS", {})
+        assert outcome(capsys, list(argv)) == direct
+    monkeypatch.setattr(sys, "argv", ["qesboson", *argv])
+    assert outcome(capsys, None) == direct
 
 
 def test_parser_reused_across_calls(capsys):

@@ -25,6 +25,7 @@ from qesboson import (
     shg_charge,
     write_model_file,
 )
+from qesboson.models import _parse_fraction
 
 SAMPLE_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -217,6 +218,84 @@ def test_parse_write_parse_round_trip(s, p, lines):
     again = parse_model_file(write_model_file(parsed))
     assert again == parsed and hash(again) == hash(parsed)
     assert write_model_file(again) == write_model_file(parsed)
+
+
+# pieces of coefficient literals, drawn often: signs, slashes, underscores,
+# decimal points, exponents, whitespace, and digits int and Fraction read
+# (Arabic-Indic, fullwidth) or both refuse (superscript two)
+LITERAL_PIECES = st.sampled_from([
+    "-", "+", "/", "_", ".", "e", "E", " ", "\t", "\u00a0",
+    "0", "1", "7", "10", "\u0663", "\uff12", "\u00b2", "x",
+])
+literal_tokens = st.one_of(
+    st.lists(LITERAL_PIECES, max_size=8).map("".join),
+    st.builds("{}/{}{}".format, st.integers(-9, 9), st.sampled_from(["", "-", "+", " "]),
+              st.integers(0, 9)),
+    st.text(max_size=6),
+)
+
+
+@settings(max_examples=600)
+@given(literal_tokens)
+@example("1/-2")
+@example("1/+2")
+@example("1 /2")
+@example("1/ 2")
+@example(" -3/4 ")
+@example("1_0/2_0")
+@example("1_/2")
+@example("1/0")
+@example("\u0663/\u0662")
+@example("1" * 5000)
+def test_parse_fraction_is_fraction(token):
+    """Same value as Fraction(token), or a refusal where Fraction refuses."""
+    try:
+        expected = Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        expected = None
+    try:
+        value = _parse_fraction(token, 3, "real part")
+    except ParseError as err:
+        assert expected is None
+        assert (err.line_no, err.reason) == (3, f"non-numeric real part {token!r}")
+    else:
+        assert type(value) is Fraction and value == expected
+
+
+def int_exponents(tokens):
+    """What parse_model_file read from four exponent tokens when it took
+    int() of each in turn: the tuple, or the reason for the first bad one."""
+    values = []
+    for tok in tokens:
+        try:
+            value = int(tok)
+        except ValueError:
+            return f"non-integer exponent {tok!r}"
+        if value < 0:
+            return f"negative exponent {value}"
+        values.append(value)
+    return tuple(values)
+
+
+EXPONENT_TOKENS = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.lists(st.sampled_from(["-", "+", "_", "0", "1", "2", "\u0663", "\u00b2", ".", "x"]),
+             min_size=1, max_size=4).map("".join),
+)
+
+
+@given(st.lists(EXPONENT_TOKENS, min_size=4, max_size=4))
+@example(["1", "-1", "x", "0"])
+@example(["x", "-1", "0", "0"])
+@example(["+1", "1_0", "\u0663", "-0"])
+def test_term_exponents_parse_as_int(tokens):
+    expected = int_exponents(tokens)
+    try:
+        model = parse_model_file(f"charge 1 1\nterm 1 0 {' '.join(tokens)}\n")
+    except ParseError as err:
+        assert (err.line_no, err.reason) == (2, expected)
+    else:
+        assert [(m.m1, m.m2, m.m3, m.m4) for m in model.h.monomials()] == [expected]
 
 
 class TestSerialization:

@@ -429,7 +429,9 @@ def wkb_reach(grid, energy, span):
     with np.errstate(all="ignore"):
         u = h * h * np.arange(257.0) ** 2
         gap = (((g6 * u + g4) * u + g2) * u + g0) - energy
-        terms = abs(g6) * u**3 + abs(g4) * u**2 + abs(g2) * u + abs(g0) + abs(energy)
+        # a zero coefficient adds no term: 0 * inf, where u^3 overflows, is NaN
+        terms = sum(abs(c) * u**p for c, p in ((g6, 3), (g4, 2), (g2, 1)) if c)
+        terms = terms + abs(g0) + abs(energy)
         f = np.sqrt(2 * np.maximum(gap, 0.0))
     allowed = gap <= -8 * np.finfo(float).eps * terms
     total = 0.0
@@ -605,6 +607,8 @@ class TestOscillatorLevels:
     @example(case=((0.0, 1.0, -3.0, 1.0), 0.05), k=0, count=2)  # a barrier, then an outer well
     # E = V(0), where the halved span's sum falls short of the coarser one's crossing
     @example(case=((0.0, 0.007318622200453623, 8.149736284549615e20, 569170129914901.6), 0.0), k=0, count=1)
+    # c6 = 0 and u^3 beyond double range near the outer turning point
+    @example(case=((0.0, -1e108, 1.0, 0.0), -1.0), k=0, count=1)
     def test_basis_reaches_the_wkb_range_on_every_scale(self, case, k, count):
         # finite levels or NumericalFailure, never another exception; every
         # basis reaches the WKB crossing on the grid of the span sqrt(R) 2^j
