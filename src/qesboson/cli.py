@@ -437,6 +437,8 @@ def _cmd_sextic(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    if len(argv) > 1 and argv[0] == "--" and argv[1] in _COMMANDS:
+        argv = argv[1:]  # a leading -- ends the options before the command
     try:
         # a command's own parser reads the rest in one pass, with the prog and
         # error() it has under _PARSER; none, -h, -- or another word go to _PARSER

@@ -372,7 +372,7 @@ def test_operator_algebra_demo_matches_golden():
     """demos/operator_algebra.py, the one caller of apply_to_fock outside
     the tests, prints tests/golden/demo_operator_algebra.txt byte for byte."""
     root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONWARNINGS="error::RuntimeWarning")
     proc = subprocess.run(
         [sys.executable, str(root / "demos" / "operator_algebra.py")],
         capture_output=True, env=env,

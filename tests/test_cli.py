@@ -16,6 +16,9 @@ from qesboson import SpectrumReport, cli, energy_polynomial_table, oracle, parse
 from qesboson._lapack import paired_distances
 from qesboson.cli import main
 
+# a numpy RuntimeWarning (an overflow, say) that a command lets out is an error
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 SAMPLE_DIR = Path(__file__).resolve().parent.parent / "models"
 SHG = str(SAMPLE_DIR / "shg.qesb")
 SHG_COUPLINGS = ["--w1", "1", "--w2", "2", "--kre", "0.5", "--kbre", "0.5"]
@@ -98,7 +101,7 @@ class TestCheck:
         code, out, _ = run(capsys, "check", str(bad))
         assert code == 3
         assert "conserves: no" in out
-        assert "[K,H] =" in out and "a1+^2 a2" in out
+        assert "\n[K,H] = " in out and "a1+^2 a2" in out
 
     def test_byte_order_mark_is_ignored(self, capsys, tmp_path):
         """A model file saved with a UTF-8 byte-order mark checks as the
@@ -780,6 +783,7 @@ class TestExitCodes:
         *(("spectrum", "--kappa", kappa, "--method", method)
           for kappa in ("2", "-1") for method in ("oracle", "reduced", "both")),
         ("scan", "--kappa-max", "2"),
+        ("scan", "--kappa-max", "3"),
         ("scan", "--kappa-max", "-3"),
         ("polys", "--kappa", "2"),
         ("polys", "--kappa", "-1"),
@@ -868,8 +872,11 @@ DISPATCH_CORPUS = [
     ["-h"], ["--help"], ["--he"], ["check", "-h"], ["spectrum", "--help"],
     ["sextic", "--he"], ["polys", SHG, "--kappa", "nan", "-h"],
     # no command, an unknown or abbreviated one, or an option first
-    [], ["frobnicate"], ["chec", SHG], ["CHECK", SHG], ["--", "check", SHG],
+    [], ["frobnicate"], ["chec", SHG], ["CHECK", SHG],
     ["--kappa", "2"], ["-x"], ["--output=json", "check", SHG],
+    # a leading -- before anything but a command name (main reads -- and a
+    # command as that command; tests/test_cli_contract.py runs it)
+    ["--"], ["--", "frobnicate"], ["--", "-h"], ["--", "--", "check", SHG],
 ]
 
 
@@ -911,18 +918,26 @@ def test_parser_reused_across_calls(capsys):
     assert [code for code, _, _ in fresh] == [1, 0]
 
 
-@pytest.mark.parametrize("model, kappa", [("trilinear3.qesb", "1797"), ("shg.qesb", "1198")])
-def test_stdout_independent_of_blas_threads(model, kappa):
-    """The d = 600 blocks print the same bytes at 1 and at 2 BLAS threads,
-    residuals included; a dense residual product changed the last digits
-    of residuals.oracle at SHG kappa = 1198."""
+@pytest.mark.parametrize("argv", [
+    ["spectrum", str(SAMPLE_DIR / "trilinear3.qesb"), "--kappa", "1797", "--method", "both"],
+    ["spectrum", SHG, "--kappa", "1198", "--method", "both"],
+    ["polys", SHG, "--kappa", "200", "--output", "json"],
+    ["sextic", *SHG_COUPLINGS, "--k", "3", "--fd", "--output", "json"],
+    # the analytic benchmark's largest request class: 4 block levels, 4 sector levels
+    ["sextic", *SEXTIC_FD_K7, "--fd", "--output", "json"],
+], ids=["trilinear3-k1797", "shg-k1198", "polys-shg-k200", "sextic-k3", "sextic-k7"])
+def test_stdout_independent_of_blas_threads(argv):
+    """The d = 600 blocks, the energy polynomials and the sextic levels, all
+    solved through qesboson._lapack, print the same bytes at 1 and at 2
+    BLAS threads, residuals included; a dense residual product changed the
+    last digits of residuals.oracle at SHG kappa = 1198."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    argv = [sys.executable, "-m", "qesboson.cli", "spectrum", str(SAMPLE_DIR / model)]
     outputs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONWARNINGS="error::RuntimeWarning")
         proc = subprocess.run(
-            [*argv, "--kappa", kappa, "--method", "both"], capture_output=True, text=True, env=env
+            [sys.executable, "-m", "qesboson.cli", *argv], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
@@ -1003,7 +1018,6 @@ class TestUnrepresentableBlocks:
 
     # every entry fits in a double; the residual norm of the oracle's block
     # (and of the dense reduced block of the wide model) overflows to inf
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "model,method,err",
         [
@@ -1112,6 +1126,8 @@ JSON_LAYOUT_CASES = {
         0, ["spectrum", str(SAMPLE_DIR / "trilinear3.qesb"), "--kappa", "30", "--method", "reduced"]
     ),
     "spectrum_empty_block": (0, ["spectrum", "empty.qesb", "--kappa", "1"]),
+    "polys_shg_k200": (0, ["polys", SHG, "--kappa", "200", "--output", "json"]),
+    "polys_complex_k40": (0, ["polys", "complex.qesb", "--kappa", "40", "--output", "json"]),
     # oracle and reduced agree as multisets but not in their sorted order; min-cost
     # pairing matches them: exit 0
     "spectrum_non_hermitian_k8": (0, ["spectrum", "non_hermitian.qesb", "--kappa", "8"]),
@@ -1124,6 +1140,7 @@ JSON_LAYOUT_CASES = {
 def test_json_output_is_indent_2_dumps(capsys, tmp_path, monkeypatch, name):
     code, argv = JSON_LAYOUT_CASES[name]
     (tmp_path / "empty.qesb").write_text("charge 2 3\nterm 1 0 1 1 0 0\n")
+    (tmp_path / "complex.qesb").write_text(COMPLEX_MODEL)
     # models/shg.qesb with one coupling negated: not Hermitian, complex-conjugate levels
     (tmp_path / "non_hermitian.qesb").write_text(
         Path(SHG).read_text().replace("term 1/2 0 0 2 1 0", "term -1/2 0 0 2 1 0")

@@ -209,7 +209,9 @@ def test_cli_does_not_import_scipy_packages(tmp_path):
     commands = [
         ["check", SHG],
         ["spectrum", SHG, "--kappa", "40", "--method", "both"],
+        ["spectrum", SHG, "--kappa", "400", "--method", "both"],
         ["spectrum", str(non_hermitian), "--kappa", "5", "--method", "both"],
+        ["spectrum", str(non_hermitian), "--kappa", "8", "--method", "both"],
         ["scan", SHG, "--kappa-max", "12"],
         ["polys", SHG, "--kappa", "8", "--output", "json"],
         ["sextic", "--w1", "1", "--w2", "2", "--kre", "0.5", "--kbre", "0.5", "--k", "3", "--fd"],

@@ -663,7 +663,7 @@ def test_block_spectra_demo_matches_golden():
     spectra table's eigenvalue columns byte for byte, and each deviation,
     which rests on LAPACK's last bits, within 1e-12."""
     root = MODELS.parent
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONWARNINGS="error::RuntimeWarning")
     proc = subprocess.run(
         [sys.executable, str(root / "demos" / "block_spectra.py")],
         capture_output=True, env=env,

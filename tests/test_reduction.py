@@ -635,7 +635,7 @@ def test_energy_polynomials_demo_matches_golden():
     tests/golden/demo_energy_polynomials.txt byte for byte: its polynomials
     are exact and every float it prints is rounded to at most 9 digits."""
     root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONWARNINGS="error::RuntimeWarning")
     proc = subprocess.run(
         [sys.executable, str(root / "demos" / "energy_polynomials.py")],
         capture_output=True, env=env,

@@ -1,8 +1,11 @@
 import dataclasses
 import math
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -429,8 +432,10 @@ def wkb_reach(grid, energy, span):
     with np.errstate(all="ignore"):
         u = h * h * np.arange(257.0) ** 2
         gap = (((g6 * u + g4) * u + g2) * u + g0) - energy
-        # a zero coefficient adds no term: 0 * inf, where u^3 overflows, is NaN
-        terms = sum(abs(c) * u**p for c, p in ((g6, 3), (g4, 2), (g2, 1)) if c)
+        # each magnitude |c| u^p is formed as (|c|^(1/p) u)^p, so that u^p
+        # beyond double range cannot make a finite term inf; a zero
+        # coefficient adds no term
+        terms = sum((abs(c) ** (1 / p) * u) ** p for c, p in ((g6, 3), (g4, 2), (g2, 1)) if c)
         terms = terms + abs(g0) + abs(energy)
         f = np.sqrt(2 * np.maximum(gap, 0.0))
     allowed = gap <= -8 * np.finfo(float).eps * terms
@@ -609,6 +614,8 @@ class TestOscillatorLevels:
     @example(case=((0.0, 0.007318622200453623, 8.149736284549615e20, 569170129914901.6), 0.0), k=0, count=1)
     # c6 = 0 and u^3 beyond double range near the outer turning point
     @example(case=((0.0, -1e108, 1.0, 0.0), -1.0), k=0, count=1)
+    # c6 = 8e-215 on the grid: u^3 overflows near u = 1e108 although c6 u^3 is finite
+    @example(case=((0.0, -10.0, 0.0, 1e-215), -1.0), k=0, count=1)
     def test_basis_reaches_the_wkb_range_on_every_scale(self, case, k, count):
         # finite levels or NumericalFailure, never another exception; every
         # basis reaches the WKB crossing on the grid of the span sqrt(R) 2^j
@@ -645,3 +652,14 @@ def test_block_levels_inside_sextic_spectrum():
     pot = sextic_potential(1, 2, Fraction(1, 2), Fraction(1, 2), 2)
     fd_levels = fd_spectrum(pot, 6.0, 4000)
     assert max(np.abs(fd_levels - (e + 2)).min() for e in reference) <= 1e-3
+
+
+def test_sextic_oscillator_demo_runs():
+    """demos/sextic_oscillator.py ends with exit 0 when a numpy
+    RuntimeWarning (an overflow, say) is an error."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONWARNINGS="error::RuntimeWarning")
+    proc = subprocess.run(
+        [sys.executable, str(root / "demos" / "sextic_oscillator.py")], capture_output=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
