@@ -16,8 +16,8 @@ factorial, in C), and build_block makes each entry a float by one correctly
 rounded operation on exact integers of any size; _first_overflow walks the
 exact amplitudes column by column to name the first that overflows a
 double.  The block keeps that band form (FockBlock.bands: shift -> columns
-and float values) and fills a dense matrix (_dense, the reduced route's
-fill too) or enumerates its basis only on first use of either.
+and float values) and fills a dense matrix (FockBlock.matrix) or
+enumerates its basis only on first use of either.
 
 Closure is conservation, which build_block alone decides on this route:
 it refuses a Hamiltonian that does not conserve the charge
@@ -41,11 +41,11 @@ nonzero entry the dense M @ v would multiply, in O(n^2) rather than
 O(n^3), with no BLAS call, so the residual has the same bits at any BLAS
 thread count.  Every other block takes its residual on the dense matrix.
 
-Both routes share this one solve, _solve_block, and its one residual gate,
-RESIDUAL_TOL: the oracle hands it its three bands or the dense Fock block,
-the reduced route the band of its Jacobi matrix, built from the reduced
-entries alone, or the dense reduced block, so the routes differ in the
-matrix or band they pass, not in the solver or the checks.
+Both routes hand this one solve, _solve_block, a band block (FockBlock):
+the oracle its Fock block, the reduced route its Jacobi matrix or its
+reduced block.  The solve alone packs bands for LAPACK, picks stevd, eigh
+or eig and applies the one residual gate, RESIDUAL_TOL, so the routes
+differ in the block they pass, not in the solver or the checks.
 """
 
 from __future__ import annotations
@@ -200,22 +200,12 @@ def _unrepresentable(state: FockState, target: FockState) -> NumericalFailure:
     )
 
 
-def _dense(bands: dict[int, tuple[list[int], list | np.ndarray]], dim: int, dtype) -> np.ndarray:
-    """The dim x dim matrix of dtype with band k's values at (column + k,
-    column), zero elsewhere, in one assignment: both routes' dense fill."""
-    matrix = np.zeros((dim, dim), dtype=dtype)
-    rows = [j + k for k, (nz, _) in bands.items() for j in nz]
-    cols = [j for nz, _ in bands.values() for j in nz]
-    matrix[rows, cols] = np.concatenate([np.zeros(0, dtype), *(v for _, v in bands.values())])
-    return matrix
-
-
 @dataclass(frozen=True, eq=False)
 class FockBlock:
-    """A charge block: its dimension and h's exact restriction in band form
-    as build_block assembles it, shift -> (columns, values of dtype:
-    float64 when h has real coefficients, complex otherwise), the entry in
-    row column + shift.  matrix is formed on first use."""
+    """The float band block of both routes, which _solve_block solves: its
+    dimension and bands, shift -> (columns, values of dtype), the entry in
+    row column + shift; h's restriction from build_block, or the reduced
+    route's J or R.  matrix, zero off the bands, is formed on first use."""
 
     dimension: int
     bands: dict[int, tuple[list[int], np.ndarray]]
@@ -223,7 +213,10 @@ class FockBlock:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        return _dense(self.bands, self.dimension, self.dtype)
+        matrix = np.zeros((self.dimension, self.dimension), dtype=self.dtype)
+        for k, (nz, values) in self.bands.items():
+            matrix[[j + k for j in nz], nz] = values
+        return matrix
 
 
 def build_block(
@@ -269,8 +262,15 @@ def build_block(
             bands[k] = nz, np.array(values, dtype=dtype)
     except OverflowError:
         raise _first_overflow(h, charge, kappa) from None
-    if not all(np.isfinite(values).all() for _, values in bands.values()):
-        row, col = np.argwhere(~np.isfinite(_dense(bands, len(n2s), dtype)))[0]
+    # (row, column) of every non-finite entry: the least is the first in row-major order
+    bad = [
+        (nz[j] + k, nz[j])
+        for k, (nz, values) in bands.items()
+        if not np.isfinite(values).all()
+        for j in np.flatnonzero(~np.isfinite(values))
+    ]
+    if bad:
+        row, col = min(bad)
         raise _unrepresentable(FockState(n1s[col], n2s[col]), FockState(n1s[row], n2s[row]))
     return FockBlock(len(n2s), bands, dtype)
 
@@ -366,63 +366,55 @@ def sort_eigenpairs(
 def diagonalize_block(
     h: OperatorPolynomial, charge: ConservedCharge, kappa: int
 ) -> tuple[FockBlock, np.ndarray, np.ndarray, str, float]:
-    """Full eigensystem of one block.
-
-    Uses the Hermitian eigensolver when h is exactly Hermitian (real
-    eigenvalues, orthonormal eigenvectors) and the general dense solver
-    otherwise, in real arithmetic when the block is real.  A real Hermitian
-    block that algebra._band_shape finds tridiagonal goes to _solve_block
-    as its three bands, with no dense matrix formed, every other block as
-    its dense matrix.  Returns (block, values, vectors, method, max_residual) with
-    the eigenpairs sorted ascending by (real, imag); values are complex,
+    """Full eigensystem of one block: build_block's band block, solved by
+    _solve_block as Hermitian when h is exactly Hermitian (real
+    eigenvalues, orthonormal eigenvectors) and as general otherwise.
+    Returns (block, values, vectors, method, max_residual) with the
+    eigenpairs sorted ascending by (real, imag); values are complex,
     vectors have the dtype the solver returns (float64 for a real Hermitian
     block).  Raises NumericalFailure when _solve_block refuses the solve.
     """
     block = build_block(h, charge, kappa)
     hermitian = is_hermitian(h)
-    if hermitian and block.dtype is float and _band_shape(block.bands, block.dimension).tridiagonal:
-        # row k % 3 holds band k: diagonal, subdiagonal (from column 0), superdiagonal (from 1)
-        rows = np.zeros((3, block.dimension))
-        for k, (cols, values) in block.bands.items():
-            rows[k, cols] = values
-        form = rows[0], rows[1, :-1], rows[2, 1:]
-    else:
-        form = block.matrix
-    values, vectors, max_residual = _solve_block(f"block kappa={kappa}", form, hermitian)
+    values, vectors, max_residual = _solve_block(f"block kappa={kappa}", block, hermitian)
     return block, values, vectors, "hermitian" if hermitian else "general", max_residual
 
 
 def _solve_block(
-    name: str, form: np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray], hermitian: bool
+    name: str, block: FockBlock, hermitian: bool
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Eigenvalues, eigenvectors and worst eigenpair residual of one block:
-    the one solve of both routes and of EnergyPolynomialTable.spectrum.
+    """Eigenvalues, eigenvectors and worst eigenpair residual of one band
+    block: the one solve of both routes and of EnergyPolynomialTable.spectrum.
 
-    form is the band (diagonal, lower, upper) of a real symmetric
-    tridiagonal matrix, solved by stevd on its diagonal and subdiagonal
-    with the residual taken on the band, or a dense matrix, solved by eigh
-    when hermitian and by eig otherwise with the residual taken on the full
-    matrix.  The eigenvalues are complex and ascending by (real, imag),
-    which is stevd's own order; the eigenvectors have the solver's dtype.
-    An empty block has no eigenpairs, residual 0 and vectors of the dtype
-    its solver would return.  Raises NumericalFailure, naming the block by
-    name, when the worst residual exceeds RESIDUAL_TOL or is NaN, and, with
-    residual NaN, when LAPACK does not converge (checked_solve).
+    A real hermitian block that algebra._band_shape finds tridiagonal is
+    packed here into its diagonal, subdiagonal and superdiagonal, solved by
+    stevd on the first two with the residual taken on all three, and forms
+    no dense matrix.  Every other block is solved on block.matrix, by eigh
+    when hermitian and by eig otherwise, with the residual taken on it.
+    The eigenvalues are complex and ascending by (real, imag), which is
+    stevd's own order; the eigenvectors have the solver's dtype.  An empty
+    block has no eigenpairs, residual 0 and vectors of its dtype.  Raises
+    NumericalFailure, naming the block by name, when the worst residual
+    exceeds RESIDUAL_TOL or is NaN, and, with residual NaN, when LAPACK does
+    not converge (checked_solve).
     """
-    band = isinstance(form, tuple)
-    if not len(form[0] if band else form):
-        empty = np.zeros((0, 0), dtype=float if band else form.dtype)
-        return np.zeros(0, dtype=complex), empty, 0.0
+    dim = block.dimension
+    if not dim:
+        return np.zeros(0, dtype=complex), np.zeros((0, 0), dtype=block.dtype), 0.0
     # entries above about 1e154 overflow the residual norm to inf, refused below
     with checked_solve(name), np.errstate(over="ignore"):
-        if band:
-            diagonal, lower, upper = form
+        if hermitian and block.dtype is float and _band_shape(block.bands, dim).tridiagonal:
+            # row k % 3 holds band k: diagonal, subdiagonal (from column 0), superdiagonal (from 1)
+            rows = np.zeros((3, dim))
+            for k, (cols, values) in block.bands.items():
+                rows[k, cols] = values
+            diagonal, lower, upper = rows[0], rows[1, :-1], rows[2, 1:]
             values, vectors = stevd(diagonal, lower)
             residuals = _band_residuals(diagonal, lower, upper, values, vectors)
         else:
             solver = np.linalg.eigh if hermitian else np.linalg.eig
-            values, vectors = sort_eigenpairs(*solver(form))
-            residuals = eigen_residual(form, values, vectors)
+            values, vectors = sort_eigenpairs(*solver(block.matrix))
+            residuals = eigen_residual(block.matrix, values, vectors)
     worst = float(residuals.max())
     if not worst <= RESIDUAL_TOL:
         raise NumericalFailure(

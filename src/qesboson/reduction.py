@@ -22,9 +22,10 @@ finds tridiagonal with full off-diagonals b_i = R[i, i+1], c_i = R[i+1, i],
 whose products b_i c_i are positive and whose diagonal is real, is therefore
 solved as the symmetric Jacobi matrix with off-diagonals sqrt(b_i c_i), a
 diagonal similarity of R (Golub & Welsch 1969); every other block keeps a
-dense eig of R.  The solve is the oracle's (oracle._solve_block), with
-its one residual gate, so the routes differ in the band or matrix they
-pass, not in the solver or the checks.
+dense eig of R.  Like the oracle, this route hands J or R's own float
+entries to the one solve (oracle._solve_block) as a band block
+(oracle.FockBlock), so the routes differ in the block they pass, not in
+the solver or its residual gate.
 
 A block is assembled from h's coefficients as integer numerators over one
 common denominator (algebra._integer_terms, the oracle's own integer form
@@ -32,11 +33,11 @@ of h) times two integer falling factorials, band by band: each band's
 numerators come from one pass over the degrees (algebra._block_bands, the
 oracle's own band assembly, read over the block's states in degree order).
 The block keeps that band form from assembly to solve (ReducedBlock.bands).
-The dense float matrix and the Jacobi data are formed straight from its
-integers, each float by one correctly rounded integer division.  The
-energy polynomials exist where _band_shape finds no entry right of the
-recurrence's superdiagonal and none vanishing on it; their recurrence runs
-fraction-free on the numerators, in Gaussian integers (energy_polynomial_table).
+Its float band block and J are formed straight from its integers, each
+float by one correctly rounded integer division.  The energy polynomials
+exist where _band_shape finds no entry right of the recurrence's
+superdiagonal and none vanishing on it; their recurrence runs fraction-free
+on the numerators, in Gaussian integers (energy_polynomial_table).
 
 Closure is conservation, as on the oracle route: ReducedOperator, which
 matrix_element_reduction builds, refuses terms that do not conserve the
@@ -84,9 +85,9 @@ from .errors import (
 )
 from .exact import Polynomial, Rationalish, RationalComplex
 from .oracle import (
+    FockBlock,
     SpectrumReport,
     _block_run,
-    _dense,
     _non_conserving,
     _solve_block,
     eigen_residual,  # unused here; perfbench/spans.py looks it up in this module
@@ -175,8 +176,8 @@ def _unrepresentable() -> NumericalFailure:
 class ReducedBlock:
     """Finite single-variable block: admissible degrees and the block in
     band form, bands as ReducedOperator.block_entries returns them, with
-    integer numerators over one common denominator.  matrix (dense float
-    form, straight from the integers) is built on first use."""
+    integer numerators over one common denominator.  Its float band block
+    (oracle.FockBlock) and that block's matrix are formed on first use."""
 
     degrees: tuple[int, ...]
     bands: _Bands
@@ -187,20 +188,24 @@ class ReducedBlock:
         return len(self.degrees)
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        """Complex matrix of the entries complex(re / D, im / D), filled by the
-        oracle's dense fill (oracle._dense).  Integer true division is
-        correctly rounded, so each float is the exact entry converted.
-        Raises NumericalFailure when an entry does not fit in a double."""
+    def _floats(self) -> FockBlock:
+        """The complex band block of the entries complex(re / D, im / D).
+        Integer true division is correctly rounded, so each float is the
+        exact entry converted.  Raises NumericalFailure when an entry does
+        not fit in a double."""
         d = self.denominator
         try:
-            bands = {
-                k: (cols, [complex(re / d, im / d) for re, im in zip(res, ims or repeat(0))])
-                for k, (cols, res, ims) in self.bands.items()
-            }
+            bands = {}
+            for k, (cols, res, ims) in self.bands.items():
+                values = [complex(re / d, im / d) for re, im in zip(res, ims or repeat(0))]
+                bands[k] = cols, np.array(values)
         except OverflowError:
             raise _unrepresentable() from None
-        return _dense(bands, self.dimension, complex)
+        return FockBlock(self.dimension, bands, complex)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self._floats.matrix
 
 
 def reduced_block_matrix(
@@ -228,17 +233,17 @@ def _log_ratio(num: int, den: int) -> float:
 class _JacobiForm:
     """Symmetric tridiagonal J = S^-1 R S of a three-term block R.
 
-    diagonal and off hold J.  upper holds the numerators (re, im) of
-    b_i = R[i, i+1] and products those of b_i c_i, both over powers of
-    denominator.  S = diag(phase * exp(log_scale)) with s_0 = 1 and
-    s_{i+1} = s_i sqrt(b_i c_i) / b_i; it is kept in log space because its
-    range exceeds double precision on large blocks.  Only eigenvectors need
-    S, so log_scale and phase are formed on first use: a spectrum never pays
-    for them, and never fails for want of double range in them.
+    block is J, a real band block with bands 0, -1 and 1.  upper holds the
+    numerators (re, im) of b_i = R[i, i+1] and products those of b_i c_i,
+    both over powers of denominator.  S = diag(phase * exp(log_scale)) with
+    s_0 = 1 and s_{i+1} = s_i sqrt(b_i c_i) / b_i; it is kept in log space
+    because its range exceeds double precision on large blocks.  Only
+    eigenvectors need S, so log_scale and phase are formed on first use: a
+    spectrum never pays for them, and never fails for want of double range
+    in them.
     """
 
-    diagonal: np.ndarray
-    off: np.ndarray
+    block: FockBlock
     upper: list[tuple[int, int]]
     products: list[int]
     denominator: int
@@ -313,12 +318,12 @@ def _jacobi_form(bands: _Bands, denom: int, dim: int) -> _JacobiForm | None:
         return None
     denom2 = denom * denom
     try:
-        off = [math.sqrt(product / denom2) for product in products]
-        diagonal = np.zeros(dim)
-        diagonal[cols] = [re / denom for re in res]
+        off = np.array([math.sqrt(product / denom2) for product in products])
+        diagonal = np.array([re / denom for re in res])
     except OverflowError:
         raise _unrepresentable() from None
-    return _JacobiForm(diagonal, np.array(off), upper, products, denom)
+    bands = {0: (cols, diagonal), -1: (list(range(1, dim)), off), 1: (list(range(dim - 1)), off)}
+    return _JacobiForm(FockBlock(dim, bands, float), upper, products, denom)
 
 
 def _solve(
@@ -328,15 +333,15 @@ def _solve(
     reduced block, by the oracle's block solve (oracle._solve_block); name
     names the block in its messages.
 
-    A block with a Jacobi form (_jacobi_form) passes the band of J, and
-    the eigenvectors returned are those of J; any other block, the empty
-    one included, passes its dense matrix as a non-Hermitian block.
+    A block with a Jacobi form (_jacobi_form) passes J as a Hermitian
+    block, and the eigenvectors returned are those of J; any other block,
+    the empty one included, passes its complex float block as a
+    non-Hermitian one.
     """
     jacobi = _jacobi_form(block.bands, block.denominator, block.dimension)
     if jacobi is None:
-        return (*_solve_block(name, block.matrix, False), None)
-    band = jacobi.diagonal, jacobi.off, jacobi.off
-    return (*_solve_block(name, band, True), jacobi)
+        return (*_solve_block(name, block._floats, False), None)
+    return (*_solve_block(name, jacobi.block, True), jacobi)
 
 
 @dataclass(frozen=True)

@@ -573,6 +573,22 @@ def reference_jacobi_form(entries, dim):
     }
 
 
+def jacobi_data(jacobi):
+    """reference_jacobi_form's arrays as _jacobi_form keeps them: J's
+    diagonal and off-diagonal read off its band block, whose two
+    off-diagonal bands hold the same values over all dim - 1 columns, and
+    the similarity's log_scale and phase."""
+    block = jacobi.block
+    assert block.dtype is float and block.bands.keys() == {-1, 0, 1}
+    cols, values = block.bands[0]
+    diagonal = np.zeros(block.dimension)
+    diagonal[cols] = values
+    (above, off), (below, off_below) = block.bands[-1], block.bands[1]
+    assert above == list(range(1, block.dimension)) and below == list(range(block.dimension - 1))
+    assert off_below.tobytes() == off.tobytes()
+    return {"diagonal": diagonal, "off": off, "log_scale": jacobi.log_scale, "phase": jacobi.phase}
+
+
 nonzero_fractions = fractions.filter(bool)
 
 
@@ -613,21 +629,35 @@ def test_reduced_float_data_bits_match_exact_entries(mode, model):
     expected = reference_jacobi_form(entries, len(degrees))
     assert (jacobi is None) == (expected is None)
     if expected is not None:
+        got = jacobi_data(jacobi)
         for name, value in expected.items():
-            got = getattr(jacobi, name)
-            assert got.dtype == value.dtype and got.tobytes() == value.tobytes(), name
+            assert got[name].dtype == value.dtype and got[name].tobytes() == value.tobytes(), name
 
     # qes_spectrum and the energy polynomials' spectrum both run the
-    # block's own solve on exactly this data
+    # block's own solve on exactly this data: J's two diagonals to stevd,
+    # any other block's dense matrix to eig
     table = energy_polynomial_table(h, charge, kappa)
     if not degrees:
         return
+    stevd, eig, solved = oracle.stevd, np.linalg.eig, []
+
+    def spy_stevd(diagonal, off):
+        solved.append((diagonal.tobytes(), off.tobytes()))
+        return stevd(diagonal, off)
+
+    def spy_eig(matrix):
+        solved.append(matrix.tobytes())
+        return eig(matrix)
+
+    with patch.object(oracle, "stevd", spy_stevd), patch.object(np.linalg, "eig", spy_eig):
+        spectra = table.spectrum(), np.array(qes_spectrum(h, charge, kappa).eigenvalues)
     if expected is not None:
         values = eigh_tridiagonal(expected["diagonal"], expected["off"])[0].astype(complex)
+        assert solved == [(expected["diagonal"].tobytes(), expected["off"].tobytes())] * 2
     else:
         values = sort_eigenpairs(*np.linalg.eig(dense))[0]
-    assert table.spectrum().tobytes() == values.tobytes()
-    assert np.array(qes_spectrum(h, charge, kappa).eigenvalues).tobytes() == values.tobytes()
+        assert solved == [dense.tobytes()] * 2
+    assert [spectrum.tobytes() for spectrum in spectra] == [values.tobytes()] * 2
 
 
 def reference_energy_polynomials(entries, d):
@@ -752,10 +782,9 @@ def test_large_block_entries_and_jacobi_data_match_exact_entries(name):
     block = ReducedBlock(*op.block_entries(kappa))
     degrees, entries = reference_block_entries(h, charge, kappa)
     assert (block.degrees, exact_entries(block)) == (degrees, entries)
-    jacobi = _jacobi_form(block.bands, block.denominator, block.dimension)
+    got = jacobi_data(_jacobi_form(block.bands, block.denominator, block.dimension))
     for key, value in reference_jacobi_form(entries, len(degrees)).items():
-        got = getattr(jacobi, key)
-        assert got.dtype == value.dtype and got.tobytes() == value.tobytes(), key
+        assert got[key].dtype == value.dtype and got[key].tobytes() == value.tobytes(), key
 
 
 # Refusal messages: a Hamiltonian that does not conserve the charge is
@@ -825,6 +854,35 @@ def test_block_matrix_overflow_walk_stops_at_its_column(monkeypatch):
         " amplitude that does not fit in double precision"
     )
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("h, charge, kappa, source, target", [
+    # only the products with the ladder factor overflow, to inf: (4, 3) in
+    # band 1, assembled first, and (0, 1) in band -1, first in row-major order
+    (monomial(3 * 10**307, 0, 1, 2, 1) + monomial(3 * 10**307, 2, 1, 0, 1), ConservedCharge(1, 1),
+     4, (3, 1), (4, 0)),
+    # d = 8001, whose dense float matrix would take 512 MB
+    (monomial(1, 1, 1, 0, 0) + monomial(10**304, 2, 0, 0, 1), C12, 16000, (15996, 2), (15998, 1)),
+])
+def test_product_overflow_is_named_off_the_bands(monkeypatch, h, charge, kappa, source, target):
+    zeros = np.zeros
+
+    def no_matrix(shape, *args, **kwargs):
+        assert np.ndim(shape) == 0 or len(shape) < 2, f"a {shape} matrix was formed"
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", no_matrix)
+    monkeypatch.setattr(oracle.FockBlock, "matrix", property(_refuse_matrix))
+    with pytest.raises(NumericalFailure) as info:
+        oracle.build_block(h, charge, kappa)
+    assert str(info.value) == (
+        f"h maps {FockState(*source)} to {FockState(*target)} with an amplitude that"
+        " does not fit in double precision"
+    )
+
+
+def _refuse_matrix(block):
+    raise AssertionError("the refusal formed the dense matrix")
 
 
 @pytest.mark.parametrize("terms", [

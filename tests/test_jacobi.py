@@ -34,7 +34,7 @@ from qesboson import (
     reduced_eigensystem,
     shg_charge,
 )
-from qesboson import oracle
+from qesboson import oracle, reduction
 from qesboson.cli import main
 from qesboson.exact import integer_numerators
 from qesboson.oracle import _band_residuals
@@ -180,6 +180,61 @@ def test_non_hermitian_shg_keeps_dense_eig(kappa):
     )
 
 
+def _refuse(*args):
+    raise AssertionError("the reduced route called a solver it must not call")
+
+
+def _solves(monkeypatch):
+    """The (block, hermitian) of every call the reduced route makes to the
+    one block solve."""
+    calls, solve = [], reduction._solve_block
+
+    def spy(name, block, hermitian):
+        calls.append((block, hermitian))
+        return solve(name, block, hermitian)
+
+    monkeypatch.setattr(reduction, "_solve_block", spy)
+    return calls
+
+
+@pytest.mark.parametrize("route", ["spectrum", "eigensystem", "polynomials"])
+def test_jacobi_block_reaches_the_solve_as_float_bands(monkeypatch, route):
+    # J goes to the solve as a real band block, which packs it for stevd
+    # and forms no dense matrix
+    h, charge = load("shg")
+    calls = _solves(monkeypatch)
+    stevd, packed = oracle.stevd, []
+    monkeypatch.setattr(oracle, "stevd", lambda d, e: packed.append(len(d)) or stevd(d, e))
+    monkeypatch.setattr(np.linalg, "eig", _refuse)
+    monkeypatch.setattr(np.linalg, "eigh", _refuse)
+    if route == "spectrum":
+        qes_spectrum(h, charge, 41)
+    elif route == "eigensystem":
+        reduced_eigensystem(h, charge, 41)
+    else:
+        energy_polynomial_table(h, charge, 41).spectrum()
+    [(block, hermitian)] = calls
+    assert hermitian and block.dtype is float and block.bands.keys() == {-1, 0, 1}
+    assert packed == [block.dimension] == [21]
+    assert "matrix" not in vars(block)
+
+
+def test_non_jacobi_block_reaches_the_solve_as_complex_dense(monkeypatch):
+    # kc * kb < 0: R's own complex float entries go to the solve, which
+    # solves the reduced block's dense matrix by eig
+    h = build_shg(1, 2, Fraction(1, 2), Fraction(-1, 2))
+    calls = _solves(monkeypatch)
+    eig, solved = np.linalg.eig, []
+    monkeypatch.setattr(oracle, "stevd", _refuse)
+    monkeypatch.setattr(np.linalg, "eigh", _refuse)
+    monkeypatch.setattr(np.linalg, "eig", lambda m: solved.append(m) or eig(m))
+    reduced, *_ = reduced_eigensystem(h, shg_charge(), 21)
+    [(block, hermitian)] = calls
+    assert not hermitian and block.dtype is complex and block.dimension == 11
+    assert [m is block.matrix for m in solved] == [True]
+    assert reduced.matrix is block.matrix
+
+
 # exponents (m1, m2, m3, m4) conserving N1 + N2; the last two move n1 by 2
 PENTADIAGONAL_TERMS = (
     (1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 0, 1), (0, 1, 1, 0),
@@ -208,9 +263,9 @@ def test_random_pentadiagonal_models_keep_dense_eig(hermitian):
 
 def test_jacobi_residuals_match_dense_residuals():
     rng = np.random.default_rng(7)
-    diagonal, off = rng.normal(size=9), rng.uniform(0.5, 2.0, size=8)
+    diagonal, off_diagonal = rng.normal(size=9), rng.uniform(0.5, 2.0, size=8)
     entries = {(i, i): RationalComplex(Fraction(a)) for i, a in enumerate(diagonal)}
-    for i, e in enumerate(off):
+    for i, e in enumerate(off_diagonal):
         # split e^2 unevenly between the paired off-diagonals
         entries[(i, i + 1)] = RationalComplex(Fraction(e) * 3)
         entries[(i + 1, i)] = RationalComplex(Fraction(e) / 3)
@@ -222,16 +277,32 @@ def test_jacobi_residuals_match_dense_residuals():
         cols.append(col)
         res.append(re)
         ims.append(im)
-    jacobi = _jacobi_form(bands, denom, len(diagonal))
-    assert np.allclose(jacobi.off, off, rtol=1e-15, atol=0)
-    values, vectors = eigh_tridiagonal(jacobi.diagonal, jacobi.off)
-    dense = np.diag(jacobi.diagonal) + np.diag(jacobi.off, 1) + np.diag(jacobi.off, -1)
+    dense = _jacobi_form(bands, denom, len(diagonal)).block.matrix
+    diagonal, off = np.diag(dense), np.diag(dense, 1)
+    assert np.array_equal(np.diag(dense, -1), off)
+    assert np.allclose(off, off_diagonal, rtol=1e-15, atol=0)
+    values, vectors = eigh_tridiagonal(diagonal, off)
     assert np.allclose(
-        _band_residuals(jacobi.diagonal, jacobi.off, jacobi.off, values, vectors),
+        _band_residuals(diagonal, off, off, values, vectors),
         eigen_residual(dense, values, vectors),
         rtol=0,
         atol=1e-15,
     )
+
+
+@pytest.mark.parametrize("kappa", [0, 1, 2, 41])
+def test_jacobi_block_matrix_is_the_symmetrized_reduced_block(kappa):
+    # d = 1 at kappa = 0 and 1 lists no column in bands -1 and 1, and the
+    # zero diagonal of kappa = 0 none in band 0
+    h, charge = load("shg")
+    block = reduced_block_matrix(h, charge, kappa)
+    j = _jacobi_form(block.bands, block.denominator, block.dimension).block.matrix
+    r = block.matrix
+    assert j.dtype == float and j.shape == r.shape and np.array_equal(j, j.T)
+    assert not np.any(np.triu(j, 2))
+    assert np.diag(j).tobytes() == np.diag(r).real.tobytes()
+    products = (np.diag(r, 1) * np.diag(r, -1)).real
+    assert np.allclose(np.diag(j, 1) ** 2, products, rtol=1e-14, atol=0)
 
 
 def test_nan_eigenvalue_fails_residual_gate(monkeypatch):

@@ -574,24 +574,31 @@ def _zero_coupling_model():
 
 
 class TestBandForm:
-    """The oracle keeps its block as bands: a real Hermitian block whose
-    band keys are among -1, 0 and 1 is solved from them with no dense
-    matrix formed, and the three arrays it solves are the diagonals of the
-    dense matrix the block forms on first use."""
+    """The oracle hands _solve_block its block as bands: a real Hermitian
+    block whose band keys are among -1, 0 and 1 is packed there and solved
+    by stevd with no dense matrix formed, and the three arrays it solves are
+    the diagonals of the dense matrix the block forms on first use."""
 
     @staticmethod
     def solve_spied(monkeypatch, h, charge, kappa):
-        forms = []
-        solve = oracle._solve_block
+        """diagonalize_block's block, the block _solve_block was given, and
+        the (diagonal, lower, upper) of every band residual it took."""
+        solved, packed = [], []
+        solve, residuals = oracle._solve_block, oracle._band_residuals
 
-        def spy(name, form, hermitian):
-            forms.append(form)
-            return solve(name, form, hermitian)
+        def spy_solve(name, block, hermitian):
+            solved.append(block)
+            return solve(name, block, hermitian)
 
-        monkeypatch.setattr(oracle, "_solve_block", spy)
+        def spy_residuals(diagonal, lower, upper, values, vectors):
+            packed.append((diagonal, lower, upper))
+            return residuals(diagonal, lower, upper, values, vectors)
+
+        monkeypatch.setattr(oracle, "_solve_block", spy_solve)
+        monkeypatch.setattr(oracle, "_band_residuals", spy_residuals)
         block, *_ = diagonalize_block(h, charge, kappa)
-        [form] = forms
-        return block, form
+        assert solved == [block]
+        return block, packed
 
     @pytest.mark.parametrize(
         "name, kappa, dim",
@@ -615,10 +622,19 @@ class TestBandForm:
         else:
             model = parse_model_file((MODELS / f"{name}.qesb").read_text(encoding="utf-8"))
             h, charge = model.hamiltonian(), model.charge
-        block, form = self.solve_spied(monkeypatch, h, charge, kappa)
+        stevd, calls = oracle.stevd, []
+
+        def spy(diagonal, lower):
+            calls.append((diagonal, lower))
+            return stevd(diagonal, lower)
+
+        monkeypatch.setattr(oracle, "stevd", spy)
+        monkeypatch.setattr(np.linalg, "eigh", _refuse("eigh"))
+        block, packed = self.solve_spied(monkeypatch, h, charge, kappa)
         assert block.dimension == dim
         assert "matrix" not in vars(block)
-        diagonal, lower, upper = form
+        [(diagonal, lower, upper)] = packed
+        assert [(d is diagonal, e is lower) for d, e in calls] == [(True, True)]
         matrix = block.matrix
         for array, k in (diagonal, 0), (lower, -1), (upper, 1):
             expected = np.diag(matrix, k)
@@ -630,14 +646,14 @@ class TestBandForm:
         # kappa = 1 has no +-2 band: both terms that would fill it vanish on
         # |1,0> and |0,1>
         monkeypatch.setattr(np.linalg, "eigh", _refuse("eigh"))
-        block, form = self.solve_spied(
+        block, packed = self.solve_spied(
             monkeypatch, PENTADIAGONAL.hamiltonian(), PENTADIAGONAL.charge, kappa
         )
         assert block.bands.keys() == keys
-        assert isinstance(form, tuple)
+        assert len(packed) == 1
         assert "matrix" not in vars(block)
         if kappa == 0:
-            assert [a.tolist() for a in form] == [[0.0], [], []]
+            assert [a.tolist() for a in packed[0]] == [[0.0], [], []]
 
     @pytest.mark.parametrize("kappa", [2, 6])
     def test_bands_beyond_one_keep_dense_eigh(self, monkeypatch, kappa):
@@ -649,11 +665,11 @@ class TestBandForm:
             return eigh(matrix)
 
         monkeypatch.setattr(np.linalg, "eigh", spy)
-        block, form = self.solve_spied(
+        block, packed = self.solve_spied(
             monkeypatch, PENTADIAGONAL.hamiltonian(), PENTADIAGONAL.charge, kappa
         )
         assert block.bands.keys() == {-2, -1, 0, 1, 2}
-        assert form is block.matrix
+        assert packed == []
         assert [m is block.matrix for m in calls] == [True]
 
 
