@@ -53,7 +53,7 @@ for kappa in range(16):
     )
     worst = max(worst, deviation)
     shown = ", ".join(f"{v.real:.6f}" for v in oracle.eigenvalues[:4])
-    if oracle.dimension > 4:
+    if len(oracle.eigenvalues) > 4:
         shown += ", ..."
-    print(f"{kappa:>5} {oracle.dimension:>4} {shown:>34} {deviation:>24.3e}")
+    print(f"{kappa:>5} {len(oracle.eigenvalues):>4} {shown:>34} {deviation:>24.3e}")
 print(f"worst deviation over kappa <= 15: {worst:.3e}")

@@ -307,7 +307,7 @@ def _cmd_scan(args) -> int:
         if not within:
             code = 4
         lines += [
-            f"{kappa},{oracle.dimension},{index},{ev.real!r},{ev.imag!r},{deviation!r}"
+            f"{kappa},{len(oracle.eigenvalues)},{index},{ev.real!r},{ev.imag!r},{deviation!r}"
             for index, (ev, deviation) in enumerate(zip(oracle.eigenvalues, deviations.tolist()))
         ]
     print("\n".join(lines))

@@ -19,12 +19,23 @@ class BlockClosureViolation(QesBosonError):
 
 
 class NumericalFailure(QesBosonError):
-    """An eigensolve residual exceeded oracle.RESIDUAL_TOL, its
-    eigenvectors cannot be represented in double precision (residual inf),
-    the LAPACK solver did not converge (residual nan), a spectrum that
-    must be real to be compared is not (the solve's residual), a sextic
-    level misses its block level + w2 (the deviation), or a block has more
-    than oracle.MAX_DIMENSION states (residual inf)."""
+    """A value that double precision cannot hold, or a result that misses
+    its bound: a block solve's residual above oracle.RESIDUAL_TOL or LAPACK
+    not converging; a block of more than oracle.MAX_DIMENSION states; a
+    Fock or reduced block entry, or reduced monomial-basis eigenvectors,
+    out of double range; a sextic coefficient not real or out of range; a
+    gauge shift, finite-difference or oscillator-basis matrix out of range;
+    a potential that does not confine; sextic levels that no oscillator
+    basis reaches, that need too many states or that do not settle;
+    non-real block levels for a sextic level to match; a sextic level off
+    its block level + w2.
+
+    residual keeps one rule at every site: inf when a value does not fit
+    in a double, a block or basis is too large, or a potential is not real
+    or has no bound states; NaN when LAPACK does not converge or the
+    residual is NaN; otherwise the measured residual, deviation or last
+    move that broke its bound (for non-real block levels, the solve's
+    residual)."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)
@@ -36,8 +47,10 @@ class ZeroVector(QesBosonError):
 
 
 class BandStructureUnsupported(QesBosonError):
-    """The reduced matrix has no scalar three-term-style recurrence; fall
-    back to the characteristic polynomial of the reduced block."""
+    """The reduced block has no scalar three-term-style recurrence, which
+    energy_polynomial_table and so polys refuse (exit 4), naming the entry;
+    nothing falls back to a characteristic polynomial.  spectrum, scan and
+    qes_spectrum need no recurrence and still solve such blocks."""
 
 
 class DegreeOutsidePhysicalSector(QesBosonError):

@@ -279,10 +279,7 @@ def build_block(
 class SpectrumReport:
     """Sorted block eigenvalues plus the worst eigenpair residual."""
 
-    kappa: int
-    dimension: int
     eigenvalues: tuple[complex, ...]
-    method: str
     max_residual: float
 
 
@@ -427,11 +424,5 @@ def block_spectrum(
     h: OperatorPolynomial, charge: ConservedCharge, kappa: int
 ) -> SpectrumReport:
     """Eigenvalues of h on the block with charge eigenvalue kappa."""
-    block, values, _, method, max_residual = diagonalize_block(h, charge, kappa)
-    return SpectrumReport(
-        kappa=kappa,
-        dimension=block.dimension,
-        eigenvalues=tuple(complex(v) for v in values),
-        method=method,
-        max_residual=max_residual,
-    )
+    _, values, _, _, max_residual = diagonalize_block(h, charge, kappa)
+    return SpectrumReport(tuple(values.tolist()), max_residual)

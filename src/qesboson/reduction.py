@@ -401,8 +401,8 @@ def energy_polynomial_table(
     right of its superdiagonal and none vanishing on it; models with a
     single interaction term are of this three-term kind.  Otherwise raises
     BandStructureUnsupported, naming the first entry that algebra._band_shape
-    finds breaking it; the characteristic polynomial of the reduced block is
-    then the fallback.  Only the nonzero entries of each row enter.
+    finds breaking it; no other route to the polynomials is tried.  Only
+    the nonzero entries of each row enter.
 
     The recurrence runs fraction-free on the block's integer numerators
     a_mj = A[m][j] * D (band k, column j of block.bands is row d-1-j,
@@ -504,16 +504,12 @@ def qes_spectrum(
     """Block spectrum from the reduced single-variable matrix: the Jacobi
     matrix by dstevd where _jacobi_form applies, else a dense eig, both
     better conditioned than the terminating energy polynomial's roots.
-    Eigenvectors are not formed, so no lack of double range fails it."""
+    The solve forms J's or R's eigenvectors for its residual gate but not
+    the monomial-basis ones, so reduced_eigensystem's double-range refusal
+    of those (trilinear3, kappa = 597) cannot reach it."""
     block = reduced_block_matrix(h, charge, kappa)
     values, _, worst, _ = _solve(block, f"reduced block kappa={kappa}")
-    return SpectrumReport(
-        kappa=kappa,
-        dimension=block.dimension,
-        eigenvalues=tuple(complex(v) for v in values),
-        method="reduced",
-        max_residual=worst,
-    )
+    return SpectrumReport(tuple(values.tolist()), worst)
 
 
 @lru_cache(maxsize=4)

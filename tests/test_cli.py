@@ -319,7 +319,7 @@ def test_paired_deviation_never_exceeds_positional(spectra, tol):
     first, second = spectra
 
     def report(values):
-        return SpectrumReport(0, len(values), tuple(values), "test", 0.0)
+        return SpectrumReport(tuple(values), 0.0)
 
     deviations, within = cli._compare_routes(report(first), report(second), tol)
     positional = np.abs(np.array(tuple(first)) - np.array(tuple(second)))
@@ -1043,7 +1043,7 @@ def _nan_first_eigenvalue(qes_spectrum):
     def patched(*args, **kwargs):
         report = qes_spectrum(*args, **kwargs)
         values = (complex("nan"),) + report.eigenvalues[1:]
-        return SpectrumReport(report.kappa, report.dimension, values, report.method, 0.0)
+        return SpectrumReport(values, 0.0)
 
     return patched
 

@@ -26,6 +26,10 @@ PENTA = (
     "charge 1 1\nterm 1 0 1 1 0 0\nterm 2 0 0 0 1 1\nterm 1/3 0 1 0 0 1\n"
     "term 1/3 0 0 1 1 0\nterm 1/5 0 2 0 0 2\nterm 1/5 0 0 2 2 0\n"
 )
+SHG_1E10 = (
+    "charge 1 2\nterm 20000000000 0 0 0 1 1\nterm 5000000000 0 0 2 1 0\n"
+    "term 10000000000 0 1 1 0 0\nterm 5000000000 0 2 0 0 1\n"
+)
 # complex couplings on both off-diagonals: the integer recurrence's complex path
 COMPLEX = "charge 1 2\nterm 2 1/3 0 0 1 1\nterm 1/2 1/5 0 2 1 0\nterm 1 0 1 1 0 0\nterm 1/3 -1/7 2 0 0 1\n"
 # 1.5e308 on the |0,2> -> |2,1> hop: the entry overflows a double during assembly
@@ -57,6 +61,16 @@ CONTRACT = {
     # 4.8e-7 (d = 61): the deviation gate refuses it.  ROADMAP item 3's
     # symmetrized form for banded Hermitian blocks flips this row to exit 0
     "spectrum-penta-k60": (["spectrum", MODEL, "--kappa", "60", "--method", "both"], PENTA, 4, "", None),
+    # SHG with every coefficient times 1e10: its spectrum is exactly 1e10
+    # times SHG's, which exits 0, but at max|lambda| = 1.8e11 the oracle's
+    # residual breaks the absolute 1e-8 gate.  The tridiagonal solve and its
+    # band residual call no BLAS: the same bytes at 1 and 2 OpenBLAS threads.
+    # ROADMAP item 22's verdict, scaled with max|lambda|, flips this row
+    "spectrum-shg-1e10-k10": (
+        ["spectrum", MODEL, "--kappa", "10", "--method", "both"], SHG_1E10, 4,
+        "numerical failure: block kappa=10 eigensolve residual 5.104e-05 exceeds 1.000e-08\n",
+        None,
+    ),
     # blocks the energy recurrence cannot solve row by row: a band above the
     # first superdiagonal, and a superdiagonal entry that vanishes
     "polys-wide-band": (

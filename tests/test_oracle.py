@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import random
@@ -21,6 +22,7 @@ from qesboson import (
     NonConservingHamiltonian,
     NumericalFailure,
     RationalComplex,
+    SpectrumReport,
     ZeroVector,
     apply_to_fock,
     block_amplitudes,
@@ -39,7 +41,9 @@ from qesboson import (
     monomial,
     number,
     parse_model_file,
+    qes_spectrum,
     reduced_block_matrix,
+    reduced_eigensystem,
     shg_charge,
 )
 from qesboson import oracle
@@ -250,8 +254,25 @@ class TestBlockSpectrum:
         report = block_spectrum(h, charge, 2)
         expected = [2 - sqrt(2) / 2, 2 + sqrt(2) / 2]
         assert np.allclose([v.real for v in report.eigenvalues], expected)
-        assert report.method == "hermitian"
         assert report.max_residual <= 1e-12
+
+    @pytest.mark.parametrize(
+        "spectrum, solve",
+        [(block_spectrum, lambda *a: diagonalize_block(*a)[1::3]),
+         (qes_spectrum, lambda *a: reduced_eigensystem(*a)[1::2])],
+        ids=["oracle", "reduced"],
+    )
+    def test_report_is_the_solve_values_and_residual(self, shg, spectrum, solve):
+        # the report holds the solve's (values, worst residual), the values
+        # as Python complex bit for bit, and compares and hashes by value
+        h, charge = shg
+        values, worst = solve(h, charge, 9)
+        report = spectrum(h, charge, 9)
+        assert [f.name for f in dataclasses.fields(report)] == ["eigenvalues", "max_residual"]
+        assert all(type(v) is complex for v in report.eigenvalues)
+        assert report == SpectrumReport(tuple(complex(v) for v in values), worst)
+        assert hash(report) == hash(spectrum(h, charge, 9))
+        assert len(report.eigenvalues) == len(enumerate_block(charge, 9))
 
     def test_kappa_four_closed_form(self, shg):
         h, charge = shg
@@ -261,14 +282,13 @@ class TestBlockSpectrum:
     def test_kappa_one_single_state(self, shg):
         h, charge = shg
         report = block_spectrum(h, charge, 1)
-        assert report.dimension == 1
+        assert len(report.eigenvalues) == 1
         assert report.eigenvalues[0] == pytest.approx(1.0)
 
     def test_empty_block_report(self):
         # charge (2,3) has no states at kappa=1
         h_diag = 2 * number(1) + 3 * number(2)
         report = block_spectrum(h_diag, ConservedCharge(2, 3), 1)
-        assert report.dimension == 0
         assert report.eigenvalues == ()
         assert report.max_residual == 0.0
 
@@ -278,7 +298,7 @@ class TestBlockSpectrum:
             oracle, "enumerate_block", lambda *args: calls.append(args) or enumerate_block(*args)
         )
         h, charge = shg
-        assert block_spectrum(h, charge, 6).dimension == 4
+        assert len(block_spectrum(h, charge, 6).eigenvalues) == 4
         assert calls == []
 
     @pytest.mark.parametrize("charge, kappa", [(ConservedCharge(1, 2), 6), (ConservedCharge(2, 3), 1)])
@@ -297,7 +317,7 @@ class TestBlockSpectrum:
     def test_residuals_small_through_dim_50(self):
         h = build_shg(1, 2, Fraction(1, 2), Fraction(1, 2))
         report = block_spectrum(h, shg_charge(), 98)  # dimension 50
-        assert report.dimension == 50
+        assert len(report.eigenvalues) == 50
         assert report.max_residual <= 1e-10
 
     def test_scaling_equivariance(self):
