@@ -36,16 +36,15 @@ qesboson._lapack), the solver dense eigh runs after its Householder
 reduction, which is the identity there: two O(n^3) no-op steps and the
 dense matrix are skipped.
 
-Such a block also takes its residual on its band, elementwise: every
-nonzero entry the dense M @ v would multiply, in O(n^2) rather than
-O(n^3), with no BLAS call, so the residual has the same bits at any BLAS
-thread count.  Every other block takes its residual on the dense matrix.
+Every block takes its residual on its bands, elementwise: every nonzero
+entry the dense M @ v would multiply, in O(nnz n) rather than O(n^3), with
+no BLAS call, so only a dense eigh or eig can depend on the thread count.
 
 Both routes hand this one solve, _solve_block, a band block (FockBlock):
 the oracle its Fock block, the reduced route its Jacobi matrix or its
-reduced block.  The solve alone packs bands for LAPACK, picks stevd, eigh
-or eig and applies the one residual gate, RESIDUAL_TOL, so the routes
-differ in the block they pass, not in the solver or the checks.
+reduced block.  The solve alone packs bands, picks stevd, eigh or eig
+and applies the one residual gate, RESIDUAL_TOL, so the routes differ in
+the block they pass, not in the solver or the checks.
 """
 
 from __future__ import annotations
@@ -309,17 +308,14 @@ _RESIDUAL_COLUMNS = 64  # eigenvector columns per _band_residuals step
 
 
 def _band_residuals(
-    diagonal: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    values: np.ndarray,
-    vectors: np.ndarray,
+    rows: dict[int, np.ndarray], values: np.ndarray, vectors: np.ndarray
 ) -> np.ndarray:
-    """eigen_residual of the tridiagonal matrix with this diagonal,
-    subdiagonal lower and superdiagonal upper, for every column of vectors,
-    without forming the matrix: elementwise on the band, with no BLAS call.
-    The column norms are the sums numpy.linalg.norm(…, axis=0) forms, bit
-    for bit, without a numpy.linalg call.
+    """eigen_residual of the matrix whose band k (row column + k) is
+    rows[k][column], for every column of vectors: elementwise on the bands,
+    with no BLAS call.  rows holds band 0 and lists its bands by ascending
+    shift; the diagonal term goes first, then the others in that order.
+    The norms are the sums numpy.linalg.norm(x, axis=0) forms, bit for bit,
+    without a numpy.linalg call.
 
     The columns go _RESIDUAL_COLUMNS at a time, so that each step's
     temporaries stay in cache on large blocks; every column takes the same
@@ -329,11 +325,17 @@ def _band_residuals(
     out = np.empty(vectors.shape[1])
     for start in range(0, vectors.shape[1], _RESIDUAL_COLUMNS):
         cols = slice(start, start + _RESIDUAL_COLUMNS)
-        v = vectors[:, cols]
-        r = diagonal[:, None] * v - v * values[cols]
-        r[:-1] += upper[:, None] * v[1:]
-        r[1:] += lower[:, None] * v[:-1]
-        out[cols] = np.sqrt(np.add.reduce(r * r, axis=0)) / np.sqrt(np.add.reduce(v * v, axis=0))
+        # in F order each column is summed on its own, whatever else the step holds
+        v = np.require(vectors[:, cols], requirements="F")
+        r = rows[0][:, None] * v - v * values[cols]
+        for k, row in rows.items():
+            if k < 0:
+                r[:k] += row[-k:, None] * v[-k:]
+            elif k > 0:
+                r[k:] += row[:-k, None] * v[:-k]
+        out[cols] = np.sqrt(np.add.reduce((r * r.conj()).real, axis=0)) / np.sqrt(
+            np.add.reduce((v * v.conj()).real, axis=0)
+        )
     return out
 
 
@@ -383,11 +385,11 @@ def _solve_block(
     """Eigenvalues, eigenvectors and worst eigenpair residual of one band
     block: the one solve of both routes and of EnergyPolynomialTable.spectrum.
 
-    A real hermitian block that algebra._band_shape finds tridiagonal is
-    packed here into its diagonal, subdiagonal and superdiagonal, solved by
-    stevd on the first two with the residual taken on all three, and forms
-    no dense matrix.  Every other block is solved on block.matrix, by eigh
-    when hermitian and by eig otherwise, with the residual taken on it.
+    The bands are packed once, by column, zero where a band lists none, with
+    bands -1, 0 and 1 always present; the residual is taken on them.  A
+    real hermitian block that algebra._band_shape finds tridiagonal is
+    solved by stevd on bands 0 and 1 and forms no dense matrix.  Every
+    other block is solved on block.matrix, by eigh when hermitian, else eig.
     The eigenvalues are complex and ascending by (real, imag), which is
     stevd's own order; the eigenvectors have the solver's dtype.  An empty
     block has no eigenpairs, residual 0 and vectors of its dtype.  Raises
@@ -398,20 +400,17 @@ def _solve_block(
     dim = block.dimension
     if not dim:
         return np.zeros(0, dtype=complex), np.zeros((0, 0), dtype=block.dtype), 0.0
-    # entries above about 1e154 overflow the residual norm to inf, refused below
-    with checked_solve(name), np.errstate(over="ignore"):
+    # entries above about 1e154 make the residual inf or NaN, refused below
+    with checked_solve(name), np.errstate(over="ignore", invalid="ignore"):
+        rows = {k: np.zeros(dim, block.dtype) for k in sorted(block.bands.keys() | {-1, 0, 1})}
+        for k, (cols, values) in block.bands.items():
+            rows[k][cols] = values
         if hermitian and block.dtype is float and _band_shape(block.bands, dim).tridiagonal:
-            # row k % 3 holds band k: diagonal, subdiagonal (from column 0), superdiagonal (from 1)
-            rows = np.zeros((3, dim))
-            for k, (cols, values) in block.bands.items():
-                rows[k, cols] = values
-            diagonal, lower, upper = rows[0], rows[1, :-1], rows[2, 1:]
-            values, vectors = stevd(diagonal, lower)
-            residuals = _band_residuals(diagonal, lower, upper, values, vectors)
+            values, vectors = stevd(rows[0], rows[1][:-1])
         else:
             solver = np.linalg.eigh if hermitian else np.linalg.eig
             values, vectors = sort_eigenpairs(*solver(block.matrix))
-            residuals = eigen_residual(block.matrix, values, vectors)
+        residuals = _band_residuals(rows, values, vectors)
     worst = float(residuals.max())
     if not worst <= RESIDUAL_TOL:
         raise NumericalFailure(

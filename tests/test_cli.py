@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from qesboson import SpectrumReport, cli, energy_polynomial_table, oracle, parse_model_file, sextic
 from qesboson._lapack import paired_distances
 from qesboson.cli import main
+from test_cli_contract import PENTA
 
 # a numpy RuntimeWarning (an overflow, say) that a command lets out is an error
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -925,12 +926,20 @@ def test_parser_reused_across_calls(capsys):
     ["sextic", *SHG_COUPLINGS, "--k", "3", "--fd", "--output", "json"],
     # the analytic benchmark's largest request class: 4 block levels, 4 sector levels
     ["sextic", *SEXTIC_FD_K7, "--fd", "--output", "json"],
-], ids=["trilinear3-k1797", "shg-k1198", "polys-shg-k200", "sextic-k3", "sextic-k7"])
-def test_stdout_independent_of_blas_threads(argv):
+    # d = 89, dense eigh: the eigenvalues match at 1 and 2 threads here,
+    # and a dense residual product printed residuals.oracle 1.3617e-12
+    # at 1 thread and 1.3347e-12 at 2
+    ["spectrum", PENTA, "--kappa", "88", "--method", "oracle"],
+], ids=["trilinear3-k1797", "shg-k1198", "polys-shg-k200", "sextic-k3", "sextic-k7", "penta-k88"])
+def test_stdout_independent_of_blas_threads(argv, tmp_path):
     """The d = 600 blocks, the energy polynomials and the sextic levels, all
-    solved through qesboson._lapack, print the same bytes at 1 and at 2
-    BLAS threads, residuals included; a dense residual product changed the
-    last digits of residuals.oracle at SHG kappa = 1198."""
+    solved through qesboson._lapack, and the residuals of every block, taken
+    on its bands, print the same bytes at 1 and at 2 BLAS threads; a dense
+    residual product changed the last digits of residuals.oracle at SHG
+    kappa = 1198 and at PENTA kappa = 88."""
+    model = tmp_path / "penta.qesb"
+    model.write_text(PENTA)
+    argv = [str(model) if arg == PENTA else arg for arg in argv]
     src = str(Path(__file__).resolve().parent.parent / "src")
     outputs = []
     for threads in ("1", "2"):

@@ -20,8 +20,10 @@ TRILINEAR3 = str(ROOT / "models" / "trilinear3.qesb")
 # the word in argv that stands for the path of the row's model text
 MODEL = "{model}"
 # a real Hermitian model with bands +-2: its blocks from kappa = 2 on take
-# the oracle's dense eigh, kappa = 1 (bands -1, 0, 1) stevd.  Dense blocks
-# print BLAS-thread-dependent last digits from d = 89 on, so no row pins them
+# the oracle's dense eigh, kappa = 1 (bands -1, 0, 1) stevd.  Every
+# residual is taken on the bands, but a dense eigh's or eig's eigenvalues
+# and eigenvectors can depend on the BLAS thread count on large blocks (the
+# reduced route's from d = 91 on here), so no row pins a block that large
 PENTA = (
     "charge 1 1\nterm 1 0 1 1 0 0\nterm 2 0 0 0 1 1\nterm 1/3 0 1 0 0 1\n"
     "term 1/3 0 0 1 1 0\nterm 1/5 0 2 0 0 2\nterm 1/5 0 0 2 2 0\n"

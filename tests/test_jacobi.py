@@ -282,8 +282,9 @@ def test_jacobi_residuals_match_dense_residuals():
     assert np.array_equal(np.diag(dense, -1), off)
     assert np.allclose(off, off_diagonal, rtol=1e-15, atol=0)
     values, vectors = eigh_tridiagonal(diagonal, off)
+    rows = {-1: np.append(0.0, off), 0: diagonal, 1: np.append(off, 0.0)}
     assert np.allclose(
-        _band_residuals(diagonal, off, off, values, vectors),
+        _band_residuals(rows, values, vectors),
         eigen_residual(dense, values, vectors),
         rtol=0,
         atol=1e-15,

@@ -46,7 +46,7 @@ from qesboson import (
     reduced_eigensystem,
     shg_charge,
 )
-from qesboson import oracle
+from qesboson import oracle, reduction
 from qesboson.oracle import RESIDUAL_TOL, _band_residuals
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -433,6 +433,36 @@ def test_nan_eigenvalue_fails_residual_gate_dense(monkeypatch):
     assert math.isnan(info.value.residual)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_residual_beyond_double_range_is_refused_without_warning(dtype, hermitian):
+    # full blocks of d = 2-4 with entries up to 1.8e308: their residuals
+    # overflow, and inf - inf or inf * 0 make NaNs; every solve returns
+    # within the gate or is refused, and no RuntimeWarning escapes
+    rng = np.random.default_rng(11 + hermitian)
+    refused = 0
+    for _ in range(60):
+        dim = int(rng.integers(2, 5))
+        m = rng.uniform(-1.79, 1.79, (dim, dim)) * 1e308
+        if dtype is complex:
+            m = m + 1j * rng.uniform(-1.79, 1.79, (dim, dim)) * 1e308
+        if hermitian:
+            m = np.triu(m) + np.triu(m, 1).conj().T
+            m[np.diag_indices(dim)] = m.diagonal().real
+        bands = {
+            k: (cols, m[[c + k for c in cols], cols])
+            for k in range(1 - dim, dim)
+            for cols in [list(range(max(0, -k), min(dim, dim - k)))]
+        }
+        try:
+            oracle._solve_block("block", oracle.FockBlock(dim, bands, dtype), hermitian)
+        except NumericalFailure as exc:
+            refused += 1
+            assert not exc.residual <= RESIDUAL_TOL
+    assert refused > 0
+
+
 class TestSolverFailure:
     """A LAPACK solver that does not converge is a NumericalFailure with a
     NaN residual, not the ValueError that np.linalg.LinAlgError is."""
@@ -509,10 +539,64 @@ class TestTridiagonalSolver:
         assert vectors.dtype == np.linalg.eig(block.matrix)[1].dtype
 
 
+def dense_rows(matrix, shifts):
+    """The row form of matrix's bands, read off its diagonals: band k (the
+    entry in row column + k) by column, zero where no column has one."""
+    dim, rows = len(matrix), {}
+    for k in sorted(shifts):
+        rows[k] = np.zeros(dim, matrix.dtype)
+        diagonal = np.diag(matrix, -k)
+        rows[k][max(0, -k):max(0, -k) + len(diagonal)] = diagonal
+    return rows
+
+
+def _model(name):
+    model = parse_model_file((MODELS / f"{name}.qesb").read_text(encoding="utf-8"))
+    return model.hamiltonian(), model.charge
+
+
+def _complex_non_hermitian():
+    return build_shg(
+        1, 2, RationalComplex(Fraction(1, 2), Fraction(1, 3)),
+        RationalComplex(Fraction(1, 4), Fraction(-1, 5)),
+    ), shg_charge()
+
+
+# the route (oracle or reduction) and model of every block shape the one
+# solve meets: the oracle's tridiagonal (stevd), pentadiagonal (eigh) and
+# complex non-Hermitian (eig) blocks, and the reduced route's J (stevd), R
+# of a non-Hermitian model (eig) and R with an exact zero coupling, which
+# has no Jacobi form (eig)
+ROUTES = {
+    "shg": (oracle, lambda: _model("shg")),
+    "trilinear3": (oracle, lambda: _model("trilinear3")),
+    "pentadiagonal": (oracle, lambda: (BANDED, ConservedCharge(1, 1))),
+    "complex": (oracle, _complex_non_hermitian),
+    "jacobi": (reduction, lambda: _model("shg")),
+    "reduced": (reduction, lambda: (build_shg(1, 2, Fraction(1, 2), Fraction(-1, 2)), shg_charge())),
+    "zero coupling": (reduction, lambda: _zero_coupling_model()),
+}
+
+
+def spy_one_solve(monkeypatch, name, kappa):
+    """(block, hermitian, values, vectors, worst) of the one call to the
+    block solve that ROUTES[name]'s route makes for block kappa."""
+    module, model = ROUTES[name]
+    calls, solve = [], module._solve_block
+
+    def spy(name, block, hermitian):
+        calls.append((block, hermitian, *solve(name, block, hermitian)))
+        return calls[-1][2:]
+
+    monkeypatch.setattr(module, "_solve_block", spy)
+    (diagonalize_block if module is oracle else qes_spectrum)(*model(), kappa)
+    [call] = calls
+    return call
+
+
 class TestBandResidual:
-    """Real Hermitian tridiagonal blocks take their residual on the band,
-    with no dense product; it must match the dense residual, and every
-    other block keeps the dense one."""
+    """Every block takes its residual on its bands, with no dense product;
+    it must match the dense residual on every block shape."""
 
     @pytest.mark.parametrize(
         "name, kappa, dim",
@@ -525,53 +609,111 @@ class TestBandResidual:
             ("trilinear3", 3, 2),
             ("trilinear3", 62, 21),
             ("trilinear3", 897, 300),
+            ("pentadiagonal", 6, 7),
+            ("complex", 10, 6),
+            ("jacobi", 41, 21),
+            ("reduced", 21, 11),
+            ("zero coupling", 10, 6),
         ],
     )
     def test_matches_dense_residual(self, monkeypatch, name, kappa, dim):
-        model = parse_model_file((MODELS / f"{name}.qesb").read_text(encoding="utf-8"))
         monkeypatch.setattr(oracle, "eigen_residual", _refuse("eigen_residual"))
-        block, values, vectors, _, max_residual = diagonalize_block(
-            model.hamiltonian(), model.charge, kappa
-        )
-        matrix, values = block.matrix, values.real
+        block, hermitian, values, vectors, worst = spy_one_solve(monkeypatch, name, kappa)
         assert block.dimension == dim
-        band = _band_residuals(
-            np.diag(matrix), np.diag(matrix, -1), np.diag(matrix, 1), values, vectors
-        )
-        assert max_residual == band.max()
+        matrix = block.matrix
+        values = values.real if hermitian else values
+        band = _band_residuals(dense_rows(matrix, block.bands.keys() | {-1, 0, 1}), values, vectors)
+        assert worst == band.max()
         bound = 4 * np.finfo(float).eps * max(1.0, np.linalg.norm(matrix))
         assert np.abs(band - eigen_residual(matrix, values, vectors)).max() <= bound
 
     @pytest.mark.parametrize("dim", [1, 2, 63, 64, 65, 129, 600])
     def test_column_blocks_match_the_whole_formula(self, dim):
-        # the formula on all columns at once, as before the columns went in
-        # steps: bit for bit the same on stevd's F-ordered eigenvectors
+        # the formula on all columns at once, in the F order the steps take
+        # them in: bit for bit the same on stevd's F-ordered real
+        # eigenvectors and on eig's C-ordered complex ones of a complex
+        # five-band matrix
         rng = np.random.default_rng(dim)
         diagonal, off = rng.standard_normal(dim), rng.standard_normal(dim - 1)
         values, vectors = oracle.stevd(diagonal, off)
         assert vectors.flags.f_contiguous
-        r = diagonal[:, None] * vectors - vectors * values
-        r[:-1] += off[:, None] * vectors[1:]
-        r[1:] += off[:, None] * vectors[:-1]
-        whole = np.sqrt(np.add.reduce(r * r, axis=0)) / np.sqrt(
-            np.add.reduce(vectors * vectors, axis=0)
-        )
-        assert np.array_equal(_band_residuals(diagonal, off, off, values, vectors), whole)
+        tridiagonal = np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1)
+        square = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        pentadiagonal = np.triu(np.tril(square, 2), -2)
+        cases = [
+            (dense_rows(tridiagonal, {-1, 0, 1}), values, vectors),
+            (dense_rows(pentadiagonal, range(-2, 3)), *np.linalg.eig(pentadiagonal)),
+        ]
+        assert dim == 1 or not cases[1][2].flags.f_contiguous
+        for rows, values, vectors in cases:
+            v = np.asfortranarray(vectors)
+            r = rows[0][:, None] * v - v * values
+            for k, row in rows.items():
+                if k < 0:
+                    r[:k] += row[-k:, None] * v[-k:]
+                elif k > 0:
+                    r[k:] += row[:-k, None] * v[:-k]
+            whole = np.sqrt(np.add.reduce((r * r.conj()).real, axis=0)) / np.sqrt(
+                np.add.reduce((v * v.conj()).real, axis=0)
+            )
+            assert np.array_equal(_band_residuals(rows, values, vectors), whole)
 
-    def test_pentadiagonal_block_keeps_dense_residual(self, monkeypatch):
-        dense = []
+    def test_pentadiagonal_block_takes_its_residual_on_five_bands(self, monkeypatch):
+        bands = []
 
-        def spy(matrix, values, vectors):
-            dense.append((matrix, eigen_residual(matrix, values, vectors)))
-            return dense[-1][1]
+        def spy(rows, values, vectors):
+            bands.append((rows, residuals(rows, values, vectors)))
+            return bands[-1][1]
 
-        monkeypatch.setattr(oracle, "eigen_residual", spy)
-        monkeypatch.setattr(oracle, "_band_residuals", _refuse("_band_residuals"))
+        residuals = oracle._band_residuals
+        monkeypatch.setattr(oracle, "_band_residuals", spy)
+        monkeypatch.setattr(oracle, "eigen_residual", _refuse("eigen_residual"))
         block, _, _, _, max_residual = diagonalize_block(BANDED, ConservedCharge(1, 1), 6)
         assert np.tril(block.matrix, -2).any()
-        [(matrix, residuals)] = dense
-        assert matrix is block.matrix
-        assert max_residual == residuals.max()
+        [(rows, found)] = bands
+        expected = dense_rows(block.matrix, range(-2, 3))
+        assert list(rows) == list(expected) == [-2, -1, 0, 1, 2]
+        assert all(rows[k].tobytes() == expected[k].tobytes() for k in rows)
+        assert max_residual == found.max()
+
+
+class _Watched(np.ndarray):
+    """Eigenvectors that record the name of every numpy ufunc applied to
+    them, so a test can tell elementwise products from a matrix product."""
+
+    seen: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _Watched.seen.append(ufunc.__name__)
+        inputs = [x.view(np.ndarray) if isinstance(x, _Watched) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "name, kappa",
+    [("shg", 41), ("pentadiagonal", 6), ("complex", 10), ("jacobi", 41), ("reduced", 21),
+     ("zero coupling", 10)],
+)
+def test_no_residual_takes_a_matrix_product(monkeypatch, name, kappa):
+    """Every block shape takes its residual without eigen_residual and
+    without a matrix product of its eigenvectors: stevd's, eigh's and eig's
+    vectors meet only elementwise ufuncs."""
+    def watched(solver):
+        def solve(*args):
+            values, vectors = solver(*args)
+            return values, vectors.view(_Watched)
+        return solve
+
+    monkeypatch.setattr(_Watched, "seen", [])
+    monkeypatch.setattr(oracle, "stevd", watched(oracle.stevd))
+    monkeypatch.setattr(np.linalg, "eigh", watched(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eig", watched(np.linalg.eig))
+    monkeypatch.setattr(oracle, "eigen_residual", _refuse("eigen_residual"))
+    for function in ("matmul", "dot", "vdot", "einsum", "tensordot", "inner"):
+        monkeypatch.setattr(np, function, _refuse(f"numpy.{function}"))
+    *_, vectors, worst = spy_one_solve(monkeypatch, name, kappa)
+    assert isinstance(vectors, _Watched) and 0.0 <= worst <= RESIDUAL_TOL
+    assert "multiply" in _Watched.seen and "matmul" not in _Watched.seen
 
 
 # charge N1 + N2 with bands +-1 and +-2 where both modes allow them; the CI
@@ -594,15 +736,16 @@ def _zero_coupling_model():
 
 
 class TestBandForm:
-    """The oracle hands _solve_block its block as bands: a real Hermitian
-    block whose band keys are among -1, 0 and 1 is packed there and solved
-    by stevd with no dense matrix formed, and the three arrays it solves are
-    the diagonals of the dense matrix the block forms on first use."""
+    """The oracle hands _solve_block its block as bands, which it packs
+    once, by column: a real Hermitian block whose band keys are among -1, 0
+    and 1 is solved by stevd on that packing with no dense matrix formed,
+    and every block's residual is taken on it; the packed bands are the
+    diagonals of the dense matrix the block forms on first use."""
 
     @staticmethod
     def solve_spied(monkeypatch, h, charge, kappa):
         """diagonalize_block's block, the block _solve_block was given, and
-        the (diagonal, lower, upper) of every band residual it took."""
+        the packed bands of every band residual it took."""
         solved, packed = [], []
         solve, residuals = oracle._solve_block, oracle._band_residuals
 
@@ -610,9 +753,9 @@ class TestBandForm:
             solved.append(block)
             return solve(name, block, hermitian)
 
-        def spy_residuals(diagonal, lower, upper, values, vectors):
-            packed.append((diagonal, lower, upper))
-            return residuals(diagonal, lower, upper, values, vectors)
+        def spy_residuals(rows, values, vectors):
+            packed.append(rows)
+            return residuals(rows, values, vectors)
 
         monkeypatch.setattr(oracle, "_solve_block", spy_solve)
         monkeypatch.setattr(oracle, "_band_residuals", spy_residuals)
@@ -653,13 +796,14 @@ class TestBandForm:
         block, packed = self.solve_spied(monkeypatch, h, charge, kappa)
         assert block.dimension == dim
         assert "matrix" not in vars(block)
-        [(diagonal, lower, upper)] = packed
-        assert [(d is diagonal, e is lower) for d, e in calls] == [(True, True)]
-        matrix = block.matrix
-        for array, k in (diagonal, 0), (lower, -1), (upper, 1):
-            expected = np.diag(matrix, k)
-            assert array.dtype == expected.dtype == float
-            assert array.tobytes() == expected.tobytes()
+        [rows] = packed
+        assert list(rows) == [-1, 0, 1]
+        [(diagonal, lower)] = calls
+        assert diagonal is rows[0] and lower.base is rows[1] and len(lower) == dim - 1
+        expected = dense_rows(block.matrix, rows)
+        for k, row in rows.items():
+            assert row.dtype == expected[k].dtype == float
+            assert row.tobytes() == expected[k].tobytes()
 
     @pytest.mark.parametrize("kappa, keys", [(0, set()), (1, {-1, 0, 1})])
     def test_bands_within_one_go_to_stevd(self, monkeypatch, kappa, keys):
@@ -673,7 +817,9 @@ class TestBandForm:
         assert len(packed) == 1
         assert "matrix" not in vars(block)
         if kappa == 0:
-            assert [a.tolist() for a in packed[0]] == [[0.0], [], []]
+            assert {k: row.tolist() for k, row in packed[0].items()} == {
+                -1: [0.0], 0: [0.0], 1: [0.0]
+            }
 
     @pytest.mark.parametrize("kappa", [2, 6])
     def test_bands_beyond_one_keep_dense_eigh(self, monkeypatch, kappa):
@@ -689,7 +835,11 @@ class TestBandForm:
             monkeypatch, PENTADIAGONAL.hamiltonian(), PENTADIAGONAL.charge, kappa
         )
         assert block.bands.keys() == {-2, -1, 0, 1, 2}
-        assert packed == []
+        [rows] = packed
+        expected = dense_rows(block.matrix, rows)
+        assert [row.tobytes() for row in rows.values()] == [
+            row.tobytes() for row in expected.values()
+        ]
         assert [m is block.matrix for m in calls] == [True]
 
 
